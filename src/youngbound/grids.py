@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exponents import Exponent
 
@@ -49,6 +50,7 @@ __all__ = [
     "fourier_lebesgue_norm",
     "convolve",
     "stft",
+    "stft_table_norm",
     "modulation_norm",
     "mixed_norm_2d",
     "gaussian_resolution_guard",
@@ -233,10 +235,12 @@ def _exponent_value(p) -> float:
 
 
 def _axis_power_norm(
-    arr: np.ndarray, p: float, cell: float, axis
+    mag: np.ndarray, p: float, cell: float, axis
 ) -> np.ndarray:
-    """(sum |arr|^p cell)^{1/p} along the given axes, sup when p = inf."""
-    mag = np.abs(arr)
+    """(sum mag^p cell)^{1/p} along the given axes, sup when p = inf.
+
+    ``mag`` holds magnitudes: real and nonnegative.
+    """
     if math.isinf(p):
         return np.max(mag, axis=axis)
     return (np.sum(mag ** p, axis=axis) * cell) ** (1.0 / p)
@@ -246,13 +250,22 @@ def weighted_lebesgue_norm(f: SampledFunction, p, t) -> float:
     """|| f <.>^t ||_{L^p} by the rectangle rule; sup norm when p = inf.
 
     Non-finite samples are rejected: a NaN anywhere would otherwise
-    propagate into every norm silently.
+    propagate into every norm silently.  So is a weight that overflows
+    binary64 on the grid (where it meets a sample that underflowed to
+    zero, the weighted magnitude is inf * 0 = NaN); that is a
+    ResolutionError.
     """
-    if not np.all(np.isfinite(f.values)):
-        raise ValueError("weighted_lebesgue_norm: non-finite samples")
+    mag = np.abs(f.values) * weight_array(f.grid, float(t))
+    if not np.all(np.isfinite(mag)):
+        if not np.all(np.isfinite(f.values)):
+            raise ValueError("weighted_lebesgue_norm: non-finite samples")
+        reach = float(np.max(np.abs(f.grid.axis())))
+        raise ResolutionError(
+            f"weighted_lebesgue_norm: |f| <x>^{t} overflows binary64 on the "
+            f"grid (|x| up to {reach:g}); the weight exponent is too large "
+            "for this box"
+        )
     pf = _exponent_value(p)
-    w = weight_array(f.grid, float(t))
-    mag = np.abs(f.values) * w
     if math.isinf(pf):
         return float(np.max(mag))
     cell = f.grid.h ** f.grid.d
@@ -377,19 +390,6 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
 # Short-time transform and modulation-type norms
 # ---------------------------------------------------------------------------
 
-def _shifted_window(w: np.ndarray, shift: int) -> np.ndarray:
-    """w translated by ``shift`` samples with zero fill (no wraparound)."""
-    out = np.zeros_like(w)
-    n = w.shape[0]
-    if shift >= 0:
-        if shift < n:
-            out[shift:] = w[: n - shift]
-    else:
-        if -shift < n:
-            out[:shift] = w[-shift:]
-    return out
-
-
 def stft(f: SampledFunction, window: SampledFunction, stride: int = 1) -> StftTable:
     """V(x, xi) = transform of y -> f(y) conj(window(y - x)) at lattice x.
 
@@ -397,6 +397,11 @@ def stft(f: SampledFunction, window: SampledFunction, stride: int = 1) -> StftTa
     point), so no interpolation enters.  One-dimensional grids only; the
     two-dimensional table would have four axes and none of the shipped
     computations need it.
+
+    All rows come from one strided view of the zero-padded conjugate window
+    and are multiplied straight into the FFT input order; the centering
+    shifts are half-slice copies.  ``tests/oracles.py`` keeps the row-by-row
+    coding with explicit shifts, and the tests require equal bits.
     """
     if f.grid != window.grid:
         raise GridMismatchError("stft: function and window on different grids")
@@ -408,21 +413,59 @@ def stft(f: SampledFunction, window: SampledFunction, stride: int = 1) -> StftTa
     if not np.any(np.abs(window.values) > 0.0):
         raise ValueError("stft: window is identically zero")
 
-    lattice = np.arange(0, n, stride)
-    rows = np.empty((lattice.size, n), dtype=np.complex128)
-    wconj = np.conj(window.values)
-    for row, idx in enumerate(lattice):
-        rows[row] = f.values * _shifted_window(wconj, int(idx) - n // 2)
+    half = n // 2
+    padded = np.zeros(2 * n, dtype=np.complex128)
+    padded[half : half + n] = np.conj(window.values)
+    # Row m is the window shifted to lattice index m * stride: samples
+    # padded[n - m * stride :][:n].
+    shifted = sliding_window_view(padded, n)[n:0:-stride]
+    rows = np.empty(shifted.shape, dtype=np.complex128)
+    np.multiply(f.values[half:], shifted[:, half:], out=rows[:, :half])
+    np.multiply(f.values[:half], shifted[:, :half], out=rows[:, half:])
+    spectra = np.fft.fft(rows, axis=1)
+    del rows
     scale = f.grid.h * (TWO_PI ** -0.5)
-    table = np.fft.fftshift(
-        np.fft.fft(np.fft.ifftshift(rows, axes=1), axis=1), axes=1
-    ) * scale
+    table = np.empty_like(spectra)
+    np.multiply(spectra[:, half:], scale, out=table[:, :half])
+    np.multiply(spectra[:, :half], scale, out=table[:, half:])
     return StftTable(
         grid=f.grid,
         stride=stride,
-        x_positions=f.grid.axis()[lattice],
+        x_positions=f.grid.axis()[::stride],
         values=table,
     )
+
+
+def stft_table_norm(table: StftTable, p, q, s, t, *, space: str = "M") -> float:
+    """Weighted modulation-type norm of a short-time table.
+
+    With A(x, xi) = |V(x, xi)| <x>^t <xi>^s:
+
+    - space "M": inner L^p in x, outer L^q in xi;
+    - space "W": inner L^q in xi, outer L^p in x.
+
+    Quadrature cells are (stride h)^d in x and (pi / L)^d in xi.
+    """
+    if space not in ("M", "W"):
+        raise ValueError(f"space must be 'M' or 'W', got {space!r}")
+    grid = table.grid
+    pf = _exponent_value(p)
+    qf = _exponent_value(q)
+    a = np.abs(table.values)
+    # A zero exponent gives the weight 1.0 exactly, and x * 1.0 is x.
+    if float(t) != 0.0:
+        a *= ((1.0 + table.x_positions ** 2) ** (float(t) / 2.0))[:, None]
+    if float(s) != 0.0:
+        a *= ((1.0 + grid.dual_axis() ** 2) ** (float(s) / 2.0))[None, :]
+    x_cell = (grid.h * table.stride) ** grid.d
+    xi_cell = grid.dual_spacing ** grid.d
+    if space == "M":
+        inner = _axis_power_norm(a, pf, x_cell, axis=0)
+        outer = _axis_power_norm(inner, qf, xi_cell, axis=None)
+    else:
+        inner = _axis_power_norm(a, qf, xi_cell, axis=1)
+        outer = _axis_power_norm(inner, pf, x_cell, axis=None)
+    return float(outer)
 
 
 def modulation_norm(
@@ -438,31 +481,10 @@ def modulation_norm(
 ) -> float:
     """Weighted modulation-type norm computed through the short-time table.
 
-    With A(x, xi) = |V(x, xi)| <x>^t <xi>^s:
-
-    - space "M": inner L^p in x, outer L^q in xi;
-    - space "W": inner L^q in xi, outer L^p in x.
-
-    Quadrature cells are (stride h)^d in x and (pi / L)^d in xi.
+    The norm of ``stft(f, window, stride)`` as :func:`stft_table_norm`
+    defines it.
     """
-    if space not in ("M", "W"):
-        raise ValueError(f"space must be 'M' or 'W', got {space!r}")
-    table = stft(f, window, stride)
-    grid = f.grid
-    pf = _exponent_value(p)
-    qf = _exponent_value(q)
-    wx = (1.0 + table.x_positions ** 2) ** (float(t) / 2.0)
-    wxi = (1.0 + grid.dual_axis() ** 2) ** (float(s) / 2.0)
-    a = np.abs(table.values) * wx[:, None] * wxi[None, :]
-    x_cell = (grid.h * table.stride) ** grid.d
-    xi_cell = grid.dual_spacing ** grid.d
-    if space == "M":
-        inner = _axis_power_norm(a, pf, x_cell, axis=0)
-        outer = _axis_power_norm(inner, qf, xi_cell, axis=None)
-    else:
-        inner = _axis_power_norm(a, qf, xi_cell, axis=1)
-        outer = _axis_power_norm(inner, pf, x_cell, axis=None)
-    return float(outer)
+    return stft_table_norm(stft(f, window, stride), p, q, s, t, space=space)
 
 
 def mixed_norm_2d(kernel: SampledKernel2d, p, q, order: int) -> float:
@@ -480,7 +502,7 @@ def mixed_norm_2d(kernel: SampledKernel2d, p, q, order: int) -> float:
     qf = _exponent_value(q)
     grid = kernel.grid
     nd = grid.n ** grid.d
-    flat = kernel.values.reshape(nd, nd)
+    flat = np.abs(kernel.values.reshape(nd, nd))
     cell = grid.h ** grid.d
     if order == 1:
         inner = _axis_power_norm(flat, pf, cell, axis=0)

@@ -33,6 +33,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exponents import Exponent, young_functional
 from .grids import (
@@ -197,15 +198,13 @@ def region_table(grid: Grid, params: RegionParams) -> np.ndarray:
 KernelLike = "SampledKernel2d | Callable[[np.ndarray, np.ndarray], np.ndarray]"
 
 
-def _kernel_block(kernel, grid: Grid, rows: np.ndarray) -> np.ndarray:
+def _kernel_block(kernel, grid: Grid, rows: slice) -> np.ndarray:
     if isinstance(kernel, SampledKernel2d):
         if kernel.grid != grid:
             raise ValueError("t_f: kernel and functions on different grids")
-        return kernel.values[rows, :]
+        return kernel.values[rows]
     ax = grid.axis()
-    return np.asarray(
-        kernel(ax[rows][:, None], ax[None, :]), dtype=np.complex128
-    )
+    return np.asarray(kernel(ax[rows, None], ax[None, :]), dtype=np.complex128)
 
 
 def t_f(kernel, f: SampledFunction, g: SampledFunction, *, block_rows: int = 256) -> SampledFunction:
@@ -226,15 +225,18 @@ def t_f(kernel, f: SampledFunction, g: SampledFunction, *, block_rows: int = 256
         )
     n = grid.n
     half = n // 2
+    # g reversed and zero-padded: window k of this buffer holds
+    # g[2n - 1 - k - j] at column j (zero off the grid), so row i, which
+    # needs g[i - j + n/2], reads window n + n/2 - 1 - i without a gather.
     buf = np.zeros(3 * n, dtype=np.complex128)
-    buf[n : 2 * n] = g.values
+    buf[n : 2 * n] = g.values[::-1]
+    windows = sliding_window_view(buf, n)
     out = np.empty(n, dtype=np.complex128)
     fv = f.values
-    cols = np.arange(n)
     for start in range(0, n, block_rows):
-        rows = np.arange(start, min(start + block_rows, n))
+        rows = slice(start, min(start + block_rows, n))
         kblk = _kernel_block(kernel, grid, rows)
-        gblk = buf[n + half + rows[:, None] - cols[None, :]]
+        gblk = windows[n + half - 1 - start : n + half - 1 - rows.stop : -1]
         out[rows] = (kblk * fv[None, :] * gblk).sum(axis=1)
     return SampledFunction(grid, out * grid.h)
 
@@ -547,14 +549,45 @@ class _GaussSum1d:
         )
 
 
+# exp(-x) rounds to +0.0 in binary64 for every x >= _EXP_ZERO (from 745.14 on).
+_EXP_ZERO = 746.0
+
+
+def _band(mask: np.ndarray) -> slice | None:
+    """The slice from the first to the last True entry, None when none is."""
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        return None
+    return slice(idx[0], idx[-1] + 1)
+
+
 @dataclass(frozen=True)
 class _GaussSum2d:
     terms: tuple[tuple[float, float, float, float], ...]  # (amp, a, u, v)
 
     def sample(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.broadcast(x, y).shape, dtype=float)
+        """The sum on the outer grid of the 1-d axes x and y.
+
+        Each term is evaluated only on the band of rows and columns where
+        a (x - u)^2 and a (y - v)^2 stay below _EXP_ZERO, and inside that
+        band only where its exponent does.  Everywhere else exp rounds to
+        +0.0, whose addition changes no bit of the sum (rounding is
+        monotone, so the skipped exponents are at most -_EXP_ZERO as
+        computed), and numpy's exp is several times slower on such
+        arguments than on normal ones.
+        """
+        out = np.zeros((x.size, y.size))
         for amp, a, u, v in self.terms:
-            out = out + amp * np.exp(-a * ((x - u) ** 2 + (y - v) ** 2))
+            rows = _band(a * (x - u) ** 2 < _EXP_ZERO)
+            cols = _band(a * (y - v) ** 2 < _EXP_ZERO)
+            if rows is None or cols is None:
+                continue
+            arg = (x[rows, None] - u) ** 2 + (y[None, cols] - v) ** 2
+            arg *= -a
+            term = np.exp(arg, out=np.zeros_like(arg), where=arg > -_EXP_ZERO)
+            term *= amp
+            out[rows, cols] += term
+            del arg, term  # one term's temporaries alive at a time
         return out
 
     def dilated(self, lam: float) -> "_GaussSum2d":
@@ -696,9 +729,7 @@ def verify_prop_tf_bounds(
                 ktab = SampledKernel2d(grid, np.ones((grid.n, grid.n)))
             else:
                 kl = ksum.dilated(lam)
-                ktab = SampledKernel2d(
-                    grid, kl.sample(ax[:, None], ax[None, :])
-                )
+                ktab = SampledKernel2d(grid, kl.sample(ax, ax))
             if case == 1:
                 knorm = mixed_norm_2d(ktab, Exponent.of(None), r_exp, order=2)
                 images = (t_f(ktab, fl, gl), t_theta_f(ktab, fl, gl))

@@ -46,8 +46,8 @@ from .grids import (
     fourier_lebesgue_norm,
     gaussian_resolution_guard,
     inverse_fourier_transform,
-    modulation_norm,
     stft,
+    stft_table_norm,
     weight_array,
     weighted_lebesgue_norm,
 )
@@ -262,13 +262,16 @@ class SweepReport:
 def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
     """Least-squares line through (log x, log y): (slope, intercept, r^2).
 
-    All inputs must be strictly positive; a flat ladder fits slope zero with
-    r^2 = 1 by convention (the residual test would be 0/0 otherwise).
+    All inputs must be finite and strictly positive; a flat ladder fits
+    slope zero with r^2 = 1 by convention (the residual test would be 0/0
+    otherwise).
     """
     xa = np.asarray(xs, dtype=float)
     ya = np.asarray(ys, dtype=float)
     if xa.size < 2:
         raise ValueError("need at least two ladder points to fit")
+    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
+        raise ValueError("power-law fit requires finite data")
     if np.any(xa <= 0.0) or np.any(ya <= 0.0):
         raise ValueError("power-law fit requires positive data")
     lx = np.log(xa)
@@ -563,10 +566,18 @@ def gaussian_lower_bound_check(
 # ---------------------------------------------------------------------------
 
 def _xi_convolve_rows(a: np.ndarray, b: np.ndarray, dxi: float) -> np.ndarray:
-    """Row-wise convolution along the dual axis, centered layout, exact pad."""
+    """Row-wise convolution along the dual axis, centered layout, exact pad.
+
+    When ``b`` is ``a`` its padded spectrum is computed once and squared.
+    """
     n = a.shape[1]
-    spec = np.fft.fft(a, n=2 * n, axis=1) * np.fft.fft(b, n=2 * n, axis=1)
+    spec = np.fft.fft(a, n=2 * n, axis=1)
+    if b is a:
+        spec *= spec
+    else:
+        spec *= np.fft.fft(b, n=2 * n, axis=1)
     full = np.fft.ifft(spec, axis=1)
+    del spec
     return full[:, n // 2 : n // 2 + n] * dxi
 
 
@@ -574,22 +585,29 @@ def _stft_product_identity_error(
     f1: SampledFunction,
     f2: SampledFunction,
     stride: int,
+    lhs: np.ndarray | None = None,
 ) -> float:
     """Relative sup error in the short-time product identity.
 
     With windows phi1 = phi2 = e^{-|y|^2/4} and phi = phi1 phi2, the table
     of f1 f2 under phi equals (2 pi)^{-1/2} times the row-wise dual-axis
     convolution of the tables of f1 and f2.
+
+    ``lhs``, when given, is the already built table values of f1 f2 under
+    phi.  Passing the same object as f1 and f2 builds their table once.
     """
     grid = f1.grid
     x = grid.axis()
+    if lhs is None:
+        phi = SampledFunction(grid, np.exp(-x * x / 2.0))
+        product = SampledFunction(grid, f1.values * f2.values)
+        lhs = stft(product, phi, stride).values
     phi_half = SampledFunction(grid, np.exp(-x * x / 4.0))
-    phi = SampledFunction(grid, np.exp(-x * x / 2.0))
-    product = SampledFunction(grid, f1.values * f2.values)
-    lhs = stft(product, phi, stride).values
     v1 = stft(f1, phi_half, stride).values
-    v2 = stft(f2, phi_half, stride).values
-    rhs = _xi_convolve_rows(v1, v2, grid.dual_spacing) * (TWO_PI ** -0.5)
+    v2 = v1 if f2 is f1 else stft(f2, phi_half, stride).values
+    rhs = _xi_convolve_rows(v1, v2, grid.dual_spacing)
+    del v1, v2
+    rhs *= TWO_PI ** -0.5
     scale = float(np.max(np.abs(lhs)))
     if scale == 0.0:
         return float(np.max(np.abs(rhs)))
@@ -694,30 +712,35 @@ def boundedness_sweep(
         p0c = params.p[0].conjugate()
         q0c = params.q[0].conjugate()
         mult = flavor.endswith("multiplication")
-        for a in alphas:
+        mid = len(alphas) // 2
+        for i, a in enumerate(alphas):
             gaussian_resolution_guard(grid, a)
-            f1 = SampledFunction(grid, np.exp(-a * x * x))
-            f2 = SampledFunction(grid, np.exp(-a * x * x))
+            # f1 = f2, so one table serves both denominator norms.
+            f = SampledFunction(grid, np.exp(-a * x * x))
             if mult:
-                target = SampledFunction(grid, f1.values * f2.values)
+                target = SampledFunction(grid, f.values * f.values)
             else:
-                target = convolve(f1, f2)
-            num = modulation_norm(
-                target, window, p0c, q0c, -params.s[0], -params.t[0],
-                space=space, stride=stride,
+                target = convolve(f, f)
+            num_table = stft(target, window, stride)
+            num = stft_table_norm(
+                num_table, p0c, q0c, -params.s[0], -params.t[0], space=space
             )
-            den = 1.0
-            for j, fj in ((1, f1), (2, f2)):
-                den *= modulation_norm(
-                    fj, window, params.p[j], params.q[j],
-                    params.s[j], params.t[j], space=space, stride=stride,
+            if mult and i == mid:
+                # The product identity at the middle scale: its phi is the
+                # ladder window, so this numerator table is its left side.
+                identity_err = _stft_product_identity_error(
+                    f, f, stride, lhs=num_table.values
                 )
+            del num_table  # each n=2048 table is tens of MB
+            den_table = stft(f, window, stride)
+            den = 1.0
+            for j in (1, 2):
+                den *= stft_table_norm(
+                    den_table, params.p[j], params.q[j], params.s[j],
+                    params.t[j], space=space,
+                )
+            del den_table
             ratios.append(num / den)
-        if mult:
-            mid = alphas[len(alphas) // 2]
-            f1 = SampledFunction(grid, np.exp(-mid * x * x))
-            f2 = SampledFunction(grid, np.exp(-mid * x * x))
-            identity_err = _stft_product_identity_error(f1, f2, stride)
 
     inv = [1.0 / a for a in alphas]
     slope, _, _ = fit_power_law(inv, ratios)

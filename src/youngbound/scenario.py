@@ -16,6 +16,7 @@ Two records of the same run differ only in their timestamps.
 from __future__ import annotations
 
 import json
+import math
 import platform
 import re
 from dataclasses import dataclass
@@ -434,6 +435,20 @@ def package_versions() -> dict[str, str]:
     }
 
 
+def _spell_nonfinite(node):
+    """A copy of a JSON-safe payload with non-finite floats as "inf",
+    "-inf" or "nan"."""
+    if isinstance(node, dict):
+        return {k: _spell_nonfinite(v) for k, v in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_spell_nonfinite(v) for v in node]
+    if isinstance(node, float) and not math.isfinite(node):
+        if math.isnan(node):
+            return "nan"
+        return "inf" if node > 0 else "-inf"
+    return node
+
+
 @dataclass
 class RunRecord:
     """Everything needed to audit or replay one command invocation."""
@@ -460,7 +475,15 @@ class RunRecord:
             "finished_at": self.finished_at,
             "versions": self.versions,
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        try:
+            return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError:
+            # Strict JSON has no NaN or Infinity: spell them as strings,
+            # as exponents already spell "inf".
+            return json.dumps(
+                _spell_nonfinite(payload), indent=2, sort_keys=True,
+                allow_nan=False,
+            )
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":

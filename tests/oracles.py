@@ -118,6 +118,86 @@ def direct_stft_point(fvals, wvals, h, extent, shift_index, freq_index):
 
 
 # ---------------------------------------------------------------------------
+# Loop codings of the vectorized fast paths (bitwise references)
+#
+# These repeat, operation for operation, the arithmetic of the fast paths in
+# the package, one row or one term at a time.  Same operations in the same
+# order give the same bits, so the tests compare with np.array_equal.
+# ---------------------------------------------------------------------------
+
+def loop_stft_table(fvals, wvals, h, stride):
+    """Short-time table row by row: shifted conjugate window, explicit
+    ifftshift / fft / fftshift, then the h (2 pi)^{-1/2} scale.
+
+    Row m holds the window translated by m * stride - n/2 samples with zero
+    fill, the lattice convention x = axis()[m * stride].
+    """
+    n = len(fvals)
+    wconj = np.conj(np.asarray(wvals, dtype=np.complex128))
+    fvals = np.asarray(fvals, dtype=np.complex128)
+    lattice = range(0, n, stride)
+    rows = np.empty((len(lattice), n), dtype=np.complex128)
+    for row, idx in enumerate(lattice):
+        shift = idx - n // 2
+        shifted = np.zeros(n, dtype=np.complex128)
+        if shift >= 0:
+            shifted[shift:] = wconj[: n - shift]
+        else:
+            shifted[:shift] = wconj[-shift:]
+        rows[row] = fvals * shifted
+    spectra = np.fft.fft(np.fft.ifftshift(rows, axes=1), axis=1)
+    return np.fft.fftshift(spectra, axes=1) * (h * TWO_PI ** -0.5)
+
+
+def weighted_table_norm(values, x_positions, xi_axis, x_cell, xi_cell, p, q, s, t, space):
+    """Modulation-type norm of a short-time table with both weights always
+    applied: A = |V| <x>^t <xi>^s, then inner and outer power sums (inner
+    over x for space "M", over xi for "W"); p and q are floats, inf for sup."""
+    wx = (1.0 + x_positions ** 2) ** (float(t) / 2.0)
+    wxi = (1.0 + xi_axis ** 2) ** (float(s) / 2.0)
+    a = np.abs(values) * wx[:, None] * wxi[None, :]
+
+    def power_norm(arr, r, cell, axis):
+        mag = np.abs(arr)
+        if math.isinf(r):
+            return np.max(mag, axis=axis)
+        return (np.sum(mag ** r, axis=axis) * cell) ** (1.0 / r)
+
+    if space == "M":
+        return float(power_norm(power_norm(a, p, x_cell, 0), q, xi_cell, None))
+    return float(power_norm(power_norm(a, q, xi_cell, 1), p, x_cell, None))
+
+
+def gather_tf(kernel_matrix, fvals, gvals, h, block_rows):
+    """T_F(f, g) in row blocks, the g factor gathered by fancy indexing:
+    block[i, j] = F[i, j] f[j] g[i - j + n/2], zero off the grid."""
+    n = len(fvals)
+    half = n // 2
+    buf = np.zeros(3 * n, dtype=np.complex128)
+    buf[n : 2 * n] = gvals
+    kernel_matrix = np.asarray(kernel_matrix, dtype=np.complex128)
+    fvals = np.asarray(fvals, dtype=np.complex128)
+    out = np.empty(n, dtype=np.complex128)
+    cols = np.arange(n)
+    for start in range(0, n, block_rows):
+        rows = np.arange(start, min(start + block_rows, n))
+        gblk = buf[n + half + rows[:, None] - cols[None, :]]
+        out[rows] = (kernel_matrix[rows, :] * fvals[None, :] * gblk).sum(axis=1)
+    return out * h
+
+
+def naive_gauss_sum_2d(terms, x, y):
+    """sum of amp e^{-a ((x - u)^2 + (y - v)^2)} over (amp, a, u, v), every
+    term evaluated on the whole outer grid x by y."""
+    x = np.asarray(x, dtype=float)[:, None]
+    y = np.asarray(y, dtype=float)[None, :]
+    out = np.zeros((x.shape[0], y.shape[1]))
+    for amp, a, u, v in terms:
+        out = out + amp * np.exp(-a * ((x - u) ** 2 + (y - v) ** 2))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Log-log regression
 # ---------------------------------------------------------------------------
 

@@ -26,6 +26,7 @@ from youngbound.grids import (
     mixed_norm_2d,
     modulation_norm,
     stft,
+    stft_table_norm,
     weighted_lebesgue_norm,
 )
 
@@ -34,7 +35,9 @@ from oracles import (
     direct_dft_centered,
     direct_stft_point,
     gaussian_lp_norm,
+    loop_stft_table,
     loop_weighted_norm,
+    weighted_table_norm,
     trapezoid_weighted_norm,
 )
 
@@ -238,6 +241,18 @@ def test_norm_rejects_non_finite_samples():
         weighted_lebesgue_norm(SampledFunction(GRID, vals), 2, 0)
 
 
+def test_norm_rejects_an_overflowing_weight():
+    """<x>^400 overflows binary64 on the box, and where it meets a sample
+    that underflowed to zero the weighted magnitude is inf * 0 = NaN."""
+    g = Grid(1, 48.0, 1024)
+    x = g.axis()
+    f = SampledFunction(g, (1.0 + x * x) ** -200.0 * np.exp(-x * x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ResolutionError, match="overflows"):
+            weighted_lebesgue_norm(f, 2, 400)
+
+
 def test_norm_rejects_exponents_below_one():
     f = sample(GRID, gaussian(1.0))
     with pytest.raises(ValueError):
@@ -317,6 +332,56 @@ def test_stft_matches_direct_sum_at_sample_points():
         for freq in (10, 64, 100):
             ref = direct_stft_point(f.values, w.values, g.h, g.extent, idx, freq)
             assert table.values[row, freq] == pytest.approx(ref, abs=1e-12)
+
+
+@st.composite
+def _stft_inputs(draw):
+    n = 2 ** draw(st.integers(3, 8))
+    stride = draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    extent = draw(st.floats(0.5, 64.0))
+    return n, stride, seed, extent
+
+
+@settings(max_examples=60)
+@given(_stft_inputs())
+def test_prop_stft_bitwise_equals_row_loop_oracle(inputs):
+    """The vectorized table repeats the row loop's arithmetic exactly, for
+    every stride that divides n, with complex data and complex windows."""
+    n, stride, seed, extent = inputs
+    rng = np.random.default_rng(seed)
+    g = Grid(1, extent, n)
+    f = SampledFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    w = SampledFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    table = stft(f, w, stride)
+    assert np.array_equal(
+        table.values, loop_stft_table(f.values, w.values, g.h, stride)
+    )
+    assert np.array_equal(table.x_positions, g.axis()[np.arange(0, n, stride)])
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(0, 2 ** 32 - 1),
+    st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+    st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+    st.sampled_from([0.0, 0.25, -1.0, 1.0]),
+    st.sampled_from([0.0, -0.5, 1.0]),
+    st.sampled_from(["M", "W"]),
+)
+def test_prop_table_norm_bitwise_equals_oracle(seed, p, q, s, t, space):
+    """Skipping a weight whose exponent is zero, and taking magnitudes once,
+    change no bit of the norm."""
+    rng = np.random.default_rng(seed)
+    g = Grid(1, 6.0, 64)
+    f = SampledFunction(g, rng.standard_normal(64) + 1j * rng.standard_normal(64))
+    w = SampledFunction(g, np.exp(-g.axis() ** 2 / 2.0))
+    table = stft(f, w, 4)
+    expected = weighted_table_norm(
+        table.values, table.x_positions, g.dual_axis(), 4 * g.h,
+        g.dual_spacing, p, q, s, t, space,
+    )
+    assert stft_table_norm(table, p, q, s, t, space=space) == expected
 
 
 def test_stft_validates_inputs():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from youngbound.grids import Grid, SampledFunction, SampledKernel2d
 from youngbound.kernels import (
+    _GaussSum2d,
     REGION_TO_ITEM,
     KernelParams,
     PreconditionError,
@@ -28,7 +29,7 @@ from youngbound.kernels import (
     verify_prop_tf_bounds,
 )
 
-from oracles import direct_bilinear_tf
+from oracles import direct_bilinear_tf, gather_tf, naive_gauss_sum_2d
 
 GRID32 = Grid(1, 8.0, 32)
 
@@ -149,6 +150,69 @@ def test_tf_callable_kernel_matches_table():
     a = t_f(table, f, g).values
     b = t_f(callable_kernel, f, g, block_rows=7).values
     assert np.max(np.abs(a - b)) < 1e-12
+
+
+@st.composite
+def _tf_inputs(draw):
+    n = 2 ** draw(st.integers(3, 8))
+    # Block sizes that do not divide n leave a short last block.
+    block_rows = draw(
+        st.integers(1, n + 3).filter(lambda b: n % b != 0)
+        | st.sampled_from([n // 2, n])
+    )
+    return n, block_rows, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60)
+@given(_tf_inputs())
+def test_prop_tf_bitwise_equals_gather_oracle(inputs):
+    """The Toeplitz view repeats the fancy-index gather's arithmetic exactly,
+    for tables and for callable kernels, whatever the block size."""
+    n, block_rows, seed = inputs
+    rng = np.random.default_rng(seed)
+    grid = Grid(1, 8.0, n)
+    kmat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    f = SampledFunction(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    g = SampledFunction(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    slow = gather_tf(kmat, f.values, g.values, grid.h, block_rows)
+    fast = t_f(SampledKernel2d(grid, kmat), f, g, block_rows=block_rows).values
+    assert np.array_equal(fast, slow)
+
+    def kernel(x, y):
+        return np.exp(-((x - y) ** 2)) / (1.0 + x * x)
+
+    ax = grid.axis()
+    fast = t_f(kernel, f, g, block_rows=block_rows).values
+    slow = gather_tf(
+        kernel(ax[:, None], ax[None, :]), f.values, g.values, grid.h, block_rows
+    )
+    assert np.array_equal(fast, slow)
+
+
+_gauss_terms = st.lists(
+    st.tuples(
+        st.floats(-2.0, 2.0, allow_nan=False),  # amplitude
+        st.floats(1e-3, 1e3),  # width a
+        st.floats(-60.0, 60.0),  # center u
+        st.floats(-60.0, 60.0),  # center v
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=80)
+@given(_gauss_terms, st.integers(3, 8), st.floats(0.5, 40.0))
+def test_prop_gauss_sum_sampling_bitwise_equals_naive(terms, log_n, extent):
+    """Clipping each bump to the band where its exponent stays above -746
+    changes no bit: outside it exp rounds to +0.0.  Widths from 1e-3 to 1e3
+    and centers beyond the box make the band anything from the whole grid
+    to nothing."""
+    ax = Grid(1, extent, 2 ** log_n).axis()
+    fast = _GaussSum2d(tuple(terms)).sample(ax, ax)
+    slow = naive_gauss_sum_2d(terms, ax, ax)
+    assert np.array_equal(fast, slow)
+    assert np.array_equal(np.signbit(fast), np.signbit(slow))
 
 
 def test_tf_is_bilinear():

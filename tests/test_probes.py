@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from youngbound.exponents import Classification, ParamTuple, check_convolution
-from youngbound.grids import Grid, ResolutionError
+from youngbound.grids import Grid, ResolutionError, SampledFunction, stft
 from youngbound.kernels import PreconditionError
 from youngbound.probes import (
+    _stft_product_identity_error,
+    _xi_convolve_rows,
     DEFAULT_ALPHAS,
     SWEEP_FLAVORS,
     BumpFamily,
@@ -59,6 +61,11 @@ def test_fit_input_validation():
         fit_power_law([1.0, -2.0], [1.0, 1.0])
     with pytest.raises(ValueError):
         fit_power_law([1.0, 2.0], [0.0, 1.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fit_power_law([1.0, 2.0], [1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            fit_power_law([1.0, bad], [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +259,54 @@ def test_sweep_modulation_reports_identity_error():
     assert report.identity_rel_error <= 1e-6
     assert not report.passed
     assert report.fitted_slope < -0.05
+
+
+_MODULATION_TUPLE = ParamTuple(
+    d=1, p=(2, 2, 2), t=(F(1, 4), F(1, 4), 0), q=(2, 1, 2), s=(0, 0, 0)
+)
+
+
+@pytest.mark.parametrize(
+    "flavor, tables",
+    [("modulation-multiplication", 19), ("modulation-convolution", 18)],
+)
+def test_modulation_ladder_builds_each_table_once(monkeypatch, flavor, tables):
+    """Nine scales: one numerator and one shared denominator table each
+    (f1 = f2), plus the half-window table of the product identity, whose
+    left side is the middle numerator table."""
+    from youngbound import probes
+
+    calls = []
+
+    def counting_stft(*args, **kwargs):
+        calls.append(args[1:])
+        return stft(*args, **kwargs)
+
+    monkeypatch.setattr(probes, "stft", counting_stft)
+    report = boundedness_sweep(
+        _MODULATION_TUPLE, flavor, space="M", grid=Grid(1, 24.0, 256)
+    )
+    assert len(report.scales) == 9
+    assert len(calls) == tables
+
+
+def test_product_identity_reuse_is_bitwise():
+    """Reusing f1's table for f2, squaring one padded spectrum, and taking
+    a prebuilt left side give the very bits of the three-table path."""
+    grid = Grid(1, 16.0, 256)
+    x = grid.axis()
+    f = SampledFunction(grid, np.exp(-0.3 * x * x))
+    twin = SampledFunction(grid, f.values.copy())
+    window = SampledFunction(grid, np.exp(-x * x / 2.0))
+    lhs = stft(SampledFunction(grid, f.values * f.values), window, 4).values
+    v = stft(f, window, 4).values
+    assert np.array_equal(
+        _xi_convolve_rows(v, v, 0.5), _xi_convolve_rows(v, v.copy(), 0.5)
+    )
+    separate = _stft_product_identity_error(f, twin, 4)
+    assert _stft_product_identity_error(f, f, 4) == separate
+    assert _stft_product_identity_error(f, f, 4, lhs=lhs) == separate
+    assert separate <= 1e-6
 
 
 def test_sweep_propagates_resolution_guard():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -442,3 +444,85 @@ def test_grid_flags_must_come_together(tmp_path, capsys):
     path = write(tmp_path, "kind = gaussian\nd = 1\np = 2,2,2\nt = 0,0,0\n")
     code = main(["probe", "--scenario", path, "--grid-n", "2048"])
     assert code == EXIT_MALFORMED
+
+
+# ---------------------------------------------------------------------------
+# Strict JSON and loud numerics
+# ---------------------------------------------------------------------------
+
+SHIPPED_COMMANDS = {
+    "boundedness_sweep": "probe",
+    "convolution_boundary": "check",
+    "convolution_undetermined": "check",
+    "gaussian_necessity": "probe",
+    "modulation_w_refutation": "check",
+    "modulation_w_witness": "probe",
+    "operator_bounds": "verify-lemmas",
+    "slice_envelope": "verify-lemmas",
+    "translation_necessity": "probe",
+    "weight_sweep": "sweep",
+}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _strict_record(argv, capsys):
+    code = main([*argv, "--format", "json"])
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload["exit_code"] == code
+    return payload
+
+
+def test_shipped_scenarios_cover_every_file():
+    assert set(SHIPPED_COMMANDS) == {p.stem for p in SCENARIOS.glob("*.txt")}
+
+
+@pytest.mark.parametrize("stem", sorted(SHIPPED_COMMANDS))
+def test_shipped_scenario_records_are_strict_json(stem, capsys):
+    path = str(SCENARIOS / f"{stem}.txt")
+    _strict_record([SHIPPED_COMMANDS[stem], "--scenario", path], capsys)
+
+
+def test_infinite_results_are_spelled_as_strings(tmp_path, capsys):
+    """R(p) = 0 makes the kernel exponent r infinite; the record says "inf"
+    rather than the non-JSON literal Infinity."""
+    path = write(tmp_path, "which = operator\ncase = 1\np = 1, 2, 2\ntrials = 1\n")
+    payload = _strict_record(["verify-lemmas", "--scenario", path], capsys)
+    assert payload["results"]["report"]["r"] == "inf"
+
+
+def test_run_record_spells_every_non_finite_float():
+    record = RunRecord(
+        command="probe",
+        scenario={},
+        results={"values": [math.inf, -math.inf, math.nan, 1.5], "pair": (math.inf,)},
+        exit_code=0,
+        seed=None,
+        started_at="",
+        finished_at="",
+        versions={},
+    )
+    payload = json.loads(record.to_json(), parse_constant=_reject_constant)
+    assert payload["results"] == {"values": ["inf", "-inf", "nan", 1.5], "pair": ["inf"]}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "kind = norm-slope\nexponent = 2\nweight = 400\n",
+        "kind = gaussian\nd = 1\np = 2, 2, 2\nt = 300, 300, 300\n",
+    ],
+)
+def test_overflowing_weights_are_malformed_not_nan(tmp_path, capsys, text):
+    """<x>^t overflows binary64 on the probe box; the probe refuses with
+    exit 2 and names the overflow instead of fitting a NaN slope."""
+    path = write(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["probe", "--scenario", path])
+    captured = capsys.readouterr()
+    assert code == EXIT_MALFORMED
+    assert "overflows" in captured.err
+    assert "nan" not in captured.out
