@@ -475,6 +475,42 @@ def _strict_record(argv, capsys):
     return payload
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# Fields that differ between two runs of the same scenario.
+MASKED_FIELDS = ("started_at", "finished_at", "versions")
+
+
+def _assert_record_close(got, want, where="record"):
+    """Structure, strings, ints and bools equal; floats to 1e-12 relative.
+
+    The absolute floor keeps rounding-level values (slopes near 1e-16)
+    comparable across machines.
+    """
+    assert type(got) is type(want), f"{where}: {got!r} != {want!r}"
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), f"{where}: keys differ"
+        for key in want:
+            _assert_record_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{where}: lengths differ"
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_record_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), (
+            f"{where}: {got!r} != {want!r}"
+        )
+    else:
+        assert got == want, f"{where}: {got!r} != {want!r}"
+
+
+def _assert_matches_golden(payload, stem):
+    """Compare a run record with ``tests/golden/<stem>.json``, whose masked
+    fields hold "<masked>"."""
+    want = json.loads((GOLDEN / f"{stem}.json").read_text())
+    got = {**payload, **{key: "<masked>" for key in MASKED_FIELDS}}
+    _assert_record_close(got, want)
+
+
 def test_shipped_scenarios_cover_every_file():
     assert set(SHIPPED_COMMANDS) == {p.stem for p in SCENARIOS.glob("*.txt")}
 
@@ -482,7 +518,8 @@ def test_shipped_scenarios_cover_every_file():
 @pytest.mark.parametrize("stem", sorted(SHIPPED_COMMANDS))
 def test_shipped_scenario_records_are_strict_json(stem, capsys):
     path = str(SCENARIOS / f"{stem}.txt")
-    _strict_record([SHIPPED_COMMANDS[stem], "--scenario", path], capsys)
+    payload = _strict_record([SHIPPED_COMMANDS[stem], "--scenario", path], capsys)
+    _assert_matches_golden(payload, stem)
 
 
 def test_infinite_results_are_spelled_as_strings(tmp_path, capsys):
@@ -491,6 +528,7 @@ def test_infinite_results_are_spelled_as_strings(tmp_path, capsys):
     path = write(tmp_path, "which = operator\ncase = 1\np = 1, 2, 2\ntrials = 1\n")
     payload = _strict_record(["verify-lemmas", "--scenario", path], capsys)
     assert payload["results"]["report"]["r"] == "inf"
+    _assert_matches_golden(payload, "operator_r0")
 
 
 def test_run_record_spells_every_non_finite_float():
