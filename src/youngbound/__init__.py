@@ -97,86 +97,3 @@ from .corpus import CORPUS, CorpusEntry, shadow_tuple, verdict_for
 from .scenario import RunRecord, ScenarioError, parse_scenario_text, resolve_scenario
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # exponents
-    "INF",
-    "Classification",
-    "ConditionRecord",
-    "Exponent",
-    "ExponentError",
-    "ParamTuple",
-    "Verdict",
-    "binding_condition",
-    "check_convolution",
-    "check_modulation",
-    "check_multiplication",
-    "check_weak_proposition",
-    "conjugate",
-    "g_functional",
-    "h0",
-    "h1",
-    "h2",
-    "lemma_equivalence_holds",
-    "remark_bound",
-    "young_functional",
-    # grids
-    "Grid",
-    "GridMismatchError",
-    "ResolutionError",
-    "ResolutionWarning",
-    "SampledFunction",
-    "SampledKernel2d",
-    "StftTable",
-    "bracket",
-    "convolve",
-    "fourier_lebesgue_norm",
-    "fourier_transform",
-    "gaussian_resolution_guard",
-    "inverse_fourier_transform",
-    "mixed_norm_2d",
-    "modulation_norm",
-    "stft",
-    "weighted_lebesgue_norm",
-    # kernels
-    "KernelParams",
-    "PreconditionError",
-    "PropReport",
-    "RegionParams",
-    "SliceReport",
-    "decomposition_residual",
-    "kernel_f",
-    "kernel_table",
-    "region_codes",
-    "region_of",
-    "region_table",
-    "t_f",
-    "t_theta_f",
-    "theta_kernel",
-    "verify_lemma_intestimates",
-    "verify_prop_tf_bounds",
-    # probes
-    "BoundReport",
-    "BumpFamily",
-    "GaussianFamily",
-    "ProbeReport",
-    "SweepReport",
-    "TranslationReport",
-    "boundedness_sweep",
-    "fit_power_law",
-    "gaussian_lower_bound_check",
-    "gaussian_necessity_probe",
-    "gaussian_norm_slope",
-    "translation_necessity_probe",
-    # corpus
-    "CORPUS",
-    "CorpusEntry",
-    "shadow_tuple",
-    "verdict_for",
-    # scenario
-    "RunRecord",
-    "ScenarioError",
-    "parse_scenario_text",
-    "resolve_scenario",
-]

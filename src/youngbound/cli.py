@@ -66,6 +66,7 @@ EXIT_MALFORMED = 2
 EXIT_INCONCLUSIVE = 3
 
 MAX_SWEEP_ROWS = 10_000
+MAX_TABLE_BYTES = 1 << 30
 
 SEP = "=" * 70
 SUBSEP = "-" * 70
@@ -87,14 +88,24 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="microseconds")
 
 
-def _grid_override(values: dict, *, d: int = 1) -> Grid | None:
+def _grid_override(values: dict) -> Grid | None:
     n = values.get("grid_n")
     extent = values.get("grid_l")
     if n is None and extent is None:
         return None
     if n is None or extent is None:
         raise ScenarioError("grid_n and grid_l must be given together")
-    return Grid(d, float(extent), int(n))
+    return Grid(1, float(extent), int(n))
+
+
+def _check_table_bytes(nbytes: int) -> None:
+    """Refuse a run whose largest complex table would exceed the memory cap,
+    before anything is allocated."""
+    if nbytes > MAX_TABLE_BYTES:
+        raise ScenarioError(
+            f"the largest table would take {nbytes} bytes, above the cap of "
+            f"{MAX_TABLE_BYTES}; lower grid_n"
+        )
 
 
 def _params_line(values: dict) -> str:
@@ -146,10 +157,7 @@ def _cmd_check(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
         verdict = check_weak_proposition(params)
 
     code = _CLASS_EXIT[verdict.classification]
-    results = {
-        "verdict": verdict.to_dict(),
-        "binding_condition": binding_condition(verdict),
-    }
+    results = {"verdict": verdict, "binding_condition": binding_condition(verdict)}
 
     title = f"check: {flavor} in the {_SETTING_LABEL[setting]} setting"
     if setting == "modulation":
@@ -195,7 +203,12 @@ def _ladder_rows(xs, ys, xname: str, yname: str) -> list[list]:
 
 def _cmd_probe(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
     kind = values["kind"]
-    grid = _grid_override(values, d=values.get("d", 1))
+    grid = _grid_override(values)
+    if grid is not None:  # the default grids are far below the cap
+        table_rows = 1
+        if values.get("flavor", "").startswith("modulation"):
+            table_rows = grid.n // max(values["stride"], 1)
+        _check_table_bytes(16 * grid.n * table_rows)
     lines = [SEP, f"probe: {kind}", SEP]
 
     if kind == "gaussian":
@@ -220,7 +233,6 @@ def _cmd_probe(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
             + ("YES (ratio grows without bound)" if report.witnessed else "no")
         )
         rows = _ladder_rows(report.ladder_x, report.ladder_y, "x", "ratio")
-        results = {"report": report.to_dict()}
 
     elif kind == "translation":
         params = ParamTuple(d=values["d"], p=values["p"], t=values["t"])
@@ -252,7 +264,6 @@ def _cmd_probe(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
             [o, pr, cn]
             for o, pr, cn in zip(report.offsets, report.products, report.conv_norms)
         )
-        results = {"report": report.to_dict()}
 
     elif kind == "lower-bound":
         report = gaussian_lower_bound_check(
@@ -271,7 +282,6 @@ def _cmd_probe(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
         rows.append(
             [report.t1, report.t2, report.alpha, report.window, report.constant, report.passed]
         )
-        results = {"report": report.to_dict()}
 
     elif kind == "norm-slope":
         report = gaussian_norm_slope(
@@ -290,7 +300,6 @@ def _cmd_probe(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
         )
         lines.append("calibration: " + ("PASS" if report.passed else "FAIL"))
         rows = _ladder_rows(report.ladder_x, report.ladder_y, "x", "norm")
-        results = {"report": report.to_dict()}
 
     else:  # boundedness
         params = ParamTuple(
@@ -324,10 +333,9 @@ def _cmd_probe(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
             lines.append(f"product identity error: {report.identity_rel_error:.3e}")
         lines.append("flat and uniformly bounded: " + ("PASS" if report.passed else "FAIL"))
         rows = _ladder_rows(report.scales, report.ratios, "alpha", "ratio")
-        results = {"report": report.to_dict()}
 
     lines.append(SEP)
-    return results, code, lines, rows
+    return {"report": report}, code, lines, rows
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +376,17 @@ def _cmd_verify(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
                 report.scan_values, report.slice_norms, report.envelopes, report.ratios
             )
         )
-        return {"report": report.to_dict()}, code, lines, rows
+        return {"report": report}, code, lines, rows
 
+    grid = _grid_override(values)
+    if grid is not None:
+        _check_table_bytes(16 * grid.n * grid.n)
     report = verify_prop_tf_bounds(
         values["case"],
         values["p"],
         trials=values["trials"],
         seed=args.seed if args.seed is not None else 0,
-        grid=_grid_override(values),
+        grid=grid,
         kernel=values["kernel"],
         slope_tol=values["slope_tol"],
         spread_cap=values["spread_cap"],
@@ -400,7 +411,7 @@ def _cmd_verify(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
     for trial, trial_ratios in enumerate(report.ratios):
         for scale, ratio in zip(report.scales, trial_ratios):
             rows.append([trial, scale, ratio])
-    return {"report": report.to_dict()}, code, lines, rows
+    return {"report": report}, code, lines, rows
 
 
 # ---------------------------------------------------------------------------

@@ -231,29 +231,12 @@ class ConditionRecord:
     satisfied: bool
     strictness_required: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "condition_id": self.condition_id,
-            "lhs": str(self.lhs),
-            "relation": self.relation,
-            "rhs": str(self.rhs),
-            "satisfied": self.satisfied,
-            "strictness_required": self.strictness_required,
-        }
-
 
 @dataclass(frozen=True)
 class Verdict:
     classification: Classification
     theorem_used: str
     trace: tuple[ConditionRecord, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "classification": self.classification.value,
-            "theorem_used": self.theorem_used,
-            "trace": [rec.to_dict() for rec in self.trace],
-        }
 
 
 def conjugate(p: Exponent) -> Exponent:
@@ -336,6 +319,45 @@ def _pairwise_records(weights: WeightTriple, wname: str) -> list[ConditionRecord
     return recs
 
 
+def _strictness_clause(
+    trace: list[ConditionRecord],
+    weights: WeightTriple,
+    wname: str,
+    r: Fraction,
+    dr: Fraction,
+    alt_weights: WeightTriple | None = None,
+    alt_wname: str = "",
+) -> bool:
+    """Trace the strictness trigger and, when it binds, the strict total.
+
+    The trigger fires when some weight equals d R; if it fires and R > 0,
+    the total-weight floor must hold strictly.  Returns False exactly when
+    that strict condition is required and fails.  ``alt_weights`` adds the
+    informational alternate reading of the trigger after the trigger rows.
+    """
+    triggers = [
+        ConditionRecord(f"strict_trigger_{wname}{j}", w, "=", dr, w == dr)
+        for j, w in enumerate(weights)
+    ]
+    trace.extend(triggers)
+    if alt_weights is not None:
+        # Informational only: the alternate (textual) reading of the trigger
+        # compares the other weight block against the same threshold.
+        trace.extend(
+            ConditionRecord(f"alt_strict_{alt_wname}{j}", w, "=", dr, w == dr)
+            for j, w in enumerate(alt_weights)
+        )
+    if r > ZERO and any(rec.satisfied for rec in triggers):
+        total = sum(weights)
+        strict = ConditionRecord(
+            f"total_{wname}_strict", total, ">", dr, total > dr,
+            strictness_required=True,
+        )
+        trace.append(strict)
+        return strict.satisfied
+    return True
+
+
 def _young_check(
     d: int,
     exps: ExponentTriple,
@@ -374,38 +396,11 @@ def _young_check(
         f"young_range_{ename}_hi", r, "<=", range_upper, r <= range_upper
     )
     trace.extend((lo, hi))
+    strict_ok = _strictness_clause(
+        trace, weights, wname, r, dr, alt_weights, alt_wname
+    )
 
-    triggered = False
-    for j in range(3):
-        eq = weights[j] == dr
-        triggered = triggered or eq
-        trace.append(
-            ConditionRecord(f"strict_trigger_{wname}{j}", weights[j], "=", dr, eq)
-        )
-    if alt_weights is not None:
-        # Informational only: the alternate (textual) reading of the trigger
-        # compares the other weight block against the same threshold.
-        for j in range(3):
-            trace.append(
-                ConditionRecord(
-                    f"alt_strict_{alt_wname}{j}",
-                    alt_weights[j],
-                    "=",
-                    dr,
-                    alt_weights[j] == dr,
-                )
-            )
-
-    sufficient = lo.satisfied and hi.satisfied
-    if r > ZERO and triggered:
-        strict_rec = ConditionRecord(
-            f"total_{wname}_strict", total, ">", dr, total > dr,
-            strictness_required=True,
-        )
-        trace.append(strict_rec)
-        sufficient = sufficient and strict_rec.satisfied
-
-    if sufficient:
+    if lo.satisfied and hi.satisfied and strict_ok:
         return Verdict(Classification.BOUNDED, theorem, tuple(trace))
     return Verdict(Classification.UNDETERMINED, "none", tuple(trace))
 
@@ -513,12 +508,12 @@ def check_modulation(params: ParamTuple, flavor: str, space: str) -> Verdict:
 
     if flavor == "convolution":
         main_r, main_dr, main_name = rp, drp, "p"
-        main_weights, main_total, main_w = params.t, total_t, "t"
+        main_weights, main_w = params.t, "t"
         cap_r, cap_name = rq, "q"
         other_total, other_w = total_s, "s"
     else:
         main_r, main_dr, main_name = rq, drq, "q"
-        main_weights, main_total, main_w = params.s, total_s, "s"
+        main_weights, main_w = params.s, "s"
         cap_r, cap_name = rp, "p"
         other_total, other_w = total_t, "t"
 
@@ -535,26 +530,9 @@ def check_modulation(params: ParamTuple, flavor: str, space: str) -> Verdict:
         f"total_{other_w}_nonneg", other_total, ">=", ZERO, other_total >= ZERO
     )
     trace.extend((lo, hi, cap, nonneg))
+    strict_ok = _strictness_clause(trace, main_weights, main_w, main_r, main_dr)
 
-    triggered = False
-    for j in range(3):
-        eq = main_weights[j] == main_dr
-        triggered = triggered or eq
-        trace.append(
-            ConditionRecord(
-                f"strict_trigger_{main_w}{j}", main_weights[j], "=", main_dr, eq
-            )
-        )
-    sufficient = lo.satisfied and hi.satisfied and cap.satisfied and nonneg.satisfied
-    if main_r > ZERO and triggered:
-        strict_rec = ConditionRecord(
-            f"total_{main_w}_strict", main_total, ">", main_dr, main_total > main_dr,
-            strictness_required=True,
-        )
-        trace.append(strict_rec)
-        sufficient = sufficient and strict_rec.satisfied
-
-    if sufficient:
+    if all(rec.satisfied for rec in (lo, hi, cap, nonneg)) and strict_ok:
         return Verdict(
             Classification.BOUNDED, f"modulation_{flavor}_{space}", tuple(trace)
         )

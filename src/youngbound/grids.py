@@ -1,16 +1,17 @@
 """Sampled functions on centered grids, transforms, and weighted norms.
 
-The playing field is the box [-L, L)^d sampled at n equispaced points per
-axis, x_k = (k - n/2) h with h = 2L/n.  The dual grid carries frequencies
-xi_m = m pi / L for m in [-n/2, n/2), which is exactly the layout produced
-by the shifted FFT below, so a transform of a sampled function is again a
-sampled function on a grid of this class.
+The numerics are one-dimensional (the exact layer in ``exponents`` covers
+every dimension d).  The playing field is the interval [-L, L) sampled at
+n equispaced points, x_k = (k - n/2) h with h = 2L/n.  The dual grid
+carries frequencies xi_m = m pi / L for m in [-n/2, n/2), which is exactly
+the layout produced by the shifted FFT below, so a transform of a sampled
+function is again a sampled function on a grid of this class.
 
 Conventions:
 
-- Fourier transform is unitary with the (2 pi)^{-d/2} normalization, so a
+- Fourier transform is unitary with the (2 pi)^{-1/2} normalization, so a
   standard Gaussian is a fixed point and Parseval holds with constant one.
-- Convolution is computed alias-free by zero-padding to 2n per axis; for
+- Convolution is computed alias-free by zero-padding to 2n; for
   sequences supported on the grid the linear convolution has length 2n - 1,
   so the circular wrap never touches the retained window.  Mass leaking
   through the box edge is reported as a warning rather than an error,
@@ -25,9 +26,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -75,10 +75,12 @@ class ResolutionWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Grid:
-    """A centered grid on [-L, L)^d with n points per axis.
+    """A centered grid on [-L, L) with n points.
 
-    n must be a power of two (and at least 8) so the shifted FFT identities
-    below are exact and refinement studies can halve h cleanly.
+    Grids are one-dimensional: ``d`` must be 1, and every numerical routine
+    relies on it.  n must be a power of two (and at least 8) so the shifted
+    FFT identities below are exact and refinement studies can halve h
+    cleanly.
     """
 
     d: int = 1
@@ -86,8 +88,8 @@ class Grid:
     n: int = 1024
 
     def __post_init__(self) -> None:
-        if self.d not in (1, 2):
-            raise ValueError(f"grid dimension must be 1 or 2, got {self.d}")
+        if self.d != 1:
+            raise ValueError(f"grids are one-dimensional, got d = {self.d}")
         if self.extent <= 0:
             raise ValueError(f"extent must be positive, got {self.extent}")
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
@@ -98,8 +100,8 @@ class Grid:
         return 2.0 * self.extent / self.n
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return (self.n,) * self.d
+    def shape(self) -> tuple[int]:
+        return (self.n,)
 
     @property
     def dual_spacing(self) -> float:
@@ -115,18 +117,6 @@ class Grid:
         """The frequency-side grid; dual of the dual is the original grid."""
         return Grid(self.d, math.pi * self.n / (2.0 * self.extent), self.n)
 
-    def meshes(self) -> tuple[np.ndarray, ...]:
-        ax = self.axis()
-        if self.d == 1:
-            return (ax,)
-        return tuple(np.meshgrid(ax, ax, indexing="ij"))
-
-    def dual_meshes(self) -> tuple[np.ndarray, ...]:
-        ax = self.dual_axis()
-        if self.d == 1:
-            return (ax,)
-        return tuple(np.meshgrid(ax, ax, indexing="ij"))
-
 
 @dataclass
 class SampledFunction:
@@ -141,40 +131,26 @@ class SampledFunction:
             )
         self.values = vals
 
-    @classmethod
-    def from_callable(cls, grid: Grid, fn: Callable) -> "SampledFunction":
-        return cls(grid, np.asarray(fn(*grid.meshes()), dtype=np.complex128))
-
 
 @dataclass
 class SampledKernel2d:
-    """A two-argument kernel F(x, y) sampled on grid x grid."""
+    """A two-argument kernel F(x, y) sampled on grid x grid.
+
+    Real tables stay float64 and complex ones complex128.
+    """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.complex128)
+        dtype = np.complex128 if np.iscomplexobj(self.values) else np.float64
+        vals = np.asarray(self.values, dtype=dtype)
         expected = self.grid.shape + self.grid.shape
         if vals.shape != expected:
             raise ValueError(
                 f"kernel shape {vals.shape} does not match {expected}"
             )
         self.values = vals
-
-    @classmethod
-    def from_callable(cls, grid: Grid, fn: Callable) -> "SampledKernel2d":
-        if grid.d == 1:
-            ax = grid.axis()
-            x = ax[:, None]
-            y = ax[None, :]
-            return cls(grid, np.asarray(fn(x, y), dtype=np.complex128))
-        ax = grid.axis()
-        x1 = ax[:, None, None, None]
-        x2 = ax[None, :, None, None]
-        y1 = ax[None, None, :, None]
-        y2 = ax[None, None, None, :]
-        return cls(grid, np.asarray(fn(x1, x2, y1, y2), dtype=np.complex128))
 
 
 @dataclass
@@ -201,20 +177,13 @@ def bracket(point) -> float:
     return float(np.sqrt(1.0 + np.sum(arr * arr)))
 
 
-def _bracket_mesh(grid: Grid, dual: bool) -> np.ndarray:
-    meshes = grid.dual_meshes() if dual else grid.meshes()
-    sq = np.zeros(grid.shape)
-    for m in meshes:
-        sq = sq + m * m
-    return np.sqrt(1.0 + sq)
-
-
 def weight_array(grid: Grid, exponent: float, *, dual: bool = False) -> np.ndarray:
     """<x>^exponent sampled on the grid (or <xi>^exponent on the dual grid)."""
     e = float(exponent)
     if e == 0.0:
         return np.ones(grid.shape)
-    return _bracket_mesh(grid, dual) ** e
+    ax = grid.dual_axis() if dual else grid.axis()
+    return np.sqrt(1.0 + ax * ax) ** e
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +237,7 @@ def weighted_lebesgue_norm(f: SampledFunction, p, t) -> float:
     pf = _exponent_value(p)
     if math.isinf(pf):
         return float(np.max(mag))
-    cell = f.grid.h ** f.grid.d
-    return float((np.sum(mag ** pf) * cell) ** (1.0 / pf))
+    return float((np.sum(mag ** pf) * f.grid.h) ** (1.0 / pf))
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +245,11 @@ def weighted_lebesgue_norm(f: SampledFunction, p, t) -> float:
 # ---------------------------------------------------------------------------
 
 def _centered_fft(values: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(values)))
+    return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(values)))
 
 
 def _centered_ifft(values: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(values)))
+    return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(values)))
 
 
 def fourier_transform(
@@ -299,8 +267,7 @@ def fourier_transform(
     ResolutionError is raised.
     """
     g = f.grid
-    scale = (g.h ** g.d) * (TWO_PI ** (-g.d / 2.0))
-    vals = _centered_fft(f.values) * scale
+    vals = _centered_fft(f.values) * (g.h * TWO_PI ** -0.5)
     out = SampledFunction(g.dual(), vals)
     if boundary_tol is not None:
         peak = float(np.max(np.abs(vals)))
@@ -316,26 +283,14 @@ def fourier_transform(
 
 
 def _boundary_shell_max(vals: np.ndarray) -> float:
-    best = 0.0
-    for ax in range(vals.ndim):
-        sl_lo = [slice(None)] * vals.ndim
-        sl_hi = [slice(None)] * vals.ndim
-        sl_lo[ax] = 0
-        sl_hi[ax] = -1
-        best = max(
-            best,
-            float(np.max(np.abs(vals[tuple(sl_lo)]))),
-            float(np.max(np.abs(vals[tuple(sl_hi)]))),
-        )
-    return best
+    return float(max(abs(vals[0]), abs(vals[-1])))
 
 
 def inverse_fourier_transform(fhat: SampledFunction) -> SampledFunction:
     """Inverse of :func:`fourier_transform`; the round trip is exact."""
     g = fhat.grid
     target = g.dual()
-    scale = (g.n ** g.d) * (g.h ** g.d) * (TWO_PI ** (-g.d / 2.0))
-    vals = _centered_ifft(fhat.values) * scale
+    vals = _centered_ifft(fhat.values) * (g.n * g.h * TWO_PI ** -0.5)
     return SampledFunction(target, vals)
 
 
@@ -365,7 +320,7 @@ def _warn_if_edge_heavy(f: SampledFunction, label: str) -> None:
 def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     """(f * g)(x) = int f(y) g(x - y) dy on the common grid.
 
-    Zero-pads to 2n per axis, so the circular product equals the linear
+    Zero-pads to 2n, so the circular product equals the linear
     convolution of the sampled sequences exactly; the only quadrature error
     is the rectangle rule itself.
     """
@@ -375,14 +330,8 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     _warn_if_edge_heavy(f, "first factor")
     _warn_if_edge_heavy(g, "second factor")
     n = grid.n
-    padded = (2 * n,) * grid.d
-    axes = tuple(range(grid.d))
-    spec = np.fft.fftn(f.values, s=padded, axes=axes) * np.fft.fftn(
-        g.values, s=padded, axes=axes
-    )
-    full = np.fft.ifftn(spec, axes=axes)
-    window = tuple(slice(n // 2, n // 2 + n) for _ in range(grid.d))
-    vals = full[window] * (grid.h ** grid.d)
+    spec = np.fft.fft(f.values, n=2 * n) * np.fft.fft(g.values, n=2 * n)
+    vals = np.fft.ifft(spec)[n // 2 : n // 2 + n] * grid.h
     return SampledFunction(grid, vals)
 
 
@@ -394,9 +343,7 @@ def stft(f: SampledFunction, window: SampledFunction, stride: int = 1) -> StftTa
     """V(x, xi) = transform of y -> f(y) conj(window(y - x)) at lattice x.
 
     The window is shifted by whole samples (x runs over every stride-th grid
-    point), so no interpolation enters.  One-dimensional grids only; the
-    two-dimensional table would have four axes and none of the shipped
-    computations need it.
+    point), so no interpolation enters.
 
     All rows come from one strided view of the zero-padded conjugate window
     and are multiplied straight into the FFT input order; the centering
@@ -405,8 +352,6 @@ def stft(f: SampledFunction, window: SampledFunction, stride: int = 1) -> StftTa
     """
     if f.grid != window.grid:
         raise GridMismatchError("stft: function and window on different grids")
-    if f.grid.d != 1:
-        raise NotImplementedError("stft is implemented for d = 1")
     n = f.grid.n
     if stride < 1 or n % stride != 0:
         raise ValueError(f"stride must be a positive divisor of n, got {stride}")
@@ -444,7 +389,7 @@ def stft_table_norm(table: StftTable, p, q, s, t, *, space: str = "M") -> float:
     - space "M": inner L^p in x, outer L^q in xi;
     - space "W": inner L^q in xi, outer L^p in x.
 
-    Quadrature cells are (stride h)^d in x and (pi / L)^d in xi.
+    Quadrature cells are stride h in x and pi / L in xi.
     """
     if space not in ("M", "W"):
         raise ValueError(f"space must be 'M' or 'W', got {space!r}")
@@ -457,8 +402,8 @@ def stft_table_norm(table: StftTable, p, q, s, t, *, space: str = "M") -> float:
         a *= ((1.0 + table.x_positions ** 2) ** (float(t) / 2.0))[:, None]
     if float(s) != 0.0:
         a *= ((1.0 + grid.dual_axis() ** 2) ** (float(s) / 2.0))[None, :]
-    x_cell = (grid.h * table.stride) ** grid.d
-    xi_cell = grid.dual_spacing ** grid.d
+    x_cell = grid.h * table.stride
+    xi_cell = grid.dual_spacing
     if space == "M":
         inner = _axis_power_norm(a, pf, x_cell, axis=0)
         outer = _axis_power_norm(inner, qf, xi_cell, axis=None)
@@ -500,14 +445,12 @@ def mixed_norm_2d(kernel: SampledKernel2d, p, q, order: int) -> float:
         raise ValueError(f"order must be 1 or 2, got {order}")
     pf = _exponent_value(p)
     qf = _exponent_value(q)
-    grid = kernel.grid
-    nd = grid.n ** grid.d
-    flat = np.abs(kernel.values.reshape(nd, nd))
-    cell = grid.h ** grid.d
+    mag = np.abs(kernel.values)
+    cell = kernel.grid.h
     if order == 1:
-        inner = _axis_power_norm(flat, pf, cell, axis=0)
+        inner = _axis_power_norm(mag, pf, cell, axis=0)
         return float(_axis_power_norm(inner, qf, cell, axis=None))
-    inner = _axis_power_norm(flat, qf, cell, axis=1)
+    inner = _axis_power_norm(mag, qf, cell, axis=1)
     return float(_axis_power_norm(inner, pf, cell, axis=None))
 
 

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -131,7 +131,7 @@ def _kernel_values(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:
 
 
 def kernel_table(grid: Grid, params: KernelParams) -> SampledKernel2d:
-    if grid.d != 1 or params.d != 1:
+    if params.d != 1:
         raise NotImplementedError(
             "kernel tables are materialized for d = 1 only; use the pointwise "
             "kernel_f for two-dimensional arguments"
@@ -185,8 +185,6 @@ def region_codes(x: np.ndarray, y: np.ndarray, params: RegionParams) -> np.ndarr
 
 
 def region_table(grid: Grid, params: RegionParams) -> np.ndarray:
-    if grid.d != 1:
-        raise NotImplementedError("region tables are materialized for d = 1 only")
     ax = grid.axis()
     return region_codes(ax[:, None], ax[None, :], params)
 
@@ -195,16 +193,13 @@ def region_table(grid: Grid, params: RegionParams) -> np.ndarray:
 # Bilinear maps
 # ---------------------------------------------------------------------------
 
-KernelLike = "SampledKernel2d | Callable[[np.ndarray, np.ndarray], np.ndarray]"
-
-
 def _kernel_block(kernel, grid: Grid, rows: slice) -> np.ndarray:
     if isinstance(kernel, SampledKernel2d):
         if kernel.grid != grid:
             raise ValueError("t_f: kernel and functions on different grids")
         return kernel.values[rows]
     ax = grid.axis()
-    return np.asarray(kernel(ax[rows, None], ax[None, :]), dtype=np.complex128)
+    return kernel(ax[rows, None], ax[None, :])
 
 
 def t_f(kernel, f: SampledFunction, g: SampledFunction, *, block_rows: int = 256) -> SampledFunction:
@@ -218,11 +213,6 @@ def t_f(kernel, f: SampledFunction, g: SampledFunction, *, block_rows: int = 256
     if f.grid != g.grid:
         raise ValueError("t_f: f and g on different grids")
     grid = f.grid
-    if grid.d != 1:
-        raise NotImplementedError(
-            "t_f is implemented for d = 1; the decomposition identity it "
-            "feeds is dimension-generic but every shipped computation is 1-d"
-        )
     n = grid.n
     half = n // 2
     # g reversed and zero-padded: window k of this buffer holds
@@ -258,8 +248,6 @@ def theta_kernel(kernel: SampledKernel2d) -> SampledKernel2d:
     the index band that the remap pushes over the edge, which is why the
     round-trip test masks that band out.
     """
-    if kernel.grid.d != 1:
-        raise NotImplementedError("theta_kernel is implemented for d = 1")
     n = kernel.grid.n
     idx = np.arange(n)
     src = idx[:, None] - idx[None, :] + n // 2
@@ -326,24 +314,6 @@ class SliceReport:
     excluded_empty: list[float]
     under_resolved: list[float]
     notes: str
-
-    def to_dict(self) -> dict:
-        return {
-            "region": self.region,
-            "item": self.item,
-            "p": self.p,
-            "t": list(self.t),
-            "scan_values": self.scan_values,
-            "slice_norms": self.slice_norms,
-            "envelopes": self.envelopes,
-            "ratios": self.ratios,
-            "max_ratio": self.max_ratio,
-            "median_ratio": self.median_ratio,
-            "passed": self.passed,
-            "excluded_empty": self.excluded_empty,
-            "under_resolved": self.under_resolved,
-            "notes": self.notes,
-        }
 
 
 def _norm_exponent(p) -> Exponent:
@@ -613,22 +583,6 @@ class PropReport:
     spread: float
     passed: bool
     notes: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "p": list(self.p),
-            "r": self.r,
-            "kernel": self.kernel,
-            "scales": self.scales,
-            "ratios": self.ratios,
-            "slopes": self.slopes,
-            "max_ratio": self.max_ratio,
-            "min_ratio": self.min_ratio,
-            "spread": self.spread,
-            "passed": self.passed,
-            "notes": self.notes,
-        }
 
 
 _DEFAULT_SCALES = (0.5, 2.0 ** -0.5, 1.0, 2.0 ** 0.5, 2.0)

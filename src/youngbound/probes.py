@@ -96,11 +96,8 @@ class GaussianFamily:
     """f_j = <.>^{-t_j} e^{-alpha |x|^2} for a weight triple t."""
 
     t: tuple[Fraction, Fraction, Fraction]
-    d: int = 1
 
     def __post_init__(self) -> None:
-        if self.d != 1:
-            raise NotImplementedError("Gaussian probe families run in d = 1")
         object.__setattr__(self, "t", tuple(Fraction(v) for v in self.t))
 
     def member(self, j: int, alpha: float, grid: Grid) -> SampledFunction:
@@ -140,8 +137,6 @@ class BumpFamily:
         return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
 
     def sample(self, grid: Grid, center: float = 0.0) -> SampledFunction:
-        if grid.d != 1:
-            raise NotImplementedError("bump probe families run in d = 1")
         return SampledFunction(grid, self.profile(grid.axis() - center))
 
 
@@ -162,20 +157,6 @@ class ProbeReport:
     witnessed: bool | None = None
     permutation: tuple[int, int, int] | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "ladder_x": self.ladder_x,
-            "ladder_y": self.ladder_y,
-            "fitted_slope": self.fitted_slope,
-            "predicted_slope": self.predicted_slope,
-            "r_squared": self.r_squared,
-            "tol": self.tol,
-            "passed": self.passed,
-            "witnessed": self.witnessed,
-            "permutation": list(self.permutation) if self.permutation else None,
-        }
-
 
 @dataclass
 class TranslationReport:
@@ -190,20 +171,6 @@ class TranslationReport:
     passed: bool
     witnessed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "offsets": self.offsets,
-            "products": self.products,
-            "conv_norms": self.conv_norms,
-            "fitted_slope": self.fitted_slope,
-            "predicted_slope": self.predicted_slope,
-            "r_squared": self.r_squared,
-            "conv_variation": self.conv_variation,
-            "permutation": list(self.permutation),
-            "passed": self.passed,
-            "witnessed": self.witnessed,
-        }
-
 
 @dataclass
 class BoundReport:
@@ -214,17 +181,6 @@ class BoundReport:
     constant: float
     min_convolution: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "t1": self.t1,
-            "t2": self.t2,
-            "alpha": self.alpha,
-            "window": self.window,
-            "constant": self.constant,
-            "min_convolution": self.min_convolution,
-            "passed": self.passed,
-        }
 
 
 @dataclass
@@ -239,20 +195,6 @@ class SweepReport:
     spread: float
     passed: bool
     identity_rel_error: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "flavor": self.flavor,
-            "space": self.space,
-            "classification": self.classification,
-            "theorem_used": self.theorem_used,
-            "scales": self.scales,
-            "ratios": self.ratios,
-            "fitted_slope": self.fitted_slope,
-            "spread": self.spread,
-            "passed": self.passed,
-            "identity_rel_error": self.identity_rel_error,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +234,16 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, floa
 # Probes
 # ---------------------------------------------------------------------------
 
+def _require_one_dimension(params: ParamTuple, probe: str) -> None:
+    """The probes run on one-dimensional grids; the exact checkers take any d."""
+    if params.d != 1:
+        raise NotImplementedError(f"{probe} runs in d = 1")
+
+
 def gaussian_norm_slope(
     p,
     t,
     *,
-    d: int = 1,
     alphas: Sequence[float] | None = None,
     grid: Grid | None = None,
     tol: float = 0.05,
@@ -304,12 +251,10 @@ def gaussian_norm_slope(
     """Calibration probe: || <.>^{-t} e^{-alpha |.|^2} ||_{L^p_t} ladder.
 
     The family weight cancels the norm weight exactly, so the norm equals
-    (pi / (p alpha))^{d/(2p)} and the slope against log(1/alpha) is d/(2p)
+    (pi / (p alpha))^{1/(2p)} and the slope against log(1/alpha) is 1/(2p)
     for every t.  A failure here means the grid or the norms are wrong, not
     the mathematics.
     """
-    if d != 1:
-        raise NotImplementedError("gaussian_norm_slope runs in d = 1")
     pe = Exponent.of(p)
     tw = Fraction(t)
     grid = grid or PROBE_GRID
@@ -320,7 +265,7 @@ def gaussian_norm_slope(
     ]
     inv = [1.0 / a for a in alphas]
     slope, _, r2 = fit_power_law(inv, values)
-    predicted = float(Fraction(d, 2) * pe.reciprocal())
+    predicted = float(Fraction(1, 2) * pe.reciprocal())
     passed = abs(slope - predicted) <= tol and r2 >= 0.99
     return ProbeReport(
         kind="norm_slope",
@@ -378,8 +323,7 @@ def gaussian_necessity_probe(
     a nonnegative weight, which the prediction's lower bound needs; the
     permutation used is recorded in the report.
     """
-    if params.d != 1:
-        raise NotImplementedError("gaussian_necessity_probe runs in d = 1")
+    _require_one_dimension(params, "gaussian_necessity_probe")
     perm = _slot1_nonneg_permutation(params.t)
     work = _permute_blocks(params, perm)
     grid = grid or PROBE_GRID
@@ -438,8 +382,7 @@ def translation_necessity_probe(
     fit with negative predicted slope witnesses unboundedness: the ratio
     output-norm over input-norms grows without bound.
     """
-    if params.d != 1:
-        raise NotImplementedError("translation_necessity_probe runs in d = 1")
+    _require_one_dimension(params, "translation_necessity_probe")
     key = tuple(sorted(pair))
     if key not in _PAIR_TO_PERM:
         raise ValueError(f"pair must name two distinct slots, got {pair}")
@@ -508,20 +451,17 @@ def gaussian_lower_bound_check(
     t2,
     alpha: float,
     *,
-    d: int = 1,
     window: float = 8.0,
     grid: Grid | None = None,
 ) -> BoundReport:
     """Pointwise floor for the convolution of two weighted Gaussians.
 
-    Checks that f1 * f2 >= c <x>^{d - t1 - t2} e^{-3 alpha |x|^2} holds on
+    Checks that f1 * f2 >= c <x>^{1 - t1 - t2} e^{-3 alpha |x|^2} holds on
     |x| <= window with a single constant c > 0 (the reported value is the
     measured minimum of the quotient).  Requires t1 >= 0: the annulus
     argument behind the envelope pairs the y and x - y brackets, and a
     negative weight in slot 1 breaks that pairing.
     """
-    if d != 1:
-        raise NotImplementedError("gaussian_lower_bound_check runs in d = 1")
     t1f = Fraction(t1)
     t2f = Fraction(t2)
     if t1f < 0:
@@ -544,7 +484,7 @@ def gaussian_lower_bound_check(
     x = grid.axis()
     mask = np.abs(x) <= window
     g = conv.values.real[mask]
-    envelope = (1.0 + x[mask] ** 2) ** (float(d - t1f - t2f) / 2.0) * np.exp(
+    envelope = (1.0 + x[mask] ** 2) ** (float(1 - t1f - t2f) / 2.0) * np.exp(
         -3.0 * alpha * x[mask] ** 2
     )
     quotient = g / envelope
@@ -649,8 +589,7 @@ def boundedness_sweep(
     """
     if flavor not in SWEEP_FLAVORS:
         raise ValueError(f"flavor must be one of {SWEEP_FLAVORS}, got {flavor!r}")
-    if params.d != 1:
-        raise NotImplementedError("boundedness_sweep runs in d = 1")
+    _require_one_dimension(params, "boundedness_sweep")
 
     if flavor == "convolution":
         verdict = check_convolution(params)

@@ -8,15 +8,16 @@ scenario can never silently lose exactness.  Grid sizes, tolerances, and
 ladder values are ordinary floats.
 
 Every command run is summarised in a :class:`RunRecord`: the resolved
-scenario (defaults included, canonically stringified), the JSON-safe
-results, the exit code, and enough version information to replay the run.
+scenario (defaults included, canonically stringified), the results
+(report dataclasses, written out field by field), the exit code, and
+enough version information to replay the run.
 Two records of the same run differ only in their timestamps.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import math
 import platform
 import re
 from dataclasses import dataclass
@@ -435,18 +436,23 @@ def package_versions() -> dict[str, str]:
     }
 
 
-def _spell_nonfinite(node):
-    """A copy of a JSON-safe payload with non-finite floats as "inf",
-    "-inf" or "nan"."""
-    if isinstance(node, dict):
-        return {k: _spell_nonfinite(v) for k, v in node.items()}
-    if isinstance(node, (list, tuple)):
-        return [_spell_nonfinite(v) for v in node]
-    if isinstance(node, float) and not math.isfinite(node):
-        if math.isnan(node):
-            return "nan"
-        return "inf" if node > 0 else "-inf"
-    return node
+def _encode(obj):
+    """JSON form of what ``json`` cannot write itself: a dataclass (a
+    report, a verdict, a trace row) as its fields, a Fraction as a string."""
+    if dataclasses.is_dataclass(obj):
+        # Fraction fields are spelled here: each call of this hook costs the
+        # pure-Python encoder two generator frames, and a trace row has two.
+        return {
+            k: str(v) if isinstance(v, Fraction) else v for k, v in vars(obj).items()
+        }
+    if isinstance(obj, Fraction):
+        return str(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+# Strict JSON has no NaN or Infinity: spell them as strings, as exponents
+# already spell "inf".
+_NONFINITE = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
 
 
 @dataclass
@@ -476,14 +482,16 @@ class RunRecord:
             "versions": self.versions,
         }
         try:
-            return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-        except ValueError:
-            # Strict JSON has no NaN or Infinity: spell them as strings,
-            # as exponents already spell "inf".
             return json.dumps(
-                _spell_nonfinite(payload), indent=2, sort_keys=True,
-                allow_nan=False,
+                payload, indent=2, sort_keys=True, allow_nan=False,
+                default=_encode,
             )
+        except ValueError:
+            plain = json.loads(
+                json.dumps(payload, default=_encode),
+                parse_constant=_NONFINITE.__getitem__,
+            )
+            return json.dumps(plain, indent=2, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":

@@ -259,8 +259,16 @@ def test_trace_condition_ids_are_unique():
 def test_verdict_serializes_to_plain_data():
     import json
 
+    from youngbound.scenario import RunRecord
+
     v = check_convolution(ParamTuple(d=1, p=(2, 1, 2), t=(0, 0, 0)))
-    assert json.dumps(v.to_dict())
+    record = RunRecord("check", {}, {"verdict": v}, 0, None, "", "", {})
+    payload = json.loads(record.to_json())["results"]["verdict"]
+    assert json.dumps(payload)
+    assert payload["classification"] == v.classification.value
+    assert [row["lhs"] for row in payload["trace"]] == [
+        str(rec.lhs) for rec in v.trace
+    ]
 
 
 def params_strategy():

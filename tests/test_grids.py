@@ -61,6 +61,8 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(3, 16.0, 64)
     with pytest.raises(ValueError):
+        Grid(2, 16.0, 64)  # the numerics are one-dimensional
+    with pytest.raises(ValueError):
         Grid(1, -1.0, 64)
     with pytest.raises(ValueError):
         Grid(1, 16.0, 48)  # not a power of two

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from youngbound.grids import Grid, SampledFunction, SampledKernel2d
+from youngbound.grids import Grid, SampledFunction, SampledKernel2d, mixed_norm_2d
 from youngbound.kernels import (
     _GaussSum2d,
     REGION_TO_ITEM,
@@ -189,6 +189,36 @@ def test_prop_tf_bitwise_equals_gather_oracle(inputs):
     assert np.array_equal(fast, slow)
 
 
+@settings(max_examples=40)
+@given(_tf_inputs())
+def test_prop_real_tables_match_their_complex_cast_bitwise(inputs):
+    """A real table stays float64.  numpy promotes it to complex inside t_f,
+    and |x + 0j| is |x|, so t_f and mixed_norm_2d give the bits of the same
+    table stored as complex, signed zeros included."""
+    n, block_rows, seed = inputs
+    rng = np.random.default_rng(seed)
+    grid = Grid(1, 8.0, n)
+    kmat = rng.standard_normal((n, n))
+    kmat[rng.random((n, n)) < 0.1] = -0.0
+    real = SampledKernel2d(grid, kmat)
+    cplx = SampledKernel2d(grid, kmat.astype(np.complex128))
+    assert real.values.dtype == np.float64
+    assert cplx.values.dtype == np.complex128
+    f = SampledFunction(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    g = SampledFunction(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    fast = t_f(real, f, g, block_rows=block_rows).values
+    slow = t_f(cplx, f, g, block_rows=block_rows).values
+    assert fast.tobytes() == slow.tobytes()
+    for p, q, order in ((2, 3, 1), (2, 3, 2), ("inf", 1, 1), (1, "inf", 2)):
+        assert mixed_norm_2d(real, p, q, order) == mixed_norm_2d(cplx, p, q, order)
+
+
+def test_kernel_tables_are_real():
+    table = kernel_table(GRID32, KernelParams((0, 1, 1)))
+    assert table.values.dtype == np.float64
+    assert theta_kernel(table).values.dtype == np.float64
+
+
 _gauss_terms = st.lists(
     st.tuples(
         st.floats(-2.0, 2.0, allow_nan=False),  # amplitude
@@ -303,6 +333,8 @@ def test_slice_envelope_rejects_bad_region():
 def test_slice_report_serializes():
     import json
 
+    from youngbound.scenario import RunRecord
+
     report = verify_lemma_intestimates(
         3,
         KernelParams((0, 1, 1)),
@@ -311,7 +343,8 @@ def test_slice_report_serializes():
         scan_range=(1.0, 16.0),
         quad_points=2001,
     )
-    assert json.dumps(report.to_dict())
+    record = RunRecord("verify-lemmas", {}, {"report": report}, 0, None, "", "", {})
+    assert json.dumps(json.loads(record.to_json())["results"]["report"])
 
 
 # ---------------------------------------------------------------------------

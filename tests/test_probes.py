@@ -318,10 +318,13 @@ def test_sweep_propagates_resolution_guard():
 def test_sweep_report_serializes():
     import json
 
+    from youngbound.scenario import RunRecord
+
     report = boundedness_sweep(
         ParamTuple(d=1, p=(1, 2, 2), t=(0, 0, 0)), "convolution"
     )
-    payload = report.to_dict()
+    record = RunRecord("probe", {}, {"report": report}, 0, None, "", "", {})
+    payload = json.loads(record.to_json())["results"]["report"]
     assert json.dumps(payload)
     assert payload["flavor"] == "convolution"
     assert len(payload["scales"]) == len(DEFAULT_ALPHAS)

@@ -547,6 +547,38 @@ def test_run_record_spells_every_non_finite_float():
 
 
 @pytest.mark.parametrize(
+    "command, text",
+    [
+        (
+            "probe",
+            "kind = boundedness\nflavor = modulation-convolution\n"
+            "p = 2, 2, 2\nt = 3/8, 3/8, 3/8\nstride = 1\n"
+            "grid_n = 65536\ngrid_l = 24\n",
+        ),
+        (
+            "verify-lemmas",
+            "which = operator\ncase = 1\np = 2, 2, 2\nkernel = bumps\n"
+            "grid_n = 32768\ngrid_l = 16\n",
+        ),
+    ],
+)
+def test_oversized_tables_are_refused_before_allocation(
+    tmp_path, capsys, monkeypatch, command, text
+):
+    """A 64 GiB short-time table or a 16 GiB kernel table exits 2 before any
+    table is built; the builders are patched to fail loudly if reached."""
+
+    def allocates(*args, **kwargs):
+        raise AssertionError("a table was allocated before the budget check")
+
+    monkeypatch.setattr("youngbound.probes.stft", allocates)
+    monkeypatch.setattr("youngbound.kernels._GaussSum2d.sample", allocates)
+    code = main([command, "--scenario", write(tmp_path, text)])
+    assert code == EXIT_MALFORMED
+    assert "above the cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "kind = norm-slope\nexponent = 2\nweight = 400\n",
