@@ -17,36 +17,24 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .exponents import (
     Classification,
     ParamTuple,
+    PreconditionError,
     Verdict,
     binding_condition,
     check_convolution,
     check_modulation,
     check_multiplication,
     check_weak_proposition,
-)
-from .grids import Grid
-from .kernels import (
-    KernelParams,
-    PreconditionError,
-    RegionParams,
-    verify_lemma_intestimates,
-    verify_prop_tf_bounds,
-)
-from .probes import (
-    boundedness_sweep,
-    gaussian_lower_bound_check,
-    gaussian_necessity_probe,
-    gaussian_norm_slope,
-    translation_necessity_probe,
 )
 from .scenario import (
     RunRecord,
@@ -58,6 +46,12 @@ from .scenario import (
     scenario_echo,
 )
 
+# The numerical layer (grids, kernels, probes, and numpy under them) is
+# imported inside the handlers that use it, so `check` and `sweep` never
+# load it.
+if TYPE_CHECKING:
+    from .grids import Grid
+
 __all__ = ["main", "build_parser"]
 
 EXIT_PASS = 0
@@ -67,6 +61,13 @@ EXIT_INCONCLUSIVE = 3
 
 MAX_SWEEP_ROWS = 10_000
 MAX_TABLE_BYTES = 1 << 30
+
+# Complex n x (n/stride) short-time tables alive at once at the peak of a
+# modulation ladder.  `stft` holds its row block and its spectra together.
+# The product identity of the multiplication flavor holds its left side and
+# the factor table while `_xi_convolve_rows` holds a 2n-wide padded
+# spectrum and its 2n-wide inverse: 1 + 1 + 2 + 2.
+_LIVE_STFT_TABLES = {"modulation-convolution": 2, "modulation-multiplication": 6}
 
 SEP = "=" * 70
 SUBSEP = "-" * 70
@@ -95,15 +96,17 @@ def _grid_override(values: dict) -> Grid | None:
         return None
     if n is None or extent is None:
         raise ScenarioError("grid_n and grid_l must be given together")
+    from .grids import Grid
+
     return Grid(1, float(extent), int(n))
 
 
 def _check_table_bytes(nbytes: int) -> None:
-    """Refuse a run whose largest complex table would exceed the memory cap,
-    before anything is allocated."""
+    """Refuse a run whose complex tables held at once would exceed the
+    memory cap, before anything is allocated."""
     if nbytes > MAX_TABLE_BYTES:
         raise ScenarioError(
-            f"the largest table would take {nbytes} bytes, above the cap of "
+            f"the tables held at once would take {nbytes} bytes, above the cap of "
             f"{MAX_TABLE_BYTES}; lower grid_n"
         )
 
@@ -202,13 +205,23 @@ def _ladder_rows(xs, ys, xname: str, yname: str) -> list[list]:
 
 
 def _cmd_probe(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
+    from .probes import (
+        boundedness_sweep,
+        gaussian_lower_bound_check,
+        gaussian_necessity_probe,
+        gaussian_norm_slope,
+        translation_necessity_probe,
+    )
+
     kind = values["kind"]
     grid = _grid_override(values)
     if grid is not None:  # the default grids are far below the cap
-        table_rows = 1
-        if values.get("flavor", "").startswith("modulation"):
-            table_rows = grid.n // max(values["stride"], 1)
-        _check_table_bytes(16 * grid.n * table_rows)
+        nbytes = 16 * grid.n
+        flavor = values.get("flavor")
+        if flavor in _LIVE_STFT_TABLES:
+            rows = grid.n // max(values["stride"], 1)
+            nbytes *= rows * _LIVE_STFT_TABLES[flavor]
+        _check_table_bytes(nbytes)
     lines = [SEP, f"probe: {kind}", SEP]
 
     if kind == "gaussian":
@@ -343,6 +356,13 @@ def _cmd_probe(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
+    from .kernels import (
+        KernelParams,
+        RegionParams,
+        verify_lemma_intestimates,
+        verify_prop_tf_bounds,
+    )
+
     which = values["which"]
     if which == "slices":
         report = verify_lemma_intestimates(
@@ -547,8 +567,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process: parsing does not change it, and building
+    it costs an in-process `check` more than the checker does."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     started = _utc_now()
 
     try:

@@ -33,6 +33,7 @@ __all__ = [
     "INF",
     "Weight",
     "ExponentError",
+    "PreconditionError",
     "Classification",
     "ConditionRecord",
     "Verdict",
@@ -63,6 +64,14 @@ MODULATION_SPACES = ("M", "W")
 
 class ExponentError(ValueError):
     """Raised when a value cannot be interpreted as an exponent in [1, oo]."""
+
+
+class PreconditionError(ValueError):
+    """A verifier was asked to run outside its standing hypotheses.
+
+    Defined here, in the numpy-free layer, so that the command line can
+    catch it without importing the numerics; ``kernels`` re-exports it.
+    """
 
 
 @dataclass(frozen=True)

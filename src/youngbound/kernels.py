@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exponents import Exponent, young_functional
+from .exponents import Exponent, PreconditionError, young_functional
 from .grids import (
     Grid,
     SampledFunction,
@@ -71,10 +71,6 @@ REGION_IDS = (1, 2, 3, 4, 5)
 # 4) serves regions 4 and 5.  Enumerations that count five refer to regions,
 # not envelope items.
 REGION_TO_ITEM = {1: 1, 2: 2, 3: 3, 4: 4, 5: 4}
-
-
-class PreconditionError(ValueError):
-    """A verifier was asked to run outside its standing hypotheses."""
 
 
 @dataclass(frozen=True)

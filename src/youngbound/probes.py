@@ -33,6 +33,7 @@ from .exponents import (
     Classification,
     Exponent,
     ParamTuple,
+    PreconditionError,
     Verdict,
     check_convolution,
     check_modulation,
@@ -51,7 +52,6 @@ from .grids import (
     weight_array,
     weighted_lebesgue_norm,
 )
-from .kernels import PreconditionError
 
 __all__ = [
     "GaussianFamily",

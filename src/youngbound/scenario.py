@@ -422,16 +422,20 @@ def scenario_echo(values: dict[str, object]) -> dict[str, str]:
 # Run records
 # ---------------------------------------------------------------------------
 
-def package_versions() -> dict[str, str]:
+def _dist_version(name: str) -> str:
     try:
-        dist = metadata.version("artifact")
+        return metadata.version(name)
     except metadata.PackageNotFoundError:  # not installed, e.g. direct source use
-        dist = "0+unknown"
-    import numpy
+        return "0+unknown"
 
+
+def package_versions() -> dict[str, str]:
+    """Versions of the installed distributions, read from their metadata:
+    importing numpy for its version would cost an exact command most of its
+    run time."""
     return {
-        "artifact": dist,
-        "numpy": numpy.__version__,
+        "artifact": _dist_version("artifact"),
+        "numpy": _dist_version("numpy"),
         "python": platform.python_version(),
     }
 

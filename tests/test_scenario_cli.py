@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy
 import pytest
 
+import youngbound
+from youngbound import cli, exponents, kernels
 from youngbound.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_MALFORMED,
@@ -128,6 +134,7 @@ def test_package_versions_reports_the_stack():
     assert "artifact" in versions
     assert "numpy" in versions
     assert "python" in versions
+    assert versions["numpy"] == numpy.__version__
 
 
 def test_run_record_round_trip():
@@ -309,6 +316,30 @@ def test_probe_grid_flags_are_injected(tmp_path):
     )
     code = main(["probe", "--scenario", path, "--grid-n", "2048", "--grid-L", "48"])
     assert code == EXIT_WITNESS  # still witnessed on the smaller grid
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    path = str(SCENARIOS / "convolution_boundary.txt")
+    try:
+        outs = []
+        for _ in range(2):
+            assert main(["check", "--scenario", path]) == EXIT_PASS
+            outs.append(capsys.readouterr().out)
+    finally:
+        cli._parser.cache_clear()
+    assert outs[0] == outs[1]
+    assert "Bounded" in outs[0]
+    assert len(built) == 1
+    assert build() is not build()  # the public builder still builds afresh
 
 
 def test_probe_bad_kind_is_malformed(tmp_path, capsys):
@@ -578,6 +609,28 @@ def test_oversized_tables_are_refused_before_allocation(
     assert "above the cap" in capsys.readouterr().err
 
 
+def test_product_identity_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
+    """At grid_n = 4096, stride 1, one short-time table takes 256 MiB, under
+    the cap, but the multiplication ladder holds six of them at its peak
+    (1.5 GiB), so it exits 2 before any table is built."""
+
+    def allocates(*args, **kwargs):
+        raise AssertionError("a table was allocated before the budget check")
+
+    monkeypatch.setattr("youngbound.probes.stft", allocates)
+    path = write(
+        tmp_path,
+        "kind = boundedness\nflavor = modulation-multiplication\nd = 1\n"
+        "p = 2, 2, 2\nt = 1/4, 1/4, 0\nq = 2, 1, 2\ns = 0, 0, 0\nstride = 1\n"
+        "grid_n = 4096\ngrid_l = 24\n",
+    )
+    assert 16 * 4096 * 4096 <= cli.MAX_TABLE_BYTES
+    assert main(["probe", "--scenario", path]) == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert "above the cap" in err
+    assert str(6 * 16 * 4096 * 4096) in err
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -596,3 +649,103 @@ def test_overflowing_weights_are_malformed_not_nan(tmp_path, capsys, text):
     assert code == EXIT_MALFORMED
     assert "overflows" in captured.err
     assert "nan" not in captured.out
+
+
+# ---------------------------------------------------------------------------
+# Lazy numerical layer
+# ---------------------------------------------------------------------------
+
+# Every name the package namespace offered when it imported its submodules
+# eagerly, with the submodule it came from.
+PACKAGE_NAMES = {
+    "exponents": "INF Classification ConditionRecord Exponent ExponentError "
+    "ParamTuple Verdict binding_condition check_convolution check_modulation "
+    "check_multiplication check_weak_proposition conjugate g_functional h0 h1 h2 "
+    "lemma_equivalence_holds remark_bound young_functional",
+    "grids": "Grid GridMismatchError ResolutionError ResolutionWarning "
+    "SampledFunction SampledKernel2d StftTable bracket convolve "
+    "fourier_lebesgue_norm fourier_transform gaussian_resolution_guard "
+    "inverse_fourier_transform mixed_norm_2d modulation_norm stft "
+    "weighted_lebesgue_norm",
+    "kernels": "KernelParams PreconditionError PropReport RegionParams SliceReport "
+    "decomposition_residual kernel_f kernel_table region_codes region_of "
+    "region_table t_f t_theta_f theta_kernel verify_lemma_intestimates "
+    "verify_prop_tf_bounds",
+    "probes": "BoundReport BumpFamily GaussianFamily ProbeReport SweepReport "
+    "TranslationReport boundedness_sweep fit_power_law gaussian_lower_bound_check "
+    "gaussian_necessity_probe gaussian_norm_slope translation_necessity_probe",
+    "corpus": "CORPUS CorpusEntry shadow_tuple verdict_for",
+    "scenario": "RunRecord ScenarioError parse_scenario_text resolve_scenario",
+}
+
+
+def test_package_names_resolve_to_their_submodule_objects():
+    listed = set(dir(youngbound))
+    for module_name, names in PACKAGE_NAMES.items():
+        module = getattr(youngbound, module_name)
+        assert module.__name__ == f"youngbound.{module_name}"
+        assert module_name in listed
+        for name in names.split():
+            assert getattr(youngbound, name) is getattr(module, name), name
+            assert name in listed, name
+    with pytest.raises(AttributeError):
+        youngbound.no_such_name
+    from youngbound import probes
+
+    assert probes is youngbound.probes
+    assert kernels.PreconditionError is exponents.PreconditionError
+
+
+_ISOLATION_PROBE = """
+import contextlib, io, json, sys
+
+NUMERICAL = ("youngbound.grids", "youngbound.kernels", "youngbound.probes")
+
+
+def numerical():
+    return sorted(
+        m for m in sys.modules
+        if m == "numpy" or m.startswith("numpy.") or m in NUMERICAL
+    )
+
+
+seen = {}
+import youngbound
+seen["import youngbound"] = numerical()
+import youngbound.cli as cli
+seen["import youngbound.cli"] = numerical()
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(cli.main(["check", "--scenario", sys.argv[1]]))
+    seen["check"] = numerical()
+    codes.append(cli.main(["sweep", "--scenario", sys.argv[2]]))
+    seen["sweep"] = numerical()
+    codes.append(cli.main(["probe", "--scenario", sys.argv[3]]))
+print(json.dumps({"seen": seen, "codes": codes, "kernels": "youngbound.kernels" in sys.modules}))
+"""
+
+
+def test_exact_commands_never_load_the_numerical_layer():
+    """A fresh interpreter runs `check` and `sweep` without importing numpy,
+    grids, kernels or probes; a probe then loads probes but not kernels."""
+    src = str(Path(youngbound.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    argv = [
+        str(SCENARIOS / f"{stem}.txt")
+        for stem in ("convolution_boundary", "weight_sweep", "gaussian_necessity")
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _ISOLATION_PROBE, *argv],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["seen"] == {
+        "import youngbound": [],
+        "import youngbound.cli": [],
+        "check": [],
+        "sweep": [],
+    }
+    assert result["codes"] == [EXIT_PASS, EXIT_PASS, EXIT_WITNESS]
+    assert not result["kernels"]
