@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -553,13 +555,63 @@ def test_shipped_scenario_records_are_strict_json(stem, capsys):
     _assert_matches_golden(payload, stem)
 
 
+R0_OPERATOR = "which = operator\ncase = 1\np = 1, 2, 2\ntrials = 1\n"
+
+
 def test_infinite_results_are_spelled_as_strings(tmp_path, capsys):
     """R(p) = 0 makes the kernel exponent r infinite; the record says "inf"
     rather than the non-JSON literal Infinity."""
-    path = write(tmp_path, "which = operator\ncase = 1\np = 1, 2, 2\ntrials = 1\n")
+    path = write(tmp_path, R0_OPERATOR)
     payload = _strict_record(["verify-lemmas", "--scenario", path], capsys)
     assert payload["results"]["report"]["r"] == "inf"
     _assert_matches_golden(payload, "operator_r0")
+
+
+# The two probe kinds no shipped scenario runs.  Their texts live here, not
+# under scenarios/, because every file there is a benchmark operation.
+EXTRA_PROBES = {
+    "probe_lower_bound": "kind = lower-bound\nt1 = 1/2\nt2 = -1/4\nalpha = 0.25\n",
+    "probe_norm_slope": "kind = norm-slope\nexponent = 3\nweight = 1/2\n",
+}
+
+
+def _golden_argv(stem, tmp_path):
+    if stem in SHIPPED_COMMANDS:
+        return [SHIPPED_COMMANDS[stem], "--scenario", str(SCENARIOS / f"{stem}.txt")]
+    if stem == "operator_r0":
+        return ["verify-lemmas", "--scenario", write(tmp_path, R0_OPERATOR)]
+    return ["probe", "--scenario", write(tmp_path, EXTRA_PROBES[stem])]
+
+
+def _csv_cells(text):
+    def cell(value):
+        try:
+            return float(value)
+        except ValueError:
+            return value
+
+    return [[cell(value) for value in row] for row in csv.reader(io.StringIO(text))]
+
+
+@pytest.mark.parametrize("stem", sorted(EXTRA_PROBES))
+def test_extra_probe_records_match_golden(stem, tmp_path, capsys):
+    _assert_matches_golden(_strict_record(_golden_argv(stem, tmp_path), capsys), stem)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+@pytest.mark.parametrize(
+    "stem", [*sorted(SHIPPED_COMMANDS), "operator_r0", *sorted(EXTRA_PROBES)]
+)
+def test_stdout_matches_golden(stem, fmt, tmp_path, capsys):
+    """Table text is compared exactly; csv cells as the records are, floats
+    to 1e-12 relative."""
+    main([*_golden_argv(stem, tmp_path), "--format", fmt])
+    got = capsys.readouterr().out
+    want = (GOLDEN / f"{stem}.{fmt}").read_text()
+    if fmt == "table":
+        assert got == want
+    else:
+        _assert_record_close(_csv_cells(got), _csv_cells(want), stem)
 
 
 def test_run_record_spells_every_non_finite_float():
