@@ -33,8 +33,8 @@ _EXPORTS = {
         "INF", "Classification", "ConditionRecord", "Exponent", "ExponentError",
         "ParamTuple", "PreconditionError", "Verdict", "binding_condition",
         "check_convolution", "check_modulation", "check_multiplication",
-        "check_weak_proposition", "conjugate", "g_functional", "h0", "h1", "h2",
-        "lemma_equivalence_holds", "remark_bound", "young_functional",
+        "check_weak_proposition", "classify", "conjugate", "g_functional", "h0",
+        "h1", "h2", "lemma_equivalence_holds", "remark_bound", "young_functional",
     ),
     "grids": (
         "Grid", "GridMismatchError", "ResolutionError", "ResolutionWarning",

@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .exponents import (
     Classification,
@@ -31,10 +31,7 @@ from .exponents import (
     PreconditionError,
     Verdict,
     binding_condition,
-    check_convolution,
-    check_modulation,
-    check_multiplication,
-    check_weak_proposition,
+    classify,
 )
 from .scenario import (
     RunRecord,
@@ -61,13 +58,6 @@ EXIT_INCONCLUSIVE = 3
 
 MAX_SWEEP_ROWS = 10_000
 MAX_TABLE_BYTES = 1 << 30
-
-# Complex n x (n/stride) short-time tables alive at once at the peak of a
-# modulation ladder.  `stft` holds its row block and its spectra together.
-# The product identity of the multiplication flavor holds its left side and
-# the factor table while `_xi_convolve_rows` holds a 2n-wide padded
-# spectrum and its 2n-wide inverse: 1 + 1 + 2 + 2.
-_LIVE_STFT_TABLES = {"modulation-convolution": 2, "modulation-multiplication": 6}
 
 SEP = "=" * 70
 SUBSEP = "-" * 70
@@ -102,13 +92,19 @@ def _grid_override(values: dict) -> Grid | None:
 
 
 def _check_table_bytes(nbytes: int) -> None:
-    """Refuse a run whose complex tables held at once would exceed the
-    memory cap, before anything is allocated."""
+    """Refuse a run whose tables held at once would exceed the memory cap,
+    before anything is allocated."""
     if nbytes > MAX_TABLE_BYTES:
         raise ScenarioError(
             f"the tables held at once would take {nbytes} bytes, above the cap of "
             f"{MAX_TABLE_BYTES}; lower grid_n"
         )
+
+
+def _param_tuple(values: dict) -> ParamTuple:
+    return ParamTuple(
+        d=values["d"], p=values["p"], t=values["t"], q=values.get("q"), s=values.get("s")
+    )
 
 
 def _params_line(values: dict) -> str:
@@ -140,24 +136,9 @@ def _trace_lines(verdict: Verdict) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _cmd_check(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
-    params = ParamTuple(
-        d=values["d"],
-        p=values["p"],
-        t=values["t"],
-        q=values.get("q"),
-        s=values.get("s"),
-    )
     flavor = values["flavor"]
     setting = values["setting"]
-    if setting == "lebesgue":
-        if flavor == "convolution":
-            verdict = check_convolution(params)
-        else:
-            verdict = check_multiplication(params)
-    elif setting == "modulation":
-        verdict = check_modulation(params, flavor=flavor, space=values["space"])
-    else:
-        verdict = check_weak_proposition(params)
+    verdict = classify(_param_tuple(values), flavor, setting, values.get("space", "M"))
 
     code = _CLASS_EXIT[verdict.classification]
     results = {"verdict": verdict, "binding_condition": binding_condition(verdict)}
@@ -198,156 +179,152 @@ def _cmd_check(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
 # probe
 # ---------------------------------------------------------------------------
 
-def _ladder_rows(xs, ys, xname: str, yname: str) -> list[list]:
-    rows: list[list] = [[xname, yname]]
-    rows.extend([x, y] for x, y in zip(xs, ys))
-    return rows
+def _ladder_rows(xs, ys, xname: str, yname: str) -> list:
+    return [[xname, yname], *zip(xs, ys)]
+
+
+def _fit_line(report, places: int, r2_places: int) -> str:
+    return (
+        f"fitted slope {report.fitted_slope:+.{places}f}  "
+        f"predicted {report.predicted_slope:+.{places}f}  "
+        f"r^2 {report.r_squared:.{r2_places}f}"
+    )
+
+
+def _witness_line(report, why: str) -> str:
+    return "violation witnessed: " + (f"YES ({why})" if report.witnessed else "no")
+
+
+def _show_gaussian(values: dict, report):
+    return _params_line(values), [
+        _fit_line(report, 4, 5),
+        f"fit within tolerance: {'yes' if report.passed else 'NO'}",
+        _witness_line(report, "ratio grows without bound"),
+    ], _ladder_rows(report.ladder_x, report.ladder_y, "x", "ratio")
+
+
+def _show_translation(values: dict, report):
+    return _params_line(values) + f"  pair={canonical_value(values['pair'])}", [
+        _fit_line(report, 4, 5),
+        f"output-norm variation: {report.conv_variation:.3e}",
+        _witness_line(report, "input norm product collapses"),
+    ], [
+        ["offset", "product", "conv_norm"],
+        *zip(report.offsets, report.products, report.conv_norms),
+    ]
+
+
+def _show_lower_bound(values: dict, report):
+    return f"t1={values['t1']}  t2={values['t2']}  alpha={values['alpha']}", [
+        f"envelope constant: {report.constant:.6e}",
+        f"minimum of the convolution on the window: {report.min_convolution:.6e}",
+        f"positive floor holds: {'yes' if report.passed else 'NO'}",
+    ], [
+        ["t1", "t2", "alpha", "window", "constant", "passed"],
+        [report.t1, report.t2, report.alpha, report.window, report.constant,
+         report.passed],
+    ]
+
+
+def _show_norm_slope(values: dict, report):
+    return f"exponent={values['exponent']}  weight={values['weight']}", [
+        _fit_line(report, 6, 6),
+        "calibration: " + ("PASS" if report.passed else "FAIL"),
+    ], _ladder_rows(report.ladder_x, report.ladder_y, "x", "norm")
+
+
+def _show_boundedness(values: dict, report):
+    lines = [
+        f"checker verdict: {report.classification} ({report.theorem_used})",
+        f"ratio ladder slope {report.fitted_slope:+.4f}  spread {report.spread:.3f}",
+    ]
+    if report.identity_rel_error is not None:
+        lines.append(f"product identity error: {report.identity_rel_error:.3e}")
+    lines.append("flat and uniformly bounded: " + ("PASS" if report.passed else "FAIL"))
+    return (
+        _params_line(values) + f"  flavor={values['flavor']}",
+        lines,
+        _ladder_rows(report.scales, report.ratios, "alpha", "ratio"),
+    )
+
+
+class _ProbeKind(NamedTuple):
+    # (probes module, values, grid override) -> report; the module is passed
+    # in because it loads numpy, which `check` and `sweep` never import.
+    run: Callable
+    # (values, report) -> (parameter line, result lines, csv rows)
+    show: Callable
+    # (values, report) -> whether the report witnesses a violation (exit 1)
+    witnessed: Callable
+
+
+_PROBES = {
+    "gaussian": _ProbeKind(
+        lambda pr, v, grid: pr.gaussian_necessity_probe(
+            _param_tuple(v), alphas=v.get("alphas"), grid=grid, tol=v["tol"]
+        ),
+        _show_gaussian,
+        lambda v, report: report.witnessed,
+    ),
+    "translation": _ProbeKind(
+        lambda pr, v, grid: pr.translation_necessity_probe(
+            _param_tuple(v), v["offsets"], pair=tuple(v["pair"]), grid=grid, tol=v["tol"]
+        ),
+        _show_translation,
+        lambda v, report: report.witnessed,
+    ),
+    "lower-bound": _ProbeKind(
+        lambda pr, v, grid: pr.gaussian_lower_bound_check(
+            v["t1"], v["t2"], v["alpha"], window=v["window"], grid=grid
+        ),
+        _show_lower_bound,
+        lambda v, report: False,
+    ),
+    "norm-slope": _ProbeKind(
+        lambda pr, v, grid: pr.gaussian_norm_slope(
+            v["exponent"], v["weight"], alphas=v.get("alphas"), grid=grid, tol=v["tol"]
+        ),
+        _show_norm_slope,
+        lambda v, report: False,
+    ),
+    "boundedness": _ProbeKind(
+        lambda pr, v, grid: pr.boundedness_sweep(
+            _param_tuple(v),
+            v["flavor"],
+            space=v["space"],
+            grid=grid,
+            stride=v["stride"],
+            slope_tol=v["tol"],
+            spread_cap=v["spread_cap"],
+        ),
+        _show_boundedness,
+        # A ladder that rises faster than its tolerance: the ratio grows.
+        lambda v, report: not report.passed and report.fitted_slope > v["tol"],
+    ),
+}
 
 
 def _cmd_probe(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
-    from .probes import (
-        boundedness_sweep,
-        gaussian_lower_bound_check,
-        gaussian_necessity_probe,
-        gaussian_norm_slope,
-        translation_necessity_probe,
-    )
+    from . import probes
 
     kind = values["kind"]
     grid = _grid_override(values)
     if grid is not None:  # the default grids are far below the cap
         nbytes = 16 * grid.n
         flavor = values.get("flavor")
-        if flavor in _LIVE_STFT_TABLES:
+        if flavor in probes.LIVE_STFT_TABLES:
             rows = grid.n // max(values["stride"], 1)
-            nbytes *= rows * _LIVE_STFT_TABLES[flavor]
+            nbytes *= rows * probes.LIVE_STFT_TABLES[flavor]
         _check_table_bytes(nbytes)
-    lines = [SEP, f"probe: {kind}", SEP]
 
-    if kind == "gaussian":
-        params = ParamTuple(d=values["d"], p=values["p"], t=values["t"])
-        report = gaussian_necessity_probe(
-            params, alphas=values.get("alphas"), grid=grid, tol=values["tol"]
-        )
-        code = (
-            EXIT_WITNESS
-            if report.witnessed
-            else (EXIT_PASS if report.passed else EXIT_INCONCLUSIVE)
-        )
-        lines.insert(2, _params_line(values))
-        lines.append(
-            f"fitted slope {report.fitted_slope:+.4f}  "
-            f"predicted {report.predicted_slope:+.4f}  "
-            f"r^2 {report.r_squared:.5f}"
-        )
-        lines.append(f"fit within tolerance: {'yes' if report.passed else 'NO'}")
-        lines.append(
-            "violation witnessed: "
-            + ("YES (ratio grows without bound)" if report.witnessed else "no")
-        )
-        rows = _ladder_rows(report.ladder_x, report.ladder_y, "x", "ratio")
-
-    elif kind == "translation":
-        params = ParamTuple(d=values["d"], p=values["p"], t=values["t"])
-        report = translation_necessity_probe(
-            params,
-            values["offsets"],
-            pair=tuple(values["pair"]),
-            grid=grid,
-            tol=values["tol"],
-        )
-        code = (
-            EXIT_WITNESS
-            if report.witnessed
-            else (EXIT_PASS if report.passed else EXIT_INCONCLUSIVE)
-        )
-        lines.insert(2, _params_line(values) + f"  pair={canonical_value(values['pair'])}")
-        lines.append(
-            f"fitted slope {report.fitted_slope:+.4f}  "
-            f"predicted {report.predicted_slope:+.4f}  "
-            f"r^2 {report.r_squared:.5f}"
-        )
-        lines.append(f"output-norm variation: {report.conv_variation:.3e}")
-        lines.append(
-            "violation witnessed: "
-            + ("YES (input norm product collapses)" if report.witnessed else "no")
-        )
-        rows = [["offset", "product", "conv_norm"]]
-        rows.extend(
-            [o, pr, cn]
-            for o, pr, cn in zip(report.offsets, report.products, report.conv_norms)
-        )
-
-    elif kind == "lower-bound":
-        report = gaussian_lower_bound_check(
-            values["t1"],
-            values["t2"],
-            values["alpha"],
-            window=values["window"],
-            grid=grid,
-        )
+    entry = _PROBES[kind]
+    report = entry.run(probes, values, grid)
+    if entry.witnessed(values, report):
+        code = EXIT_WITNESS
+    else:
         code = EXIT_PASS if report.passed else EXIT_INCONCLUSIVE
-        lines.insert(2, f"t1={values['t1']}  t2={values['t2']}  alpha={values['alpha']}")
-        lines.append(f"envelope constant: {report.constant:.6e}")
-        lines.append(f"minimum of the convolution on the window: {report.min_convolution:.6e}")
-        lines.append(f"positive floor holds: {'yes' if report.passed else 'NO'}")
-        rows = [["t1", "t2", "alpha", "window", "constant", "passed"]]
-        rows.append(
-            [report.t1, report.t2, report.alpha, report.window, report.constant, report.passed]
-        )
-
-    elif kind == "norm-slope":
-        report = gaussian_norm_slope(
-            values["exponent"],
-            values["weight"],
-            alphas=values.get("alphas"),
-            grid=grid,
-            tol=values["tol"],
-        )
-        code = EXIT_PASS if report.passed else EXIT_INCONCLUSIVE
-        lines.insert(2, f"exponent={values['exponent']}  weight={values['weight']}")
-        lines.append(
-            f"fitted slope {report.fitted_slope:+.6f}  "
-            f"predicted {report.predicted_slope:+.6f}  "
-            f"r^2 {report.r_squared:.6f}"
-        )
-        lines.append("calibration: " + ("PASS" if report.passed else "FAIL"))
-        rows = _ladder_rows(report.ladder_x, report.ladder_y, "x", "norm")
-
-    else:  # boundedness
-        params = ParamTuple(
-            d=values["d"],
-            p=values["p"],
-            t=values["t"],
-            q=values["q"],
-            s=values["s"],
-        )
-        report = boundedness_sweep(
-            params,
-            values["flavor"],
-            space=values["space"],
-            grid=grid,
-            stride=values["stride"],
-            slope_tol=values["tol"],
-            spread_cap=values["spread_cap"],
-        )
-        if report.passed:
-            code = EXIT_PASS
-        elif report.fitted_slope > values["tol"]:
-            code = EXIT_WITNESS
-        else:
-            code = EXIT_INCONCLUSIVE
-        lines.insert(2, _params_line(values) + f"  flavor={values['flavor']}")
-        lines.append(f"checker verdict: {report.classification} ({report.theorem_used})")
-        lines.append(
-            f"ratio ladder slope {report.fitted_slope:+.4f}  spread {report.spread:.3f}"
-        )
-        if report.identity_rel_error is not None:
-            lines.append(f"product identity error: {report.identity_rel_error:.3e}")
-        lines.append("flat and uniformly bounded: " + ("PASS" if report.passed else "FAIL"))
-        rows = _ladder_rows(report.scales, report.ratios, "alpha", "ratio")
-
-    lines.append(SEP)
+    params_line, body, rows = entry.show(values, report)
+    lines = [SEP, f"probe: {kind}", params_line, SEP, *body, SEP]
     return {"report": report}, code, lines, rows
 
 
@@ -357,14 +334,14 @@ def _cmd_probe(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
 
 def _cmd_verify(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
     from .kernels import (
+        OPERATOR_LIVE_TABLES,
         KernelParams,
         RegionParams,
         verify_lemma_intestimates,
         verify_prop_tf_bounds,
     )
 
-    which = values["which"]
-    if which == "slices":
+    if values["which"] == "slices":
         report = verify_lemma_intestimates(
             values["region"],
             KernelParams(t=values["t"], d=1),
@@ -373,7 +350,6 @@ def _cmd_verify(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
             scan_range=(values["scan_lo"], values["scan_hi"]),
             ratio_cap=values["ratio_cap"],
         )
-        code = EXIT_PASS if report.passed else EXIT_WITNESS
         lines = [
             SEP,
             f"verify slice envelope: region {report.region} (item {report.item})",
@@ -386,51 +362,44 @@ def _cmd_verify(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
             f"  cap {values['ratio_cap']:.2f} x median",
             "envelope verdict: " + ("PASS" if report.passed else "FAIL"),
         ]
-        if report.notes:
-            lines.append(f"note: {report.notes}")
-        lines.append(SEP)
-        rows: list[list] = [["scan_value", "slice_norm", "envelope", "ratio"]]
-        rows.extend(
-            [v, n, e, r]
-            for v, n, e, r in zip(
-                report.scan_values, report.slice_norms, report.envelopes, report.ratios
-            )
+        rows = [
+            ["scan_value", "slice_norm", "envelope", "ratio"],
+            *zip(report.scan_values, report.slice_norms, report.envelopes, report.ratios),
+        ]
+    else:
+        grid = _grid_override(values)
+        if grid is not None:
+            _check_table_bytes(8 * OPERATOR_LIVE_TABLES * grid.n * grid.n)
+        report = verify_prop_tf_bounds(
+            values["case"],
+            values["p"],
+            trials=values["trials"],
+            seed=args.seed if args.seed is not None else 0,
+            grid=grid,
+            kernel=values["kernel"],
+            slope_tol=values["slope_tol"],
+            spread_cap=values["spread_cap"],
         )
-        return {"report": report}, code, lines, rows
-
-    grid = _grid_override(values)
-    if grid is not None:
-        _check_table_bytes(16 * grid.n * grid.n)
-    report = verify_prop_tf_bounds(
-        values["case"],
-        values["p"],
-        trials=values["trials"],
-        seed=args.seed if args.seed is not None else 0,
-        grid=grid,
-        kernel=values["kernel"],
-        slope_tol=values["slope_tol"],
-        spread_cap=values["spread_cap"],
-    )
-    code = EXIT_PASS if report.passed else EXIT_WITNESS
-    lines = [
-        SEP,
-        f"verify operator bound: case {report.case}  p={','.join(report.p)}"
-        f"  kernel={report.kernel}",
-        SEP,
-        f"dual scale r = {report.r if report.r != float('inf') else 'inf'}",
-        f"per-trial dilation slopes: "
-        + ", ".join(f"{s:+.4f}" for s in report.slopes),
-        f"ratio spread {report.spread:.3f} (max {report.max_ratio:.4e}, "
-        f"min {report.min_ratio:.4e})",
-        "operator bound verdict: " + ("PASS" if report.passed else "FAIL"),
-    ]
+        lines = [
+            SEP,
+            f"verify operator bound: case {report.case}  p={','.join(report.p)}"
+            f"  kernel={report.kernel}",
+            SEP,
+            f"dual scale r = {report.r if report.r != float('inf') else 'inf'}",
+            f"per-trial dilation slopes: "
+            + ", ".join(f"{s:+.4f}" for s in report.slopes),
+            f"ratio spread {report.spread:.3f} (max {report.max_ratio:.4e}, "
+            f"min {report.min_ratio:.4e})",
+            "operator bound verdict: " + ("PASS" if report.passed else "FAIL"),
+        ]
+        rows = [["trial", "scale", "ratio"]]
+        for trial, trial_ratios in enumerate(report.ratios):
+            for scale, ratio in zip(report.scales, trial_ratios):
+                rows.append([trial, scale, ratio])
     if report.notes:
         lines.append(f"note: {report.notes}")
     lines.append(SEP)
-    rows = [["trial", "scale", "ratio"]]
-    for trial, trial_ratios in enumerate(report.ratios):
-        for scale, ratio in zip(report.scales, trial_ratios):
-            rows.append([trial, scale, ratio])
+    code = EXIT_PASS if report.passed else EXIT_WITNESS
     return {"report": report}, code, lines, rows
 
 
@@ -458,28 +427,24 @@ def _cmd_sweep(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
 
     flavor = values["flavor"]
     d = values["d"]
+    q = values.get("q")  # given exactly for multiplication sweeps
     weight_names = ("t0", "t1", "t2") if flavor == "convolution" else ("s0", "s1", "s2")
     rows: list[list] = [[*weight_names, "classification", "binding", "strict"]]
     counts = {c.value: 0 for c in Classification}
     records = []
-    for w0, w1, w2 in product(ladder, repeat=3):
-        w = (w0, w1, w2)
-        if flavor == "convolution":
-            verdict = check_convolution(ParamTuple(d=d, p=values["p"], t=w))
-        else:
-            verdict = check_multiplication(
-                ParamTuple(d=d, p=values["p"], t=w, q=values["q"], s=w)
-            )
-        strict = any(rec.strictness_required for rec in verdict.trace)
+    for w in product(ladder, repeat=3):
+        params = ParamTuple(d=d, p=values["p"], t=w, q=q, s=None if q is None else w)
+        verdict = classify(params, flavor)
+        weights = [str(v) for v in w]
+        label = verdict.classification.value
         binding = binding_condition(verdict)
-        counts[verdict.classification.value] += 1
-        rows.append(
-            [str(w0), str(w1), str(w2), verdict.classification.value, binding, strict]
-        )
+        strict = any(rec.strictness_required for rec in verdict.trace)
+        counts[label] += 1
+        rows.append([*weights, label, binding, strict])
         records.append(
             {
-                "weights": [str(w0), str(w1), str(w2)],
-                "classification": verdict.classification.value,
+                "weights": weights,
+                "classification": label,
                 "binding_condition": binding,
                 "strictness_engaged": strict,
             }

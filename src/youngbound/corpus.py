@@ -39,13 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exponents import (
-    Classification,
-    ParamTuple,
-    Verdict,
-    check_convolution,
-    check_multiplication,
-)
+from .exponents import Classification, ParamTuple, Verdict, classify
 
 __all__ = ["CorpusEntry", "CORPUS", "verdict_for", "shadow_tuple"]
 
@@ -65,33 +59,13 @@ class CorpusEntry:
     note: str = ""
 
 
-def _conv(name, p, t, expected, margin=F(0), probe=None, pair=None,
-          offsets=None, note=""):
-    return CorpusEntry(
-        name=name,
-        flavor="convolution",
-        params=ParamTuple(d=1, p=p, t=t),
-        expected=expected,
-        margin=margin,
-        probe=probe,
-        probe_pair=pair,
-        probe_offsets=offsets,
-        note=note,
-    )
+def _conv(name, p, t, *rest, **kw):
+    return CorpusEntry(name, "convolution", ParamTuple(d=1, p=p, t=t), *rest, **kw)
 
 
-def _mult(name, q, s, expected, margin=F(0), probe=None, pair=None,
-          offsets=None, note=""):
+def _mult(name, q, s, *rest, **kw):
     return CorpusEntry(
-        name=name,
-        flavor="multiplication",
-        params=ParamTuple(d=1, p=q, t=s, q=q, s=s),
-        expected=expected,
-        margin=margin,
-        probe=probe,
-        probe_pair=pair,
-        probe_offsets=offsets,
-        note=note,
+        name, "multiplication", ParamTuple(d=1, p=q, t=s, q=q, s=s), *rest, **kw
     )
 
 
@@ -117,7 +91,7 @@ CORPUS: tuple[CorpusEntry, ...] = (
     # -- convolution, Unbounded -------------------------------------------
     _conv("conv-total-222", (2, 2, 2), (0, 0, 0), U, F(1, 2), "gaussian"),
     _conv("conv-pair-222", (2, 2, 2), (1, 1, -2), U, F(1), "translation", (1, 2),
-          offsets=(8, 16, 24),
+          probe_offsets=(8, 16, 24),
           note="steep weight needs distant offsets for a clean power fit"),
     _conv("conv-pair-211", (2, 1, 1), (0, 1, -2), U, F(2), "translation", (1, 2)),
     _conv("conv-total-444", (4, 4, 4), (0, 0, 0), U, F(5, 4), "gaussian"),
@@ -158,9 +132,7 @@ CORPUS: tuple[CorpusEntry, ...] = (
 
 
 def verdict_for(entry: CorpusEntry) -> Verdict:
-    if entry.flavor == "convolution":
-        return check_convolution(entry.params)
-    return check_multiplication(entry.params)
+    return classify(entry.params, entry.flavor)
 
 
 def shadow_tuple(entry: CorpusEntry) -> ParamTuple:

@@ -50,6 +50,7 @@ __all__ = [
     "check_multiplication",
     "check_modulation",
     "check_weak_proposition",
+    "classify",
     "binding_condition",
 ]
 
@@ -445,9 +446,7 @@ def check_convolution(
     )
 
 
-def check_multiplication(
-    params: ParamTuple, *, range_bound: Fraction | None = None
-) -> Verdict:
+def check_multiplication(params: ParamTuple) -> Verdict:
     """Classify weighted multiplication on Fourier-Lebesgue spaces.
 
     Mirrors :func:`check_convolution` with the roles of (p, t) taken by
@@ -456,7 +455,6 @@ def check_multiplication(
     """
     if params.q is None or params.s is None:
         raise ValueError("multiplication check requires the q and s blocks")
-    upper = HALF if range_bound is None else Fraction(range_bound)
     return _young_check(
         params.d,
         params.q,
@@ -466,7 +464,7 @@ def check_multiplication(
         theorem="fourier_lebesgue_multiplication",
         alt_weights=params.t,
         alt_wname="t",
-        range_upper=upper,
+        range_upper=HALF,
     )
 
 
@@ -590,6 +588,25 @@ def check_weak_proposition(params: ParamTuple) -> Verdict:
             Classification.BOUNDED, "weak_young_convolution", tuple(trace)
         )
     return Verdict(Classification.UNDETERMINED, "none", tuple(trace))
+
+
+def classify(
+    params: ParamTuple, flavor: str, setting: str = "lebesgue", space: str = "M"
+) -> Verdict:
+    """The verdict of the one checker that answers ``flavor`` in ``setting``.
+
+    ``space`` ("M" or "W") applies to the modulation setting only; the
+    weak-type family covers convolution only.
+    """
+    if setting == "modulation":
+        return check_modulation(params, flavor, space)
+    if setting == "lebesgue" and flavor == "convolution":
+        return check_convolution(params)
+    if setting == "lebesgue" and flavor == "multiplication":
+        return check_multiplication(params)
+    if setting == "weak" and flavor == "convolution":
+        return check_weak_proposition(params)
+    raise ValueError(f"no checker for flavor {flavor!r} in setting {setting!r}")
 
 
 def binding_condition(verdict: Verdict) -> str:

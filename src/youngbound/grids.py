@@ -59,6 +59,9 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 EDGE_WARN_REL = 1e-10
+# Largest edge value e^{-alpha L^2} a Gaussian may keep on a box of
+# half-width L before the box is said to truncate it.
+GAUSSIAN_EDGE_TOL = 1e-12
 
 
 class GridMismatchError(ValueError):
@@ -294,13 +297,9 @@ def inverse_fourier_transform(fhat: SampledFunction) -> SampledFunction:
     return SampledFunction(target, vals)
 
 
-def fourier_lebesgue_norm(
-    f: SampledFunction, q, s, *, boundary_tol: float | None = 1e-6
-) -> float:
+def fourier_lebesgue_norm(f: SampledFunction, q, s) -> float:
     """|| fhat <.>^s ||_{L^q} on the dual grid."""
-    return weighted_lebesgue_norm(
-        fourier_transform(f, boundary_tol=boundary_tol), q, s
-    )
+    return weighted_lebesgue_norm(fourier_transform(f), q, s)
 
 
 def _warn_if_edge_heavy(f: SampledFunction, label: str) -> None:
@@ -454,18 +453,18 @@ def mixed_norm_2d(kernel: SampledKernel2d, p, q, order: int) -> float:
     return float(_axis_power_norm(inner, pf, cell, axis=None))
 
 
-def gaussian_resolution_guard(grid: Grid, alpha: float, tol: float = 1e-12) -> None:
+def gaussian_resolution_guard(grid: Grid, alpha: float) -> None:
     """Refuse a grid whose box visibly truncates e^{-alpha |x|^2}.
 
-    The edge value e^{-alpha L^2} must sit below ``tol``; probes call this
-    before trusting any ladder point.
+    The edge value e^{-alpha L^2} must sit below GAUSSIAN_EDGE_TOL; probes
+    call this before trusting any ladder point.
     """
     a = float(alpha)
     if a <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     edge = math.exp(-a * grid.extent ** 2)
-    if edge >= tol:
+    if edge >= GAUSSIAN_EDGE_TOL:
         raise ResolutionError(
             f"grid extent {grid.extent} truncates e^(-{a} x^2) at relative "
-            f"level {edge:.3e} (tolerance {tol:.1e}); enlarge the box"
+            f"level {edge:.3e} (tolerance {GAUSSIAN_EDGE_TOL:.1e}); enlarge the box"
         )

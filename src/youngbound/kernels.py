@@ -30,7 +30,6 @@ import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -371,6 +370,10 @@ def _slice_mask(region: int, x: np.ndarray, y: np.ndarray, rparams: RegionParams
     return region_codes(x, y, rparams) == region
 
 
+# Ratio between consecutive scan values of the slice verifier.
+SCAN_RATIO = 2.0 ** 0.25
+
+
 def verify_lemma_intestimates(
     region: int,
     kernel_params: KernelParams,
@@ -378,7 +381,6 @@ def verify_lemma_intestimates(
     p,
     *,
     scan_range: tuple[float, float] = (1.0, 100.0),
-    ladder_ratio: float = 2.0 ** 0.25,
     quad_points: int = 20001,
     ratio_cap: float = 3.0,
 ) -> SliceReport:
@@ -413,7 +415,7 @@ def verify_lemma_intestimates(
     v = lo
     while v <= hi * (1.0 + 1e-12):
         scan_values.append(v)
-        v *= ladder_ratio
+        v *= SCAN_RATIO
 
     norms: list[float] = []
     envelopes: list[float] = []
@@ -582,6 +584,10 @@ class PropReport:
 
 
 _DEFAULT_SCALES = (0.5, 2.0 ** -0.5, 1.0, 2.0 ** 0.5, 2.0)
+# Real n x n tables alive at once at the peak of an operator check: the
+# previous scale's kernel table while the next one is sampled, and the
+# sum, band argument and term inside `_GaussSum2d.sample`.
+OPERATOR_LIVE_TABLES = 4
 
 
 def verify_prop_tf_bounds(
@@ -591,7 +597,6 @@ def verify_prop_tf_bounds(
     trials: int = 4,
     seed: int = 0,
     grid: Grid | None = None,
-    scales: Sequence[float] | None = None,
     kernel: str = "bumps",
     slope_tol: float = 0.05,
     spread_cap: float = 10.0,
@@ -642,10 +647,7 @@ def verify_prop_tf_bounds(
 
     r_exp = float("inf") if r_val == 0 else float(1 / r_val)
     grid = grid or Grid(1, 16.0, 512)
-    if kernel == "ones":
-        scale_list = [1.0]
-    else:
-        scale_list = list(scales) if scales is not None else list(_DEFAULT_SCALES)
+    scale_list = [1.0] if kernel == "ones" else list(_DEFAULT_SCALES)
     rng = np.random.default_rng(seed)
     ax = grid.axis()
     p0c = exps[0].conjugate()

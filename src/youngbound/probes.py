@@ -34,10 +34,7 @@ from .exponents import (
     Exponent,
     ParamTuple,
     PreconditionError,
-    Verdict,
-    check_convolution,
-    check_modulation,
-    check_multiplication,
+    classify,
     young_functional,
 )
 from .grids import (
@@ -85,6 +82,20 @@ SWEEP_FLAVORS = (
     "modulation-convolution",
     "modulation-multiplication",
 )
+
+# Largest relative variation of the translation probe's output norm across
+# offsets: the offsets cancel exactly, so only rounding may move it.
+CONSTANCY_TOL = 1e-10
+# Largest relative error of the short-time product identity that a
+# modulation-multiplication ladder accepts.
+IDENTITY_TOL = 1e-6
+
+# Complex n x (n/stride) short-time tables alive at once at the peak of a
+# modulation ladder.  `stft` holds its row block and its spectra together.
+# The product identity of the multiplication flavor holds its left side and
+# the factor table while `_xi_convolve_rows` holds a 2n-wide padded
+# spectrum and its 2n-wide inverse: 1 + 1 + 2 + 2.
+LIVE_STFT_TABLES = {"modulation-convolution": 2, "modulation-multiplication": 6}
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +315,24 @@ def _slot1_nonneg_permutation(t) -> tuple[int, int, int]:
     )
 
 
+def _convolution_ratios(
+    params: ParamTuple, alphas: Sequence[float], grid: Grid
+) -> list[float]:
+    """||f1 * f2||_{L^{p0'}_{-t0}} / (||f1||_{L^{p1}_{t1}} ||f2||_{L^{p2}_{t2}})
+    along the Gaussian family of ``params.t``."""
+    fam = GaussianFamily(params.t)
+    p0c = params.p[0].conjugate()
+    ratios = []
+    for a in alphas:
+        f1 = fam.member(1, a, grid)
+        f2 = fam.member(2, a, grid)
+        num = weighted_lebesgue_norm(convolve(f1, f2), p0c, -params.t[0])
+        den = weighted_lebesgue_norm(f1, params.p[1], params.t[1]) * \
+            weighted_lebesgue_norm(f2, params.p[2], params.t[2])
+        ratios.append(num / den)
+    return ratios
+
+
 def gaussian_necessity_probe(
     params: ParamTuple,
     *,
@@ -328,17 +357,7 @@ def gaussian_necessity_probe(
     work = _permute_blocks(params, perm)
     grid = grid or PROBE_GRID
     alphas = list(alphas) if alphas is not None else list(DEFAULT_ALPHAS)
-
-    fam = GaussianFamily(work.t)
-    p0c = work.p[0].conjugate()
-    ratios = []
-    for a in alphas:
-        f1 = fam.member(1, a, grid)
-        f2 = fam.member(2, a, grid)
-        num = weighted_lebesgue_norm(convolve(f1, f2), p0c, -work.t[0])
-        den = weighted_lebesgue_norm(f1, work.p[1], work.t[1]) * \
-            weighted_lebesgue_norm(f2, work.p[2], work.t[2])
-        ratios.append(num / den)
+    ratios = _convolution_ratios(work, alphas, grid)
     inv = [1.0 / a for a in alphas]
     slope, _, r2 = fit_power_law(inv, ratios)
     predicted = float(
@@ -365,9 +384,7 @@ def translation_necessity_probe(
     *,
     pair: tuple[int, int] = (1, 2),
     grid: Grid | None = None,
-    family: BumpFamily | None = None,
     tol: float = 0.05,
-    constancy_tol: float = 1e-10,
 ) -> TranslationReport:
     """Separation probe for a pairwise weight condition.
 
@@ -389,7 +406,7 @@ def translation_necessity_probe(
     perm = _PAIR_TO_PERM[key]
     work = _permute_blocks(params, perm)
     grid = grid or TRANSLATION_GRID
-    fam = family or BumpFamily()
+    fam = BumpFamily()
 
     offs = [float(v) for v in offsets]
     if len(offs) < 2 or any(b <= a for a, b in zip(offs, offs[1:])):
@@ -430,7 +447,7 @@ def translation_necessity_probe(
     passed = (
         abs(slope - predicted) <= tol
         and r2 >= 0.99
-        and variation <= constancy_tol
+        and variation <= CONSTANCY_TOL
     )
     return TranslationReport(
         offsets=offs,
@@ -559,12 +576,10 @@ def boundedness_sweep(
     flavor: str,
     *,
     space: str = "M",
-    scales: Sequence[float] | None = None,
     grid: Grid | None = None,
     stride: int = 8,
     slope_tol: float = 0.05,
     spread_cap: float = 4.0,
-    identity_tol: float = 1e-6,
 ) -> SweepReport:
     """Consistency sweep for a tuple the exact checker calls Bounded.
 
@@ -591,22 +606,16 @@ def boundedness_sweep(
         raise ValueError(f"flavor must be one of {SWEEP_FLAVORS}, got {flavor!r}")
     _require_one_dimension(params, "boundedness_sweep")
 
-    if flavor == "convolution":
-        verdict = check_convolution(params)
-    elif flavor == "multiplication":
-        verdict = check_multiplication(params)
-    else:
-        verdict = check_modulation(params, flavor.split("-", 1)[1], space)
+    setting, _, base = flavor.rpartition("-")
+    verdict = classify(params, base, setting or "lebesgue", space)
     if verdict.classification is not Classification.BOUNDED:
         raise PreconditionError(
             f"boundedness_sweep needs a Bounded verdict, got "
             f"{verdict.classification.value} for flavor {flavor!r}"
         )
 
-    modulation = flavor.startswith("modulation")
-    if scales is None:
-        scales = MODULATION_ALPHAS if modulation else DEFAULT_ALPHAS
-    alphas = [float(a) for a in scales]
+    modulation = setting == "modulation"
+    alphas = list(MODULATION_ALPHAS if modulation else DEFAULT_ALPHAS)
     if grid is None:
         grid = MODULATION_GRID if modulation else PROBE_GRID
 
@@ -614,15 +623,7 @@ def boundedness_sweep(
     ratios: list[float] = []
 
     if flavor == "convolution":
-        fam = GaussianFamily(params.t)
-        p0c = params.p[0].conjugate()
-        for a in alphas:
-            f1 = fam.member(1, a, grid)
-            f2 = fam.member(2, a, grid)
-            num = weighted_lebesgue_norm(convolve(f1, f2), p0c, -params.t[0])
-            den = weighted_lebesgue_norm(f1, params.p[1], params.t[1]) * \
-                weighted_lebesgue_norm(f2, params.p[2], params.t[2])
-            ratios.append(num / den)
+        ratios = _convolution_ratios(params, alphas, grid)
     elif flavor == "multiplication":
         assert params.q is not None and params.s is not None
         dual = grid.dual()
@@ -650,7 +651,7 @@ def boundedness_sweep(
         window = SampledFunction(grid, np.exp(-x * x / 2.0))
         p0c = params.p[0].conjugate()
         q0c = params.q[0].conjugate()
-        mult = flavor.endswith("multiplication")
+        mult = base == "multiplication"
         mid = len(alphas) // 2
         for i, a in enumerate(alphas):
             gaussian_resolution_guard(grid, a)
@@ -686,7 +687,7 @@ def boundedness_sweep(
     spread = max(ratios) / min(ratios)
     passed = abs(slope) <= slope_tol and spread <= spread_cap
     if identity_err is not None:
-        passed = passed and identity_err <= identity_tol
+        passed = passed and identity_err <= IDENTITY_TOL
 
     return SweepReport(
         flavor=flavor,

@@ -367,6 +367,16 @@ def _validate_sweep(values: dict[str, object]) -> None:
         raise ScenarioError(f"d must be a positive integer, got {values['d']}")
 
 
+# command -> (sub-kind key or None, schema, validator, label).  A command
+# with a sub-kind key has one schema per sub-kind, and the label names it.
+_COMMANDS = {
+    "check": (None, _CHECK_FIELDS, _validate_check, "check"),
+    "probe": ("kind", _PROBE_FIELDS, _validate_probe, "probe kind {!r}"),
+    "verify-lemmas": ("which", _VERIFY_FIELDS, _validate_verify, "verify {}"),
+    "sweep": (None, _SWEEP_FIELDS, _validate_sweep, "sweep"),
+}
+
+
 def resolve_scenario(command: str, entries: dict[str, str]) -> dict[str, object]:
     """Validate raw entries against a command's schema and fill defaults.
 
@@ -374,43 +384,25 @@ def resolve_scenario(command: str, entries: dict[str, str]) -> dict[str, object]
     produced separately by :func:`canonical_value` so that defaulted keys
     appear alongside explicit ones.
     """
-    if command == "check":
-        values = _apply_schema(entries, _CHECK_FIELDS, "check")
-        _validate_check(values)
-        return values
-    if command == "probe":
-        kind = entries.get("kind")
-        if kind is None:
-            raise ScenarioError("probe: missing required key 'kind'")
-        kind = kind.strip()
-        if kind not in _PROBE_FIELDS:
+    if command not in _COMMANDS:
+        raise ScenarioError(f"unknown command {command!r}")
+    key, fields, validate, label = _COMMANDS[command]
+    if key is not None:
+        sub = entries.get(key)
+        if sub is None:
+            raise ScenarioError(f"{command}: missing required key {key!r}")
+        sub = sub.strip()
+        if sub not in fields:
             raise ScenarioError(
-                f"kind: must be one of {', '.join(sorted(_PROBE_FIELDS))}, got {kind!r}"
+                f"{key}: must be one of {', '.join(sorted(fields))}, got {sub!r}"
             )
-        rest = {k: v for k, v in entries.items() if k != "kind"}
-        values = _apply_schema(rest, _PROBE_FIELDS[kind], f"probe kind {kind!r}")
-        values["kind"] = kind
-        _validate_probe(values)
-        return values
-    if command == "verify-lemmas":
-        which = entries.get("which")
-        if which is None:
-            raise ScenarioError("verify-lemmas: missing required key 'which'")
-        which = which.strip()
-        if which not in _VERIFY_FIELDS:
-            raise ScenarioError(
-                f"which: must be 'slices' or 'operator', got {which!r}"
-            )
-        rest = {k: v for k, v in entries.items() if k != "which"}
-        values = _apply_schema(rest, _VERIFY_FIELDS[which], f"verify {which}")
-        values["which"] = which
-        _validate_verify(values)
-        return values
-    if command == "sweep":
-        values = _apply_schema(entries, _SWEEP_FIELDS, "sweep")
-        _validate_sweep(values)
-        return values
-    raise ScenarioError(f"unknown command {command!r}")
+        entries = {k: v for k, v in entries.items() if k != key}
+        fields, label = fields[sub], label.format(sub)
+    values = _apply_schema(entries, fields, label)
+    if key is not None:
+        values[key] = sub
+    validate(values)
+    return values
 
 
 def scenario_echo(values: dict[str, object]) -> dict[str, str]:

@@ -9,8 +9,19 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
+import pytest
+
 from youngbound.corpus import CORPUS, CorpusEntry, shadow_tuple, verdict_for
-from youngbound.exponents import Classification, young_functional
+from youngbound.exponents import (
+    Classification,
+    ParamTuple,
+    check_convolution,
+    check_modulation,
+    check_multiplication,
+    check_weak_proposition,
+    classify,
+    young_functional,
+)
 
 B = Classification.BOUNDED
 U = Classification.UNBOUNDED
@@ -96,3 +107,46 @@ def test_multiplication_rows_mirror_p_into_q():
         if entry.flavor == "multiplication":
             assert entry.params.q == entry.params.p
             assert entry.params.s == entry.params.t
+
+
+def _direct_verdicts(entry: CorpusEntry):
+    """(setting, space, verdict of the checker called directly) for every
+    setting the entry's blocks allow."""
+    params = entry.params
+    if entry.flavor == "convolution":
+        out = [
+            ("lebesgue", "M", check_convolution(params)),
+            ("weak", "M", check_weak_proposition(params)),
+        ]
+    else:
+        out = [("lebesgue", "M", check_multiplication(params))]
+    if params.q is not None and params.s is not None:
+        out += [
+            ("modulation", space, check_modulation(params, entry.flavor, space))
+            for space in ("M", "W")
+        ]
+    return out
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda entry: entry.name)
+def test_classify_matches_the_direct_checker(entry):
+    cases = _direct_verdicts(entry)
+    for setting, space, want in cases:
+        assert classify(entry.params, entry.flavor, setting, space) == want, setting
+    assert verdict_for(entry) == cases[0][2]
+
+
+@pytest.mark.parametrize(
+    "flavor, setting, space",
+    [
+        ("division", "lebesgue", "M"),
+        ("division", "modulation", "M"),
+        ("multiplication", "weak", "M"),
+        ("convolution", "besov", "M"),
+        ("convolution", "modulation", "Z"),
+    ],
+)
+def test_classify_rejects_questions_without_a_checker(flavor, setting, space):
+    params = ParamTuple(d=1, p=(2, 1, 2), t=(0, 0, 0), q=(2, 1, 2), s=(0, 0, 0))
+    with pytest.raises(ValueError):
+        classify(params, flavor, setting, space)

@@ -226,6 +226,16 @@ def test_sweep_validates_flavor_and_space():
         )
 
 
+@pytest.mark.parametrize(
+    "flavor",
+    ["division", "modulation-division", "weak-convolution", "lebesgue-convolution"],
+)
+def test_sweep_rejects_unknown_flavors(flavor):
+    params = ParamTuple(d=1, p=(2, 1, 2), t=(0, 0, 0), q=(2, 1, 2), s=(0, 0, 0))
+    with pytest.raises(ValueError, match="flavor must be one of"):
+        boundedness_sweep(params, flavor)
+
+
 def test_sweep_convolution_flat_case():
     report = boundedness_sweep(ParamTuple(d=1, p=(2, 1, 2), t=(0, 0, 0)), "convolution")
     assert report.passed

@@ -349,6 +349,79 @@ def test_probe_bad_kind_is_malformed(tmp_path, capsys):
     assert main(["probe", "--scenario", path]) == EXIT_MALFORMED
 
 
+# kind -> (scenario text, probes function that runs it)
+PROBE_KINDS = {
+    "gaussian": ("kind = gaussian\np = 2, 2, 2\n", "gaussian_necessity_probe"),
+    "translation": ("kind = translation\np = 2, 2, 2\n", "translation_necessity_probe"),
+    "lower-bound": (
+        "kind = lower-bound\nt1 = 1\nt2 = 0\nalpha = 0.25\n",
+        "gaussian_lower_bound_check",
+    ),
+    "norm-slope": ("kind = norm-slope\nexponent = 2\n", "gaussian_norm_slope"),
+    "boundedness": (
+        "kind = boundedness\nflavor = convolution\np = 2, 1, 2\n",
+        "boundedness_sweep",
+    ),
+}
+
+
+def _canned_report(kind, passed, witnessed=False, slope=0.0):
+    from youngbound import probes
+
+    if kind in ("gaussian", "norm-slope"):
+        return probes.ProbeReport(
+            kind, [1.0, 2.0], [1.0, 1.0], slope, 0.0, 1.0, 0.05, passed, witnessed
+        )
+    if kind == "translation":
+        return probes.TranslationReport(
+            [2.0, 4.0], [1.0, 1.0], [1.0, 1.0], slope, 0.0, 1.0, 0.0, (0, 1, 2),
+            passed, witnessed,
+        )
+    if kind == "lower-bound":  # a floor check has no witness field
+        return probes.BoundReport("1", "0", 0.25, 8.0, 1.0, 1.0, passed)
+    return probes.SweepReport(
+        "convolution", None, "Bounded", "weighted_young_convolution",
+        [1.0, 0.5], [1.0, 1.0], slope, 1.0, passed,
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, passed, witnessed, slope, expected",
+    [
+        ("gaussian", True, True, 0.0, EXIT_WITNESS),
+        ("gaussian", True, False, 0.0, EXIT_PASS),
+        ("gaussian", False, False, 0.0, EXIT_INCONCLUSIVE),
+        ("translation", True, True, 0.0, EXIT_WITNESS),
+        ("translation", True, False, 0.0, EXIT_PASS),
+        ("translation", False, False, 0.0, EXIT_INCONCLUSIVE),
+        # Calibrations witness nothing: a set witness flag is ignored.
+        ("norm-slope", True, True, 0.0, EXIT_PASS),
+        ("norm-slope", True, False, 0.0, EXIT_PASS),
+        ("norm-slope", False, False, 0.0, EXIT_INCONCLUSIVE),
+        ("lower-bound", True, False, 0.0, EXIT_PASS),
+        ("lower-bound", False, False, 0.0, EXIT_INCONCLUSIVE),
+        # A boundedness ladder witnesses by rising faster than tol = 0.05.
+        ("boundedness", True, False, 0.0, EXIT_PASS),
+        ("boundedness", True, False, 0.2, EXIT_PASS),
+        ("boundedness", False, False, 0.2, EXIT_WITNESS),
+        ("boundedness", False, False, 0.05, EXIT_INCONCLUSIVE),
+        ("boundedness", False, False, -0.2, EXIT_INCONCLUSIVE),
+    ],
+)
+def test_probe_exit_rule(
+    tmp_path, capsys, monkeypatch, kind, passed, witnessed, slope, expected
+):
+    """Each probe kind maps a report to its exit code; the runners return
+    canned reports, so no numerics run."""
+    text, runner = PROBE_KINDS[kind]
+    report = _canned_report(kind, passed, witnessed, slope)
+    for name in {r for _, r in PROBE_KINDS.values()}:
+        canned = report if name == runner else None
+        monkeypatch.setattr(f"youngbound.probes.{name}", lambda *a, _r=canned, **k: _r)
+    assert main(["probe", "--scenario", write(tmp_path, text)]) == expected
+    assert capsys.readouterr().out.startswith("=" * 70 + f"\nprobe: {kind}\n")
+
+
 # ---------------------------------------------------------------------------
 # verify-lemmas command
 # ---------------------------------------------------------------------------
@@ -661,6 +734,25 @@ def test_oversized_tables_are_refused_before_allocation(
     assert "above the cap" in capsys.readouterr().err
 
 
+def test_operator_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
+    """At grid_n = 8192 one real kernel table takes 512 MiB, but an operator
+    check holds four at its peak (2 GiB), so it exits 2 before sampling."""
+
+    def allocates(*args, **kwargs):
+        raise AssertionError("a table was allocated before the budget check")
+
+    monkeypatch.setattr("youngbound.kernels._GaussSum2d.sample", allocates)
+    path = write(
+        tmp_path,
+        "which = operator\ncase = 1\np = 2, 2, 2\nkernel = bumps\n"
+        "grid_n = 8192\ngrid_l = 16\n",
+    )
+    assert main(["verify-lemmas", "--scenario", path]) == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert "above the cap" in err
+    assert str(32 * 8192 * 8192) in err
+
+
 def test_product_identity_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
     """At grid_n = 4096, stride 1, one short-time table takes 256 MiB, under
     the cap, but the multiplication ladder holds six of them at its peak
@@ -712,7 +804,8 @@ def test_overflowing_weights_are_malformed_not_nan(tmp_path, capsys, text):
 PACKAGE_NAMES = {
     "exponents": "INF Classification ConditionRecord Exponent ExponentError "
     "ParamTuple Verdict binding_condition check_convolution check_modulation "
-    "check_multiplication check_weak_proposition conjugate g_functional h0 h1 h2 "
+    "check_multiplication check_weak_proposition classify conjugate g_functional "
+    "h0 h1 h2 "
     "lemma_equivalence_holds remark_bound young_functional",
     "grids": "Grid GridMismatchError ResolutionError ResolutionWarning "
     "SampledFunction SampledKernel2d StftTable bracket convolve "
@@ -746,6 +839,12 @@ def test_package_names_resolve_to_their_submodule_objects():
 
     assert probes is youngbound.probes
     assert kernels.PreconditionError is exponents.PreconditionError
+
+
+def test_export_table_names_are_in_each_submodule_all():
+    for module_name, names in youngbound._EXPORTS.items():
+        public = getattr(youngbound, module_name).__all__
+        assert [n for n in names if n not in public] == [], module_name
 
 
 _ISOLATION_PROBE = """
