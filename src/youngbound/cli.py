@@ -310,12 +310,9 @@ def _cmd_probe(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
     kind = values["kind"]
     grid = _grid_override(values)
     if grid is not None:  # the default grids are far below the cap
-        nbytes = 16 * grid.n
-        flavor = values.get("flavor")
-        if flavor in probes.LIVE_STFT_TABLES:
-            rows = grid.n // max(values["stride"], 1)
-            nbytes *= rows * probes.LIVE_STFT_TABLES[flavor]
-        _check_table_bytes(nbytes)
+        _check_table_bytes(
+            probes.peak_bytes(values.get("flavor"), grid, values.get("stride", 1))
+        )
 
     entry = _PROBES[kind]
     report = entry.run(probes, values, grid)
@@ -334,9 +331,9 @@ def _cmd_probe(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
 
 def _cmd_verify(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
     from .kernels import (
-        OPERATOR_LIVE_TABLES,
         KernelParams,
         RegionParams,
+        operator_peak_bytes,
         verify_lemma_intestimates,
         verify_prop_tf_bounds,
     )
@@ -369,7 +366,7 @@ def _cmd_verify(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
     else:
         grid = _grid_override(values)
         if grid is not None:
-            _check_table_bytes(8 * OPERATOR_LIVE_TABLES * grid.n * grid.n)
+            _check_table_bytes(operator_peak_bytes(grid))
         report = verify_prop_tf_bounds(
             values["case"],
             values["p"],
@@ -473,11 +470,14 @@ def _cmd_sweep(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
     return results, EXIT_PASS, lines, rows
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "probe": _cmd_probe,
-    "verify-lemmas": _cmd_verify,
-    "sweep": _cmd_sweep,
+# subcommand -> (handler, --help text)
+_COMMANDS = {
+    "check": (_cmd_check, "classify a parameter tuple with the exact checkers"),
+    "probe": (_cmd_probe, "run a numerical witness or calibration ladder"),
+    "verify-lemmas": (
+        _cmd_verify, "stress the slice envelopes or the mixed-norm operator bounds"
+    ),
+    "sweep": (_cmd_sweep, "tabulate verdicts over a cubic grid of weights"),
 }
 
 
@@ -513,22 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="stdout format (default: table)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "check", parents=[common],
-        help="classify a parameter tuple with the exact checkers",
-    )
-    sub.add_parser(
-        "probe", parents=[common],
-        help="run a numerical witness or calibration ladder",
-    )
-    sub.add_parser(
-        "verify-lemmas", parents=[common],
-        help="stress the slice envelopes or the mixed-norm operator bounds",
-    )
-    sub.add_parser(
-        "sweep", parents=[common],
-        help="tabulate verdicts over a cubic grid of weights",
-    )
+    for name, (_, help_text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
 
@@ -556,7 +542,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.grid_l is not None:
             entries["grid_l"] = repr(args.grid_l)
         values = resolve_scenario(args.command, entries)
-        results, code, lines, rows = _HANDLERS[args.command](values, args)
+        results, code, lines, rows = _COMMANDS[args.command][0](values, args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
@@ -567,27 +553,25 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 
-    record = RunRecord(
-        command=args.command,
-        scenario=scenario_echo(values),
-        results=results,
-        exit_code=code,
-        seed=args.seed,
-        started_at=started,
-        finished_at=_utc_now(),
-        versions=package_versions(),
-    )
-
     if args.format == "table":
         print("\n".join(lines))
-    elif args.format == "json":
-        print(record.to_json())
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerows(rows)
-
-    if args.out:
-        Path(args.out).write_text(record.to_json() + "\n")
+    elif args.format == "csv":
+        csv.writer(sys.stdout).writerows(rows)
+    if args.format == "json" or args.out:
+        record = RunRecord(
+            command=args.command,
+            scenario=scenario_echo(values),
+            results=results,
+            exit_code=code,
+            seed=args.seed,
+            started_at=started,
+            finished_at=_utc_now(),
+            versions=package_versions(),
+        ).to_json()
+        if args.format == "json":
+            print(record)
+        if args.out:
+            Path(args.out).write_text(record + "\n")
     return code
 
 

@@ -60,6 +60,9 @@ HALF = Fraction(1, 2)
 ZERO = Fraction(0)
 
 MODULATION_FLAVORS = ("convolution", "multiplication")
+# The flavors of a boundedness sweep: each flavor in the Lebesgue settings,
+# then in the modulation setting.
+SWEEP_FLAVORS = MODULATION_FLAVORS + tuple(f"modulation-{f}" for f in MODULATION_FLAVORS)
 MODULATION_SPACES = ("M", "W")
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "ResolutionError",
     "ResolutionWarning",
     "bracket",
-    "weight_array",
     "weighted_lebesgue_norm",
     "fourier_transform",
     "inverse_fourier_transform",
@@ -180,15 +179,6 @@ def bracket(point) -> float:
     return float(np.sqrt(1.0 + np.sum(arr * arr)))
 
 
-def weight_array(grid: Grid, exponent: float, *, dual: bool = False) -> np.ndarray:
-    """<x>^exponent sampled on the grid (or <xi>^exponent on the dual grid)."""
-    e = float(exponent)
-    if e == 0.0:
-        return np.ones(grid.shape)
-    ax = grid.dual_axis() if dual else grid.axis()
-    return np.sqrt(1.0 + ax * ax) ** e
-
-
 # ---------------------------------------------------------------------------
 # Norms
 # ---------------------------------------------------------------------------
@@ -218,6 +208,19 @@ def _axis_power_norm(
     return (np.sum(mag ** p, axis=axis) * cell) ** (1.0 / p)
 
 
+def _mixed_norm(
+    mag: np.ndarray, p: float, q: float, cells: tuple[float, float], p_inside: bool
+) -> float:
+    """L^p along axis 0 and L^q along axis 1 of a table of magnitudes, with
+    quadrature cells ``cells``; the L^p integral is inside when
+    ``p_inside``, else the L^q one."""
+    if p_inside:
+        inner = _axis_power_norm(mag, p, cells[0], axis=0)
+        return float(_axis_power_norm(inner, q, cells[1], axis=None))
+    inner = _axis_power_norm(mag, q, cells[1], axis=1)
+    return float(_axis_power_norm(inner, p, cells[0], axis=None))
+
+
 def weighted_lebesgue_norm(f: SampledFunction, p, t) -> float:
     """|| f <.>^t ||_{L^p} by the rectangle rule; sup norm when p = inf.
 
@@ -227,7 +230,10 @@ def weighted_lebesgue_norm(f: SampledFunction, p, t) -> float:
     zero, the weighted magnitude is inf * 0 = NaN); that is a
     ResolutionError.
     """
-    mag = np.abs(f.values) * weight_array(f.grid, float(t))
+    mag = np.abs(f.values)
+    if float(t) != 0.0:  # the weight <x>^0 is 1.0 exactly, and x * 1.0 is x
+        ax = f.grid.axis()
+        mag *= np.sqrt(1.0 + ax * ax) ** float(t)
     if not np.all(np.isfinite(mag)):
         if not np.all(np.isfinite(f.values)):
             raise ValueError("weighted_lebesgue_norm: non-finite samples")
@@ -237,23 +243,12 @@ def weighted_lebesgue_norm(f: SampledFunction, p, t) -> float:
             f"grid (|x| up to {reach:g}); the weight exponent is too large "
             "for this box"
         )
-    pf = _exponent_value(p)
-    if math.isinf(pf):
-        return float(np.max(mag))
-    return float((np.sum(mag ** pf) * f.grid.h) ** (1.0 / pf))
+    return float(_axis_power_norm(mag, _exponent_value(p), f.grid.h, axis=None))
 
 
 # ---------------------------------------------------------------------------
 # Transforms
 # ---------------------------------------------------------------------------
-
-def _centered_fft(values: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(values)))
-
-
-def _centered_ifft(values: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(values)))
-
 
 def fourier_transform(
     f: SampledFunction, *, boundary_tol: float | None = 1e-6
@@ -270,7 +265,8 @@ def fourier_transform(
     ResolutionError is raised.
     """
     g = f.grid
-    vals = _centered_fft(f.values) * (g.h * TWO_PI ** -0.5)
+    vals = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(f.values)))
+    vals *= g.h * TWO_PI ** -0.5
     out = SampledFunction(g.dual(), vals)
     if boundary_tol is not None:
         peak = float(np.max(np.abs(vals)))
@@ -293,7 +289,8 @@ def inverse_fourier_transform(fhat: SampledFunction) -> SampledFunction:
     """Inverse of :func:`fourier_transform`; the round trip is exact."""
     g = fhat.grid
     target = g.dual()
-    vals = _centered_ifft(fhat.values) * (g.n * g.h * TWO_PI ** -0.5)
+    vals = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(fhat.values)))
+    vals *= g.n * g.h * TWO_PI ** -0.5
     return SampledFunction(target, vals)
 
 
@@ -401,15 +398,8 @@ def stft_table_norm(table: StftTable, p, q, s, t, *, space: str = "M") -> float:
         a *= ((1.0 + table.x_positions ** 2) ** (float(t) / 2.0))[:, None]
     if float(s) != 0.0:
         a *= ((1.0 + grid.dual_axis() ** 2) ** (float(s) / 2.0))[None, :]
-    x_cell = grid.h * table.stride
-    xi_cell = grid.dual_spacing
-    if space == "M":
-        inner = _axis_power_norm(a, pf, x_cell, axis=0)
-        outer = _axis_power_norm(inner, qf, xi_cell, axis=None)
-    else:
-        inner = _axis_power_norm(a, qf, xi_cell, axis=1)
-        outer = _axis_power_norm(inner, pf, x_cell, axis=None)
-    return float(outer)
+    cells = (grid.h * table.stride, grid.dual_spacing)
+    return _mixed_norm(a, pf, qf, cells, p_inside=space == "M")
 
 
 def modulation_norm(
@@ -442,15 +432,11 @@ def mixed_norm_2d(kernel: SampledKernel2d, p, q, order: int) -> float:
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    pf = _exponent_value(p)
-    qf = _exponent_value(q)
-    mag = np.abs(kernel.values)
     cell = kernel.grid.h
-    if order == 1:
-        inner = _axis_power_norm(mag, pf, cell, axis=0)
-        return float(_axis_power_norm(inner, qf, cell, axis=None))
-    inner = _axis_power_norm(mag, qf, cell, axis=1)
-    return float(_axis_power_norm(inner, pf, cell, axis=None))
+    return _mixed_norm(
+        np.abs(kernel.values), _exponent_value(p), _exponent_value(q),
+        (cell, cell), p_inside=order == 1,
+    )
 
 
 def gaussian_resolution_guard(grid: Grid, alpha: float) -> None:

@@ -34,11 +34,12 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exponents import Exponent, PreconditionError, young_functional
+from .exponents import INF, Exponent, PreconditionError, young_functional
 from .grids import (
     Grid,
     SampledFunction,
     SampledKernel2d,
+    _axis_power_norm,
     bracket,
     mixed_norm_2d,
     weighted_lebesgue_norm,
@@ -311,15 +312,6 @@ class SliceReport:
     notes: str
 
 
-def _norm_exponent(p) -> Exponent:
-    """Coerce a norm exponent argument (int, Fraction, str, float, inf)."""
-    if isinstance(p, float):
-        if math.isinf(p):
-            return Exponent.of(None)
-        return Exponent.of(Fraction(p))
-    return Exponent.of(p)
-
-
 def _envelope(item: int, v: float, t, rp: Fraction, d: int) -> float:
     """Closed-form slice envelope at scan value v (bracket of the slice)."""
     t0, t1, t2 = t
@@ -366,10 +358,6 @@ def _slice_domain(region: int, v: float, rparams: RegionParams) -> tuple[float, 
     return (-w, w)
 
 
-def _slice_mask(region: int, x: np.ndarray, y: np.ndarray, rparams: RegionParams) -> np.ndarray:
-    return region_codes(x, y, rparams) == region
-
-
 # Ratio between consecutive scan values of the slice verifier.
 SCAN_RATIO = 2.0 ** 0.25
 
@@ -406,7 +394,7 @@ def verify_lemma_intestimates(
     if not (0 < lo < hi):
         raise ValueError(f"scan range must satisfy 0 < lo < hi, got {scan_range}")
 
-    p_exp = _norm_exponent(p)
+    p_exp = Exponent.of(p)
     rp, pf = p_exp.reciprocal(), float(p_exp)
     item = REGION_TO_ITEM[region]
     d = kernel_params.d
@@ -437,16 +425,13 @@ def verify_lemma_intestimates(
                 x, y = np.full_like(u, v), u
             else:
                 x, y = u, np.full_like(u, v)
-            mask = _slice_mask(region, x, y, region_params)
+            mask = region_codes(x, y, region_params) == region
             support = int(mask.sum())
             if support == 0:
                 norm = 0.0
             else:
                 vals = np.where(mask, _kernel_values(x, y, kernel_params.t), 0.0)
-                if math.isinf(pf):
-                    norm = float(np.max(vals))
-                else:
-                    norm = float((np.sum(vals ** pf) * du) ** (1.0 / pf))
+                norm = float(_axis_power_norm(vals, pf, du, axis=None))
         env = _envelope(item, v, kernel_params.t, rp, d)
         norms.append(norm)
         envelopes.append(env)
@@ -503,7 +488,7 @@ def verify_lemma_intestimates(
 class _GaussSum1d:
     """Sum of Gaussian bumps with exact dilation in the parameters."""
 
-    terms: tuple[tuple[float, float, float], ...]  # (amplitude, a, center)
+    terms: tuple[tuple[float, ...], ...]  # (amplitude, a, one center per axis)
 
     def sample(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x, dtype=float)
@@ -512,8 +497,11 @@ class _GaussSum1d:
         return out
 
     def dilated(self, lam: float) -> "_GaussSum1d":
-        return _GaussSum1d(
-            tuple((amp, a * lam * lam, c / lam) for amp, a, c in self.terms)
+        return type(self)(
+            tuple(
+                (amp, a * lam * lam, *(c / lam for c in centers))
+                for amp, a, *centers in self.terms
+            )
         )
 
 
@@ -530,8 +518,8 @@ def _band(mask: np.ndarray) -> slice | None:
 
 
 @dataclass(frozen=True)
-class _GaussSum2d:
-    terms: tuple[tuple[float, float, float, float], ...]  # (amp, a, u, v)
+class _GaussSum2d(_GaussSum1d):
+    """The same sum in two variables: each term has centers (u, v)."""
 
     def sample(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The sum on the outer grid of the 1-d axes x and y.
@@ -558,14 +546,6 @@ class _GaussSum2d:
             del arg, term  # one term's temporaries alive at a time
         return out
 
-    def dilated(self, lam: float) -> "_GaussSum2d":
-        return _GaussSum2d(
-            tuple(
-                (amp, a * lam * lam, u / lam, v / lam)
-                for amp, a, u, v in self.terms
-            )
-        )
-
 
 @dataclass
 class PropReport:
@@ -588,6 +568,11 @@ _DEFAULT_SCALES = (0.5, 2.0 ** -0.5, 1.0, 2.0 ** 0.5, 2.0)
 # previous scale's kernel table while the next one is sampled, and the
 # sum, band argument and term inside `_GaussSum2d.sample`.
 OPERATOR_LIVE_TABLES = 4
+
+
+def operator_peak_bytes(grid: Grid) -> int:
+    """The bytes an operator check on ``grid`` holds at its peak."""
+    return 8 * OPERATOR_LIVE_TABLES * grid.n * grid.n
 
 
 def verify_prop_tf_bounds(
@@ -652,27 +637,22 @@ def verify_prop_tf_bounds(
     ax = grid.axis()
     p0c = exps[0].conjugate()
 
-    def draw_1d() -> _GaussSum1d:
-        k = 2
+    def draw(k: int, dims: int) -> tuple:
+        """k terms (amplitude, width, one center per dimension)."""
         amps = rng.uniform(0.5, 1.5, k)
         widths = rng.uniform(0.5, 2.0, k)
-        centers = rng.uniform(-2.0, 2.0, k)
-        return _GaussSum1d(tuple(zip(amps, widths, centers)))
+        centers = [rng.uniform(-2.0, 2.0, k) for _ in range(dims)]
+        return tuple(zip(amps, widths, *centers))
 
-    def draw_2d() -> _GaussSum2d:
-        k = 3
-        amps = rng.uniform(0.5, 1.5, k)
-        widths = rng.uniform(0.5, 2.0, k)
-        us = rng.uniform(-2.0, 2.0, k)
-        vs = rng.uniform(-2.0, 2.0, k)
-        return _GaussSum2d(tuple(zip(amps, widths, us, vs)))
-
+    # Case 1 measures the kernel sup-in-x, cases 2 and 3 sup-in-y.
+    knorm_args = (INF, r_exp, 2) if case == 1 else (r_exp, INF, 1)
+    maps = {1: (t_f, t_theta_f), 2: (t_f,), 3: (t_theta_f,)}[case]
     ratios: list[list[float]] = []
     slopes: list[float] = []
     for _ in range(trials):
-        fsum = draw_1d()
-        gsum = draw_1d()
-        ksum = draw_2d() if kernel == "bumps" else None
+        fsum = _GaussSum1d(draw(2, 1))
+        gsum = _GaussSum1d(draw(2, 1))
+        ksum = _GaussSum2d(draw(3, 2)) if kernel == "bumps" else None
         row: list[float] = []
         for lam in scale_list:
             fl = SampledFunction(grid, fsum.dilated(lam).sample(ax))
@@ -682,15 +662,8 @@ def verify_prop_tf_bounds(
             else:
                 kl = ksum.dilated(lam)
                 ktab = SampledKernel2d(grid, kl.sample(ax, ax))
-            if case == 1:
-                knorm = mixed_norm_2d(ktab, Exponent.of(None), r_exp, order=2)
-                images = (t_f(ktab, fl, gl), t_theta_f(ktab, fl, gl))
-            elif case == 2:
-                knorm = mixed_norm_2d(ktab, r_exp, Exponent.of(None), order=1)
-                images = (t_f(ktab, fl, gl),)
-            else:
-                knorm = mixed_norm_2d(ktab, r_exp, Exponent.of(None), order=1)
-                images = (t_theta_f(ktab, fl, gl),)
+            knorm = mixed_norm_2d(ktab, *knorm_args)
+            images = [apply(ktab, fl, gl) for apply in maps]
             denom = (
                 knorm
                 * weighted_lebesgue_norm(fl, exps[1], 0)

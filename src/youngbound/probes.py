@@ -22,7 +22,6 @@ uniformly bounded along the whole ladder.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -30,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .exponents import (
+    SWEEP_FLAVORS,
     Classification,
     Exponent,
     ParamTuple,
@@ -38,6 +38,7 @@ from .exponents import (
     young_functional,
 )
 from .grids import (
+    TWO_PI,
     Grid,
     SampledFunction,
     convolve,
@@ -46,7 +47,6 @@ from .grids import (
     inverse_fourier_transform,
     stft,
     stft_table_norm,
-    weight_array,
     weighted_lebesgue_norm,
 )
 
@@ -66,8 +66,6 @@ __all__ = [
     "DEFAULT_ALPHAS",
 ]
 
-TWO_PI = 2.0 * math.pi
-
 DEFAULT_ALPHAS = tuple(2.0 ** (-k / 2.0) for k in range(13))
 MODULATION_ALPHAS = tuple(2.0 ** (-k / 2.0) for k in range(9))
 
@@ -75,13 +73,6 @@ PROBE_GRID = Grid(1, 48.0, 4096)
 TRANSLATION_GRID = Grid(1, 32.0, 2048)
 LOWER_BOUND_GRID = Grid(1, 18.0, 1024)
 MODULATION_GRID = Grid(1, 24.0, 2048)
-
-SWEEP_FLAVORS = (
-    "convolution",
-    "multiplication",
-    "modulation-convolution",
-    "modulation-multiplication",
-)
 
 # Largest relative variation of the translation probe's output norm across
 # offsets: the offsets cancel exactly, so only rounding may move it.
@@ -96,6 +87,17 @@ IDENTITY_TOL = 1e-6
 # the factor table while `_xi_convolve_rows` holds a 2n-wide padded
 # spectrum and its 2n-wide inverse: 1 + 1 + 2 + 2.
 LIVE_STFT_TABLES = {"modulation-convolution": 2, "modulation-multiplication": 6}
+# Bytes per grid point at the peak of any other probe: `convolve` holds two
+# n-point and several 2n-point complex arrays at once.
+PROBE_BYTES_PER_POINT = 128
+
+
+def peak_bytes(flavor: str | None, grid: Grid, stride: int) -> int:
+    """The bytes a probe of ``flavor`` on ``grid`` holds at its peak."""
+    if flavor in LIVE_STFT_TABLES:
+        rows = grid.n // max(stride, 1)
+        return 16 * grid.n * rows * LIVE_STFT_TABLES[flavor]
+    return PROBE_BYTES_PER_POINT * grid.n
 
 
 # ---------------------------------------------------------------------------
@@ -126,25 +128,16 @@ class BumpFamily:
 
     The transition is the smoothstep 6u^5 - 15u^4 + 10u^3, so the profile
     is twice continuously differentiable and supported in radius
-    plateau + width, which must not exceed 2.
+    plateau + width.
     """
 
-    plateau: float = 1.0
-    width: float = 0.25
-
-    def __post_init__(self) -> None:
-        if not (self.plateau >= 1.0 and self.width > 0.0):
-            raise ValueError("plateau must be >= 1 and width positive")
-        if self.plateau + self.width > 2.0:
-            raise ValueError("support radius plateau + width must be <= 2")
-
-    @property
-    def support_radius(self) -> float:
-        return self.plateau + self.width
+    plateau = 1.0
+    width = 0.25
+    support_radius = plateau + width
 
     def profile(self, x: np.ndarray) -> np.ndarray:
         r = np.abs(np.asarray(x, dtype=float))
-        u = np.clip((self.plateau + self.width - r) / self.width, 0.0, 1.0)
+        u = np.clip((self.support_radius - r) / self.width, 0.0, 1.0)
         return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
 
     def sample(self, grid: Grid, center: float = 0.0) -> SampledFunction:
@@ -627,19 +620,12 @@ def boundedness_sweep(
     elif flavor == "multiplication":
         assert params.q is not None and params.s is not None
         dual = grid.dual()
-        xi = dual.axis()
+        hats = GaussianFamily(params.s)
         q0c = params.q[0].conjugate()
         for a in alphas:
-            gaussian_resolution_guard(dual, a)
-            funcs = []
-            for j in (1, 2):
-                hat = (1.0 + xi * xi) ** (float(-params.s[j]) / 2.0) * np.exp(
-                    -a * xi * xi
-                )
-                funcs.append(
-                    inverse_fourier_transform(SampledFunction(dual, hat))
-                )
-            g1, g2 = funcs
+            g1, g2 = (
+                inverse_fourier_transform(hats.member(j, a, dual)) for j in (1, 2)
+            )
             product = SampledFunction(g1.grid, g1.values * g2.values)
             num = fourier_lebesgue_norm(product, q0c, -params.s[0])
             den = fourier_lebesgue_norm(g1, params.q[1], params.s[1]) * \

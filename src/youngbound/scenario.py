@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import platform
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import metadata
 
-from .exponents import Exponent, ExponentError
+from .exponents import MODULATION_FLAVORS, SWEEP_FLAVORS, Exponent, ExponentError
 
 __all__ = [
     "ScenarioError",
@@ -173,7 +172,7 @@ _GRID_FIELDS = {
 }
 
 _CHECK_FIELDS = {
-    "flavor": _Field("str", required=True, choices=("convolution", "multiplication")),
+    "flavor": _Field("str", required=True, choices=MODULATION_FLAVORS),
     "setting": _Field(
         "str", default="lebesgue", choices=("lebesgue", "modulation", "weak")
     ),
@@ -219,16 +218,7 @@ _PROBE_FIELDS: dict[str, dict[str, _Field]] = {
     },
     "boundedness": {
         "d": _Field("int", default=1),
-        "flavor": _Field(
-            "str",
-            required=True,
-            choices=(
-                "convolution",
-                "multiplication",
-                "modulation-convolution",
-                "modulation-multiplication",
-            ),
-        ),
+        "flavor": _Field("str", required=True, choices=SWEEP_FLAVORS),
         "space": _Field("str", default="M", choices=("M", "W")),
         "p": _Field("exponent_triple", required=True),
         "t": _Field("weight_triple", default=(Fraction(0),) * 3),
@@ -264,7 +254,7 @@ _VERIFY_FIELDS: dict[str, dict[str, _Field]] = {
 }
 
 _SWEEP_FIELDS = {
-    "flavor": _Field("str", required=True, choices=("convolution", "multiplication")),
+    "flavor": _Field("str", required=True, choices=MODULATION_FLAVORS),
     "d": _Field("int", default=1),
     "p": _Field("exponent_triple"),
     "q": _Field("exponent_triple"),
@@ -415,6 +405,8 @@ def scenario_echo(values: dict[str, object]) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 def _dist_version(name: str) -> str:
+    from importlib import metadata  # only a written record needs it
+
     try:
         return metadata.version(name)
     except metadata.PackageNotFoundError:  # not installed, e.g. direct source use
@@ -428,7 +420,7 @@ def package_versions() -> dict[str, str]:
     return {
         "artifact": _dist_version("artifact"),
         "numpy": _dist_version("numpy"),
-        "python": platform.python_version(),
+        "python": "{}.{}.{}".format(*sys.version_info),
     }
 
 
@@ -466,17 +458,7 @@ class RunRecord:
     record_version: int = RECORD_VERSION
 
     def to_json(self) -> str:
-        payload = {
-            "record_version": self.record_version,
-            "command": self.command,
-            "scenario": self.scenario,
-            "results": self.results,
-            "exit_code": self.exit_code,
-            "seed": self.seed,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "versions": self.versions,
-        }
+        payload = vars(self)
         try:
             return json.dumps(
                 payload, indent=2, sort_keys=True, allow_nan=False,

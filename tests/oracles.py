@@ -168,6 +168,28 @@ def weighted_table_norm(values, x_positions, xi_axis, x_cell, xi_cell, p, q, s, 
     return float(power_norm(power_norm(a, q, xi_cell, 1), p, x_cell, None))
 
 
+def loop_mixed_norm(table, p, q, cells, p_inside):
+    """L^p over the first index and L^q over the second of a nonnegative
+    table (nested lists), as python loops; the L^p sum is the inner one when
+    ``p_inside``.  p and q are floats, inf for sup, and ``cells`` holds the
+    quadrature cell of each index."""
+    rows, cols = len(table), len(table[0])
+
+    def power(vals, r, cell):
+        if math.isinf(r):
+            return max(vals)
+        total = 0.0
+        for v in vals:
+            total += v ** r
+        return (total * cell) ** (1.0 / r)
+
+    if p_inside:
+        inner = [power([table[i][j] for i in range(rows)], p, cells[0]) for j in range(cols)]
+        return power(inner, q, cells[1])
+    inner = [power([table[i][j] for j in range(cols)], q, cells[1]) for i in range(rows)]
+    return power(inner, p, cells[0])
+
+
 def gather_tf(kernel_matrix, fvals, gvals, h, block_rows):
     """T_F(f, g) in row blocks, the g factor gathered by fancy indexing:
     block[i, j] = F[i, j] f[j] g[i - j + n/2], zero off the grid."""

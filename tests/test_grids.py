@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from youngbound.grids import (
@@ -29,12 +30,14 @@ from youngbound.grids import (
     stft_table_norm,
     weighted_lebesgue_norm,
 )
+from youngbound.grids import _mixed_norm
 
 from oracles import (
     direct_convolution,
     direct_dft_centered,
     direct_stft_point,
     gaussian_lp_norm,
+    loop_mixed_norm,
     loop_stft_table,
     loop_weighted_norm,
     weighted_table_norm,
@@ -453,6 +456,37 @@ def test_mixed_norm_order_matters_for_entangled_kernels():
     one = mixed_norm_2d(kernel, 1, 4, order=1)
     two = mixed_norm_2d(kernel, 1, 4, order=2)
     assert one != pytest.approx(two, rel=1e-3)
+
+
+_MIXED_EXPONENTS = st.sampled_from([1, Fraction(3, 2), 2, "inf"])
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(0, 2 ** 32 - 1),
+    _MIXED_EXPONENTS,
+    _MIXED_EXPONENTS,
+    st.floats(0.01, 10.0),
+    st.floats(0.01, 10.0),
+)
+def test_prop_mixed_norm_matches_loop_oracle(seed, p, q, x_cell, y_cell):
+    """Both orders of the kernel mixed norm, and the routine under it with
+    unequal quadrature cells, agree with a loop coding on random
+    nonnegative tables (some entries exactly zero)."""
+    assume(x_cell != y_cell)
+    rng = np.random.default_rng(seed)
+    g = Grid(1, 4.0, 16)
+    table = rng.uniform(0.0, 3.0, (16, 16)) * (rng.uniform(size=(16, 16)) < 0.8)
+    pf, qf = (math.inf if v == "inf" else float(v) for v in (p, q))
+    kernel = SampledKernel2d(g, table)
+    for order in (1, 2):
+        expected = loop_mixed_norm(table.tolist(), pf, qf, (g.h, g.h), order == 1)
+        got = mixed_norm_2d(kernel, p, q, order)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+        cells = (x_cell, y_cell)
+        expected = loop_mixed_norm(table.tolist(), pf, qf, cells, order == 1)
+        got = _mixed_norm(table, pf, qf, cells, p_inside=order == 1)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_mixed_norm_validates_order():

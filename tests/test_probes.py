@@ -90,8 +90,6 @@ def test_bump_family_profile():
     prof = fam.profile(x)
     assert prof[0] == 1.0 and prof[2] == 1.0
     assert prof[3] == 0.0 and prof[4] == 0.0
-    with pytest.raises(ValueError):
-        BumpFamily(plateau=1.9, width=0.2)  # support exceeds 2
 
 
 # ---------------------------------------------------------------------------

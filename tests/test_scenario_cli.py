@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 from pathlib import Path
@@ -775,6 +776,70 @@ def test_product_identity_tables_count_against_the_cap(tmp_path, capsys, monkeyp
     assert str(6 * 16 * 4096 * 4096) in err
 
 
+def test_probe_points_count_against_the_cap(tmp_path, capsys, monkeypatch):
+    """At grid_n = 2**24 a gaussian probe is charged 128 bytes a point
+    (2 GiB), so it exits 2 before the probe runs."""
+
+    def runs(*args, **kwargs):
+        raise AssertionError("the probe ran before the budget check")
+
+    monkeypatch.setattr("youngbound.probes.gaussian_necessity_probe", runs)
+    path = write(
+        tmp_path, "kind = gaussian\np = 2, 2, 2\ngrid_n = 16777216\ngrid_l = 48\n"
+    )
+    assert main(["probe", "--scenario", path]) == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert "above the cap" in err
+    assert str(128 * 2 ** 24) in err
+
+
+# Every probe that is not a modulation ladder, with a box it resolves.
+_POINT_CHARGED_PROBES = {
+    "gaussian": ("kind = gaussian\np = 2, 2, 2\n", 48.0),
+    "translation": ("kind = translation\np = 2, 1, 1\nt = 0, 1, -2\n", 32.0),
+    "lower-bound": ("kind = lower-bound\nt1 = 1\nt2 = 0\nalpha = 0.25\n", 18.0),
+    "norm-slope": ("kind = norm-slope\nexponent = 2\nweight = 1\n", 48.0),
+    "convolution": (
+        "kind = boundedness\nflavor = convolution\np = 2, 2, 2\nt = 3/8, 3/8, 3/8\n", 48.0
+    ),
+    "multiplication": (
+        "kind = boundedness\nflavor = multiplication\np = 2, 2, 2\nt = 3/8, 3/8, 3/8\n",
+        48.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_POINT_CHARGED_PROBES))
+def test_probe_charge_covers_the_traced_peak(name, tmp_path, capsys):
+    """The bytes charged for a probe are at least the tracemalloc peak of
+    running it, and at most 1.5 times that peak, except for the norm-slope
+    ladder, which convolves nothing."""
+    from youngbound import probes
+    from youngbound.grids import Grid
+
+    text, extent = _POINT_CHARGED_PROBES[name]
+    path = write(tmp_path, text)
+    flavor = resolve_scenario("probe", parse_scenario_text(text)).get("flavor")
+
+    def run(n):
+        argv = ["probe", "--scenario", path, "--grid-n", str(n), "--grid-L", str(extent)]
+        assert main(argv) != EXIT_MALFORMED, capsys.readouterr().err
+
+    run(4096)  # one-time allocations (lazy imports, caches) are not per point
+    for n in (16384, 65536):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run(n)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        charge = probes.peak_bytes(flavor, Grid(1, extent, n), 1)
+        assert peak <= charge, (n, peak)
+        if name != "norm-slope":
+            assert charge <= 1.5 * peak, (n, peak)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -900,3 +965,30 @@ def test_exact_commands_never_load_the_numerical_layer():
     }
     assert result["codes"] == [EXIT_PASS, EXIT_PASS, EXIT_WITNESS]
     assert not result["kernels"]
+
+
+_RECORD_PROBE = """
+import contextlib, io, sys
+
+NAMES = ("importlib.metadata", "platform")
+before = {m for m in NAMES if m in sys.modules}
+import youngbound.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["check", "--scenario", sys.argv[1]])
+print(code, sorted({m for m in NAMES if m in sys.modules} - before))
+"""
+
+
+def test_table_check_builds_no_run_record():
+    """A table-format `check` writes no run record, so a fresh interpreter
+    running it loads neither importlib.metadata nor platform, unless they
+    were loaded before the command line was imported."""
+    src = str(Path(youngbound.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-c", _RECORD_PROBE, str(SCENARIOS / "convolution_boundary.txt")],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert proc.stdout.split() == [str(EXIT_PASS), "[]"]
