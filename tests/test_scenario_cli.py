@@ -641,11 +641,19 @@ def test_infinite_results_are_spelled_as_strings(tmp_path, capsys):
     _assert_matches_golden(payload, "operator_r0")
 
 
-# The two probe kinds no shipped scenario runs.  Their texts live here, not
-# under scenarios/, because every file there is a benchmark operation.
+# The probe kinds and ladder flavors no shipped scenario runs.  Their texts
+# live here, not under scenarios/, because every file there is a benchmark
+# operation.  The modulation ladders use the product-identity tuple of the
+# benchmark's modulation operations, at stride 8 on the default grid.
+_MODULATION_LADDER = (
+    "kind = boundedness\nflavor = modulation-{}\np = 2, 2, 2\nt = 1/4, 1/4, 0\n"
+    "q = 2, 1, 2\ns = 0, 0, 0\nstride = 8\n"
+)
 EXTRA_PROBES = {
     "probe_lower_bound": "kind = lower-bound\nt1 = 1/2\nt2 = -1/4\nalpha = 0.25\n",
     "probe_norm_slope": "kind = norm-slope\nexponent = 3\nweight = 1/2\n",
+    "probe_modulation_convolution": _MODULATION_LADDER.format("convolution"),
+    "probe_modulation_multiplication": _MODULATION_LADDER.format("multiplication"),
 }
 
 
