@@ -311,7 +311,7 @@ def _cmd_probe(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
     grid = _grid_override(values)
     if grid is not None:  # the default grids are far below the cap
         _check_table_bytes(
-            probes.peak_bytes(values.get("flavor"), grid, values.get("stride", 1))
+            probes.peak_bytes(kind, values.get("flavor"), grid, values.get("stride", 1))
         )
 
     entry = _PROBES[kind]

@@ -49,6 +49,7 @@ __all__ = [
     "fourier_lebesgue_norm",
     "convolve",
     "stft",
+    "stft_magnitudes",
     "stft_table_norm",
     "modulation_norm",
     "mixed_norm_2d",
@@ -157,16 +158,22 @@ class SampledKernel2d:
 
 @dataclass
 class StftTable:
-    """Short-time transform samples V(x_m, xi) on a strided x-lattice.
+    """Short-time transform samples V(x_m, xi_k) on a strided x-lattice.
 
-    ``values`` has shape (number of lattice points, n); row m is the slice
-    at x = x_positions[m] over the full dual axis.
+    ``values`` has shape (number of lattice points, number of columns); row
+    m is the slice at x = x_positions[m], column k sits at xi[k].  A table
+    from :func:`stft` holds complex V over the whole dual axis and has no
+    ``multiplicity``.  A table from :func:`stft_magnitudes` holds |V| at
+    xi >= 0 only, and column k stands for ``multiplicity[k]`` columns of
+    the full table: itself and its mirror -xi.
     """
 
     grid: Grid
     stride: int
     x_positions: np.ndarray
     values: np.ndarray
+    xi: np.ndarray
+    multiplicity: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -335,17 +342,7 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
 # Short-time transform and modulation-type norms
 # ---------------------------------------------------------------------------
 
-def stft(f: SampledFunction, window: SampledFunction, stride: int = 1) -> StftTable:
-    """V(x, xi) = transform of y -> f(y) conj(window(y - x)) at lattice x.
-
-    The window is shifted by whole samples (x runs over every stride-th grid
-    point), so no interpolation enters.
-
-    All rows come from one strided view of the zero-padded conjugate window
-    and are multiplied straight into the FFT input order; the centering
-    shifts are half-slice copies.  ``tests/oracles.py`` keeps the row-by-row
-    coding with explicit shifts, and the tests require equal bits.
-    """
+def _check_stft_inputs(f: SampledFunction, window: SampledFunction, stride: int) -> None:
     if f.grid != window.grid:
         raise GridMismatchError("stft: function and window on different grids")
     n = f.grid.n
@@ -354,15 +351,40 @@ def stft(f: SampledFunction, window: SampledFunction, stride: int = 1) -> StftTa
     if not np.any(np.abs(window.values) > 0.0):
         raise ValueError("stft: window is identically zero")
 
+
+def _window_rows(fv: np.ndarray, wv: np.ndarray, stride: int) -> np.ndarray:
+    """Rows y -> fv(y) wv(y - x_m) for x_m at every stride-th grid point, in
+    FFT input order (the centering shift is two half-slice products).
+
+    All rows come from one strided view of the zero-padded window.
+    """
+    n = fv.size
     half = n // 2
-    padded = np.zeros(2 * n, dtype=np.complex128)
-    padded[half : half + n] = np.conj(window.values)
+    padded = np.zeros(2 * n, dtype=wv.dtype)
+    padded[half : half + n] = wv
     # Row m is the window shifted to lattice index m * stride: samples
     # padded[n - m * stride :][:n].
     shifted = sliding_window_view(padded, n)[n:0:-stride]
-    rows = np.empty(shifted.shape, dtype=np.complex128)
-    np.multiply(f.values[half:], shifted[:, half:], out=rows[:, :half])
-    np.multiply(f.values[:half], shifted[:, :half], out=rows[:, half:])
+    rows = np.empty(shifted.shape, dtype=np.result_type(fv, wv))
+    np.multiply(fv[half:], shifted[:, half:], out=rows[:, :half])
+    np.multiply(fv[:half], shifted[:, :half], out=rows[:, half:])
+    return rows
+
+
+def stft(f: SampledFunction, window: SampledFunction, stride: int = 1) -> StftTable:
+    """V(x, xi) = transform of y -> f(y) conj(window(y - x)) at lattice x.
+
+    The window is shifted by whole samples (x runs over every stride-th grid
+    point), so no interpolation enters.
+
+    The rows are multiplied straight into the FFT input order and the
+    output centering shift is two half-slice copies.  ``tests/oracles.py``
+    keeps the row-by-row coding with explicit shifts, and the tests require
+    equal bits.
+    """
+    _check_stft_inputs(f, window, stride)
+    half = f.grid.n // 2
+    rows = _window_rows(f.values, np.conj(window.values), stride)
     spectra = np.fft.fft(rows, axis=1)
     del rows
     scale = f.grid.h * (TWO_PI ** -0.5)
@@ -374,6 +396,41 @@ def stft(f: SampledFunction, window: SampledFunction, stride: int = 1) -> StftTa
         stride=stride,
         x_positions=f.grid.axis()[::stride],
         values=table,
+        xi=f.grid.dual_axis(),
+    )
+
+
+def stft_magnitudes(
+    f: SampledFunction, window: SampledFunction, stride: int = 1
+) -> StftTable:
+    """|V(x, xi)| of a real function against a real window, at xi >= 0.
+
+    For real f and window V(x, -xi) is the conjugate of V(x, xi), so the
+    columns xi = k pi / L, k = 0 .. n/2, carry every magnitude of the
+    :func:`stft` table: column k counts twice for 0 < k < n/2, and once at
+    k = 0 and at k = n/2 (the full table's column -n/2).  The rows are
+    float64, one real FFT each, and magnitudes are taken once.
+    """
+    _check_stft_inputs(f, window, stride)
+    if np.any(f.values.imag != 0.0) or np.any(window.values.imag != 0.0):
+        raise ValueError("stft_magnitudes: function and window must be real")
+    grid = f.grid
+    half = grid.n // 2
+    rows = _window_rows(f.values.real, window.values.real, stride)
+    spectra = np.fft.rfft(rows, axis=1)
+    del rows
+    table = np.abs(spectra)
+    del spectra
+    table *= grid.h * (TWO_PI ** -0.5)
+    multiplicity = np.full(half + 1, 2.0)
+    multiplicity[[0, half]] = 1.0
+    return StftTable(
+        grid=grid,
+        stride=stride,
+        x_positions=grid.axis()[::stride],
+        values=table,
+        xi=np.arange(half + 1) * grid.dual_spacing,
+        multiplicity=multiplicity,
     )
 
 
@@ -385,20 +442,32 @@ def stft_table_norm(table: StftTable, p, q, s, t, *, space: str = "M") -> float:
     - space "M": inner L^p in x, outer L^q in xi;
     - space "W": inner L^q in xi, outer L^p in x.
 
-    Quadrature cells are stride h in x and pi / L in xi.
+    Quadrature cells are stride h in x and pi / L in xi.  A column that
+    stands for m columns of the full table is weighted m^{1/q} (1 when
+    q = inf): the inner L^p norm is homogeneous, so in both spaces this
+    adds m times the column's q-th power to the L^q sum.
     """
     if space not in ("M", "W"):
         raise ValueError(f"space must be 'M' or 'W', got {space!r}")
-    grid = table.grid
     pf = _exponent_value(p)
     qf = _exponent_value(q)
-    a = np.abs(table.values)
+    weights = []
     # A zero exponent gives the weight 1.0 exactly, and x * 1.0 is x.
     if float(t) != 0.0:
-        a *= ((1.0 + table.x_positions ** 2) ** (float(t) / 2.0))[:, None]
+        weights.append(((1.0 + table.x_positions ** 2) ** (float(t) / 2.0))[:, None])
+    column = None
     if float(s) != 0.0:
-        a *= ((1.0 + grid.dual_axis() ** 2) ** (float(s) / 2.0))[None, :]
-    cells = (grid.h * table.stride, grid.dual_spacing)
+        column = (1.0 + table.xi ** 2) ** (float(s) / 2.0)
+    if table.multiplicity is not None and not math.isinf(qf):
+        folded = table.multiplicity ** (1.0 / qf)
+        column = folded if column is None else column * folded
+    if column is not None:
+        weights.append(column[None, :])
+    a = np.abs(table.values) if np.iscomplexobj(table.values) else table.values
+    for weight in weights:
+        # Never scale the table in place: one table serves several norms.
+        a = a * weight if a is table.values else np.multiply(a, weight, out=a)
+    cells = (table.grid.h * table.stride, table.grid.dual_spacing)
     return _mixed_norm(a, pf, qf, cells, p_inside=space == "M")
 
 

@@ -566,13 +566,17 @@ class PropReport:
 _DEFAULT_SCALES = (0.5, 2.0 ** -0.5, 1.0, 2.0 ** 0.5, 2.0)
 # Real n x n tables alive at once at the peak of an operator check: the
 # previous scale's kernel table while the next one is sampled, and the
-# sum, band argument and term inside `_GaussSum2d.sample`.
+# sum, band argument and term inside `_GaussSum2d.sample`, whose `exp`
+# also holds a one-byte mask of the band.  Beside them lie a few n-point
+# arrays.
 OPERATOR_LIVE_TABLES = 4
+OPERATOR_BYTES_PER_POINT = 128
 
 
 def operator_peak_bytes(grid: Grid) -> int:
     """The bytes an operator check on ``grid`` holds at its peak."""
-    return 8 * OPERATOR_LIVE_TABLES * grid.n * grid.n
+    n = grid.n
+    return (8 * OPERATOR_LIVE_TABLES + 1) * n * n + OPERATOR_BYTES_PER_POINT * n
 
 
 def verify_prop_tf_bounds(

@@ -46,6 +46,7 @@ from .grids import (
     gaussian_resolution_guard,
     inverse_fourier_transform,
     stft,
+    stft_magnitudes,
     stft_table_norm,
     weighted_lebesgue_norm,
 )
@@ -81,23 +82,28 @@ CONSTANCY_TOL = 1e-10
 # modulation-multiplication ladder accepts.
 IDENTITY_TOL = 1e-6
 
-# Complex n x (n/stride) short-time tables alive at once at the peak of a
-# modulation ladder.  `stft` holds its row block and its spectra together.
-# The product identity of the multiplication flavor holds its left side and
-# the factor table while `_xi_convolve_rows` holds a 2n-wide padded
-# spectrum and its 2n-wide inverse: 1 + 1 + 2 + 2.
-LIVE_STFT_TABLES = {"modulation-convolution": 2, "modulation-multiplication": 6}
-# Bytes per grid point at the peak of any other probe: `convolve` holds two
-# n-point and several 2n-point complex arrays at once.
+# A modulation ladder holds, at its peak, this many complex n x (n/stride)
+# short-time tables' worth of bytes.  A magnitude table is built from a
+# float64 row block and its half-width complex spectra, one complex table
+# together, and the norms of the finished float64 table take less.  The
+# product identity of the multiplication flavor holds its left side and the
+# factor table while `_xi_convolve_rows` holds a 2n-wide padded spectrum and
+# its 2n-wide inverse: 1 + 1 + 2 + 2.
+LIVE_STFT_TABLES = {"modulation-convolution": 1, "modulation-multiplication": 6}
+# Bytes per grid point that a probe holds at its peak besides short-time
+# tables: `convolve` holds two n-point and several 2n-point complex arrays
+# at once.
 PROBE_BYTES_PER_POINT = 128
+# The norm-slope calibration convolves nothing: a few n-point arrays.
+NORM_SLOPE_BYTES_PER_POINT = 64
 
 
-def peak_bytes(flavor: str | None, grid: Grid, stride: int) -> int:
-    """The bytes a probe of ``flavor`` on ``grid`` holds at its peak."""
-    if flavor in LIVE_STFT_TABLES:
-        rows = grid.n // max(stride, 1)
-        return 16 * grid.n * rows * LIVE_STFT_TABLES[flavor]
-    return PROBE_BYTES_PER_POINT * grid.n
+def peak_bytes(kind: str, flavor: str | None, grid: Grid, stride: int) -> int:
+    """The bytes a probe of ``kind`` (and ladder ``flavor``) on ``grid``
+    holds at its peak."""
+    per_point = NORM_SLOPE_BYTES_PER_POINT if kind == "norm-slope" else PROBE_BYTES_PER_POINT
+    rows = grid.n // max(stride, 1)
+    return 16 * grid.n * rows * LIVE_STFT_TABLES.get(flavor, 0) + per_point * grid.n
 
 
 # ---------------------------------------------------------------------------
@@ -646,19 +652,20 @@ def boundedness_sweep(
             if mult:
                 target = SampledFunction(grid, f.values * f.values)
             else:
-                target = convolve(f, f)
-            num_table = stft(target, window, stride)
+                # f * f is real; its imaginary part is rounding.
+                target = SampledFunction(grid, convolve(f, f).values.real)
             num = stft_table_norm(
-                num_table, p0c, q0c, -params.s[0], -params.t[0], space=space
+                stft_magnitudes(target, window, stride),
+                p0c, q0c, -params.s[0], -params.t[0], space=space,
             )
             if mult and i == mid:
                 # The product identity at the middle scale: its phi is the
-                # ladder window, so this numerator table is its left side.
+                # ladder window, so the complex numerator table is its left
+                # side.
                 identity_err = _stft_product_identity_error(
-                    f, f, stride, lhs=num_table.values
+                    f, f, stride, lhs=stft(target, window, stride).values
                 )
-            del num_table  # each n=2048 table is tens of MB
-            den_table = stft(f, window, stride)
+            den_table = stft_magnitudes(f, window, stride)
             den = 1.0
             for j in (1, 2):
                 den *= stft_table_norm(

@@ -27,6 +27,7 @@ from youngbound.grids import (
     mixed_norm_2d,
     modulation_norm,
     stft,
+    stft_magnitudes,
     stft_table_norm,
     weighted_lebesgue_norm,
 )
@@ -389,17 +390,55 @@ def test_prop_table_norm_bitwise_equals_oracle(seed, p, q, s, t, space):
     assert stft_table_norm(table, p, q, s, t, space=space) == expected
 
 
-def test_stft_validates_inputs():
+@settings(max_examples=80)
+@given(
+    _stft_inputs(),
+    st.sampled_from([1.0, 2.0, math.inf]),
+    st.sampled_from([1.0, 2.0, math.inf]),
+    st.sampled_from([0.0, 0.5, -1.0]),
+    st.sampled_from([0.0, -0.5, 1.0]),
+    st.sampled_from(["M", "W"]),
+)
+def test_prop_magnitude_table_norm_equals_complex_table_norm(inputs, p, q, s, t, space):
+    """The half-width magnitude table of real data, with its mirror columns
+    folded into the column weight, gives the norm of the full complex table
+    to 1e-12 relative."""
+    n, stride, seed, extent = inputs
+    rng = np.random.default_rng(seed)
+    g = Grid(1, extent, n)
+    f = SampledFunction(g, rng.standard_normal(n))
+    w = SampledFunction(g, rng.standard_normal(n))
+    half = stft_magnitudes(f, w, stride)
+    full = stft(f, w, stride)
+    assert half.values.shape == (n // stride, n // 2 + 1)
+    assert np.array_equal(half.x_positions, full.x_positions)
+    expected = stft_table_norm(full, p, q, s, t, space=space)
+    got = stft_table_norm(half, p, q, s, t, space=space)
+    assert got == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("build", [stft, stft_magnitudes])
+def test_stft_validates_inputs(build):
     g = Grid(1, 8.0, 128)
     f = sample(g, gaussian(1.0))
     w = sample(g, gaussian(0.5))
     with pytest.raises(ValueError):
-        stft(f, w, stride=3)  # 3 does not divide 128
+        build(f, w, stride=3)  # 3 does not divide 128
     with pytest.raises(ValueError):
-        stft(f, SampledFunction(g, np.zeros(g.n, dtype=np.complex128)))
+        build(f, SampledFunction(g, np.zeros(g.n, dtype=np.complex128)))
     other = sample(Grid(1, 4.0, 128), gaussian(0.5))
     with pytest.raises(GridMismatchError):
-        stft(f, other)
+        build(f, other)
+
+
+def test_stft_magnitudes_rejects_complex_input():
+    g = Grid(1, 8.0, 128)
+    f = sample(g, gaussian(1.0))
+    w = sample(g, gaussian(0.5))
+    tilted = SampledFunction(g, w.values * np.exp(1e-3j * g.axis()))
+    for args in ((tilted, w), (f, tilted)):
+        with pytest.raises(ValueError, match="must be real"):
+            stft_magnitudes(*args)
 
 
 def test_moyal_identity_for_gaussians():

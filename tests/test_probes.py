@@ -275,27 +275,33 @@ _MODULATION_TUPLE = ParamTuple(
 
 
 @pytest.mark.parametrize(
-    "flavor, tables",
-    [("modulation-multiplication", 19), ("modulation-convolution", 18)],
+    "flavor, complex_tables",
+    [("modulation-multiplication", 2), ("modulation-convolution", 0)],
 )
-def test_modulation_ladder_builds_each_table_once(monkeypatch, flavor, tables):
-    """Nine scales: one numerator and one shared denominator table each
-    (f1 = f2), plus the half-window table of the product identity, whose
-    left side is the middle numerator table."""
+def test_modulation_ladder_builds_each_table_once(monkeypatch, flavor, complex_tables):
+    """Nine scales: one numerator and one shared denominator magnitude table
+    each (f1 = f2).  Only the product identity builds complex tables: its
+    left side, the middle numerator's, and its half-window table."""
     from youngbound import probes
 
-    calls = []
+    calls = {"stft": 0, "stft_magnitudes": 0}
 
-    def counting_stft(*args, **kwargs):
-        calls.append(args[1:])
-        return stft(*args, **kwargs)
+    def counting(name):
+        builder = getattr(probes, name)
 
-    monkeypatch.setattr(probes, "stft", counting_stft)
+        def build(*args, **kwargs):
+            calls[name] += 1
+            return builder(*args, **kwargs)
+
+        return build
+
+    for name in calls:
+        monkeypatch.setattr(probes, name, counting(name))
     report = boundedness_sweep(
         _MODULATION_TUPLE, flavor, space="M", grid=Grid(1, 24.0, 256)
     )
     assert len(report.scales) == 9
-    assert len(calls) == tables
+    assert calls == {"stft": complex_tables, "stft_magnitudes": 18}
 
 
 def test_product_identity_reuse_is_bitwise():

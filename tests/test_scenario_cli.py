@@ -646,14 +646,16 @@ def test_infinite_results_are_spelled_as_strings(tmp_path, capsys):
 # operation.  The modulation ladders use the product-identity tuple of the
 # benchmark's modulation operations, at stride 8 on the default grid.
 _MODULATION_LADDER = (
-    "kind = boundedness\nflavor = modulation-{}\np = 2, 2, 2\nt = 1/4, 1/4, 0\n"
-    "q = 2, 1, 2\ns = 0, 0, 0\nstride = 8\n"
+    "kind = boundedness\nflavor = {}\np = 2, 2, 2\nt = 1/4, 1/4, 0\n"
+    "q = 2, 1, 2\ns = 0, 0, 0\nstride = {}\n"
 )
 EXTRA_PROBES = {
     "probe_lower_bound": "kind = lower-bound\nt1 = 1/2\nt2 = -1/4\nalpha = 0.25\n",
     "probe_norm_slope": "kind = norm-slope\nexponent = 3\nweight = 1/2\n",
-    "probe_modulation_convolution": _MODULATION_LADDER.format("convolution"),
-    "probe_modulation_multiplication": _MODULATION_LADDER.format("multiplication"),
+    "probe_modulation_convolution": _MODULATION_LADDER.format("modulation-convolution", 8),
+    "probe_modulation_multiplication": _MODULATION_LADDER.format(
+        "modulation-multiplication", 8
+    ),
 }
 
 
@@ -737,6 +739,7 @@ def test_oversized_tables_are_refused_before_allocation(
         raise AssertionError("a table was allocated before the budget check")
 
     monkeypatch.setattr("youngbound.probes.stft", allocates)
+    monkeypatch.setattr("youngbound.probes.stft_magnitudes", allocates)
     monkeypatch.setattr("youngbound.kernels._GaussSum2d.sample", allocates)
     code = main([command, "--scenario", write(tmp_path, text)])
     assert code == EXIT_MALFORMED
@@ -745,7 +748,8 @@ def test_oversized_tables_are_refused_before_allocation(
 
 def test_operator_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
     """At grid_n = 8192 one real kernel table takes 512 MiB, but an operator
-    check holds four at its peak (2 GiB), so it exits 2 before sampling."""
+    check holds four and a one-byte mask at its peak (2.06 GiB), so it exits
+    2 before sampling."""
 
     def allocates(*args, **kwargs):
         raise AssertionError("a table was allocated before the budget check")
@@ -759,7 +763,7 @@ def test_operator_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
     assert main(["verify-lemmas", "--scenario", path]) == EXIT_MALFORMED
     err = capsys.readouterr().err
     assert "above the cap" in err
-    assert str(32 * 8192 * 8192) in err
+    assert str(33 * 8192 * 8192 + 128 * 8192) in err
 
 
 def test_product_identity_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
@@ -771,6 +775,7 @@ def test_product_identity_tables_count_against_the_cap(tmp_path, capsys, monkeyp
         raise AssertionError("a table was allocated before the budget check")
 
     monkeypatch.setattr("youngbound.probes.stft", allocates)
+    monkeypatch.setattr("youngbound.probes.stft_magnitudes", allocates)
     path = write(
         tmp_path,
         "kind = boundedness\nflavor = modulation-multiplication\nd = 1\n"
@@ -781,7 +786,7 @@ def test_product_identity_tables_count_against_the_cap(tmp_path, capsys, monkeyp
     assert main(["probe", "--scenario", path]) == EXIT_MALFORMED
     err = capsys.readouterr().err
     assert "above the cap" in err
-    assert str(6 * 16 * 4096 * 4096) in err
+    assert str(6 * 16 * 4096 * 4096 + 128 * 4096) in err
 
 
 def test_probe_points_count_against_the_cap(tmp_path, capsys, monkeypatch):
@@ -817,24 +822,22 @@ _POINT_CHARGED_PROBES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_POINT_CHARGED_PROBES))
-def test_probe_charge_covers_the_traced_peak(name, tmp_path, capsys):
-    """The bytes charged for a probe are at least the tracemalloc peak of
-    running it, and at most 1.5 times that peak, except for the norm-slope
-    ladder, which convolves nothing."""
-    from youngbound import probes
+def _assert_charge_covers_the_traced_peak(
+    command, text, extent, sizes, charge, tmp_path, capsys
+):
+    """Run ``command`` on ``text`` at each grid size of ``sizes`` under
+    tracemalloc: the bytes ``charge(grid)`` is at least the traced peak and
+    at most 1.5 times it."""
     from youngbound.grids import Grid
 
-    text, extent = _POINT_CHARGED_PROBES[name]
     path = write(tmp_path, text)
-    flavor = resolve_scenario("probe", parse_scenario_text(text)).get("flavor")
 
     def run(n):
-        argv = ["probe", "--scenario", path, "--grid-n", str(n), "--grid-L", str(extent)]
+        argv = [command, "--scenario", path, "--grid-n", str(n), "--grid-L", str(extent)]
         assert main(argv) != EXIT_MALFORMED, capsys.readouterr().err
 
-    run(4096)  # one-time allocations (lazy imports, caches) are not per point
-    for n in (16384, 65536):
+    run(sizes[0] // 2)  # one-time allocations (lazy imports, caches) are not per point
+    for n in sizes:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -842,10 +845,40 @@ def test_probe_charge_covers_the_traced_peak(name, tmp_path, capsys):
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        charge = probes.peak_bytes(flavor, Grid(1, extent, n), 1)
-        assert peak <= charge, (n, peak)
-        if name != "norm-slope":
-            assert charge <= 1.5 * peak, (n, peak)
+        estimate = charge(Grid(1, extent, n))
+        assert peak <= estimate <= 1.5 * peak, (n, peak, estimate)
+
+
+@pytest.mark.parametrize("name", sorted(_POINT_CHARGED_PROBES))
+def test_probe_charge_covers_the_traced_peak(name, tmp_path, capsys):
+    from youngbound import probes
+
+    text, extent = _POINT_CHARGED_PROBES[name]
+    values = resolve_scenario("probe", parse_scenario_text(text))
+    _assert_charge_covers_the_traced_peak(
+        "probe", text, extent, (16384, 65536),
+        lambda grid: probes.peak_bytes(values["kind"], values.get("flavor"), grid, 1),
+        tmp_path, capsys,
+    )
+
+
+@pytest.mark.parametrize("stride", [1, 4])
+@pytest.mark.parametrize("flavor", ["modulation-convolution", "modulation-multiplication"])
+def test_modulation_ladder_charge_covers_the_traced_peak(flavor, stride, tmp_path, capsys):
+    from youngbound import probes
+
+    _assert_charge_covers_the_traced_peak(
+        "probe", _MODULATION_LADDER.format(flavor, stride), 24.0, (512, 1024),
+        lambda grid: probes.peak_bytes("boundedness", flavor, grid, stride),
+        tmp_path, capsys,
+    )
+
+
+def test_operator_charge_covers_the_traced_peak(tmp_path, capsys):
+    _assert_charge_covers_the_traced_peak(
+        "verify-lemmas", "which = operator\ncase = 2\np = 2, 2, 2\ntrials = 1\n",
+        16.0, (512, 1024), kernels.operator_peak_bytes, tmp_path, capsys,
+    )
 
 
 @pytest.mark.parametrize(
