@@ -352,9 +352,12 @@ def _check_stft_inputs(f: SampledFunction, window: SampledFunction, stride: int)
         raise ValueError("stft: window is identically zero")
 
 
-def _window_rows(fv: np.ndarray, wv: np.ndarray, stride: int) -> np.ndarray:
-    """Rows y -> fv(y) wv(y - x_m) for x_m at every stride-th grid point, in
-    FFT input order (the centering shift is two half-slice products).
+def _window_rows(
+    fv: np.ndarray, wv: np.ndarray, stride: int, rows: slice = slice(None)
+) -> np.ndarray:
+    """Rows y -> fv(y) wv(y - x_m) for the lattice rows ``rows`` of x_m at
+    every stride-th grid point, in FFT input order (the centering shift is
+    two half-slice products).
 
     All rows come from one strided view of the zero-padded window.
     """
@@ -364,18 +367,25 @@ def _window_rows(fv: np.ndarray, wv: np.ndarray, stride: int) -> np.ndarray:
     padded[half : half + n] = wv
     # Row m is the window shifted to lattice index m * stride: samples
     # padded[n - m * stride :][:n].
-    shifted = sliding_window_view(padded, n)[n:0:-stride]
+    shifted = sliding_window_view(padded, n)[n:0:-stride][rows]
     rows = np.empty(shifted.shape, dtype=np.result_type(fv, wv))
     np.multiply(fv[half:], shifted[:, half:], out=rows[:, :half])
     np.multiply(fv[:half], shifted[:, :half], out=rows[:, half:])
     return rows
 
 
-def stft(f: SampledFunction, window: SampledFunction, stride: int = 1) -> StftTable:
+def stft(
+    f: SampledFunction,
+    window: SampledFunction,
+    stride: int = 1,
+    rows: slice = slice(None),
+) -> StftTable:
     """V(x, xi) = transform of y -> f(y) conj(window(y - x)) at lattice x.
 
     The window is shifted by whole samples (x runs over every stride-th grid
-    point), so no interpolation enters.
+    point), so no interpolation enters.  ``rows`` picks lattice rows of the
+    table; each row is transformed on its own, so a block of rows has the
+    bits of the same rows of the whole table.
 
     The rows are multiplied straight into the FFT input order and the
     output centering shift is two half-slice copies.  ``tests/oracles.py``
@@ -384,9 +394,9 @@ def stft(f: SampledFunction, window: SampledFunction, stride: int = 1) -> StftTa
     """
     _check_stft_inputs(f, window, stride)
     half = f.grid.n // 2
-    rows = _window_rows(f.values, np.conj(window.values), stride)
-    spectra = np.fft.fft(rows, axis=1)
-    del rows
+    spectra = np.fft.fft(
+        _window_rows(f.values, np.conj(window.values), stride, rows), axis=1
+    )
     scale = f.grid.h * (TWO_PI ** -0.5)
     table = np.empty_like(spectra)
     np.multiply(spectra[:, half:], scale, out=table[:, :half])
@@ -394,7 +404,7 @@ def stft(f: SampledFunction, window: SampledFunction, stride: int = 1) -> StftTa
     return StftTable(
         grid=f.grid,
         stride=stride,
-        x_positions=f.grid.axis()[::stride],
+        x_positions=f.grid.axis()[::stride][rows],
         values=table,
         xi=f.grid.dual_axis(),
     )

@@ -82,14 +82,18 @@ CONSTANCY_TOL = 1e-10
 # modulation-multiplication ladder accepts.
 IDENTITY_TOL = 1e-6
 
-# A modulation ladder holds, at its peak, this many complex n x (n/stride)
-# short-time tables' worth of bytes.  A magnitude table is built from a
-# float64 row block and its half-width complex spectra, one complex table
-# together, and the norms of the finished float64 table take less.  The
-# product identity of the multiplication flavor holds its left side and the
-# factor table while `_xi_convolve_rows` holds a 2n-wide padded spectrum and
-# its 2n-wide inverse: 1 + 1 + 2 + 2.
-LIVE_STFT_TABLES = {"modulation-convolution": 1, "modulation-multiplication": 6}
+# A modulation ladder holds, at its peak, one complex n x (n/stride)
+# short-time table's worth of bytes while it builds a magnitude table: a
+# float64 row block and its half-width complex spectra.  The norms of the
+# finished float64 table take less.
+#
+# The multiplication flavor also checks the short-time product identity,
+# IDENTITY_BLOCK_ROWS lattice rows at a time.  A block holds its left side,
+# the factor rows, and inside `_xi_convolve_rows` a 2n-wide padded spectrum
+# and its 2n-wide inverse, with their FFT copies: about
+# IDENTITY_BYTES_PER_BLOCK_POINT bytes per point of the block (traced).
+IDENTITY_BLOCK_ROWS = 64
+IDENTITY_BYTES_PER_BLOCK_POINT = 112
 # Bytes per grid point that a probe holds at its peak besides short-time
 # tables: `convolve` holds two n-point and several 2n-point complex arrays
 # at once.
@@ -103,7 +107,13 @@ def peak_bytes(kind: str, flavor: str | None, grid: Grid, stride: int) -> int:
     holds at its peak."""
     per_point = NORM_SLOPE_BYTES_PER_POINT if kind == "norm-slope" else PROBE_BYTES_PER_POINT
     rows = grid.n // max(stride, 1)
-    return 16 * grid.n * rows * LIVE_STFT_TABLES.get(flavor, 0) + per_point * grid.n
+    tables = 0
+    if flavor in ("modulation-convolution", "modulation-multiplication"):
+        tables = 16 * grid.n * rows
+    if flavor == "modulation-multiplication":
+        block = IDENTITY_BYTES_PER_BLOCK_POINT * grid.n * min(IDENTITY_BLOCK_ROWS, rows)
+        tables = max(tables, block)
+    return tables + per_point * grid.n
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +548,7 @@ def _xi_convolve_rows(a: np.ndarray, b: np.ndarray, dxi: float) -> np.ndarray:
 
 
 def _stft_product_identity_error(
-    f1: SampledFunction,
-    f2: SampledFunction,
-    stride: int,
-    lhs: np.ndarray | None = None,
+    f1: SampledFunction, f2: SampledFunction, stride: int
 ) -> float:
     """Relative sup error in the short-time product identity.
 
@@ -549,25 +556,33 @@ def _stft_product_identity_error(
     of f1 f2 under phi equals (2 pi)^{-1/2} times the row-wise dual-axis
     convolution of the tables of f1 and f2.
 
-    ``lhs``, when given, is the already built table values of f1 f2 under
-    phi.  Passing the same object as f1 and f2 builds their table once.
+    Every row of the identity stands alone, so the tables are built
+    IDENTITY_BLOCK_ROWS lattice rows at a time and the sup norms are
+    running maxima: the error has the bits of the whole-table error.
+    Passing the same object as f1 and f2 builds their table once.
     """
     grid = f1.grid
     x = grid.axis()
-    if lhs is None:
-        phi = SampledFunction(grid, np.exp(-x * x / 2.0))
-        product = SampledFunction(grid, f1.values * f2.values)
-        lhs = stft(product, phi, stride).values
+    phi = SampledFunction(grid, np.exp(-x * x / 2.0))
     phi_half = SampledFunction(grid, np.exp(-x * x / 4.0))
-    v1 = stft(f1, phi_half, stride).values
-    v2 = v1 if f2 is f1 else stft(f2, phi_half, stride).values
-    rhs = _xi_convolve_rows(v1, v2, grid.dual_spacing)
-    del v1, v2
-    rhs *= TWO_PI ** -0.5
-    scale = float(np.max(np.abs(lhs)))
-    if scale == 0.0:
-        return float(np.max(np.abs(rhs)))
-    return float(np.max(np.abs(lhs - rhs))) / scale
+    product = SampledFunction(grid, f1.values * f2.values)
+    # np.maximum, unlike max(), keeps a NaN.
+    lhs_sup = err_sup = rhs_sup = np.float64(0.0)
+    for start in range(0, grid.n // stride, IDENTITY_BLOCK_ROWS):
+        rows = slice(start, start + IDENTITY_BLOCK_ROWS)
+        lhs = stft(product, phi, stride, rows).values
+        v1 = stft(f1, phi_half, stride, rows).values
+        v2 = v1 if f2 is f1 else stft(f2, phi_half, stride, rows).values
+        rhs = _xi_convolve_rows(v1, v2, grid.dual_spacing)
+        del v1, v2
+        rhs *= TWO_PI ** -0.5
+        lhs_sup = np.maximum(lhs_sup, np.max(np.abs(lhs)))
+        err_sup = np.maximum(err_sup, np.max(np.abs(lhs - rhs)))
+        rhs_sup = np.maximum(rhs_sup, np.max(np.abs(rhs)))
+        del lhs, rhs
+    if lhs_sup == 0.0:
+        return float(rhs_sup)
+    return float(err_sup) / float(lhs_sup)
 
 
 def boundedness_sweep(
@@ -659,12 +674,7 @@ def boundedness_sweep(
                 p0c, q0c, -params.s[0], -params.t[0], space=space,
             )
             if mult and i == mid:
-                # The product identity at the middle scale: its phi is the
-                # ladder window, so the complex numerator table is its left
-                # side.
-                identity_err = _stft_product_identity_error(
-                    f, f, stride, lhs=stft(target, window, stride).values
-                )
+                identity_err = _stft_product_identity_error(f, f, stride)
             den_table = stft_magnitudes(f, window, stride)
             den = 1.0
             for j in (1, 2):

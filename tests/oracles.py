@@ -149,6 +149,29 @@ def loop_stft_table(fvals, wvals, h, stride):
     return np.fft.fftshift(spectra, axes=1) * (h * TWO_PI ** -0.5)
 
 
+def whole_table_identity_error(f1vals, f2vals, h, extent, stride):
+    """Relative sup error of the short-time product identity on whole tables.
+
+    The left side is the table of f1 f2 under phi = e^{-x^2/2}; the right
+    side convolves the tables of f1 and f2 under e^{-x^2/4} along xi (every
+    row at once, zero-padded to 2n, dual cell pi / extent) and scales by
+    (2 pi)^{-1/2}.  Both sup norms run over the whole table.
+    """
+    n = len(f1vals)
+    x = (np.arange(n) - n // 2) * h
+    lhs = loop_stft_table(f1vals * f2vals, np.exp(-x * x / 2.0), h, stride)
+    phi_half = np.exp(-x * x / 4.0)
+    v1 = loop_stft_table(f1vals, phi_half, h, stride)
+    v2 = loop_stft_table(f2vals, phi_half, h, stride)
+    spec = np.fft.fft(v1, n=2 * n, axis=1) * np.fft.fft(v2, n=2 * n, axis=1)
+    rhs = np.fft.ifft(spec, axis=1)[:, n // 2 : n // 2 + n] * (math.pi / extent)
+    rhs *= TWO_PI ** -0.5
+    scale = float(np.max(np.abs(lhs)))
+    if scale == 0.0:
+        return float(np.max(np.abs(rhs)))
+    return float(np.max(np.abs(lhs - rhs))) / scale
+
+
 def weighted_table_norm(values, x_positions, xi_axis, x_cell, xi_cell, p, q, s, t, space):
     """Modulation-type norm of a short-time table with both weights always
     applied: A = |V| <x>^t <xi>^s, then inner and outer power sums (inner

@@ -350,10 +350,11 @@ def _stft_inputs(draw):
 
 
 @settings(max_examples=60)
-@given(_stft_inputs())
-def test_prop_stft_bitwise_equals_row_loop_oracle(inputs):
+@given(_stft_inputs(), st.integers(0, 256), st.integers(1, 300))
+def test_prop_stft_bitwise_equals_row_loop_oracle(inputs, start, count):
     """The vectorized table repeats the row loop's arithmetic exactly, for
-    every stride that divides n, with complex data and complex windows."""
+    every stride that divides n, with complex data and complex windows; a
+    block of lattice rows is the same rows of the whole table, bit for bit."""
     n, stride, seed, extent = inputs
     rng = np.random.default_rng(seed)
     g = Grid(1, extent, n)
@@ -364,6 +365,11 @@ def test_prop_stft_bitwise_equals_row_loop_oracle(inputs):
         table.values, loop_stft_table(f.values, w.values, g.h, stride)
     )
     assert np.array_equal(table.x_positions, g.axis()[np.arange(0, n, stride)])
+    rows = slice(start % (n // stride), start % (n // stride) + count)
+    block = stft(f, w, stride, rows)
+    assert block.values.shape[0] == len(range(n // stride)[rows])
+    assert np.array_equal(block.values, table.values[rows])
+    assert np.array_equal(block.x_positions, table.x_positions[rows])
 
 
 @settings(max_examples=60)

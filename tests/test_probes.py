@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from youngbound.exponents import Classification, ParamTuple, check_convolution
 from youngbound.grids import Grid, ResolutionError, SampledFunction, stft
@@ -26,7 +28,7 @@ from youngbound.probes import (
     translation_necessity_probe,
 )
 
-from oracles import synthetic_power_samples
+from oracles import synthetic_power_samples, whole_table_identity_error
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +282,8 @@ _MODULATION_TUPLE = ParamTuple(
 )
 def test_modulation_ladder_builds_each_table_once(monkeypatch, flavor, complex_tables):
     """Nine scales: one numerator and one shared denominator magnitude table
-    each (f1 = f2).  Only the product identity builds complex tables: its
-    left side, the middle numerator's, and its half-window table."""
+    each (f1 = f2).  Only the product identity builds complex tables, two
+    per block of lattice rows: its left side and its half-window table."""
     from youngbound import probes
 
     calls = {"stft": 0, "stft_magnitudes": 0}
@@ -297,30 +299,57 @@ def test_modulation_ladder_builds_each_table_once(monkeypatch, flavor, complex_t
 
     for name in calls:
         monkeypatch.setattr(probes, name, counting(name))
+    monkeypatch.setattr(probes, "IDENTITY_BLOCK_ROWS", 5)
     report = boundedness_sweep(
         _MODULATION_TUPLE, flavor, space="M", grid=Grid(1, 24.0, 256)
     )
     assert len(report.scales) == 9
-    assert calls == {"stft": complex_tables, "stft_magnitudes": 18}
+    # 256 / stride 8 = 32 lattice rows in blocks of 5.
+    assert calls == {"stft": complex_tables * 7, "stft_magnitudes": 18}
 
 
 def test_product_identity_reuse_is_bitwise():
-    """Reusing f1's table for f2, squaring one padded spectrum, and taking
-    a prebuilt left side give the very bits of the three-table path."""
+    """Reusing f1's table for f2 and squaring one padded spectrum give the
+    very bits of the separate-table path and of the whole-table oracle."""
     grid = Grid(1, 16.0, 256)
     x = grid.axis()
     f = SampledFunction(grid, np.exp(-0.3 * x * x))
     twin = SampledFunction(grid, f.values.copy())
     window = SampledFunction(grid, np.exp(-x * x / 2.0))
-    lhs = stft(SampledFunction(grid, f.values * f.values), window, 4).values
     v = stft(f, window, 4).values
     assert np.array_equal(
         _xi_convolve_rows(v, v, 0.5), _xi_convolve_rows(v, v.copy(), 0.5)
     )
     separate = _stft_product_identity_error(f, twin, 4)
     assert _stft_product_identity_error(f, f, 4) == separate
-    assert _stft_product_identity_error(f, f, 4, lhs=lhs) == separate
+    assert whole_table_identity_error(f.values, f.values, grid.h, 16.0, 4) == separate
     assert separate <= 1e-6
+
+
+@st.composite
+def _identity_inputs(draw):
+    n = 2 ** draw(st.integers(3, 8))
+    stride = draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
+    block = draw(st.sampled_from([1, 3, n // stride, n]))
+    return n, stride, block, draw(st.integers(0, 2 ** 32 - 1)), draw(st.floats(2.0, 32.0))
+
+
+@settings(max_examples=60)
+@given(_identity_inputs(), st.booleans())
+def test_prop_streamed_identity_equals_whole_table_oracle(inputs, shared):
+    """Row blocks of 1, 3 and at least all rows, whether or not they divide
+    the rows, give the whole-table error to the bit, for f2 = f1 (one table)
+    and a distinct f2."""
+    from youngbound import probes
+
+    n, stride, block, seed, extent = inputs
+    rng = np.random.default_rng(seed)
+    grid = Grid(1, extent, n)
+    f1 = SampledFunction(grid, rng.standard_normal(n))
+    f2 = f1 if shared else SampledFunction(grid, rng.standard_normal(n))
+    expected = whole_table_identity_error(f1.values, f2.values, grid.h, extent, stride)
+    with mock.patch.object(probes, "IDENTITY_BLOCK_ROWS", block):
+        assert _stft_product_identity_error(f1, f2, stride) == expected
 
 
 def test_sweep_propagates_resolution_guard():

@@ -766,27 +766,47 @@ def test_operator_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
     assert str(33 * 8192 * 8192 + 128 * 8192) in err
 
 
+_IDENTITY_LADDER = (
+    _MODULATION_LADDER.format("modulation-multiplication", 1) + "grid_n = {}\ngrid_l = 24\n"
+)
+
+
 def test_product_identity_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
-    """At grid_n = 4096, stride 1, one short-time table takes 256 MiB, under
-    the cap, but the multiplication ladder holds six of them at its peak
-    (1.5 GiB), so it exits 2 before any table is built."""
+    """At grid_n = 8192, stride 1, one short-time table takes the whole cap;
+    the product identity's row blocks are smaller, so the ladder is charged
+    one table plus its points and exits 2 before any table is built."""
+    from youngbound import probes
 
     def allocates(*args, **kwargs):
         raise AssertionError("a table was allocated before the budget check")
 
     monkeypatch.setattr("youngbound.probes.stft", allocates)
     monkeypatch.setattr("youngbound.probes.stft_magnitudes", allocates)
-    path = write(
-        tmp_path,
-        "kind = boundedness\nflavor = modulation-multiplication\nd = 1\n"
-        "p = 2, 2, 2\nt = 1/4, 1/4, 0\nq = 2, 1, 2\ns = 0, 0, 0\nstride = 1\n"
-        "grid_n = 4096\ngrid_l = 24\n",
-    )
-    assert 16 * 4096 * 4096 <= cli.MAX_TABLE_BYTES
+    path = write(tmp_path, _IDENTITY_LADDER.format(8192))
+    block = probes.IDENTITY_BYTES_PER_BLOCK_POINT * 8192 * probes.IDENTITY_BLOCK_ROWS
+    assert block < 16 * 8192 * 8192
     assert main(["probe", "--scenario", path]) == EXIT_MALFORMED
     err = capsys.readouterr().err
     assert "above the cap" in err
-    assert str(6 * 16 * 4096 * 4096 + 128 * 4096) in err
+    assert str(16 * 8192 * 8192 + 128 * 8192) in err
+
+
+def test_stride_one_identity_ladder_at_4096_is_admitted(tmp_path, capsys, monkeypatch):
+    """At grid_n = 4096, stride 1, the ladder is charged one 256 MiB table
+    plus its points, under the cap, so it passes the budget check and
+    reaches the sweep."""
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args, **kwargs):
+        raise Admitted
+
+    monkeypatch.setattr("youngbound.probes.boundedness_sweep", admitted)
+    path = write(tmp_path, _IDENTITY_LADDER.format(4096))
+    with pytest.raises(Admitted):
+        main(["probe", "--scenario", path])
+    assert "above the cap" not in capsys.readouterr().err
 
 
 def test_probe_points_count_against_the_cap(tmp_path, capsys, monkeypatch):
@@ -862,7 +882,7 @@ def test_probe_charge_covers_the_traced_peak(name, tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("stride", [1, 4])
+@pytest.mark.parametrize("stride", [1, 4, 8])
 @pytest.mark.parametrize("flavor", ["modulation-convolution", "modulation-multiplication"])
 def test_modulation_ladder_charge_covers_the_traced_peak(flavor, stride, tmp_path, capsys):
     from youngbound import probes
@@ -874,9 +894,20 @@ def test_modulation_ladder_charge_covers_the_traced_peak(flavor, stride, tmp_pat
     )
 
 
-def test_operator_charge_covers_the_traced_peak(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "settings",
+    [
+        "case = 1\np = 2, 2, 2\n",
+        "case = 2\np = 2, 2, 2\n",
+        "case = 3\np = 2, 2, 2\n",
+        "case = 1\np = 1, 2, 2\n",  # R(p) = 0
+        "case = 2\np = 2, 2, 2\nkernel = ones\n",
+    ],
+    ids=["case1", "case2", "case3", "r0", "ones"],
+)
+def test_operator_charge_covers_the_traced_peak(settings, tmp_path, capsys):
     _assert_charge_covers_the_traced_peak(
-        "verify-lemmas", "which = operator\ncase = 2\np = 2, 2, 2\ntrials = 1\n",
+        "verify-lemmas", f"which = operator\n{settings}trials = 1\n",
         16.0, (512, 1024), kernels.operator_peak_bytes, tmp_path, capsys,
     )
 
