@@ -46,8 +46,8 @@ _EXPORTS = {
     "kernels": (
         "KernelParams", "PropReport", "RegionParams", "SliceReport",
         "decomposition_residual", "kernel_f", "kernel_table", "region_codes",
-        "region_of", "region_table", "t_f", "t_theta_f", "theta_kernel",
-        "verify_lemma_intestimates", "verify_prop_tf_bounds",
+        "region_of", "t_f", "t_theta_f", "verify_lemma_intestimates",
+        "verify_prop_tf_bounds",
     ),
     "probes": (
         "BoundReport", "BumpFamily", "GaussianFamily", "ProbeReport",

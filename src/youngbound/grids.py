@@ -50,6 +50,7 @@ __all__ = [
     "convolve",
     "stft",
     "stft_magnitudes",
+    "stft_magnitude_norms",
     "stft_table_norm",
     "modulation_norm",
     "mixed_norm_2d",
@@ -62,6 +63,10 @@ EDGE_WARN_REL = 1e-10
 # Largest edge value e^{-alpha L^2} a Gaussian may keep on a box of
 # half-width L before the box is said to truncate it.
 GAUSSIAN_EDGE_TOL = 1e-12
+# Rows of a table that the streamed numerics hold at once: the short-time
+# norms of the modulation ladders, the product identity and the operator
+# check build their tables this many rows at a time.
+BLOCK_ROWS = 64
 
 
 class GridMismatchError(ValueError):
@@ -215,17 +220,61 @@ def _axis_power_norm(
     return (np.sum(mag ** p, axis=axis) * cell) ** (1.0 / p)
 
 
+def _row_blocks(count: int) -> list[slice]:
+    """Consecutive slices of BLOCK_ROWS rows (the last may be shorter) that
+    cover rows 0 .. count - 1."""
+    return [
+        slice(start, min(start + BLOCK_ROWS, count))
+        for start in range(0, count, BLOCK_ROWS)
+    ]
+
+
+class _MixedNorm:
+    """L^p along axis 0 and L^q along axis 1 of a table of magnitudes that
+    arrives in consecutive row blocks, with quadrature cells ``cells``; the
+    L^p integral is inside when ``p_inside``, else the L^q one.
+
+    The blocks give the bits of the whole table: every step works row by
+    row except the L^p sum down the columns, and numpy sums axis 0 of a
+    table with more than one column as a fold over the rows in order, so
+    each block carries the running column sums in as its first row.  A
+    sup is a running maximum.
+    """
+
+    def __init__(self, p: float, q: float, cells: tuple[float, float], p_inside: bool):
+        self.p, self.q, self.cells, self.p_inside = p, q, cells, p_inside
+        self.columns = None  # running column sums of mag^p, or maxima
+        self.rows: list[np.ndarray] = []  # L^q norm of each row
+
+    def add(self, mag: np.ndarray) -> None:
+        if not self.p_inside:
+            self.rows.append(_axis_power_norm(mag, self.q, self.cells[1], axis=1))
+        elif math.isinf(self.p):
+            top = np.max(mag, axis=0)
+            self.columns = top if self.columns is None else np.maximum(self.columns, top)
+        else:
+            power = mag ** self.p
+            if self.columns is not None:
+                power = np.concatenate((self.columns[None, :], power))
+            self.columns = np.sum(power, axis=0)
+
+    def value(self) -> float:
+        if not self.p_inside:
+            inner = np.concatenate(self.rows)
+            return float(_axis_power_norm(inner, self.p, self.cells[0], axis=None))
+        inner = self.columns
+        if not math.isinf(self.p):
+            inner = (inner * self.cells[0]) ** (1.0 / self.p)
+        return float(_axis_power_norm(inner, self.q, self.cells[1], axis=None))
+
+
 def _mixed_norm(
     mag: np.ndarray, p: float, q: float, cells: tuple[float, float], p_inside: bool
 ) -> float:
-    """L^p along axis 0 and L^q along axis 1 of a table of magnitudes, with
-    quadrature cells ``cells``; the L^p integral is inside when
-    ``p_inside``, else the L^q one."""
-    if p_inside:
-        inner = _axis_power_norm(mag, p, cells[0], axis=0)
-        return float(_axis_power_norm(inner, q, cells[1], axis=None))
-    inner = _axis_power_norm(mag, q, cells[1], axis=1)
-    return float(_axis_power_norm(inner, p, cells[0], axis=None))
+    """The :class:`_MixedNorm` of a whole table of magnitudes."""
+    norm = _MixedNorm(p, q, cells, p_inside)
+    norm.add(mag)
+    return norm.value()
 
 
 def weighted_lebesgue_norm(f: SampledFunction, p, t) -> float:
@@ -411,7 +460,10 @@ def stft(
 
 
 def stft_magnitudes(
-    f: SampledFunction, window: SampledFunction, stride: int = 1
+    f: SampledFunction,
+    window: SampledFunction,
+    stride: int = 1,
+    rows: slice = slice(None),
 ) -> StftTable:
     """|V(x, xi)| of a real function against a real window, at xi >= 0.
 
@@ -419,16 +471,17 @@ def stft_magnitudes(
     columns xi = k pi / L, k = 0 .. n/2, carry every magnitude of the
     :func:`stft` table: column k counts twice for 0 < k < n/2, and once at
     k = 0 and at k = n/2 (the full table's column -n/2).  The rows are
-    float64, one real FFT each, and magnitudes are taken once.
+    float64, one real FFT each, and magnitudes are taken once.  ``rows``
+    picks lattice rows, as in :func:`stft`, with the same bits.
     """
     _check_stft_inputs(f, window, stride)
     if np.any(f.values.imag != 0.0) or np.any(window.values.imag != 0.0):
         raise ValueError("stft_magnitudes: function and window must be real")
     grid = f.grid
     half = grid.n // 2
-    rows = _window_rows(f.values.real, window.values.real, stride)
-    spectra = np.fft.rfft(rows, axis=1)
-    del rows
+    spectra = np.fft.rfft(
+        _window_rows(f.values.real, window.values.real, stride, rows), axis=1
+    )
     table = np.abs(spectra)
     del spectra
     table *= grid.h * (TWO_PI ** -0.5)
@@ -437,11 +490,51 @@ def stft_magnitudes(
     return StftTable(
         grid=grid,
         stride=stride,
-        x_positions=grid.axis()[::stride],
+        x_positions=grid.axis()[::stride][rows],
         values=table,
         xi=np.arange(half + 1) * grid.dual_spacing,
         multiplicity=multiplicity,
     )
+
+
+class _TableNorm:
+    """One :func:`stft_table_norm`, fed the table as consecutive row blocks
+    (each a :class:`StftTable` of some of its rows)."""
+
+    def __init__(self, p, q, s, t, space: str):
+        if space not in ("M", "W"):
+            raise ValueError(f"space must be 'M' or 'W', got {space!r}")
+        self.p, self.q = _exponent_value(p), _exponent_value(q)
+        self.s, self.t, self.space = float(s), float(t), space
+        self.norm: _MixedNorm | None = None
+        self.column: np.ndarray | None = None
+
+    def _start(self, table: StftTable) -> None:
+        cells = (table.grid.h * table.stride, table.grid.dual_spacing)
+        self.norm = _MixedNorm(self.p, self.q, cells, p_inside=self.space == "M")
+        # A zero exponent gives the weight 1.0 exactly, and x * 1.0 is x.
+        if self.s != 0.0:
+            self.column = (1.0 + table.xi ** 2) ** (self.s / 2.0)
+        if table.multiplicity is not None and not math.isinf(self.q):
+            folded = table.multiplicity ** (1.0 / self.q)
+            self.column = folded if self.column is None else self.column * folded
+
+    def add(self, table: StftTable) -> None:
+        if self.norm is None:
+            self._start(table)
+        weights = []
+        if self.t != 0.0:
+            weights.append(((1.0 + table.x_positions ** 2) ** (self.t / 2.0))[:, None])
+        if self.column is not None:
+            weights.append(self.column[None, :])
+        a = np.abs(table.values) if np.iscomplexobj(table.values) else table.values
+        for weight in weights:
+            # Never scale the table in place: one table serves several norms.
+            a = a * weight if a is table.values else np.multiply(a, weight, out=a)
+        self.norm.add(a)
+
+    def value(self) -> float:
+        return self.norm.value()
 
 
 def stft_table_norm(table: StftTable, p, q, s, t, *, space: str = "M") -> float:
@@ -457,28 +550,31 @@ def stft_table_norm(table: StftTable, p, q, s, t, *, space: str = "M") -> float:
     q = inf): the inner L^p norm is homogeneous, so in both spaces this
     adds m times the column's q-th power to the L^q sum.
     """
-    if space not in ("M", "W"):
-        raise ValueError(f"space must be 'M' or 'W', got {space!r}")
-    pf = _exponent_value(p)
-    qf = _exponent_value(q)
-    weights = []
-    # A zero exponent gives the weight 1.0 exactly, and x * 1.0 is x.
-    if float(t) != 0.0:
-        weights.append(((1.0 + table.x_positions ** 2) ** (float(t) / 2.0))[:, None])
-    column = None
-    if float(s) != 0.0:
-        column = (1.0 + table.xi ** 2) ** (float(s) / 2.0)
-    if table.multiplicity is not None and not math.isinf(qf):
-        folded = table.multiplicity ** (1.0 / qf)
-        column = folded if column is None else column * folded
-    if column is not None:
-        weights.append(column[None, :])
-    a = np.abs(table.values) if np.iscomplexobj(table.values) else table.values
-    for weight in weights:
-        # Never scale the table in place: one table serves several norms.
-        a = a * weight if a is table.values else np.multiply(a, weight, out=a)
-    cells = (table.grid.h * table.stride, table.grid.dual_spacing)
-    return _mixed_norm(a, pf, qf, cells, p_inside=space == "M")
+    norm = _TableNorm(p, q, s, t, space)
+    norm.add(table)
+    return norm.value()
+
+
+def stft_magnitude_norms(
+    f: SampledFunction,
+    window: SampledFunction,
+    stride: int,
+    norms,
+    *,
+    space: str = "M",
+) -> list[float]:
+    """The :func:`stft_table_norm` of ``stft_magnitudes(f, window, stride)``
+    for each (p, q, s, t) of ``norms``, with the same bits, and never the
+    whole table: its rows are built BLOCK_ROWS at a time, and every norm
+    reads each block once.
+    """
+    _check_stft_inputs(f, window, stride)
+    parts = [_TableNorm(p, q, s, t, space) for p, q, s, t in norms]
+    for rows in _row_blocks(f.grid.n // stride):
+        block = stft_magnitudes(f, window, stride, rows)
+        for part in parts:
+            part.add(block)
+    return [part.value() for part in parts]
 
 
 def modulation_norm(

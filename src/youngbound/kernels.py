@@ -34,14 +34,16 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exponents import INF, Exponent, PreconditionError, young_functional
+from .exponents import Exponent, PreconditionError, young_functional
 from .grids import (
+    BLOCK_ROWS,
     Grid,
     SampledFunction,
     SampledKernel2d,
     _axis_power_norm,
+    _MixedNorm,
+    _row_blocks,
     bracket,
-    mixed_norm_2d,
     weighted_lebesgue_norm,
 )
 
@@ -53,8 +55,6 @@ __all__ = [
     "kernel_table",
     "region_of",
     "region_codes",
-    "region_table",
-    "theta_kernel",
     "t_f",
     "t_theta_f",
     "decomposition_residual",
@@ -180,11 +180,6 @@ def region_codes(x: np.ndarray, y: np.ndarray, params: RegionParams) -> np.ndarr
     return out
 
 
-def region_table(grid: Grid, params: RegionParams) -> np.ndarray:
-    ax = grid.axis()
-    return region_codes(ax[:, None], ax[None, :], params)
-
-
 # ---------------------------------------------------------------------------
 # Bilinear maps
 # ---------------------------------------------------------------------------
@@ -198,18 +193,18 @@ def _kernel_block(kernel, grid: Grid, rows: slice) -> np.ndarray:
     return kernel(ax[rows, None], ax[None, :])
 
 
-def t_f(kernel, f: SampledFunction, g: SampledFunction, *, block_rows: int = 256) -> SampledFunction:
-    """T_F(f, g)(x_i) = h * sum_j F(x_i, y_j) f(y_j) g(x_i - y_j).
+def _tf_rows(f: SampledFunction, g: SampledFunction):
+    """The rows of T_F(f, g) / h, as a function of a block of kernel rows
+    and the slice of grid rows it holds.
 
     The third factor is read off the grid: x_i - y_j = (i - j + n/2 - n/2) h
     lands on sample i - j + n/2 when that index exists and contributes zero
-    otherwise.  ``kernel`` may be a materialized table or a callable
-    evaluated block by block, which keeps memory flat for large n.
+    otherwise.  Each row is summed on its own, so a block of rows has the
+    bits of the same rows of a larger block.
     """
     if f.grid != g.grid:
         raise ValueError("t_f: f and g on different grids")
-    grid = f.grid
-    n = grid.n
+    n = f.grid.n
     half = n // 2
     # g reversed and zero-padded: window k of this buffer holds
     # g[2n - 1 - k - j] at column j (zero off the grid), so row i, which
@@ -217,13 +212,30 @@ def t_f(kernel, f: SampledFunction, g: SampledFunction, *, block_rows: int = 256
     buf = np.zeros(3 * n, dtype=np.complex128)
     buf[n : 2 * n] = g.values[::-1]
     windows = sliding_window_view(buf, n)
-    out = np.empty(n, dtype=np.complex128)
     fv = f.values
+
+    def rows_of(kblk: np.ndarray, rows: slice) -> np.ndarray:
+        gblk = windows[n + half - 1 - rows.start : n + half - 1 - rows.stop : -1]
+        return (kblk * fv[None, :] * gblk).sum(axis=1)
+
+    return rows_of
+
+
+def t_f(
+    kernel, f: SampledFunction, g: SampledFunction, *, block_rows: int = BLOCK_ROWS
+) -> SampledFunction:
+    """T_F(f, g)(x_i) = h * sum_j F(x_i, y_j) f(y_j) g(x_i - y_j).
+
+    ``kernel`` may be a materialized table or a callable evaluated block by
+    block, which keeps memory flat for large n.
+    """
+    rows_of = _tf_rows(f, g)
+    grid = f.grid
+    n = grid.n
+    out = np.empty(n, dtype=np.complex128)
     for start in range(0, n, block_rows):
         rows = slice(start, min(start + block_rows, n))
-        kblk = _kernel_block(kernel, grid, rows)
-        gblk = windows[n + half - 1 - start : n + half - 1 - rows.stop : -1]
-        out[rows] = (kblk * fv[None, :] * gblk).sum(axis=1)
+        out[rows] = rows_of(_kernel_block(kernel, grid, rows), rows)
     return SampledFunction(grid, out * grid.h)
 
 
@@ -235,22 +247,6 @@ def t_theta_f(kernel, f: SampledFunction, g: SampledFunction, **kw) -> SampledFu
     (Theta F)(x, z) = F(x, x - z); the tests check both identities.
     """
     return t_f(kernel, g, f, **kw)
-
-
-def theta_kernel(kernel: SampledKernel2d) -> SampledKernel2d:
-    """The remapped table (Theta F)[i, j] = F[i, i - j + n/2], zero off-grid.
-
-    Theta is an involution in the continuum; on the grid it is one away from
-    the index band that the remap pushes over the edge, which is why the
-    round-trip test masks that band out.
-    """
-    n = kernel.grid.n
-    idx = np.arange(n)
-    src = idx[:, None] - idx[None, :] + n // 2
-    valid = (src >= 0) & (src < n)
-    rows = np.broadcast_to(idx[:, None], (n, n))
-    vals = np.where(valid, kernel.values[rows, np.clip(src, 0, n - 1)], 0.0)
-    return SampledKernel2d(kernel.grid, vals)
 
 
 def decomposition_residual(
@@ -564,19 +560,25 @@ class PropReport:
 
 
 _DEFAULT_SCALES = (0.5, 2.0 ** -0.5, 1.0, 2.0 ** 0.5, 2.0)
-# Real n x n tables alive at once at the peak of an operator check: the
-# previous scale's kernel table while the next one is sampled, and the
-# sum, band argument and term inside `_GaussSum2d.sample`, whose `exp`
-# also holds a one-byte mask of the band.  Beside them lie a few n-point
-# arrays.
-OPERATOR_LIVE_TABLES = 4
+# An operator check samples its kernel BLOCK_ROWS grid rows at a time and
+# holds no n x n table.  At its peak a block holds, per point, the kernel
+# rows, their magnitudes, the magnitudes' powers and those powers under
+# the running column sums of the mixed norm: 32 bytes (a T_F row block's
+# complex product, and the band argument, term and one-byte `exp` mask of
+# `_GaussSum2d.sample`, take less).  Beside the block lie a few n-point
+# arrays.  The traced peak is 32.0-33.3 bytes per block point beyond
+# OPERATOR_BYTES_PER_POINT per point.
+OPERATOR_BYTES_PER_BLOCK_POINT = 36
 OPERATOR_BYTES_PER_POINT = 128
 
 
 def operator_peak_bytes(grid: Grid) -> int:
     """The bytes an operator check on ``grid`` holds at its peak."""
     n = grid.n
-    return (8 * OPERATOR_LIVE_TABLES + 1) * n * n + OPERATOR_BYTES_PER_POINT * n
+    return (
+        OPERATOR_BYTES_PER_BLOCK_POINT * min(BLOCK_ROWS, n) * n
+        + OPERATOR_BYTES_PER_POINT * n
+    )
 
 
 def verify_prop_tf_bounds(
@@ -648,9 +650,11 @@ def verify_prop_tf_bounds(
         centers = [rng.uniform(-2.0, 2.0, k) for _ in range(dims)]
         return tuple(zip(amps, widths, *centers))
 
-    # Case 1 measures the kernel sup-in-x, cases 2 and 3 sup-in-y.
-    knorm_args = (INF, r_exp, 2) if case == 1 else (r_exp, INF, 1)
-    maps = {1: (t_f, t_theta_f), 2: (t_f,), 3: (t_theta_f,)}[case]
+    # Case 1 measures the kernel sup-in-x (mixed_norm_2d order 2), cases 2
+    # and 3 sup-in-y (order 1).
+    knorm_p, knorm_q = (math.inf, r_exp) if case == 1 else (r_exp, math.inf)
+    # T_F(f, g), and T_{Theta F}(f, g) = T_F(g, f).
+    swaps = {1: (False, True), 2: (False,), 3: (True,)}[case]
     ratios: list[list[float]] = []
     slopes: list[float] = []
     for _ in range(trials):
@@ -661,20 +665,29 @@ def verify_prop_tf_bounds(
         for lam in scale_list:
             fl = SampledFunction(grid, fsum.dilated(lam).sample(ax))
             gl = SampledFunction(grid, gsum.dilated(lam).sample(ax))
-            if ksum is None:
-                ktab = SampledKernel2d(grid, np.ones((grid.n, grid.n)))
-            else:
-                kl = ksum.dilated(lam)
-                ktab = SampledKernel2d(grid, kl.sample(ax, ax))
-            knorm = mixed_norm_2d(ktab, *knorm_args)
-            images = [apply(ktab, fl, gl) for apply in maps]
+            kl = None if ksum is None else ksum.dilated(lam)
+            # mixed_norm_2d and t_f of the kernel table, one block of its
+            # rows at a time: every block serves the norm and each map.
+            knorm = _MixedNorm(knorm_p, knorm_q, (grid.h, grid.h), p_inside=case != 1)
+            maps = [_tf_rows(gl, fl) if swap else _tf_rows(fl, gl) for swap in swaps]
+            images = [np.empty(grid.n, dtype=np.complex128) for _ in maps]
+            for rows in _row_blocks(grid.n):
+                if kl is None:
+                    kblk = np.ones((rows.stop - rows.start, grid.n))
+                else:
+                    kblk = kl.sample(ax[rows], ax)
+                knorm.add(np.abs(kblk))
+                for rows_of, out in zip(maps, images):
+                    out[rows] = rows_of(kblk, rows)
+                del kblk  # freed before the next block is sampled
             denom = (
-                knorm
+                knorm.value()
                 * weighted_lebesgue_norm(fl, exps[1], 0)
                 * weighted_lebesgue_norm(gl, exps[2], 0)
             )
             num = max(
-                weighted_lebesgue_norm(img, p0c, 0) for img in images
+                weighted_lebesgue_norm(SampledFunction(grid, out * grid.h), p0c, 0)
+                for out in images
             )
             row.append(num / denom)
         ratios.append(row)

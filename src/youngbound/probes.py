@@ -38,16 +38,17 @@ from .exponents import (
     young_functional,
 )
 from .grids import (
+    BLOCK_ROWS,
     TWO_PI,
     Grid,
     SampledFunction,
+    _row_blocks,
     convolve,
     fourier_lebesgue_norm,
     gaussian_resolution_guard,
     inverse_fourier_transform,
     stft,
-    stft_magnitudes,
-    stft_table_norm,
+    stft_magnitude_norms,
     weighted_lebesgue_norm,
 )
 
@@ -82,20 +83,23 @@ CONSTANCY_TOL = 1e-10
 # modulation-multiplication ladder accepts.
 IDENTITY_TOL = 1e-6
 
-# A modulation ladder holds, at its peak, one complex n x (n/stride)
-# short-time table's worth of bytes while it builds a magnitude table: a
-# float64 row block and its half-width complex spectra.  The norms of the
-# finished float64 table take less.
+# A modulation ladder builds no short-time table: its norms read the
+# magnitude table BLOCK_ROWS lattice rows at a time.  A block holds the
+# float64 rows and their half-width complex spectra (16 bytes per point),
+# then the half-width magnitudes, a weighted copy, its powers and those
+# powers under the running column sums; the traced peak is 15.3-20.3
+# bytes per block point, so NORM_BYTES_PER_BLOCK_POINT leaves room.
 #
 # The multiplication flavor also checks the short-time product identity,
-# IDENTITY_BLOCK_ROWS lattice rows at a time.  A block holds its left side,
-# the factor rows, and inside `_xi_convolve_rows` a 2n-wide padded spectrum
+# one block of lattice rows at a time.  A block holds its left side, the
+# factor rows, and inside `_xi_convolve_rows` a 2n-wide padded spectrum
 # and its 2n-wide inverse, with their FFT copies: about
-# IDENTITY_BYTES_PER_BLOCK_POINT bytes per point of the block (traced).
-IDENTITY_BLOCK_ROWS = 64
+# IDENTITY_BYTES_PER_BLOCK_POINT bytes per point of the block (traced),
+# more than a norm block.
+NORM_BYTES_PER_BLOCK_POINT = 22
 IDENTITY_BYTES_PER_BLOCK_POINT = 112
 # Bytes per grid point that a probe holds at its peak besides short-time
-# tables: `convolve` holds two n-point and several 2n-point complex arrays
+# blocks: `convolve` holds two n-point and several 2n-point complex arrays
 # at once.
 PROBE_BYTES_PER_POINT = 128
 # The norm-slope calibration convolves nothing: a few n-point arrays.
@@ -106,13 +110,12 @@ def peak_bytes(kind: str, flavor: str | None, grid: Grid, stride: int) -> int:
     """The bytes a probe of ``kind`` (and ladder ``flavor``) on ``grid``
     holds at its peak."""
     per_point = NORM_SLOPE_BYTES_PER_POINT if kind == "norm-slope" else PROBE_BYTES_PER_POINT
-    rows = grid.n // max(stride, 1)
+    block = grid.n * min(BLOCK_ROWS, grid.n // max(stride, 1))
     tables = 0
-    if flavor in ("modulation-convolution", "modulation-multiplication"):
-        tables = 16 * grid.n * rows
-    if flavor == "modulation-multiplication":
-        block = IDENTITY_BYTES_PER_BLOCK_POINT * grid.n * min(IDENTITY_BLOCK_ROWS, rows)
-        tables = max(tables, block)
+    if flavor == "modulation-convolution":
+        tables = NORM_BYTES_PER_BLOCK_POINT * block
+    elif flavor == "modulation-multiplication":
+        tables = IDENTITY_BYTES_PER_BLOCK_POINT * block
     return tables + per_point * grid.n
 
 
@@ -557,8 +560,8 @@ def _stft_product_identity_error(
     convolution of the tables of f1 and f2.
 
     Every row of the identity stands alone, so the tables are built
-    IDENTITY_BLOCK_ROWS lattice rows at a time and the sup norms are
-    running maxima: the error has the bits of the whole-table error.
+    BLOCK_ROWS lattice rows at a time and the sup norms are running
+    maxima: the error has the bits of the whole-table error.
     Passing the same object as f1 and f2 builds their table once.
     """
     grid = f1.grid
@@ -568,8 +571,7 @@ def _stft_product_identity_error(
     product = SampledFunction(grid, f1.values * f2.values)
     # np.maximum, unlike max(), keeps a NaN.
     lhs_sup = err_sup = rhs_sup = np.float64(0.0)
-    for start in range(0, grid.n // stride, IDENTITY_BLOCK_ROWS):
-        rows = slice(start, start + IDENTITY_BLOCK_ROWS)
+    for rows in _row_blocks(grid.n // stride):
         lhs = stft(product, phi, stride, rows).values
         v1 = stft(f1, phi_half, stride, rows).values
         v2 = v1 if f2 is f1 else stft(f2, phi_half, stride, rows).values
@@ -662,27 +664,26 @@ def boundedness_sweep(
         mid = len(alphas) // 2
         for i, a in enumerate(alphas):
             gaussian_resolution_guard(grid, a)
-            # f1 = f2, so one table serves both denominator norms.
             f = SampledFunction(grid, np.exp(-a * x * x))
             if mult:
                 target = SampledFunction(grid, f.values * f.values)
             else:
                 # f * f is real; its imaginary part is rounding.
                 target = SampledFunction(grid, convolve(f, f).values.real)
-            num = stft_table_norm(
-                stft_magnitudes(target, window, stride),
-                p0c, q0c, -params.s[0], -params.t[0], space=space,
+            (num,) = stft_magnitude_norms(
+                target, window, stride,
+                [(p0c, q0c, -params.s[0], -params.t[0])], space=space,
             )
             if mult and i == mid:
                 identity_err = _stft_product_identity_error(f, f, stride)
-            den_table = stft_magnitudes(f, window, stride)
+            # f1 = f2, so one pass over the blocks serves both norms.
             den = 1.0
-            for j in (1, 2):
-                den *= stft_table_norm(
-                    den_table, params.p[j], params.q[j], params.s[j],
-                    params.t[j], space=space,
-                )
-            del den_table
+            for norm in stft_magnitude_norms(
+                f, window, stride,
+                [(params.p[j], params.q[j], params.s[j], params.t[j]) for j in (1, 2)],
+                space=space,
+            ):
+                den *= norm
             ratios.append(num / den)
 
     inv = [1.0 / a for a in alphas]

@@ -231,6 +231,34 @@ def gather_tf(kernel_matrix, fvals, gvals, h, block_rows):
     return out * h
 
 
+def theta_table(values):
+    """The remapped table (Theta F)[i, j] = F[i, i - j + n/2], zero off-grid.
+
+    Theta is an involution in the continuum; on the grid it is one away from
+    the index band that the remap pushes over the edge.
+    """
+    n = values.shape[0]
+    idx = np.arange(n)
+    src = idx[:, None] - idx[None, :] + n // 2
+    valid = (src >= 0) & (src < n)
+    rows = np.broadcast_to(idx[:, None], (n, n))
+    return np.where(valid, values[rows, np.clip(src, 0, n - 1)], 0.0)
+
+
+def region_table(axis, delta, radius):
+    """Region ids 1..5 of every point (x, y) of axis x axis, the first
+    clause that holds winning: <y> < delta <x>, <x-y> < delta <x>,
+    |x| <= R, <x-y> <= <y>, else 5."""
+    x = np.asarray(axis, dtype=float)[:, None]
+    y = np.asarray(axis, dtype=float)[None, :]
+    bx = np.sqrt(1.0 + x * x)
+    by = np.sqrt(1.0 + y * y)
+    bxy = np.sqrt(1.0 + (x - y) ** 2)
+    clauses = [by < delta * bx, bxy < delta * bx, np.abs(x) <= radius, bxy <= by]
+    shape = (x.size, y.size)
+    return np.select([np.broadcast_to(c, shape) for c in clauses], [1, 2, 3, 4], 5)
+
+
 def naive_gauss_sum_2d(terms, x, y):
     """sum of amp e^{-a ((x - u)^2 + (y - v)^2)} over (amp, a, u, v), every
     term evaluated on the whole outer grid x by y."""

@@ -5,12 +5,14 @@ from __future__ import annotations
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from youngbound import grids
 from youngbound.grids import (
     Grid,
     GridMismatchError,
@@ -27,6 +29,7 @@ from youngbound.grids import (
     mixed_norm_2d,
     modulation_norm,
     stft,
+    stft_magnitude_norms,
     stft_magnitudes,
     stft_table_norm,
     weighted_lebesgue_norm,
@@ -423,12 +426,52 @@ def test_prop_magnitude_table_norm_equals_complex_table_norm(inputs, p, q, s, t,
     assert got == pytest.approx(expected, rel=1e-12)
 
 
+_NORM_EXPONENTS = st.sampled_from([1.0, 2.0, math.inf])
+_NORM_TUPLES = st.tuples(
+    _NORM_EXPONENTS,
+    _NORM_EXPONENTS,
+    st.sampled_from([0.0, 0.5, -1.0]),
+    st.sampled_from([0.0, -0.5, 1.0]),
+)
+
+
+@settings(max_examples=80)
+@given(
+    _stft_inputs(),
+    st.sampled_from([1, 3, 5, 64, 300]),
+    st.lists(_NORM_TUPLES, min_size=1, max_size=2),
+    st.sampled_from(["M", "W"]),
+)
+def test_prop_streamed_norms_equal_whole_table_norms(inputs, block, norms, space):
+    """Norms read from blocks of lattice rows (of sizes that divide the
+    rows or not, or exceed them), several norms per pass, give the bits
+    of stft_table_norm on the whole magnitude table; a block of rows is
+    the same rows of the whole table."""
+    n, stride, seed, extent = inputs
+    rng = np.random.default_rng(seed)
+    g = Grid(1, extent, n)
+    f = SampledFunction(g, rng.standard_normal(n))
+    w = SampledFunction(g, rng.standard_normal(n))
+    whole = stft_magnitudes(f, w, stride)
+    expected = [stft_table_norm(whole, *norm, space=space) for norm in norms]
+    with mock.patch.object(grids, "BLOCK_ROWS", block):
+        assert stft_magnitude_norms(f, w, stride, norms, space=space) == expected
+    rows = slice(block % (n // stride), block % (n // stride) + block)
+    part = stft_magnitudes(f, w, stride, rows)
+    assert np.array_equal(part.values, whole.values[rows])
+    assert np.array_equal(part.x_positions, whole.x_positions[rows])
+
+
 def test_stft_validates_inputs():
     g = Grid(1, 8.0, 128)
     f = sample(g, gaussian(1.0))
     w = sample(g, gaussian(0.5))
     other = sample(Grid(1, 4.0, 128), gaussian(0.5))
-    for build in (stft, stft_magnitudes):
+
+    def norms(f, w, stride=1):
+        return stft_magnitude_norms(f, w, stride, [(2, 2, 0, 0)])
+
+    for build in (stft, stft_magnitudes, norms):
         with pytest.raises(ValueError):
             build(f, w, stride=3)  # 3 does not divide 128
         with pytest.raises(ValueError):

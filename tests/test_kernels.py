@@ -4,13 +4,24 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from youngbound.grids import Grid, SampledFunction, SampledKernel2d, mixed_norm_2d
+from youngbound import grids
+from youngbound.exponents import Exponent, young_functional
+from youngbound.grids import (
+    Grid,
+    SampledFunction,
+    SampledKernel2d,
+    mixed_norm_2d,
+    weighted_lebesgue_norm,
+)
 from youngbound.kernels import (
+    _DEFAULT_SCALES,
+    _GaussSum1d,
     _GaussSum2d,
     REGION_TO_ITEM,
     KernelParams,
@@ -21,15 +32,19 @@ from youngbound.kernels import (
     kernel_table,
     region_codes,
     region_of,
-    region_table,
     t_f,
     t_theta_f,
-    theta_kernel,
     verify_lemma_intestimates,
     verify_prop_tf_bounds,
 )
 
-from oracles import direct_bilinear_tf, gather_tf, naive_gauss_sum_2d
+from oracles import (
+    direct_bilinear_tf,
+    gather_tf,
+    naive_gauss_sum_2d,
+    region_table,
+    theta_table,
+)
 
 GRID32 = Grid(1, 8.0, 32)
 
@@ -116,8 +131,13 @@ def test_prop_region_codes_agree_with_pointwise(x, y):
 
 
 def test_region_table_is_a_partition():
-    table = region_table(Grid(1, 16.0, 256), RegionParams())
-    assert set(np.unique(table)) <= {1, 2, 3, 4, 5}
+    """region_codes on the grid gives every point one id in 1..5, the one
+    of a second coding of the clauses."""
+    params = RegionParams()
+    ax = Grid(1, 16.0, 256).axis()
+    codes = region_codes(ax[:, None], ax[None, :], params)
+    assert set(np.unique(codes)) <= {1, 2, 3, 4, 5}
+    assert np.array_equal(codes, region_table(ax, float(params.delta), float(params.R)))
 
 
 def test_region_to_item_mapping():
@@ -216,7 +236,7 @@ def test_prop_real_tables_match_their_complex_cast_bitwise(inputs):
 def test_kernel_tables_are_real():
     table = kernel_table(GRID32, KernelParams((0, 1, 1)))
     assert table.values.dtype == np.float64
-    assert theta_kernel(table).values.dtype == np.float64
+    assert theta_table(table.values).dtype == np.float64
 
 
 _gauss_terms = st.lists(
@@ -263,7 +283,7 @@ def test_theta_swaps_translated_argument():
     f, g = smooth_pair(GRID32, 9)
     via_swap = t_theta_f(table, f, g).values
     assert np.max(np.abs(via_swap - t_f(table, g, f).values)) == 0.0
-    remapped = t_f(theta_kernel(table), g, f).values
+    remapped = t_f(SampledKernel2d(GRID32, theta_table(table.values)), g, f).values
     # The remapped table loses the index band pushed off the grid, so
     # compare away from the edges where both routes are fully supported.
     inner = slice(8, 24)
@@ -381,3 +401,88 @@ def test_prop_tf_bounds_flat_kernel_mode():
     assert report.kernel == "ones"
     assert report.scales == [1.0]
     assert report.passed
+
+
+def _whole_table_prop_ratios(case, p, trials, seed, grid, kernel):
+    """The ratios and slopes of verify_prop_tf_bounds, coded on whole
+    kernel tables: the same draws, then mixed_norm_2d and t_f / t_theta_f
+    of one SampledKernel2d per scale."""
+    exps = tuple(Exponent.of(v) for v in p)
+    r_val = young_functional(exps)
+    r_exp = math.inf if r_val == 0 else float(1 / r_val)
+    rng = np.random.default_rng(seed)
+
+    def draw(k, dims):
+        amps = rng.uniform(0.5, 1.5, k)
+        widths = rng.uniform(0.5, 2.0, k)
+        centers = [rng.uniform(-2.0, 2.0, k) for _ in range(dims)]
+        return tuple(zip(amps, widths, *centers))
+
+    scales = [1.0] if kernel == "ones" else list(_DEFAULT_SCALES)
+    ax = grid.axis()
+    knorm_args = ("inf", r_exp, 2) if case == 1 else (r_exp, "inf", 1)
+    maps = {1: (t_f, t_theta_f), 2: (t_f,), 3: (t_theta_f,)}[case]
+    ratios, slopes = [], []
+    for _ in range(trials):
+        fsum = _GaussSum1d(draw(2, 1))
+        gsum = _GaussSum1d(draw(2, 1))
+        ksum = _GaussSum2d(draw(3, 2)) if kernel == "bumps" else None
+        row = []
+        for lam in scales:
+            fl = SampledFunction(grid, fsum.dilated(lam).sample(ax))
+            gl = SampledFunction(grid, gsum.dilated(lam).sample(ax))
+            if ksum is None:
+                table = np.ones((grid.n, grid.n))
+            else:
+                table = ksum.dilated(lam).sample(ax, ax)
+            ktab = SampledKernel2d(grid, table)
+            denom = (
+                mixed_norm_2d(ktab, *knorm_args)
+                * weighted_lebesgue_norm(fl, exps[1], 0)
+                * weighted_lebesgue_norm(gl, exps[2], 0)
+            )
+            num = max(
+                weighted_lebesgue_norm(apply(ktab, fl, gl), exps[0].conjugate(), 0)
+                for apply in maps
+            )
+            row.append(num / denom)
+        ratios.append(row)
+        if len(scales) > 1:
+            slopes.append(float(np.polyfit(np.log(scales), np.log(row), 1)[0]))
+    return ratios, slopes
+
+
+# (case, p, kernel): both mixed-norm orders, R(p) = 0 in each order (an
+# L^inf inner norm in order 1), and the flat kernel.
+_OPERATOR_SETTINGS = [
+    (1, (2, 2, 2), "bumps"),
+    (2, (2, 2, 2), "bumps"),
+    (3, (2, 2, 2), "bumps"),
+    (1, (1, 2, 2), "bumps"),
+    (2, (2, 1, 2), "bumps"),
+    (2, (2, 2, 2), "ones"),
+]
+
+
+@settings(max_examples=30)
+@given(
+    st.sampled_from(_OPERATOR_SETTINGS),
+    st.sampled_from([16, 32, 64]),
+    st.sampled_from([1, 3, 5, 7, 64, 100]),
+    st.sampled_from([4.0, 8.0, 16.0]),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_prop_streamed_operator_check_equals_whole_table_path(
+    setting, n, block, extent, seed
+):
+    """Sampling the kernel in row blocks (of sizes that divide the grid or
+    not, or exceed it) and feeding each block to the mixed norm and to
+    every map gives the ratios and slopes of whole tables to the bit."""
+    case, p, kernel = setting
+    grid = Grid(1, extent, n)
+    expected = _whole_table_prop_ratios(case, p, 1, seed, grid, kernel)
+    with mock.patch.object(grids, "BLOCK_ROWS", block):
+        report = verify_prop_tf_bounds(
+            case, p, trials=1, seed=seed, grid=grid, kernel=kernel
+        )
+    assert repr((report.ratios, report.slopes)) == repr(expected)

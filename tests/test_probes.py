@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from youngbound import grids
 from youngbound.exponents import Classification, ParamTuple, check_convolution
 from youngbound.grids import Grid, ResolutionError, SampledFunction, stft
 from youngbound.kernels import PreconditionError
@@ -281,31 +282,27 @@ _MODULATION_TUPLE = ParamTuple(
     [("modulation-multiplication", 2), ("modulation-convolution", 0)],
 )
 def test_modulation_ladder_builds_each_table_once(monkeypatch, flavor, complex_tables):
-    """Nine scales: one numerator and one shared denominator magnitude table
-    each (f1 = f2).  Only the product identity builds complex tables, two
-    per block of lattice rows: its left side and its half-window table."""
-    from youngbound import probes
+    """Nine scales: one numerator and one shared denominator pass over the
+    real rows each (f1 = f2), and no block of rows is transformed twice.
+    Only the product identity transforms complex rows, two blocks per block
+    of lattice rows: its left side and its half-window rows."""
+    window_rows = grids._window_rows
+    blocks = []
 
-    calls = {"stft": 0, "stft_magnitudes": 0}
+    def counting(fv, wv, stride, rows=slice(None)):
+        blocks.append((fv.dtype.str, fv.tobytes(), wv.tobytes(), stride, rows.start))
+        return window_rows(fv, wv, stride, rows)
 
-    def counting(name):
-        builder = getattr(probes, name)
-
-        def build(*args, **kwargs):
-            calls[name] += 1
-            return builder(*args, **kwargs)
-
-        return build
-
-    for name in calls:
-        monkeypatch.setattr(probes, name, counting(name))
-    monkeypatch.setattr(probes, "IDENTITY_BLOCK_ROWS", 5)
+    monkeypatch.setattr(grids, "_window_rows", counting)
+    monkeypatch.setattr(grids, "BLOCK_ROWS", 5)
     report = boundedness_sweep(
         _MODULATION_TUPLE, flavor, space="M", grid=Grid(1, 24.0, 256)
     )
     assert len(report.scales) == 9
-    # 256 / stride 8 = 32 lattice rows in blocks of 5.
-    assert calls == {"stft": complex_tables * 7, "stft_magnitudes": 18}
+    assert len(set(blocks)) == len(blocks)
+    # 256 / stride 8 = 32 lattice rows in blocks of 5: 7 blocks a pass.
+    real = sum(dtype == np.dtype(float).str for dtype, *_ in blocks)
+    assert (real, len(blocks) - real) == (18 * 7, complex_tables * 7)
 
 
 def test_product_identity_reuse_is_bitwise():
@@ -340,15 +337,13 @@ def test_prop_streamed_identity_equals_whole_table_oracle(inputs, shared):
     """Row blocks of 1, 3 and at least all rows, whether or not they divide
     the rows, give the whole-table error to the bit, for f2 = f1 (one table)
     and a distinct f2."""
-    from youngbound import probes
-
     n, stride, block, seed, extent = inputs
     rng = np.random.default_rng(seed)
     grid = Grid(1, extent, n)
     f1 = SampledFunction(grid, rng.standard_normal(n))
     f2 = f1 if shared else SampledFunction(grid, rng.standard_normal(n))
     expected = whole_table_identity_error(f1.values, f2.values, grid.h, extent, stride)
-    with mock.patch.object(probes, "IDENTITY_BLOCK_ROWS", block):
+    with mock.patch.object(grids, "BLOCK_ROWS", block):
         assert _stft_product_identity_error(f1, f2, stride) == expected
 
 

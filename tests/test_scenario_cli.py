@@ -720,26 +720,28 @@ def test_run_record_spells_every_non_finite_float():
             "probe",
             "kind = boundedness\nflavor = modulation-convolution\n"
             "p = 2, 2, 2\nt = 3/8, 3/8, 3/8\nstride = 1\n"
-            "grid_n = 65536\ngrid_l = 24\n",
+            "grid_n = 1048576\ngrid_l = 24\n",
         ),
         (
             "verify-lemmas",
             "which = operator\ncase = 1\np = 2, 2, 2\nkernel = bumps\n"
-            "grid_n = 32768\ngrid_l = 16\n",
+            "grid_n = 1048576\ngrid_l = 16\n",
         ),
     ],
 )
 def test_oversized_tables_are_refused_before_allocation(
     tmp_path, capsys, monkeypatch, command, text
 ):
-    """A 64 GiB short-time table or a 16 GiB kernel table exits 2 before any
-    table is built; the builders are patched to fail loudly if reached."""
+    """At grid_n = 2**20 one block of 64 rows of a short-time or kernel
+    table, with the per-point arrays, is charged over 1 GiB, so the run
+    exits 2 before any block is built; the builders are patched to fail
+    loudly if reached."""
 
     def allocates(*args, **kwargs):
         raise AssertionError("a table was allocated before the budget check")
 
     monkeypatch.setattr("youngbound.probes.stft", allocates)
-    monkeypatch.setattr("youngbound.probes.stft_magnitudes", allocates)
+    monkeypatch.setattr("youngbound.probes.stft_magnitude_norms", allocates)
     monkeypatch.setattr("youngbound.kernels._GaussSum2d.sample", allocates)
     code = main([command, "--scenario", write(tmp_path, text)])
     assert code == EXIT_MALFORMED
@@ -747,9 +749,9 @@ def test_oversized_tables_are_refused_before_allocation(
 
 
 def test_operator_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
-    """At grid_n = 8192 one real kernel table takes 512 MiB, but an operator
-    check holds four and a one-byte mask at its peak (2.06 GiB), so it exits
-    2 before sampling."""
+    """At grid_n = 2**19 an operator check holds no kernel table, but one
+    block of 64 kernel rows is charged 36 bytes a point and the grid 128
+    bytes a point (1.19 GiB), so it exits 2 before sampling."""
 
     def allocates(*args, **kwargs):
         raise AssertionError("a table was allocated before the budget check")
@@ -758,12 +760,34 @@ def test_operator_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
     path = write(
         tmp_path,
         "which = operator\ncase = 1\np = 2, 2, 2\nkernel = bumps\n"
-        "grid_n = 8192\ngrid_l = 16\n",
+        "grid_n = 524288\ngrid_l = 16\n",
     )
     assert main(["verify-lemmas", "--scenario", path]) == EXIT_MALFORMED
     err = capsys.readouterr().err
     assert "above the cap" in err
-    assert str(33 * 8192 * 8192 + 128 * 8192) in err
+    assert str(36 * 64 * 2 ** 19 + 128 * 2 ** 19) in err
+
+
+def test_operator_check_at_8192_is_admitted(tmp_path, capsys, monkeypatch):
+    """At grid_n = 8192 one kernel table would take 512 MiB, but the check
+    samples 64 rows at a time and is charged 19 MiB, so it passes the
+    budget check and reaches the verifier."""
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args, **kwargs):
+        raise Admitted
+
+    monkeypatch.setattr("youngbound.kernels.verify_prop_tf_bounds", admitted)
+    path = write(
+        tmp_path,
+        "which = operator\ncase = 1\np = 2, 2, 2\nkernel = bumps\n"
+        "grid_n = 8192\ngrid_l = 16\n",
+    )
+    with pytest.raises(Admitted):
+        main(["verify-lemmas", "--scenario", path])
+    assert "above the cap" not in capsys.readouterr().err
 
 
 _IDENTITY_LADDER = (
@@ -772,28 +796,26 @@ _IDENTITY_LADDER = (
 
 
 def test_product_identity_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
-    """At grid_n = 8192, stride 1, one short-time table takes the whole cap;
-    the product identity's row blocks are smaller, so the ladder is charged
-    one table plus its points and exits 2 before any table is built."""
-    from youngbound import probes
+    """At grid_n = 2**18, stride 1, one block of 64 rows of the product
+    identity is charged 112 bytes a point and the grid 128 bytes a point
+    (1.78 GiB), so the ladder exits 2 before any block is built."""
 
     def allocates(*args, **kwargs):
         raise AssertionError("a table was allocated before the budget check")
 
     monkeypatch.setattr("youngbound.probes.stft", allocates)
-    monkeypatch.setattr("youngbound.probes.stft_magnitudes", allocates)
-    path = write(tmp_path, _IDENTITY_LADDER.format(8192))
-    block = probes.IDENTITY_BYTES_PER_BLOCK_POINT * 8192 * probes.IDENTITY_BLOCK_ROWS
-    assert block < 16 * 8192 * 8192
+    monkeypatch.setattr("youngbound.probes.stft_magnitude_norms", allocates)
+    path = write(tmp_path, _IDENTITY_LADDER.format(2 ** 18))
     assert main(["probe", "--scenario", path]) == EXIT_MALFORMED
     err = capsys.readouterr().err
     assert "above the cap" in err
-    assert str(16 * 8192 * 8192 + 128 * 8192) in err
+    assert str(112 * 64 * 2 ** 18 + 128 * 2 ** 18) in err
 
 
 def test_stride_one_identity_ladder_at_4096_is_admitted(tmp_path, capsys, monkeypatch):
-    """At grid_n = 4096, stride 1, the ladder is charged one 256 MiB table
-    plus its points, under the cap, so it passes the budget check and
+    """At grid_n = 4096, stride 1, one whole short-time table would take
+    256 MiB, but the ladder is charged one 64-row block of the product
+    identity plus its points (28.5 MiB), so it passes the budget check and
     reaches the sweep."""
 
     class Admitted(Exception):
@@ -937,7 +959,8 @@ def test_overflowing_weights_are_malformed_not_nan(tmp_path, capsys, text):
 # ---------------------------------------------------------------------------
 
 # Every name the package namespace offered when it imported its submodules
-# eagerly, with the submodule it came from.
+# eagerly, with the submodule it came from, less `region_table` and
+# `theta_kernel`: only tests used them, and they moved to tests/oracles.py.
 PACKAGE_NAMES = {
     "exponents": "INF Classification ConditionRecord Exponent ExponentError "
     "ParamTuple Verdict binding_condition check_convolution check_modulation "
@@ -951,8 +974,7 @@ PACKAGE_NAMES = {
     "weighted_lebesgue_norm",
     "kernels": "KernelParams PreconditionError PropReport RegionParams SliceReport "
     "decomposition_residual kernel_f kernel_table region_codes region_of "
-    "region_table t_f t_theta_f theta_kernel verify_lemma_intestimates "
-    "verify_prop_tf_bounds",
+    "t_f t_theta_f verify_lemma_intestimates verify_prop_tf_bounds",
     "probes": "BoundReport BumpFamily GaussianFamily ProbeReport SweepReport "
     "TranslationReport boundedness_sweep fit_power_law gaussian_lower_bound_check "
     "gaussian_necessity_probe gaussian_norm_slope translation_necessity_probe",
