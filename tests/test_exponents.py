@@ -386,6 +386,376 @@ def test_modulation_validates_flavor_and_space():
 
 
 # ---------------------------------------------------------------------------
+# Frozen traces
+# ---------------------------------------------------------------------------
+
+H = F(1, 2)
+
+# One tuple per branch of each checker (pairwise and total necessity, with a
+# violation on each weight block for the modulation flavors, then Bounded
+# and Undetermined), with the whole trace frozen: condition id, lhs,
+# relation, rhs, satisfied and strictness, in order.  A space of None
+# selects check_convolution or check_multiplication.
+_FROZEN_TRACES = [
+    (
+        "convolution", None,
+        dict(p=(2, 2, 2), t=(1, 1, -2)),
+        "Unbounded", "necessity_pairwise",
+        [
+            ("pair_t01", "2", ">=", "0", True, False),
+            ("pair_t02", "-1", ">=", "0", False, False),
+            ("pair_t12", "-1", ">=", "0", False, False),
+            ("total_t", "0", ">=", "1/2", False, False),
+        ],
+    ),
+    (
+        "convolution", None,
+        dict(p=(2, 2, 2), t=(0, 0, 0)),
+        "Unbounded", "necessity_total",
+        [
+            ("pair_t01", "0", ">=", "0", True, False),
+            ("pair_t02", "0", ">=", "0", True, False),
+            ("pair_t12", "0", ">=", "0", True, False),
+            ("total_t", "0", ">=", "1/2", False, False),
+        ],
+    ),
+    (
+        "convolution", None,
+        dict(p=(2, 2, 2), t=(H, H, H), q=(2, 2, 2), s=(H, 0, 0)),
+        "Bounded", "weighted_young_convolution",
+        [
+            ("pair_t01", "1", ">=", "0", True, False),
+            ("pair_t02", "1", ">=", "0", True, False),
+            ("pair_t12", "1", ">=", "0", True, False),
+            ("total_t", "3/2", ">=", "1/2", True, False),
+            ("young_range_p_lo", "1/2", ">=", "0", True, False),
+            ("young_range_p_hi", "1/2", "<=", "1/2", True, False),
+            ("strict_trigger_t0", "1/2", "=", "1/2", True, False),
+            ("strict_trigger_t1", "1/2", "=", "1/2", True, False),
+            ("strict_trigger_t2", "1/2", "=", "1/2", True, False),
+            ("alt_strict_s0", "1/2", "=", "1/2", True, False),
+            ("alt_strict_s1", "0", "=", "1/2", False, False),
+            ("alt_strict_s2", "0", "=", "1/2", False, False),
+            ("total_t_strict", "3/2", ">", "1/2", True, True),
+        ],
+    ),
+    (
+        "convolution", None,
+        dict(p=(2, 2, 2), t=(H, 0, 0)),
+        "Undetermined", "none",
+        [
+            ("pair_t01", "1/2", ">=", "0", True, False),
+            ("pair_t02", "1/2", ">=", "0", True, False),
+            ("pair_t12", "0", ">=", "0", True, False),
+            ("total_t", "1/2", ">=", "1/2", True, False),
+            ("young_range_p_lo", "1/2", ">=", "0", True, False),
+            ("young_range_p_hi", "1/2", "<=", "1/2", True, False),
+            ("strict_trigger_t0", "1/2", "=", "1/2", True, False),
+            ("strict_trigger_t1", "0", "=", "1/2", False, False),
+            ("strict_trigger_t2", "0", "=", "1/2", False, False),
+            ("total_t_strict", "1/2", ">", "1/2", False, True),
+        ],
+    ),
+    (
+        "multiplication", None,
+        dict(p=(2, 2, 2), t=(H, 0, 0), q=(2, 2, 2), s=(1, -2, 0)),
+        "Unbounded", "necessity_pairwise",
+        [
+            ("pair_s01", "-1", ">=", "0", False, False),
+            ("pair_s02", "1", ">=", "0", True, False),
+            ("pair_s12", "-2", ">=", "0", False, False),
+            ("total_s", "-1", ">=", "1/2", False, False),
+        ],
+    ),
+    (
+        "multiplication", None,
+        dict(p=(2, 2, 2), t=(H, 0, 0), q=(2, 2, 2), s=(0, 0, 0)),
+        "Unbounded", "necessity_total",
+        [
+            ("pair_s01", "0", ">=", "0", True, False),
+            ("pair_s02", "0", ">=", "0", True, False),
+            ("pair_s12", "0", ">=", "0", True, False),
+            ("total_s", "0", ">=", "1/2", False, False),
+        ],
+    ),
+    (
+        "multiplication", None,
+        dict(p=(2, 2, 2), t=(H, 0, 0), q=(2, 2, 2), s=(H, H, H)),
+        "Bounded", "fourier_lebesgue_multiplication",
+        [
+            ("pair_s01", "1", ">=", "0", True, False),
+            ("pair_s02", "1", ">=", "0", True, False),
+            ("pair_s12", "1", ">=", "0", True, False),
+            ("total_s", "3/2", ">=", "1/2", True, False),
+            ("young_range_q_lo", "1/2", ">=", "0", True, False),
+            ("young_range_q_hi", "1/2", "<=", "1/2", True, False),
+            ("strict_trigger_s0", "1/2", "=", "1/2", True, False),
+            ("strict_trigger_s1", "1/2", "=", "1/2", True, False),
+            ("strict_trigger_s2", "1/2", "=", "1/2", True, False),
+            ("alt_strict_t0", "1/2", "=", "1/2", True, False),
+            ("alt_strict_t1", "0", "=", "1/2", False, False),
+            ("alt_strict_t2", "0", "=", "1/2", False, False),
+            ("total_s_strict", "3/2", ">", "1/2", True, True),
+        ],
+    ),
+    (
+        "multiplication", None,
+        dict(p=(2, 2, 2), t=(H, 0, 0), q=(3, 3, 3), s=(1, 1, 1)),
+        "Undetermined", "none",
+        [
+            ("pair_s01", "2", ">=", "0", True, False),
+            ("pair_s02", "2", ">=", "0", True, False),
+            ("pair_s12", "2", ">=", "0", True, False),
+            ("total_s", "3", ">=", "1", True, False),
+            ("young_range_q_lo", "1", ">=", "0", True, False),
+            ("young_range_q_hi", "1", "<=", "1/2", False, False),
+            ("strict_trigger_s0", "1", "=", "1", True, False),
+            ("strict_trigger_s1", "1", "=", "1", True, False),
+            ("strict_trigger_s2", "1", "=", "1", True, False),
+            ("alt_strict_t0", "1/2", "=", "1", False, False),
+            ("alt_strict_t1", "0", "=", "1", False, False),
+            ("alt_strict_t2", "0", "=", "1", False, False),
+            ("total_s_strict", "3", ">", "1", True, True),
+        ],
+    ),
+    (
+        "convolution", "M",
+        dict(p=(2, 1, 2), t=(1, -2, 0), q=(2, 1, 2), s=(0, 0, 0)),
+        "Unbounded", "necessity_pairwise",
+        [
+            ("pair_t01", "-1", ">=", "0", False, False),
+            ("pair_t02", "1", ">=", "0", True, False),
+            ("pair_t12", "-2", ">=", "0", False, False),
+            ("total_t", "-1", ">=", "0", False, False),
+            ("pair_s01", "0", ">=", "0", True, False),
+            ("pair_s02", "0", ">=", "0", True, False),
+            ("pair_s12", "0", ">=", "0", True, False),
+            ("total_s", "0", ">=", "0", True, False),
+        ],
+    ),
+    (
+        "convolution", "M",
+        dict(p=(2, 1, 2), t=(0, 0, 0), q=(2, 1, 2), s=(1, -2, 0)),
+        "Unbounded", "necessity_pairwise",
+        [
+            ("pair_t01", "0", ">=", "0", True, False),
+            ("pair_t02", "0", ">=", "0", True, False),
+            ("pair_t12", "0", ">=", "0", True, False),
+            ("total_t", "0", ">=", "0", True, False),
+            ("pair_s01", "-1", ">=", "0", False, False),
+            ("pair_s02", "1", ">=", "0", True, False),
+            ("pair_s12", "-2", ">=", "0", False, False),
+            ("total_s", "-1", ">=", "0", False, False),
+        ],
+    ),
+    (
+        "convolution", "M",
+        dict(p=(2, 2, 2), t=(0, 0, 0), q=(2, 1, 2), s=(0, 0, 0)),
+        "Unbounded", "necessity_total",
+        [
+            ("pair_t01", "0", ">=", "0", True, False),
+            ("pair_t02", "0", ">=", "0", True, False),
+            ("pair_t12", "0", ">=", "0", True, False),
+            ("total_t", "0", ">=", "1/2", False, False),
+            ("pair_s01", "0", ">=", "0", True, False),
+            ("pair_s02", "0", ">=", "0", True, False),
+            ("pair_s12", "0", ">=", "0", True, False),
+            ("total_s", "0", ">=", "0", True, False),
+        ],
+    ),
+    (
+        "convolution", "M",
+        dict(p=(2, 1, 2), t=(0, 0, 0), q=(2, 2, 2), s=(0, 0, 0)),
+        "Unbounded", "necessity_total",
+        [
+            ("pair_t01", "0", ">=", "0", True, False),
+            ("pair_t02", "0", ">=", "0", True, False),
+            ("pair_t12", "0", ">=", "0", True, False),
+            ("total_t", "0", ">=", "0", True, False),
+            ("pair_s01", "0", ">=", "0", True, False),
+            ("pair_s02", "0", ">=", "0", True, False),
+            ("pair_s12", "0", ">=", "0", True, False),
+            ("total_s", "0", ">=", "1/2", False, False),
+        ],
+    ),
+    (
+        "multiplication", "W",
+        dict(p=(2, 1, 2), t=(1, -2, 0), q=(2, 1, 2), s=(0, 0, 0)),
+        "Unbounded", "necessity_pairwise",
+        [
+            ("pair_t01", "-1", ">=", "0", False, False),
+            ("pair_t02", "1", ">=", "0", True, False),
+            ("pair_t12", "-2", ">=", "0", False, False),
+            ("total_t", "-1", ">=", "0", False, False),
+            ("pair_s01", "0", ">=", "0", True, False),
+            ("pair_s02", "0", ">=", "0", True, False),
+            ("pair_s12", "0", ">=", "0", True, False),
+            ("total_s", "0", ">=", "0", True, False),
+        ],
+    ),
+    (
+        "multiplication", "W",
+        dict(p=(2, 1, 2), t=(0, 0, 0), q=(2, 1, 2), s=(1, -2, 0)),
+        "Unbounded", "necessity_pairwise",
+        [
+            ("pair_t01", "0", ">=", "0", True, False),
+            ("pair_t02", "0", ">=", "0", True, False),
+            ("pair_t12", "0", ">=", "0", True, False),
+            ("total_t", "0", ">=", "0", True, False),
+            ("pair_s01", "-1", ">=", "0", False, False),
+            ("pair_s02", "1", ">=", "0", True, False),
+            ("pair_s12", "-2", ">=", "0", False, False),
+            ("total_s", "-1", ">=", "0", False, False),
+        ],
+    ),
+    (
+        "multiplication", "W",
+        dict(p=(2, 2, 2), t=(0, 0, 0), q=(2, 1, 2), s=(0, 0, 0)),
+        "Unbounded", "necessity_total",
+        [
+            ("pair_t01", "0", ">=", "0", True, False),
+            ("pair_t02", "0", ">=", "0", True, False),
+            ("pair_t12", "0", ">=", "0", True, False),
+            ("total_t", "0", ">=", "1/2", False, False),
+            ("pair_s01", "0", ">=", "0", True, False),
+            ("pair_s02", "0", ">=", "0", True, False),
+            ("pair_s12", "0", ">=", "0", True, False),
+            ("total_s", "0", ">=", "0", True, False),
+        ],
+    ),
+    (
+        "multiplication", "W",
+        dict(p=(2, 1, 2), t=(0, 0, 0), q=(2, 2, 2), s=(0, 0, 0)),
+        "Unbounded", "necessity_total",
+        [
+            ("pair_t01", "0", ">=", "0", True, False),
+            ("pair_t02", "0", ">=", "0", True, False),
+            ("pair_t12", "0", ">=", "0", True, False),
+            ("total_t", "0", ">=", "0", True, False),
+            ("pair_s01", "0", ">=", "0", True, False),
+            ("pair_s02", "0", ">=", "0", True, False),
+            ("pair_s12", "0", ">=", "0", True, False),
+            ("total_s", "0", ">=", "1/2", False, False),
+        ],
+    ),
+    (
+        "convolution", "M",
+        dict(p=(2, 2, 2), t=(H, H, H), q=(1, 1, 1), s=(0, 0, 0)),
+        "Bounded", "modulation_convolution_M",
+        [
+            ("pair_t01", "1", ">=", "0", True, False),
+            ("pair_t02", "1", ">=", "0", True, False),
+            ("pair_t12", "1", ">=", "0", True, False),
+            ("total_t", "3/2", ">=", "1/2", True, False),
+            ("pair_s01", "0", ">=", "0", True, False),
+            ("pair_s02", "0", ">=", "0", True, False),
+            ("pair_s12", "0", ">=", "0", True, False),
+            ("total_s", "0", ">=", "-1", True, False),
+            ("young_range_p_lo", "1/2", ">=", "0", True, False),
+            ("young_range_p_hi", "1/2", "<=", "1/2", True, False),
+            ("holder_cap_q", "-1", "<=", "1", True, False),
+            ("total_s_nonneg", "0", ">=", "0", True, False),
+            ("strict_trigger_t0", "1/2", "=", "1/2", True, False),
+            ("strict_trigger_t1", "1/2", "=", "1/2", True, False),
+            ("strict_trigger_t2", "1/2", "=", "1/2", True, False),
+            ("total_t_strict", "3/2", ">", "1/2", True, True),
+        ],
+    ),
+    (
+        "convolution", "M",
+        dict(p=(2, 1, 2), t=(0, 0, 0), q=("inf", "inf", "inf"), s=(1, 1, 1)),
+        "Undetermined", "none",
+        [
+            ("pair_t01", "0", ">=", "0", True, False),
+            ("pair_t02", "0", ">=", "0", True, False),
+            ("pair_t12", "0", ">=", "0", True, False),
+            ("total_t", "0", ">=", "0", True, False),
+            ("pair_s01", "2", ">=", "0", True, False),
+            ("pair_s02", "2", ">=", "0", True, False),
+            ("pair_s12", "2", ">=", "0", True, False),
+            ("total_s", "3", ">=", "2", True, False),
+            ("young_range_p_lo", "0", ">=", "0", True, False),
+            ("young_range_p_hi", "0", "<=", "1/2", True, False),
+            ("holder_cap_q", "2", "<=", "1", False, False),
+            ("total_s_nonneg", "3", ">=", "0", True, False),
+            ("strict_trigger_t0", "0", "=", "0", True, False),
+            ("strict_trigger_t1", "0", "=", "0", True, False),
+            ("strict_trigger_t2", "0", "=", "0", True, False),
+        ],
+    ),
+    (
+        "multiplication", "W",
+        dict(p=(1, 1, 1), t=(0, 0, 0), q=(2, 2, 2), s=(H, H, H)),
+        "Bounded", "modulation_multiplication_W",
+        [
+            ("pair_t01", "0", ">=", "0", True, False),
+            ("pair_t02", "0", ">=", "0", True, False),
+            ("pair_t12", "0", ">=", "0", True, False),
+            ("total_t", "0", ">=", "-1", True, False),
+            ("pair_s01", "1", ">=", "0", True, False),
+            ("pair_s02", "1", ">=", "0", True, False),
+            ("pair_s12", "1", ">=", "0", True, False),
+            ("total_s", "3/2", ">=", "1/2", True, False),
+            ("young_range_q_lo", "1/2", ">=", "0", True, False),
+            ("young_range_q_hi", "1/2", "<=", "1/2", True, False),
+            ("holder_cap_p", "-1", "<=", "1", True, False),
+            ("total_t_nonneg", "0", ">=", "0", True, False),
+            ("strict_trigger_s0", "1/2", "=", "1/2", True, False),
+            ("strict_trigger_s1", "1/2", "=", "1/2", True, False),
+            ("strict_trigger_s2", "1/2", "=", "1/2", True, False),
+            ("total_s_strict", "3/2", ">", "1/2", True, True),
+        ],
+    ),
+    (
+        "multiplication", "W",
+        dict(p=("inf", "inf", "inf"), t=(1, 1, 1), q=(2, 1, 2), s=(0, 0, 0)),
+        "Undetermined", "none",
+        [
+            ("pair_t01", "2", ">=", "0", True, False),
+            ("pair_t02", "2", ">=", "0", True, False),
+            ("pair_t12", "2", ">=", "0", True, False),
+            ("total_t", "3", ">=", "2", True, False),
+            ("pair_s01", "0", ">=", "0", True, False),
+            ("pair_s02", "0", ">=", "0", True, False),
+            ("pair_s12", "0", ">=", "0", True, False),
+            ("total_s", "0", ">=", "0", True, False),
+            ("young_range_q_lo", "0", ">=", "0", True, False),
+            ("young_range_q_hi", "0", "<=", "1/2", True, False),
+            ("holder_cap_p", "2", "<=", "1", False, False),
+            ("total_t_nonneg", "3", ">=", "0", True, False),
+            ("strict_trigger_s0", "0", "=", "0", True, False),
+            ("strict_trigger_s1", "0", "=", "0", True, False),
+            ("strict_trigger_s2", "0", "=", "0", True, False),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "flavor, space, params, classification, theorem, trace", _FROZEN_TRACES
+)
+def test_checker_traces_are_frozen(
+    flavor, space, params, classification, theorem, trace
+):
+    params = ParamTuple(d=1, **params)
+    if space is None:
+        checker = {
+            "convolution": check_convolution,
+            "multiplication": check_multiplication,
+        }[flavor]
+        verdict = checker(params)
+    else:
+        verdict = check_modulation(params, flavor, space)
+    assert verdict.classification.value == classification
+    assert verdict.theorem_used == theorem
+    assert [
+        (r.condition_id, str(r.lhs), r.relation, str(r.rhs), r.satisfied,
+         r.strictness_required)
+        for r in verdict.trace
+    ] == trace
+
+
+# ---------------------------------------------------------------------------
 # Weak-type checker
 # ---------------------------------------------------------------------------
 
