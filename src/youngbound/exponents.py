@@ -332,6 +332,31 @@ def _pairwise_records(weights: WeightTriple, wname: str) -> list[ConditionRecord
     return recs
 
 
+def _necessity(
+    trace: list[ConditionRecord], blocks: list[tuple[WeightTriple, str, Fraction]]
+) -> Verdict | None:
+    """Trace the pairwise sums and the total floor of each (weights, name,
+    d R) block in turn into the empty ``trace``.  Unbounded when a pairwise
+    sum fails, else when a floor fails; None when all hold."""
+    for weights, wname, dr in blocks:
+        total = sum(weights)
+        trace += _pairwise_records(weights, wname)
+        trace.append(ConditionRecord(f"total_{wname}", total, ">=", dr, total >= dr))
+    families = (("necessity_pairwise", "pair_"), ("necessity_total", "total_"))
+    for theorem, family in families:
+        if any(not rec.satisfied for rec in trace if rec.condition_id.startswith(family)):
+            return Verdict(Classification.UNBOUNDED, theorem, tuple(trace))
+    return None
+
+
+def _range_records(r: Fraction, ename: str, upper: Fraction) -> tuple:
+    """The records (lo, hi) of 0 <= R <= ``upper``, R of the exponents ``ename``."""
+    return (
+        ConditionRecord(f"young_range_{ename}_lo", r, ">=", ZERO, r >= ZERO),
+        ConditionRecord(f"young_range_{ename}_hi", r, "<=", upper, r <= upper),
+    )
+
+
 def _strictness_clause(
     trace: list[ConditionRecord],
     weights: WeightTriple,
@@ -371,43 +396,37 @@ def _strictness_clause(
     return True
 
 
+def _blocks(params: ParamTuple, flavor: str) -> tuple[tuple, tuple]:
+    """The (exponents, weights, exponent name, weight name) block that
+    ``flavor`` reads, (p, t) for convolution and (q, s) for multiplication,
+    then the other block."""
+    pt = (params.p, params.t, "p", "t")
+    qs = (params.q, params.s, "q", "s")
+    return (pt, qs) if flavor == "convolution" else (qs, pt)
+
+
 def _young_check(
-    d: int,
-    exps: ExponentTriple,
-    weights: WeightTriple,
-    *,
-    wname: str,
-    ename: str,
-    theorem: str,
-    alt_weights: WeightTriple | None,
-    alt_wname: str,
-    range_upper: Fraction,
+    params: ParamTuple, flavor: str, theorem: str, range_upper: Fraction
 ) -> Verdict:
-    """Shared engine behind the convolution and multiplication checkers.
+    """Shared engine behind the convolution and multiplication checkers, on
+    the block that ``flavor`` reads.
 
     Necessity first (pairwise sums and the total-weight floor hold whenever
     the map is bounded, with no side hypotheses), then the sufficient
-    conditions with the strictness clause.
+    conditions with the strictness clause.  The other weight block, when
+    present, gives the informational alternate reading of the trigger.
     """
-    r = young_functional(exps)
-    dr = d * r
-    trace: list[ConditionRecord] = []
-
-    pair_recs = _pairwise_records(weights, wname)
-    trace.extend(pair_recs)
-    total = sum(weights)
-    total_rec = ConditionRecord(f"total_{wname}", total, ">=", dr, total >= dr)
-    trace.append(total_rec)
-
-    if not all(rec.satisfied for rec in pair_recs):
-        return Verdict(Classification.UNBOUNDED, "necessity_pairwise", tuple(trace))
-    if not total_rec.satisfied:
-        return Verdict(Classification.UNBOUNDED, "necessity_total", tuple(trace))
-
-    lo = ConditionRecord(f"young_range_{ename}_lo", r, ">=", ZERO, r >= ZERO)
-    hi = ConditionRecord(
-        f"young_range_{ename}_hi", r, "<=", range_upper, r <= range_upper
+    (exps, weights, ename, wname), (_, alt_weights, _, alt_wname) = _blocks(
+        params, flavor
     )
+    r = young_functional(exps)
+    dr = params.d * r
+    trace: list[ConditionRecord] = []
+    unbounded = _necessity(trace, [(weights, wname, dr)])
+    if unbounded is not None:
+        return unbounded
+
+    lo, hi = _range_records(r, ename, range_upper)
     trace.extend((lo, hi))
     strict_ok = _strictness_clause(
         trace, weights, wname, r, dr, alt_weights, alt_wname
@@ -436,17 +455,7 @@ def check_convolution(
     equivalence with ``remark_bound(p)`` is exercised by the test suite.
     """
     upper = HALF if range_bound is None else Fraction(range_bound)
-    return _young_check(
-        params.d,
-        params.p,
-        params.t,
-        wname="t",
-        ename="p",
-        theorem="weighted_young_convolution",
-        alt_weights=params.s,
-        alt_wname="s",
-        range_upper=upper,
-    )
+    return _young_check(params, "convolution", "weighted_young_convolution", upper)
 
 
 def check_multiplication(params: ParamTuple) -> Verdict:
@@ -459,15 +468,7 @@ def check_multiplication(params: ParamTuple) -> Verdict:
     if params.q is None or params.s is None:
         raise ValueError("multiplication check requires the q and s blocks")
     return _young_check(
-        params.d,
-        params.q,
-        params.s,
-        wname="s",
-        ename="q",
-        theorem="fourier_lebesgue_multiplication",
-        alt_weights=params.t,
-        alt_wname="t",
-        range_upper=HALF,
+        params, "multiplication", "fourier_lebesgue_multiplication", HALF
     )
 
 
@@ -496,43 +497,17 @@ def check_modulation(params: ParamTuple, flavor: str, space: str) -> Verdict:
     d = params.d
     rp = young_functional(params.p)
     rq = young_functional(params.q)
-    drp = d * rp
-    drq = d * rq
-
     trace: list[ConditionRecord] = []
-    t_pairs = _pairwise_records(params.t, "t")
-    s_pairs = _pairwise_records(params.s, "s")
-    total_t = sum(params.t)
-    total_s = sum(params.s)
-    total_t_rec = ConditionRecord("total_t", total_t, ">=", drp, total_t >= drp)
-    total_s_rec = ConditionRecord("total_s", total_s, ">=", drq, total_s >= drq)
-    trace.extend(t_pairs)
-    trace.append(total_t_rec)
-    trace.extend(s_pairs)
-    trace.append(total_s_rec)
+    unbounded = _necessity(trace, [(params.t, "t", d * rp), (params.s, "s", d * rq)])
+    if unbounded is not None:
+        return unbounded
 
-    if not all(rec.satisfied for rec in t_pairs + s_pairs):
-        return Verdict(Classification.UNBOUNDED, "necessity_pairwise", tuple(trace))
-    if not (total_t_rec.satisfied and total_s_rec.satisfied):
-        return Verdict(Classification.UNBOUNDED, "necessity_total", tuple(trace))
-
-    if flavor == "convolution":
-        main_r, main_dr, main_name = rp, drp, "p"
-        main_weights, main_w = params.t, "t"
-        cap_r, cap_name = rq, "q"
-        other_total, other_w = total_s, "s"
-    else:
-        main_r, main_dr, main_name = rq, drq, "q"
-        main_weights, main_w = params.s, "s"
-        cap_r, cap_name = rp, "p"
-        other_total, other_w = total_t, "t"
-
-    lo = ConditionRecord(
-        f"young_range_{main_name}_lo", main_r, ">=", ZERO, main_r >= ZERO
+    (_, weights, ename, wname), (_, other_weights, cap_name, other_w) = _blocks(
+        params, flavor
     )
-    hi = ConditionRecord(
-        f"young_range_{main_name}_hi", main_r, "<=", HALF, main_r <= HALF
-    )
+    r, cap_r = (rp, rq) if flavor == "convolution" else (rq, rp)
+    other_total = sum(other_weights)
+    lo, hi = _range_records(r, ename, HALF)
     cap = ConditionRecord(
         f"holder_cap_{cap_name}", cap_r, "<=", Fraction(1), cap_r <= 1
     )
@@ -540,7 +515,7 @@ def check_modulation(params: ParamTuple, flavor: str, space: str) -> Verdict:
         f"total_{other_w}_nonneg", other_total, ">=", ZERO, other_total >= ZERO
     )
     trace.extend((lo, hi, cap, nonneg))
-    strict_ok = _strictness_clause(trace, main_weights, main_w, main_r, main_dr)
+    strict_ok = _strictness_clause(trace, weights, wname, r, d * r)
 
     if all(rec.satisfied for rec in (lo, hi, cap, nonneg)) and strict_ok:
         return Verdict(

@@ -60,12 +60,15 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 EDGE_WARN_REL = 1e-10
+# Largest |fhat| on the outermost frequency shell, relative to its peak,
+# that a transform may keep before its dual box is said to truncate it.
+BOUNDARY_TOL = 1e-6
 # Largest edge value e^{-alpha L^2} a Gaussian may keep on a box of
 # half-width L before the box is said to truncate it.
 GAUSSIAN_EDGE_TOL = 1e-12
 # Rows of a table that the streamed numerics hold at once: the short-time
-# norms of the modulation ladders, the product identity and the operator
-# check build their tables this many rows at a time.
+# norms of the modulation ladders, the product identity, the operator
+# check and t_f build their tables this many rows at a time.
 BLOCK_ROWS = 64
 
 
@@ -98,8 +101,8 @@ class Grid:
     def __post_init__(self) -> None:
         if self.d != 1:
             raise ValueError(f"grids are one-dimensional, got d = {self.d}")
-        if self.extent <= 0:
-            raise ValueError(f"extent must be positive, got {self.extent}")
+        if not 0 < self.extent < math.inf:
+            raise ValueError(f"extent must be positive and finite, got {self.extent}")
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
 
@@ -268,15 +271,6 @@ class _MixedNorm:
         return float(_axis_power_norm(inner, self.q, self.cells[1], axis=None))
 
 
-def _mixed_norm(
-    mag: np.ndarray, p: float, q: float, cells: tuple[float, float], p_inside: bool
-) -> float:
-    """The :class:`_MixedNorm` of a whole table of magnitudes."""
-    norm = _MixedNorm(p, q, cells, p_inside)
-    norm.add(mag)
-    return norm.value()
-
-
 def weighted_lebesgue_norm(f: SampledFunction, p, t) -> float:
     """|| f <.>^t ||_{L^p} by the rectangle rule; sup norm when p = inf.
 
@@ -306,35 +300,29 @@ def weighted_lebesgue_norm(f: SampledFunction, p, t) -> float:
 # Transforms
 # ---------------------------------------------------------------------------
 
-def fourier_transform(
-    f: SampledFunction, *, boundary_tol: float | None = 1e-6
-) -> SampledFunction:
+def fourier_transform(f: SampledFunction) -> SampledFunction:
     """Unitary transform of a sampled function, returned on the dual grid.
 
     For n divisible by four the shift sandwich reproduces the centered
     transform sum exactly, so e^{-|x|^2/2} maps to e^{-|xi|^2/2} to machine
     precision on an adequate grid.
 
-    When ``boundary_tol`` is not None the outermost frequency shell is
-    checked: if the transform has not decayed below boundary_tol times its
-    peak there, the dual grid is declared under-resolved and a
-    ResolutionError is raised.
+    The outermost frequency shell is checked: if the transform has not
+    decayed below BOUNDARY_TOL times its peak there, the dual grid is
+    declared under-resolved and a ResolutionError is raised.
     """
     g = f.grid
     vals = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(f.values)))
     vals *= g.h * TWO_PI ** -0.5
-    out = SampledFunction(g.dual(), vals)
-    if boundary_tol is not None:
-        peak = float(np.max(np.abs(vals)))
-        if peak > 0.0:
-            shell = _boundary_shell_max(vals)
-            if shell > boundary_tol * peak:
-                raise ResolutionError(
-                    "fourier_transform: |fhat| at the boundary of the dual box "
-                    f"is {shell:.3e} against peak {peak:.3e}; refine the grid "
-                    "(smaller h widens the dual box)"
-                )
-    return out
+    peak = float(np.max(np.abs(vals)))
+    shell = _boundary_shell_max(vals)
+    if peak > 0.0 and shell > BOUNDARY_TOL * peak:
+        raise ResolutionError(
+            "fourier_transform: |fhat| at the boundary of the dual box "
+            f"is {shell:.3e} against peak {peak:.3e}; refine the grid "
+            "(smaller h widens the dual box)"
+        )
+    return SampledFunction(g.dual(), vals)
 
 
 def _boundary_shell_max(vals: np.ndarray) -> float:
@@ -497,44 +485,46 @@ def stft_magnitudes(
     )
 
 
-class _TableNorm:
-    """One :func:`stft_table_norm`, fed the table as consecutive row blocks
-    (each a :class:`StftTable` of some of its rows)."""
-
-    def __init__(self, p, q, s, t, space: str):
-        if space not in ("M", "W"):
-            raise ValueError(f"space must be 'M' or 'W', got {space!r}")
-        self.p, self.q = _exponent_value(p), _exponent_value(q)
-        self.s, self.t, self.space = float(s), float(t), space
-        self.norm: _MixedNorm | None = None
-        self.column: np.ndarray | None = None
-
-    def _start(self, table: StftTable) -> None:
-        cells = (table.grid.h * table.stride, table.grid.dual_spacing)
-        self.norm = _MixedNorm(self.p, self.q, cells, p_inside=self.space == "M")
-        # A zero exponent gives the weight 1.0 exactly, and x * 1.0 is x.
-        if self.s != 0.0:
-            self.column = (1.0 + table.xi ** 2) ** (self.s / 2.0)
-        if table.multiplicity is not None and not math.isinf(self.q):
-            folded = table.multiplicity ** (1.0 / self.q)
-            self.column = folded if self.column is None else self.column * folded
-
-    def add(self, table: StftTable) -> None:
-        if self.norm is None:
-            self._start(table)
-        weights = []
-        if self.t != 0.0:
-            weights.append(((1.0 + table.x_positions ** 2) ** (self.t / 2.0))[:, None])
-        if self.column is not None:
-            weights.append(self.column[None, :])
-        a = np.abs(table.values) if np.iscomplexobj(table.values) else table.values
-        for weight in weights:
+def _weighted_magnitudes(
+    table: StftTable, t: float, column: np.ndarray | None
+) -> np.ndarray:
+    """|V| <x>^t of a block of rows, times the column weight ``column``; a
+    weight of None is 1."""
+    row = ((1.0 + table.x_positions ** 2) ** (t / 2.0))[:, None] if t != 0.0 else None
+    a = np.abs(table.values) if np.iscomplexobj(table.values) else table.values
+    for weight in (row, column):
+        if weight is not None:
             # Never scale the table in place: one table serves several norms.
             a = a * weight if a is table.values else np.multiply(a, weight, out=a)
-        self.norm.add(a)
+    return a
 
-    def value(self) -> float:
-        return self.norm.value()
+
+def _table_norms(blocks, norms, space: str) -> list[float]:
+    """The :func:`stft_table_norm` of each (p, q, s, t) of ``norms`` over the
+    table that ``blocks`` yields as consecutive row blocks (each a
+    :class:`StftTable` of some of its rows)."""
+    if space not in ("M", "W"):
+        raise ValueError(f"space must be 'M' or 'W', got {space!r}")
+    norms = [
+        (_exponent_value(p), _exponent_value(q), float(s), float(t))
+        for p, q, s, t in norms
+    ]
+    parts = []
+    for table in blocks:
+        if not parts:
+            cells = (table.grid.h * table.stride, table.grid.dual_spacing)
+            for p, q, s, t in norms:
+                # A zero exponent gives the weight 1.0 exactly, and x * 1.0 is x.
+                column = (1.0 + table.xi ** 2) ** (s / 2.0) if s != 0.0 else None
+                if table.multiplicity is not None and not math.isinf(q):
+                    folded = table.multiplicity ** (1.0 / q)
+                    column = folded if column is None else column * folded
+                parts.append((_MixedNorm(p, q, cells, space == "M"), t, column))
+        for norm, t, column in parts:
+            # The weighted copy is freed when add returns, before the next
+            # block is built.
+            norm.add(_weighted_magnitudes(table, t, column))
+    return [norm.value() for norm, _, _ in parts]
 
 
 def stft_table_norm(table: StftTable, p, q, s, t, *, space: str = "M") -> float:
@@ -550,9 +540,7 @@ def stft_table_norm(table: StftTable, p, q, s, t, *, space: str = "M") -> float:
     q = inf): the inner L^p norm is homogeneous, so in both spaces this
     adds m times the column's q-th power to the L^q sum.
     """
-    norm = _TableNorm(p, q, s, t, space)
-    norm.add(table)
-    return norm.value()
+    return _table_norms([table], [(p, q, s, t)], space)[0]
 
 
 def stft_magnitude_norms(
@@ -569,12 +557,11 @@ def stft_magnitude_norms(
     reads each block once.
     """
     _check_stft_inputs(f, window, stride)
-    parts = [_TableNorm(p, q, s, t, space) for p, q, s, t in norms]
-    for rows in _row_blocks(f.grid.n // stride):
-        block = stft_magnitudes(f, window, stride, rows)
-        for part in parts:
-            part.add(block)
-    return [part.value() for part in parts]
+    blocks = (
+        stft_magnitudes(f, window, stride, rows)
+        for rows in _row_blocks(f.grid.n // stride)
+    )
+    return _table_norms(blocks, norms, space)
 
 
 def modulation_norm(
@@ -608,10 +595,11 @@ def mixed_norm_2d(kernel: SampledKernel2d, p, q, order: int) -> float:
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     cell = kernel.grid.h
-    return _mixed_norm(
-        np.abs(kernel.values), _exponent_value(p), _exponent_value(q),
-        (cell, cell), p_inside=order == 1,
+    norm = _MixedNorm(
+        _exponent_value(p), _exponent_value(q), (cell, cell), p_inside=order == 1
     )
+    norm.add(np.abs(kernel.values))
+    return norm.value()
 
 
 def gaussian_resolution_guard(grid: Grid, alpha: float) -> None:

@@ -221,32 +221,28 @@ def _tf_rows(f: SampledFunction, g: SampledFunction):
     return rows_of
 
 
-def t_f(
-    kernel, f: SampledFunction, g: SampledFunction, *, block_rows: int = BLOCK_ROWS
-) -> SampledFunction:
+def t_f(kernel, f: SampledFunction, g: SampledFunction) -> SampledFunction:
     """T_F(f, g)(x_i) = h * sum_j F(x_i, y_j) f(y_j) g(x_i - y_j).
 
-    ``kernel`` may be a materialized table or a callable evaluated block by
-    block, which keeps memory flat for large n.
+    ``kernel`` may be a materialized table or a callable evaluated BLOCK_ROWS
+    rows at a time, which keeps memory flat for large n.
     """
     rows_of = _tf_rows(f, g)
     grid = f.grid
-    n = grid.n
-    out = np.empty(n, dtype=np.complex128)
-    for start in range(0, n, block_rows):
-        rows = slice(start, min(start + block_rows, n))
+    out = np.empty(grid.n, dtype=np.complex128)
+    for rows in _row_blocks(grid.n):
         out[rows] = rows_of(_kernel_block(kernel, grid, rows), rows)
     return SampledFunction(grid, out * grid.h)
 
 
-def t_theta_f(kernel, f: SampledFunction, g: SampledFunction, **kw) -> SampledFunction:
+def t_theta_f(kernel, f: SampledFunction, g: SampledFunction) -> SampledFunction:
     """T_{Theta F}(f, g)(x) = int F(x, y) f(x - y) g(y) dy.
 
     Swapping which argument is translated is the same as swapping the
     arguments of T_F, and it also equals T applied to the remapped kernel
     (Theta F)(x, z) = F(x, x - z); the tests check both identities.
     """
-    return t_f(kernel, g, f, **kw)
+    return t_f(kernel, g, f)
 
 
 def decomposition_residual(
@@ -354,8 +350,10 @@ def _slice_domain(region: int, v: float, rparams: RegionParams) -> tuple[float, 
     return (-w, w)
 
 
-# Ratio between consecutive scan values of the slice verifier.
+# Ratio between consecutive scan values of the slice verifier, and the
+# quadrature points across each slice.
 SCAN_RATIO = 2.0 ** 0.25
+QUAD_POINTS = 20001
 
 
 def verify_lemma_intestimates(
@@ -365,7 +363,6 @@ def verify_lemma_intestimates(
     p,
     *,
     scan_range: tuple[float, float] = (1.0, 100.0),
-    quad_points: int = 20001,
     ratio_cap: float = 3.0,
 ) -> SliceReport:
     """Measure one region's slice norms against the claimed envelope.
@@ -415,8 +412,8 @@ def verify_lemma_intestimates(
             support = 0
         else:
             a, b = domain
-            u = np.linspace(a, b, quad_points)
-            du = (b - a) / (quad_points - 1)
+            u = np.linspace(a, b, QUAD_POINTS)
+            du = (b - a) / (QUAD_POINTS - 1)
             if region in (1, 2):
                 x, y = np.full_like(u, v), u
             else:

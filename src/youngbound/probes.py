@@ -263,6 +263,26 @@ def _require_one_dimension(params: ParamTuple, probe: str) -> None:
         raise NotImplementedError(f"{probe} runs in d = 1")
 
 
+def _alpha_ladder_report(
+    kind: str, alphas: list[float], values: list[float], predicted: float,
+    tol: float, permutation: tuple[int, int, int] | None = None,
+) -> ProbeReport:
+    """Fit ``values`` against 1/alpha; the ladder passes when the slope is
+    within ``tol`` of ``predicted`` and r^2 >= 0.99."""
+    slope, _, r2 = fit_power_law([1.0 / a for a in alphas], values)
+    return ProbeReport(
+        kind=kind,
+        ladder_x=alphas,
+        ladder_y=values,
+        fitted_slope=slope,
+        predicted_slope=predicted,
+        r_squared=r2,
+        tol=tol,
+        passed=abs(slope - predicted) <= tol and r2 >= 0.99,
+        permutation=permutation,
+    )
+
+
 def gaussian_norm_slope(
     p,
     t,
@@ -286,20 +306,8 @@ def gaussian_norm_slope(
     values = [
         weighted_lebesgue_norm(fam.member(0, a, grid), pe, tw) for a in alphas
     ]
-    inv = [1.0 / a for a in alphas]
-    slope, _, r2 = fit_power_law(inv, values)
     predicted = float(Fraction(1, 2) * pe.reciprocal())
-    passed = abs(slope - predicted) <= tol and r2 >= 0.99
-    return ProbeReport(
-        kind="norm_slope",
-        ladder_x=alphas,
-        ladder_y=values,
-        fitted_slope=slope,
-        predicted_slope=predicted,
-        r_squared=r2,
-        tol=tol,
-        passed=passed,
-    )
+    return _alpha_ladder_report("norm_slope", alphas, values, predicted, tol)
 
 
 _PAIR_TO_PERM = {
@@ -370,24 +378,14 @@ def gaussian_necessity_probe(
     grid = grid or PROBE_GRID
     alphas = list(alphas) if alphas is not None else list(DEFAULT_ALPHAS)
     ratios = _convolution_ratios(work, alphas, grid)
-    inv = [1.0 / a for a in alphas]
-    slope, _, r2 = fit_power_law(inv, ratios)
     predicted = float(
         (params.d * young_functional(work.p) - sum(work.t)) / 2
     )
-    passed = abs(slope - predicted) <= tol and r2 >= 0.99
-    return ProbeReport(
-        kind="gaussian_necessity",
-        ladder_x=alphas,
-        ladder_y=ratios,
-        fitted_slope=slope,
-        predicted_slope=predicted,
-        r_squared=r2,
-        tol=tol,
-        passed=passed,
-        witnessed=passed and predicted > 0,
-        permutation=perm,
+    report = _alpha_ladder_report(
+        "gaussian_necessity", alphas, ratios, predicted, tol, permutation=perm
     )
+    report.witnessed = report.passed and predicted > 0
+    return report
 
 
 def translation_necessity_probe(

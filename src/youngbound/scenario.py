@@ -498,3 +498,5 @@ class RunRecord:
             )
         except KeyError as exc:
             raise ScenarioError(f"run record is missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"run record has a malformed field: {exc}") from exc

@@ -34,7 +34,7 @@ from youngbound.grids import (
     stft_table_norm,
     weighted_lebesgue_norm,
 )
-from youngbound.grids import _mixed_norm
+from youngbound.grids import _MixedNorm
 
 from oracles import (
     direct_convolution,
@@ -75,6 +75,13 @@ def test_grid_validation():
         Grid(1, 16.0, 48)  # not a power of two
     with pytest.raises(ValueError):
         Grid(1, 16.0, 4)
+
+
+@pytest.mark.parametrize("extent", [math.nan, math.inf, -math.inf])
+def test_grid_rejects_a_non_finite_extent(extent):
+    """A non-finite box would turn every norm on it into nan or inf."""
+    with pytest.raises(ValueError, match="finite"):
+        Grid(1, extent, 8)
 
 
 def test_grid_spacing_and_axis():
@@ -124,7 +131,8 @@ def test_transform_matches_direct_dft():
     envelope = np.exp(-g.axis() ** 2 / 4.0)
     vals = envelope * rng.standard_normal(g.n)
     f = SampledFunction(g, vals.astype(np.complex128))
-    fast = fourier_transform(f, boundary_tol=None).values
+    with mock.patch.object(grids, "BOUNDARY_TOL", math.inf):
+        fast = fourier_transform(f).values
     slow = direct_dft_centered(vals, g.h, g.extent)
     assert np.max(np.abs(fast - slow)) < 1e-10 * np.max(np.abs(slow))
 
@@ -573,7 +581,9 @@ def test_prop_mixed_norm_matches_loop_oracle(seed, p, q, x_cell, y_cell):
         assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
         cells = (x_cell, y_cell)
         expected = loop_mixed_norm(table.tolist(), pf, qf, cells, order == 1)
-        got = _mixed_norm(table, pf, qf, cells, p_inside=order == 1)
+        norm = _MixedNorm(pf, qf, cells, p_inside=order == 1)
+        norm.add(table)
+        got = norm.value()
         assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 

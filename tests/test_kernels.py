@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from youngbound import grids
+from youngbound import grids, kernels
 from youngbound.exponents import Exponent, young_functional
 from youngbound.grids import (
     Grid,
@@ -168,7 +168,8 @@ def test_tf_callable_kernel_matches_table():
         return bx ** -1.0 * by ** -0.5
 
     a = t_f(table, f, g).values
-    b = t_f(callable_kernel, f, g, block_rows=7).values
+    with mock.patch.object(grids, "BLOCK_ROWS", 7):
+        b = t_f(callable_kernel, f, g).values
     assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -195,14 +196,16 @@ def test_prop_tf_bitwise_equals_gather_oracle(inputs):
     f = SampledFunction(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
     g = SampledFunction(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
     slow = gather_tf(kmat, f.values, g.values, grid.h, block_rows)
-    fast = t_f(SampledKernel2d(grid, kmat), f, g, block_rows=block_rows).values
+    with mock.patch.object(grids, "BLOCK_ROWS", block_rows):
+        fast = t_f(SampledKernel2d(grid, kmat), f, g).values
     assert np.array_equal(fast, slow)
 
     def kernel(x, y):
         return np.exp(-((x - y) ** 2)) / (1.0 + x * x)
 
     ax = grid.axis()
-    fast = t_f(kernel, f, g, block_rows=block_rows).values
+    with mock.patch.object(grids, "BLOCK_ROWS", block_rows):
+        fast = t_f(kernel, f, g).values
     slow = gather_tf(
         kernel(ax[:, None], ax[None, :]), f.values, g.values, grid.h, block_rows
     )
@@ -226,8 +229,9 @@ def test_prop_real_tables_match_their_complex_cast_bitwise(inputs):
     assert cplx.values.dtype == np.complex128
     f = SampledFunction(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
     g = SampledFunction(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    fast = t_f(real, f, g, block_rows=block_rows).values
-    slow = t_f(cplx, f, g, block_rows=block_rows).values
+    with mock.patch.object(grids, "BLOCK_ROWS", block_rows):
+        fast = t_f(real, f, g).values
+        slow = t_f(cplx, f, g).values
     assert fast.tobytes() == slow.tobytes()
     for p, q, order in ((2, 3, 1), (2, 3, 2), ("inf", 1, 1), (1, "inf", 2)):
         assert mixed_norm_2d(real, p, q, order) == mixed_norm_2d(cplx, p, q, order)
@@ -328,14 +332,14 @@ def test_decomposition_residual_zero_inputs():
 # Slice-norm envelopes
 # ---------------------------------------------------------------------------
 
-def test_slice_envelope_region_one_smoke():
+def test_slice_envelope_region_one_smoke(monkeypatch):
+    monkeypatch.setattr(kernels, "QUAD_POINTS", 4001)
     report = verify_lemma_intestimates(
         1,
         KernelParams((1, 1, 1)),
         RegionParams(),
         2,
         scan_range=(1.0, 32.0),
-        quad_points=4001,
     )
     assert report.region == 1 and report.item == 1
     assert report.passed
@@ -350,18 +354,18 @@ def test_slice_envelope_rejects_bad_region():
         )
 
 
-def test_slice_report_serializes():
+def test_slice_report_serializes(monkeypatch):
     import json
 
     from youngbound.scenario import RunRecord
 
+    monkeypatch.setattr(kernels, "QUAD_POINTS", 2001)
     report = verify_lemma_intestimates(
         3,
         KernelParams((0, 1, 1)),
         RegionParams(),
         "inf",
         scan_range=(1.0, 16.0),
-        quad_points=2001,
     )
     record = RunRecord("verify-lemmas", {}, {"report": report}, 0, None, "", "", {})
     assert json.dumps(json.loads(record.to_json())["results"]["report"])

@@ -173,6 +173,20 @@ def test_run_record_rejects_unknown_versions():
         RunRecord.from_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("scenario", 5), ("versions", [1]), ("exit_code", "x"), ("exit_code", None)],
+)
+def test_run_record_rejects_malformed_fields(field, value):
+    """A field of the wrong type is a malformed record, not a raw
+    TypeError or ValueError."""
+    record = RunRecord("check", {}, {}, 0, 0, "", "", {})
+    payload = json.loads(record.to_json())
+    payload[field] = value
+    with pytest.raises(ScenarioError, match="malformed"):
+        RunRecord.from_json(json.dumps(payload))
+
+
 # ---------------------------------------------------------------------------
 # check command
 # ---------------------------------------------------------------------------
