@@ -366,7 +366,9 @@ def _cmd_verify(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
     else:
         grid = _grid_override(values)
         if grid is not None:
-            _check_table_bytes(operator_peak_bytes(grid))
+            _check_table_bytes(
+                operator_peak_bytes(grid, values["trials"], values["kernel"])
+            )
         report = verify_prop_tf_bounds(
             values["case"],
             values["p"],

@@ -431,9 +431,8 @@ def stft(
     """
     _check_stft_inputs(f, window, stride)
     half = f.grid.n // 2
-    spectra = np.fft.fft(
-        _window_rows(f.values, np.conj(window.values), stride, rows), axis=1
-    )
+    spectra = _window_rows(f.values, np.conj(window.values), stride, rows)
+    np.fft.fft(spectra, axis=1, out=spectra)
     scale = f.grid.h * (TWO_PI ** -0.5)
     table = np.empty_like(spectra)
     np.multiply(spectra[:, half:], scale, out=table[:, :half])

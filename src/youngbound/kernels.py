@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -522,8 +523,10 @@ class _GaussSum2d(_GaussSum1d):
         band only where its exponent does.  Everywhere else exp rounds to
         +0.0, whose addition changes no bit of the sum (rounding is
         monotone, so the skipped exponents are at most -_EXP_ZERO as
-        computed), and numpy's exp is several times slower on such
-        arguments than on normal ones.
+        computed).  numpy's exp takes about 1.2 ns a point where its result
+        is normal, 21 ns where it underflows to 0 and 150 ns where it is
+        subnormal (x86-64, numpy 2.4): over the benchmark's seven operator
+        cases, 2.0% of the evaluated points take 28% of the sampling time.
         """
         out = np.zeros((x.size, y.size))
         for amp, a, u, v in self.terms:
@@ -563,19 +566,47 @@ _DEFAULT_SCALES = (0.5, 2.0 ** -0.5, 1.0, 2.0 ** 0.5, 2.0)
 # the running column sums of the mixed norm: 32 bytes (a T_F row block's
 # complex product, and the band argument, term and one-byte `exp` mask of
 # `_GaussSum2d.sample`, take less).  Beside the block lie a few n-point
-# arrays.  The traced peak is 32.0-33.3 bytes per block point beyond
-# OPERATOR_BYTES_PER_POINT per point.
+# arrays.  Two (trial, scale) points run at once; each holds at its traced
+# peak 28.9-33.3 bytes a block point beyond OPERATOR_BYTES_PER_POINT a point.
 OPERATOR_BYTES_PER_BLOCK_POINT = 36
 OPERATOR_BYTES_PER_POINT = 128
 
 
-def operator_peak_bytes(grid: Grid) -> int:
-    """The bytes an operator check on ``grid`` holds at its peak."""
+def operator_peak_bytes(grid: Grid, trials: int, kernel: str) -> int:
+    """The bytes an operator check of ``trials`` on ``grid`` holds at its peak."""
     n = grid.n
-    return (
+    points = trials * (1 if kernel == "ones" else len(_DEFAULT_SCALES))
+    return min(2, points) * (
         OPERATOR_BYTES_PER_BLOCK_POINT * min(BLOCK_ROWS, n) * n
         + OPERATOR_BYTES_PER_POINT * n
     )
+
+
+def _two_at_a_time(fn, items: list) -> list:
+    """``list(map(fn, items))``, even indices on the calling thread and odd
+    ones on a helper thread, which overlap where numpy releases the GIL.
+    Each thread stops at its first failure; once the helper is joined, the
+    lowest failing index raises its exception, as the serial loop does."""
+    results = [None] * len(items)
+    failures: dict[int, Exception] = {}
+
+    def work(start: int) -> None:
+        for i in range(start, len(items), 2):
+            try:
+                results[i] = fn(items[i])
+            except Exception as exc:  # raised again on the calling thread
+                failures[i] = exc
+                return
+
+    helper = threading.Thread(target=work, args=(1,))
+    helper.start()
+    try:
+        work(0)
+    finally:
+        helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def verify_prop_tf_bounds(
@@ -652,47 +683,48 @@ def verify_prop_tf_bounds(
     knorm_p, knorm_q = (math.inf, r_exp) if case == 1 else (r_exp, math.inf)
     # T_F(f, g), and T_{Theta F}(f, g) = T_F(g, f).
     swaps = {1: (False, True), 2: (False,), 3: (True,)}[case]
-    ratios: list[list[float]] = []
-    slopes: list[float] = []
-    for _ in range(trials):
-        fsum = _GaussSum1d(draw(2, 1))
-        gsum = _GaussSum1d(draw(2, 1))
-        ksum = _GaussSum2d(draw(3, 2)) if kernel == "bumps" else None
-        row: list[float] = []
-        for lam in scale_list:
-            fl = SampledFunction(grid, fsum.dilated(lam).sample(ax))
-            gl = SampledFunction(grid, gsum.dilated(lam).sample(ax))
-            kl = None if ksum is None else ksum.dilated(lam)
-            # mixed_norm_2d and t_f of the kernel table, one block of its
-            # rows at a time: every block serves the norm and each map.
-            knorm = _MixedNorm(knorm_p, knorm_q, (grid.h, grid.h), p_inside=case != 1)
-            maps = [_tf_rows(gl, fl) if swap else _tf_rows(fl, gl) for swap in swaps]
-            images = [np.empty(grid.n, dtype=np.complex128) for _ in maps]
-            for rows in _row_blocks(grid.n):
-                if kl is None:
-                    kblk = np.ones((rows.stop - rows.start, grid.n))
-                else:
-                    kblk = kl.sample(ax[rows], ax)
-                knorm.add(np.abs(kblk))
-                for rows_of, out in zip(maps, images):
-                    out[rows] = rows_of(kblk, rows)
-                del kblk  # freed before the next block is sampled
-            denom = (
-                knorm.value()
-                * weighted_lebesgue_norm(fl, exps[1], 0)
-                * weighted_lebesgue_norm(gl, exps[2], 0)
-            )
-            num = max(
-                weighted_lebesgue_norm(SampledFunction(grid, out * grid.h), p0c, 0)
-                for out in images
-            )
-            row.append(num / denom)
-        ratios.append(row)
-        if len(scale_list) > 1:
-            fit = np.polyfit(np.log(scale_list), np.log(row), 1)
-            slopes.append(float(fit[0]))
 
-    flat = [v for row in ratios for v in row]
+    def ratio(point) -> float:
+        fsum, gsum, ksum, lam = point
+        fl = SampledFunction(grid, fsum.dilated(lam).sample(ax))
+        gl = SampledFunction(grid, gsum.dilated(lam).sample(ax))
+        kl = None if ksum is None else ksum.dilated(lam)
+        # mixed_norm_2d and t_f of the kernel table, one block of its
+        # rows at a time: every block serves the norm and each map.
+        knorm = _MixedNorm(knorm_p, knorm_q, (grid.h, grid.h), p_inside=case != 1)
+        maps = [_tf_rows(gl, fl) if swap else _tf_rows(fl, gl) for swap in swaps]
+        images = [np.empty(grid.n, dtype=np.complex128) for _ in maps]
+        for rows in _row_blocks(grid.n):
+            if kl is None:
+                kblk = np.ones((rows.stop - rows.start, grid.n))
+            else:
+                kblk = kl.sample(ax[rows], ax)
+            knorm.add(np.abs(kblk))
+            for rows_of, out in zip(maps, images):
+                out[rows] = rows_of(kblk, rows)
+            del kblk  # freed before the next block is sampled
+        denom = (
+            knorm.value()
+            * weighted_lebesgue_norm(fl, exps[1], 0)
+            * weighted_lebesgue_norm(gl, exps[2], 0)
+        )
+        num = max(
+            weighted_lebesgue_norm(SampledFunction(grid, out * grid.h), p0c, 0)
+            for out in images
+        )
+        return num / denom
+
+    # Every trial's bumps are drawn first, in the serial loop's rng order.
+    points = []
+    for _ in range(trials):
+        sums = (_GaussSum1d(draw(2, 1)), _GaussSum1d(draw(2, 1)))
+        ksum = _GaussSum2d(draw(3, 2)) if kernel == "bumps" else None
+        points += [(*sums, ksum, lam) for lam in scale_list]
+    flat = _two_at_a_time(ratio, points)
+    ratios = np.reshape(flat, (trials, -1)).tolist()
+    logs = np.log(scale_list)
+    slopes = [float(np.polyfit(logs, np.log(r), 1)[0]) for r in ratios if logs.size > 1]
+
     max_ratio = max(flat)
     min_ratio = min(flat)
     spread = max_ratio / min_ratio

@@ -456,6 +456,10 @@ class RunRecord:
     finished_at: str
     versions: dict[str, str]
     record_version: int = RECORD_VERSION
+    _JSON_TYPES = dict(
+        command=str, scenario=dict, results=dict, exit_code=int,
+        seed=(int, type(None)), started_at=str, finished_at=str, versions=dict,
+    )
 
     def to_json(self) -> str:
         payload = vars(self)
@@ -480,23 +484,17 @@ class RunRecord:
         if not isinstance(data, dict):
             raise ScenarioError("not a run record: top level must be an object")
         version = data.get("record_version")
-        if version != RECORD_VERSION:
+        if type(version) is not int or version != RECORD_VERSION:
             raise ScenarioError(
                 f"unsupported record version {version!r} (expected {RECORD_VERSION})"
             )
-        try:
-            return cls(
-                command=data["command"],
-                scenario=dict(data["scenario"]),
-                results=data["results"],
-                exit_code=int(data["exit_code"]),
-                seed=data["seed"],
-                started_at=data["started_at"],
-                finished_at=data["finished_at"],
-                versions=dict(data["versions"]),
-                record_version=version,
-            )
-        except KeyError as exc:
-            raise ScenarioError(f"run record is missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"run record has a malformed field: {exc}") from exc
+        fields = {}
+        for name, kind in cls._JSON_TYPES.items():
+            if name not in data:
+                raise ScenarioError(f"run record is missing field {name!r}")
+            value = data[name]
+            # bool is an int subclass, but true is no exit code or seed.
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ScenarioError(f"malformed run record field {name}: {value!r}")
+            fields[name] = value
+        return cls(**fields, record_version=version)

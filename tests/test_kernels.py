@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
+import time
 from fractions import Fraction as F
 from unittest import mock
 
@@ -490,3 +493,83 @@ def test_prop_streamed_operator_check_equals_whole_table_path(
             case, p, trials=1, seed=seed, grid=grid, kernel=kernel
         )
     assert repr((report.ratios, report.slopes)) == repr(expected)
+
+
+def _serial(fn, items):
+    return list(map(fn, items))
+
+
+@pytest.mark.parametrize("setting", _OPERATOR_SETTINGS)
+def test_threaded_operator_check_equals_serial_run(setting, monkeypatch):
+    """Two points at a time give the report of one point after another,
+    to the bit."""
+    case, p, kernel = setting
+    threaded = verify_prop_tf_bounds(case, p, trials=2, seed=11, kernel=kernel)
+    monkeypatch.setattr(kernels, "_two_at_a_time", _serial)
+    serial = verify_prop_tf_bounds(case, p, trials=2, seed=11, kernel=kernel)
+    assert repr(threaded) == repr(serial)
+
+
+def test_failing_point_raises_the_serial_loops_exception(monkeypatch):
+    """Every point at a scale of 1 or more raises, with a message naming
+    its bumps and scale; the check raises the first of them, as the serial
+    loop does, and leaves no thread behind."""
+    dilated = _GaussSum1d.dilated
+
+    def failing(self, lam):
+        if lam >= 1.0:
+            raise ValueError(repr((self.terms, lam)))
+        return dilated(self, lam)
+
+    monkeypatch.setattr(_GaussSum1d, "dilated", failing)
+    threads = threading.active_count()
+    with pytest.raises(ValueError) as threaded:
+        verify_prop_tf_bounds(1, (2, 2, 2), trials=3, seed=5)
+    assert threading.active_count() == threads
+    monkeypatch.setattr(kernels, "_two_at_a_time", _serial)
+    with pytest.raises(ValueError) as serial:
+        verify_prop_tf_bounds(1, (2, 2, 2), trials=3, seed=5)
+    assert str(threaded.value) == str(serial.value)
+
+
+def test_two_at_a_time_raises_the_lowest_failing_index():
+    """Item 2 fails while item 1 is still running; item 1 then fails too,
+    and its exception is the one raised."""
+
+    def fn(i):
+        if i == 1:
+            time.sleep(0.2)
+            raise ValueError(1)
+        if i == 2:
+            raise ValueError(2)
+        return i
+
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="1"):
+        kernels._two_at_a_time(fn, [0, 1, 2, 3])
+    assert threading.active_count() == threads
+
+
+def test_operator_check_leaves_no_thread_behind():
+    threads = threading.active_count()
+    verify_prop_tf_bounds(2, (2, 2, 2), trials=1, grid=Grid(1, 8.0, 64))
+    assert threading.active_count() == threads
+
+
+def test_two_at_a_time_runs_every_item_once_under_fast_switching():
+    """With the interpreter switching threads every microsecond, no item
+    is lost or run twice, and every result lands at its index."""
+    calls = []
+
+    def fn(i):
+        calls.append(i)
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = kernels._two_at_a_time(fn, list(range(2000)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [i * i for i in range(2000)]
+    assert sorted(calls) == list(range(2000))

@@ -173,13 +173,33 @@ def test_run_record_rejects_unknown_versions():
         RunRecord.from_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_run_record_rejects_a_version_of_another_type(version):
+    record = RunRecord("check", {}, {}, 0, 0, "", "", {})
+    payload = json.loads(record.to_json())
+    payload["record_version"] = version
+    with pytest.raises(ScenarioError, match="unsupported record version"):
+        RunRecord.from_json(json.dumps(payload))
+
+
 @pytest.mark.parametrize(
     "field, value",
-    [("scenario", 5), ("versions", [1]), ("exit_code", "x"), ("exit_code", None)],
+    [
+        ("scenario", 5),
+        ("versions", [1]),
+        ("exit_code", "x"),
+        ("exit_code", None),
+        ("exit_code", 1.5),
+        ("exit_code", True),
+        ("results", 5),
+        ("command", 7),
+        ("seed", "x"),
+    ],
 )
 def test_run_record_rejects_malformed_fields(field, value):
-    """A field of the wrong type is a malformed record, not a raw
-    TypeError or ValueError."""
+    """A field of the wrong JSON type is a malformed record: not a raw
+    TypeError or ValueError, and not a value that int() coerces or that
+    loads unchanged."""
     record = RunRecord("check", {}, {}, 0, 0, "", "", {})
     payload = json.loads(record.to_json())
     payload[field] = value
@@ -763,9 +783,10 @@ def test_oversized_tables_are_refused_before_allocation(
 
 
 def test_operator_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
-    """At grid_n = 2**19 an operator check holds no kernel table, but one
-    block of 64 kernel rows is charged 36 bytes a point and the grid 128
-    bytes a point (1.19 GiB), so it exits 2 before sampling."""
+    """At grid_n = 2**19 an operator check holds no kernel table, but each
+    of the two points in flight is charged 36 bytes a point of one block of
+    64 kernel rows and 128 bytes a grid point (2.38 GiB in all), so it
+    exits 2 before sampling."""
 
     def allocates(*args, **kwargs):
         raise AssertionError("a table was allocated before the budget check")
@@ -779,13 +800,13 @@ def test_operator_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
     assert main(["verify-lemmas", "--scenario", path]) == EXIT_MALFORMED
     err = capsys.readouterr().err
     assert "above the cap" in err
-    assert str(36 * 64 * 2 ** 19 + 128 * 2 ** 19) in err
+    assert str(2 * (36 * 64 * 2 ** 19 + 128 * 2 ** 19)) in err
 
 
 def test_operator_check_at_8192_is_admitted(tmp_path, capsys, monkeypatch):
     """At grid_n = 8192 one kernel table would take 512 MiB, but the check
-    samples 64 rows at a time and is charged 19 MiB, so it passes the
-    budget check and reaches the verifier."""
+    samples 64 rows at a time, two points at once, and is charged 38 MiB,
+    so it passes the budget check and reaches the verifier."""
 
     class Admitted(Exception):
         pass
@@ -811,8 +832,8 @@ _IDENTITY_LADDER = (
 
 def test_product_identity_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
     """At grid_n = 2**18, stride 1, one block of 64 rows of the product
-    identity is charged 112 bytes a point and the grid 128 bytes a point
-    (1.78 GiB), so the ladder exits 2 before any block is built."""
+    identity is charged 72 bytes a point and the grid 128 bytes a point
+    (1.16 GiB), so the ladder exits 2 before any block is built."""
 
     def allocates(*args, **kwargs):
         raise AssertionError("a table was allocated before the budget check")
@@ -823,13 +844,13 @@ def test_product_identity_tables_count_against_the_cap(tmp_path, capsys, monkeyp
     assert main(["probe", "--scenario", path]) == EXIT_MALFORMED
     err = capsys.readouterr().err
     assert "above the cap" in err
-    assert str(112 * 64 * 2 ** 18 + 128 * 2 ** 18) in err
+    assert str(72 * 64 * 2 ** 18 + 128 * 2 ** 18) in err
 
 
 def test_stride_one_identity_ladder_at_4096_is_admitted(tmp_path, capsys, monkeypatch):
     """At grid_n = 4096, stride 1, one whole short-time table would take
     256 MiB, but the ladder is charged one 64-row block of the product
-    identity plus its points (28.5 MiB), so it passes the budget check and
+    identity plus its points (18.5 MiB), so it passes the budget check and
     reaches the sweep."""
 
     class Admitted(Exception):
@@ -942,9 +963,13 @@ def test_modulation_ladder_charge_covers_the_traced_peak(flavor, stride, tmp_pat
     ids=["case1", "case2", "case3", "r0", "ones"],
 )
 def test_operator_charge_covers_the_traced_peak(settings, tmp_path, capsys):
+    text = f"which = operator\n{settings}trials = 1\n"
+    values = resolve_scenario("verify-lemmas", parse_scenario_text(text))
+    trials, kernel = values["trials"], values["kernel"]
     _assert_charge_covers_the_traced_peak(
-        "verify-lemmas", f"which = operator\n{settings}trials = 1\n",
-        16.0, (512, 1024), kernels.operator_peak_bytes, tmp_path, capsys,
+        "verify-lemmas", text, 16.0, (512, 1024),
+        lambda grid: kernels.operator_peak_bytes(grid, trials, kernel),
+        tmp_path, capsys,
     )
 
 
