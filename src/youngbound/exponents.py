@@ -590,13 +590,15 @@ def classify(
 def binding_condition(verdict: Verdict) -> str:
     """The condition id that decided the verdict, for report tables.
 
-    For Unbounded verdicts: the first violated condition.  For Bounded
+    For Unbounded verdicts: the first violated condition of the cited
+    family (a pairwise sum for ``necessity_pairwise``).  For Bounded
     verdicts whose trace carries a strictness requirement: that condition id
     (so strict rows can be marked).  Otherwise the empty string.
     """
     if verdict.classification is Classification.UNBOUNDED:
+        family = "pair_" if verdict.theorem_used == "necessity_pairwise" else ""
         for rec in verdict.trace:
-            if not rec.satisfied and not rec.condition_id.startswith("alt_"):
+            if not rec.satisfied and rec.condition_id.startswith(family):
                 return rec.condition_id
         return ""
     if verdict.classification is Classification.BOUNDED:
