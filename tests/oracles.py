@@ -9,6 +9,7 @@ evidence, not circularity.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -336,3 +337,118 @@ def ref_gap_functional(x):
     """2 - x0 - x1 - x2 as an exact rational."""
     xs = tuple(Fraction(v) for v in x)
     return Fraction(2) - xs[0] - xs[1] - xs[2]
+
+
+# ---------------------------------------------------------------------------
+# Exact decision rules, coded a second time
+# ---------------------------------------------------------------------------
+#
+# Read off the checker docstrings and the README, not the checker code.  An
+# exponent is a Fraction in [1, oo) or None for oo; a block is (exponents,
+# weights).  Each rule lists its conditions as rows in the order a trace
+# shows them: the necessary rows (id, holds), then the sufficient rows
+# (id, holds, strict), where a strict row is the strict total floor.
+
+@functools.cache
+def ref_young(exps):
+    """R = 2 - 1/e0 - 1/e1 - 1/e2 with 1/oo = 0."""
+    return Fraction(2) - sum(Fraction(0) if e is None else 1 / Fraction(e) for e in exps)
+
+
+_REF_PAIRS = ((0, 1), (0, 2), (1, 2))
+# The index of the block each flavor reads, and the names of each block.
+_REF_BLOCKS = {"convolution": 0, "multiplication": 1}
+_REF_NAMES = (("p", "t"), ("q", "s"))
+
+
+def _ref_necessary(weights, wname, floor):
+    """Every pairwise sum w_j + w_k >= 0, then sum(w) >= floor."""
+    rows = [(f"pair_{wname}{j}{k}", weights[j] + weights[k] >= 0) for j, k in _REF_PAIRS]
+    return rows + [(f"total_{wname}", sum(weights) >= floor)]
+
+
+def _ref_sufficient(weights, ename, wname, r, floor):
+    """0 <= R <= 1/2, and sum(w) > floor strictly once R > 0 and some w_j
+    equals floor."""
+    rows = [(f"young_range_{ename}_lo", r >= 0, False),
+            (f"young_range_{ename}_hi", r <= HALF, False)]
+    if r > 0 and any(w == floor for w in weights):
+        rows.append((f"total_{wname}_strict", sum(weights) > floor, True))
+    return rows
+
+
+def _ref_lebesgue(flavor):
+    def rule(d, blocks):
+        i = _REF_BLOCKS[flavor]
+        (ename, wname), (exps, weights) = _REF_NAMES[i], blocks[i]
+        r = ref_young(exps)
+        return (_ref_necessary(weights, wname, d * r),
+                _ref_sufficient(weights, ename, wname, r, d * r))
+    return rule
+
+
+def _ref_modulation(flavor):
+    """Both necessity families on (p, t) and (q, s); then the flavor's
+    block in range with the strictness clause, R of the other block at
+    most 1, and the other block's weights summing to at least 0."""
+    def rule(d, blocks):
+        (p, t), (q, s) = blocks
+        necessary = (_ref_necessary(t, "t", d * ref_young(p))
+                     + _ref_necessary(s, "s", d * ref_young(q)))
+        i = _REF_BLOCKS[flavor]
+        (ename, wname), (other_e, other_w) = _REF_NAMES[i], _REF_NAMES[1 - i]
+        (exps, weights), (other_exps, other_weights) = blocks[i], blocks[1 - i]
+        r = ref_young(exps)
+        lo, hi, *strict = _ref_sufficient(weights, ename, wname, r, d * r)
+        sufficient = [
+            lo, hi,
+            (f"holder_cap_{other_e}", ref_young(other_exps) <= 1, False),
+            (f"total_{other_w}_nonneg", sum(other_weights) >= 0, False),
+            *strict,
+        ]
+        return necessary, sufficient
+    return rule
+
+
+def _ref_weak(d, blocks):
+    """Sufficient only: 0 < R <= 1/2, every pairwise sum >= 0 and at least
+    two of them > 0, and sum(t) > d R."""
+    p, t = blocks[0]
+    r = ref_young(p)
+    pairs = [t[j] + t[k] for j, k in _REF_PAIRS]
+    return [], [
+        ("young_range_p_lo_strict", r > 0, False),
+        ("young_range_p_hi", r <= HALF, False),
+        *((f"pair_t{j}{k}", v >= 0, False) for (j, k), v in zip(_REF_PAIRS, pairs)),
+        ("weak_strict_count", len([v for v in pairs if v > 0]) >= 2, False),
+        ("total_t_strict", sum(t) > d * r, True),
+    ]
+
+
+REF_RULES = {
+    ("lebesgue", "convolution"): _ref_lebesgue("convolution"),
+    ("lebesgue", "multiplication"): _ref_lebesgue("multiplication"),
+    ("weak", "convolution"): _ref_weak,
+    ("modulation", "convolution"): _ref_modulation("convolution"),
+    ("modulation", "multiplication"): _ref_modulation("multiplication"),
+}
+
+
+def ref_verdict(setting, flavor, d, p, t, q=None, s=None):
+    """(classification, binding condition id) of a tuple by REF_RULES.
+
+    Unbounded when a necessary row fails, citing the first failed pairwise
+    sum if any, else the first failed total floor; otherwise Undetermined
+    citing the first failed sufficient row; otherwise Bounded, citing the
+    strict total floor when the rule engaged one and nothing otherwise.
+    """
+    necessary, sufficient = REF_RULES[setting, flavor](d, ((p, t), (q, s)))
+    for family in ("pair_", "total_"):
+        broken = [cid for cid, holds in necessary if cid.startswith(family) and not holds]
+        if broken:
+            return "Unbounded", broken[0]
+    broken = [cid for cid, holds, _ in sufficient if not holds]
+    if broken:
+        return "Undetermined", broken[0]
+    strict = [cid for cid, _, is_strict in sufficient if is_strict]
+    return "Bounded", strict[0] if strict else ""

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from itertools import product
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from youngbound.exponents import (
     INF,
@@ -18,6 +20,7 @@ from youngbound.exponents import (
     check_modulation,
     check_multiplication,
     check_weak_proposition,
+    classify,
     conjugate,
     g_functional,
     h0,
@@ -27,12 +30,14 @@ from youngbound.exponents import (
     remark_bound,
     young_functional,
 )
+from youngbound.scenario import parse_scenario_text, resolve_scenario
 
 from oracles import (
     ref_gap_functional,
     ref_threshold_cases,
     ref_threshold_floor,
     ref_threshold_maxmin,
+    ref_verdict,
 )
 
 # Small-denominator rationals keep hypothesis shrinking readable and the
@@ -375,6 +380,17 @@ def test_modulation_necessity_spans_both_weight_blocks():
     )
     v = check_modulation(params, "convolution", "M")
     assert v.classification is Classification.UNBOUNDED
+
+
+def test_pairwise_verdict_binds_a_pairwise_row():
+    """The total floor of t fails before the pairwise sums of s in the
+    trace, but the verdict cites the pairwise family, so a pair row binds."""
+    params = ParamTuple(
+        d=1, p=(2, 2, 2), t=(0, 0, 0), q=(2, 2, 2), s=(1, -2, 0)
+    )
+    v = check_modulation(params, "convolution", "M")
+    assert v.theorem_used == "necessity_pairwise"
+    assert binding_condition(v) == "pair_s01"
 
 
 def test_modulation_validates_flavor_and_space():
@@ -778,3 +794,96 @@ def test_weak_checker_never_refutes():
 def test_prop_weak_checker_never_reports_unbounded(params):
     v = check_weak_proposition(params)
     assert v.classification is not Classification.UNBOUNDED
+
+
+# ---------------------------------------------------------------------------
+# The checkers against an independent coding of their rules
+# ---------------------------------------------------------------------------
+
+# (setting, flavor, space) of every checker; the space only labels the
+# modulation verdict, so both are compared.
+_SETTINGS = [
+    ("lebesgue", "convolution", "M"),
+    ("lebesgue", "multiplication", "M"),
+    ("weak", "convolution", "M"),
+    *(("modulation", f, space) for f in ("convolution", "multiplication")
+      for space in ("M", "W")),
+]
+
+
+def _assert_matches_rules(params, settings):
+    for setting, flavor, space in settings:
+        verdict = classify(params, flavor, setting, space)
+        got = (verdict.classification.value, binding_condition(verdict))
+        blocks = [params.p, params.t, params.q, params.s]
+        blocks[0::2] = [
+            None if e is None else tuple(x.value for x in e) for e in blocks[0::2]
+        ]
+        assert got == ref_verdict(setting, flavor, params.d, *blocks), (
+            setting, flavor, params,
+        )
+
+
+def test_weight_sweep_grid_matches_the_independent_rules():
+    """Every row of the shipped weight sweep, in every setting that admits
+    its flavor; the modulation settings mirror (p, t) into (q, s)."""
+    text = (Path(__file__).resolve().parent.parent / "scenarios/weight_sweep.txt")
+    values = resolve_scenario("sweep", parse_scenario_text(text.read_text()))
+    count = (values["t_max"] - values["t_min"]) // values["t_step"] + 1
+    ladder = [values["t_min"] + k * values["t_step"] for k in range(count)]
+    settings = [s for s in _SETTINGS if s[1] == values["flavor"]]
+    for w in product(ladder, repeat=3):
+        p = values["p"]
+        _assert_matches_rules(
+            ParamTuple(d=values["d"], p=p, t=w, q=p, s=w), settings
+        )
+
+
+_RECIPROCALS = st.sampled_from(
+    [F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1)]
+)
+_MOVES = st.tuples(st.sampled_from([None, "trigger", "pair", "total"]), st.integers(0, 2))
+# One block's draws, flat because hypothesis pays per draw: two reciprocals,
+# an R to aim the third at, a fallback third, weights in quarters and two
+# boundary moves.
+_BLOCK_DRAWS = st.tuples(
+    _RECIPROCALS, _RECIPROCALS, st.sampled_from([None, F(0), F(1, 2)]), _RECIPROCALS,
+    st.tuples(*[st.integers(-4, 4)] * 3), _MOVES, _MOVES,
+)
+
+
+def _boundary_block(d, x0, x1, target, fallback, quarters, *moves):
+    """An (exponents, weights) block pushed to the rules' boundaries: R
+    often 0 or 1/2, and weights that hit the trigger (w_j = d R), a zero
+    pairwise sum or a total of exactly d R."""
+    last = None if target is None else 2 - target - x0 - x1
+    x = (x0, x1, last if last is not None and 0 <= last <= 1 else fallback)
+    dr = d * (2 - sum(x))
+    w = [F(k, 4) for k in quarters]
+    for mode, j in moves:
+        if mode == "trigger":
+            w[j] = dr
+        elif mode == "pair":
+            w[(j + 1) % 3] = -w[j]
+        elif mode == "total":
+            w[(j + 2) % 3] = dr - w[j] - w[(j + 1) % 3]
+    return tuple(INF if v == 0 else Exponent(1 / v) for v in x), tuple(w)
+
+
+def _boundary_params(d, pt, qs, mirror):
+    p, t = _boundary_block(d, *pt)
+    q, s = (p, t) if mirror else _boundary_block(d, *qs)
+    return ParamTuple(d=d, p=p, t=t, q=q, s=s)
+
+
+@settings(max_examples=200)
+@given(st.builds(
+    _boundary_params, st.sampled_from([1, 2, 3]), _BLOCK_DRAWS, _BLOCK_DRAWS,
+    st.booleans(),
+))
+@example(ParamTuple(d=1, p=(2, 2, "inf"), t=(1, 1, 1), q=(2, 2, "inf"), s=(1, 1, 1)))
+@example(ParamTuple(d=1, p=(2, 1, 2), t=(0, 0, 0), q=(1, 1, 1), s=(0, 0, 0)))
+@example(ParamTuple(d=2, p=(2, 1, 2), t=(1, 0, 0), q=(2, 2, 2), s=(1, 1, -1)))
+@example(ParamTuple(d=1, p=(2, 2, 2), t=(0, 0, 0), q=(2, 2, 2), s=(1, -2, 0)))
+def test_prop_checkers_match_the_independent_rules(params):
+    _assert_matches_rules(params, _SETTINGS)
