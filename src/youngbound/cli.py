@@ -118,8 +118,7 @@ def _params_line(values: dict) -> str:
 def _trace_lines(verdict: Verdict) -> list[str]:
     lines = []
     for rec in verdict.trace:
-        if rec.condition_id.startswith(("strict_trigger_", "alt_strict_")):
-            # Trigger rows record whether the clause fires, not a pass/fail.
+        if rec.informational:  # whether the clause fires, not a pass/fail
             mark = "fired " if rec.satisfied else " idle "
         else:
             mark = "  ok  " if rec.satisfied else "BROKEN"
@@ -545,13 +544,10 @@ def main(argv: list[str] | None = None) -> int:
             entries["grid_l"] = repr(args.grid_l)
         values = resolve_scenario(args.command, entries)
         results, code, lines, rows = _COMMANDS[args.command][0](values, args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
     except PreconditionError as exc:
         print(f"error: precondition not met: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    except (ValueError, NotImplementedError) as exc:
+    except ValueError as exc:  # a ScenarioError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 

@@ -232,9 +232,7 @@ class ConditionRecord:
     """One comparison performed by a checker.
 
     ``relation`` is the relation that was *tested* ('>=', '>', '<=', or '='
-    for strictness triggers).  ``satisfied`` says whether it held.  Entries
-    with ids starting with ``alt_`` are informational (an alternate reading
-    of the strictness trigger) and never bind the verdict.
+    for strictness triggers).  ``satisfied`` says whether it held.
     """
 
     condition_id: str
@@ -243,6 +241,13 @@ class ConditionRecord:
     rhs: Fraction
     satisfied: bool
     strictness_required: bool = False
+
+    @property
+    def informational(self) -> bool:
+        """A strictness trigger row (``strict_trigger_*``, or its alternate
+        reading ``alt_strict_*``): it records whether the clause fires, and
+        never decides or binds a verdict."""
+        return self.condition_id.startswith(("strict_trigger_", "alt_strict_"))
 
 
 @dataclass(frozen=True)
@@ -365,12 +370,11 @@ def _strictness_clause(
     dr: Fraction,
     alt_weights: WeightTriple | None = None,
     alt_wname: str = "",
-) -> bool:
+) -> None:
     """Trace the strictness trigger and, when it binds, the strict total.
 
     The trigger fires when some weight equals d R; if it fires and R > 0,
-    the total-weight floor must hold strictly.  Returns False exactly when
-    that strict condition is required and fails.  ``alt_weights`` adds the
+    the total-weight floor must hold strictly.  ``alt_weights`` adds the
     informational alternate reading of the trigger after the trigger rows.
     """
     triggers = [
@@ -387,13 +391,18 @@ def _strictness_clause(
         )
     if r > ZERO and any(rec.satisfied for rec in triggers):
         total = sum(weights)
-        strict = ConditionRecord(
+        trace.append(ConditionRecord(
             f"total_{wname}_strict", total, ">", dr, total > dr,
             strictness_required=True,
-        )
-        trace.append(strict)
-        return strict.satisfied
-    return True
+        ))
+
+
+def _sufficient(trace: list[ConditionRecord], theorem: str) -> Verdict:
+    """Bounded citing ``theorem`` when every row of ``trace`` that is not
+    informational holds; Undetermined citing "none" otherwise."""
+    if all(rec.satisfied or rec.informational for rec in trace):
+        return Verdict(Classification.BOUNDED, theorem, tuple(trace))
+    return Verdict(Classification.UNDETERMINED, "none", tuple(trace))
 
 
 def _blocks(params: ParamTuple, flavor: str) -> tuple[tuple, tuple]:
@@ -426,15 +435,9 @@ def _young_check(
     if unbounded is not None:
         return unbounded
 
-    lo, hi = _range_records(r, ename, range_upper)
-    trace.extend((lo, hi))
-    strict_ok = _strictness_clause(
-        trace, weights, wname, r, dr, alt_weights, alt_wname
-    )
-
-    if lo.satisfied and hi.satisfied and strict_ok:
-        return Verdict(Classification.BOUNDED, theorem, tuple(trace))
-    return Verdict(Classification.UNDETERMINED, "none", tuple(trace))
+    trace.extend(_range_records(r, ename, range_upper))
+    _strictness_clause(trace, weights, wname, r, dr, alt_weights, alt_wname)
+    return _sufficient(trace, theorem)
 
 
 def check_convolution(
@@ -450,9 +453,10 @@ def check_convolution(
 
     The strictness trigger is evaluated on the t_j (the reading used by the
     proof); when ``params.s`` is present the alternate textual reading
-    (trigger on s_j) is recorded in the trace as informational ``alt_``
-    entries.  ``range_bound`` replaces the 1/2 threshold; the documented
-    equivalence with ``remark_bound(p)`` is exercised by the test suite.
+    (trigger on s_j) is recorded in the trace as informational
+    ``alt_strict_`` entries.  ``range_bound`` replaces the 1/2 threshold;
+    the documented equivalence with ``remark_bound(p)`` is exercised by the
+    test suite.
     """
     upper = HALF if range_bound is None else Fraction(range_bound)
     return _young_check(params, "convolution", "weighted_young_convolution", upper)
@@ -507,21 +511,15 @@ def check_modulation(params: ParamTuple, flavor: str, space: str) -> Verdict:
     )
     r, cap_r = (rp, rq) if flavor == "convolution" else (rq, rp)
     other_total = sum(other_weights)
-    lo, hi = _range_records(r, ename, HALF)
-    cap = ConditionRecord(
+    trace.extend(_range_records(r, ename, HALF))
+    trace.append(ConditionRecord(
         f"holder_cap_{cap_name}", cap_r, "<=", Fraction(1), cap_r <= 1
-    )
-    nonneg = ConditionRecord(
+    ))
+    trace.append(ConditionRecord(
         f"total_{other_w}_nonneg", other_total, ">=", ZERO, other_total >= ZERO
-    )
-    trace.extend((lo, hi, cap, nonneg))
-    strict_ok = _strictness_clause(trace, weights, wname, r, d * r)
-
-    if all(rec.satisfied for rec in (lo, hi, cap, nonneg)) and strict_ok:
-        return Verdict(
-            Classification.BOUNDED, f"modulation_{flavor}_{space}", tuple(trace)
-        )
-    return Verdict(Classification.UNDETERMINED, "none", tuple(trace))
+    ))
+    _strictness_clause(trace, weights, wname, r, d * r)
+    return _sufficient(trace, f"modulation_{flavor}_{space}")
 
 
 def check_weak_proposition(params: ParamTuple) -> Verdict:
@@ -532,40 +530,25 @@ def check_weak_proposition(params: ParamTuple) -> Verdict:
     Anything else is Undetermined: these hypotheses are sufficient only, so
     their failure proves nothing.
     """
-    d = params.d
     r = young_functional(params.p)
-    dr = d * r
-    trace: list[ConditionRecord] = []
-
-    lo = ConditionRecord("young_range_p_lo_strict", r, ">", ZERO, r > ZERO)
-    hi = ConditionRecord("young_range_p_hi", r, "<=", HALF, r <= HALF)
-    trace.extend((lo, hi))
-
-    pair_recs = _pairwise_records(params.t, "t")
-    trace.extend(pair_recs)
+    dr = params.d * r
     strict_count = sum(
         1 for (j, k) in _PAIRS if params.t[j] + params.t[k] > ZERO
     )
-    count_rec = ConditionRecord(
-        "weak_strict_count", Fraction(strict_count), ">=", Fraction(2),
-        strict_count >= 2,
-    )
-    trace.append(count_rec)
-
     total = sum(params.t)
-    total_rec = ConditionRecord(
-        "total_t_strict", total, ">", dr, total > dr, strictness_required=True
-    )
-    trace.append(total_rec)
-
-    if all(
-        rec.satisfied
-        for rec in (lo, hi, count_rec, total_rec, *pair_recs)
-    ):
-        return Verdict(
-            Classification.BOUNDED, "weak_young_convolution", tuple(trace)
-        )
-    return Verdict(Classification.UNDETERMINED, "none", tuple(trace))
+    trace = [
+        ConditionRecord("young_range_p_lo_strict", r, ">", ZERO, r > ZERO),
+        ConditionRecord("young_range_p_hi", r, "<=", HALF, r <= HALF),
+        *_pairwise_records(params.t, "t"),
+        ConditionRecord(
+            "weak_strict_count", Fraction(strict_count), ">=", Fraction(2),
+            strict_count >= 2,
+        ),
+        ConditionRecord(
+            "total_t_strict", total, ">", dr, total > dr, strictness_required=True
+        ),
+    ]
+    return _sufficient(trace, "weak_young_convolution")
 
 
 def classify(
@@ -591,24 +574,19 @@ def binding_condition(verdict: Verdict) -> str:
     """The condition id that decided the verdict, for report tables.
 
     For Unbounded verdicts: the first violated condition of the cited
-    family (a pairwise sum for ``necessity_pairwise``).  For Bounded
-    verdicts whose trace carries a strictness requirement: that condition id
-    (so strict rows can be marked).  Otherwise the empty string.
+    family (a pairwise sum for ``necessity_pairwise``).  For Undetermined
+    verdicts: the first failed condition that is not informational.  For
+    Bounded verdicts whose trace carries a strictness requirement: that
+    condition id (so strict rows can be marked).  Otherwise the empty
+    string.
     """
-    if verdict.classification is Classification.UNBOUNDED:
-        family = "pair_" if verdict.theorem_used == "necessity_pairwise" else ""
-        for rec in verdict.trace:
-            if not rec.satisfied and rec.condition_id.startswith(family):
-                return rec.condition_id
-        return ""
     if verdict.classification is Classification.BOUNDED:
-        for rec in verdict.trace:
-            if rec.strictness_required:
-                return rec.condition_id
-        return ""
-    for rec in verdict.trace:
-        if not rec.satisfied and not rec.condition_id.startswith(
-            ("alt_", "strict_trigger_")
-        ):
-            return rec.condition_id
-    return ""
+        rows = (rec for rec in verdict.trace if rec.strictness_required)
+    else:
+        family = "pair_" if verdict.theorem_used == "necessity_pairwise" else ""
+        rows = (
+            rec for rec in verdict.trace
+            if not (rec.satisfied or rec.informational)
+            and rec.condition_id.startswith(family)
+        )
+    return next((rec.condition_id for rec in rows), "")

@@ -84,6 +84,12 @@ class ResolutionWarning(UserWarning):
     """Emitted when samples near the box edge are large enough to matter."""
 
 
+def _require_one_dimension(d: int) -> None:
+    """The numerics are one-dimensional; the exact layer takes any d."""
+    if d != 1:
+        raise ValueError(f"the numerics are one-dimensional, got d = {d}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """A centered grid on [-L, L) with n points.
@@ -99,8 +105,7 @@ class Grid:
     n: int = 1024
 
     def __post_init__(self) -> None:
-        if self.d != 1:
-            raise ValueError(f"grids are one-dimensional, got d = {self.d}")
+        _require_one_dimension(self.d)
         if not 0 < self.extent < math.inf:
             raise ValueError(f"extent must be positive and finite, got {self.extent}")
         if self.n < 8 or (self.n & (self.n - 1)) != 0:

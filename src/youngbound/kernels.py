@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exponents import Exponent, PreconditionError, young_functional
+from .exponents import Exponent, PreconditionError, _exponent_triple, young_functional
 from .grids import (
     BLOCK_ROWS,
     Grid,
@@ -43,6 +43,7 @@ from .grids import (
     SampledKernel2d,
     _axis_power_norm,
     _MixedNorm,
+    _require_one_dimension,
     _row_blocks,
     bracket,
     weighted_lebesgue_norm,
@@ -76,14 +77,13 @@ REGION_TO_ITEM = {1: 1, 2: 2, 3: 3, 4: 4, 5: 4}
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Weight triple and dimension of the three-bracket kernel."""
+    """Weight triple and dimension (always 1) of the three-bracket kernel."""
 
     t: tuple[Fraction, Fraction, Fraction]
     d: int = 1
 
     def __post_init__(self) -> None:
-        if self.d not in (1, 2):
-            raise ValueError(f"kernel dimension must be 1 or 2, got {self.d}")
+        _require_one_dimension(self.d)
         ts = tuple(Fraction(v) for v in self.t)
         if len(ts) != 3:
             raise ValueError("kernel weight triple must have three entries")
@@ -109,7 +109,7 @@ class RegionParams:
 
 
 def kernel_f(x, y, params: KernelParams) -> float:
-    """F(x, y) pointwise; x and y are scalars (d = 1) or length-d points."""
+    """F(x, y) at the points x and y of the line."""
     t0, t1, t2 = (float(v) for v in params.t)
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
@@ -128,11 +128,6 @@ def _kernel_values(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:
 
 
 def kernel_table(grid: Grid, params: KernelParams) -> SampledKernel2d:
-    if params.d != 1:
-        raise NotImplementedError(
-            "kernel tables are materialized for d = 1 only; use the pointwise "
-            "kernel_f for two-dimensional arguments"
-        )
     ax = grid.axis()
     return SampledKernel2d(grid, _kernel_values(ax[:, None], ax[None, :], params.t))
 
@@ -305,27 +300,27 @@ class SliceReport:
     notes: str
 
 
-def _envelope(item: int, v: float, t, rp: Fraction, d: int) -> float:
+def _envelope(item: int, v: float, t, rp: Fraction) -> float:
     """Closed-form slice envelope at scan value v (bracket of the slice)."""
     t0, t1, t2 = t
     bv = math.sqrt(1.0 + v * v)
     log_factor = (1.0 + math.log(bv)) ** float(rp)
     if item == 1:
         lead = bv ** float(-t0 - t1)
-        if t2 == d * rp:
+        if t2 == rp:
             return lead * log_factor
-        return lead * (1.0 + bv ** float(d * rp - t2))
+        return lead * (1.0 + bv ** float(rp - t2))
     if item == 2:
         lead = bv ** float(-t0 - t2)
-        if t1 == d * rp:
+        if t1 == rp:
             return lead * log_factor
-        return lead * (1.0 + bv ** float(d * rp - t1))
+        return lead * (1.0 + bv ** float(rp - t1))
     if item == 3:
         return bv ** float(-t1 - t2)
     # item 4 covers the two outer regions
-    if t0 < d * rp:
-        return bv ** float(-t0 - t1 - t2 + d * rp)
-    if t0 == d * rp:
+    if t0 < rp:
+        return bv ** float(-t0 - t1 - t2 + rp)
+    if t0 == rp:
         return bv ** float(-t1 - t2) * log_factor
     return bv ** float(-t1 - t2)
 
@@ -382,8 +377,6 @@ def verify_lemma_intestimates(
     """
     if region not in REGION_IDS:
         raise ValueError(f"region must be in 1..5, got {region}")
-    if kernel_params.d != 1:
-        raise NotImplementedError("the slice verifier runs in d = 1")
     lo, hi = scan_range
     if not (0 < lo < hi):
         raise ValueError(f"scan range must satisfy 0 < lo < hi, got {scan_range}")
@@ -391,7 +384,6 @@ def verify_lemma_intestimates(
     p_exp = Exponent.of(p)
     rp, pf = p_exp.reciprocal(), float(p_exp)
     item = REGION_TO_ITEM[region]
-    d = kernel_params.d
 
     scan_values: list[float] = []
     v = lo
@@ -426,7 +418,7 @@ def verify_lemma_intestimates(
             else:
                 vals = np.where(mask, _kernel_values(x, y, kernel_params.t), 0.0)
                 norm = float(_axis_power_norm(vals, pf, du, axis=None))
-        env = _envelope(item, v, kernel_params.t, rp, d)
+        env = _envelope(item, v, kernel_params.t, rp)
         norms.append(norm)
         envelopes.append(env)
         if norm == 0.0:
@@ -640,9 +632,7 @@ def verify_prop_tf_bounds(
     the grid value reflects the box); the dilation leg is skipped in that
     mode and only the trial spread is judged.
     """
-    exps = tuple(Exponent.of(v) for v in p)
-    if len(exps) != 3:
-        raise ValueError("p must be an exponent triple")
+    exps = _exponent_triple(p)
     if case not in (1, 2, 3):
         raise ValueError(f"case must be 1, 2, or 3, got {case}")
     if kernel not in ("bumps", "ones"):

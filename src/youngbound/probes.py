@@ -42,6 +42,7 @@ from .grids import (
     TWO_PI,
     Grid,
     SampledFunction,
+    _require_one_dimension,
     _row_blocks,
     convolve,
     fourier_lebesgue_norm,
@@ -257,12 +258,6 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, floa
 # Probes
 # ---------------------------------------------------------------------------
 
-def _require_one_dimension(params: ParamTuple, probe: str) -> None:
-    """The probes run on one-dimensional grids; the exact checkers take any d."""
-    if params.d != 1:
-        raise NotImplementedError(f"{probe} runs in d = 1")
-
-
 def _alpha_ladder_report(
     kind: str, alphas: list[float], values: list[float], predicted: float,
     tol: float, permutation: tuple[int, int, int] | None = None,
@@ -372,7 +367,7 @@ def gaussian_necessity_probe(
     a nonnegative weight, which the prediction's lower bound needs; the
     permutation used is recorded in the report.
     """
-    _require_one_dimension(params, "gaussian_necessity_probe")
+    _require_one_dimension(params.d)
     perm = _slot1_nonneg_permutation(params.t)
     work = _permute_blocks(params, perm)
     grid = grid or PROBE_GRID
@@ -409,7 +404,7 @@ def translation_necessity_probe(
     fit with negative predicted slope witnesses unboundedness: the ratio
     output-norm over input-norms grows without bound.
     """
-    _require_one_dimension(params, "translation_necessity_probe")
+    _require_one_dimension(params.d)
     key = tuple(sorted(pair))
     if key not in _PAIR_TO_PERM:
         raise ValueError(f"pair must name two distinct slots, got {pair}")
@@ -617,7 +612,7 @@ def boundedness_sweep(
     """
     if flavor not in SWEEP_FLAVORS:
         raise ValueError(f"flavor must be one of {SWEEP_FLAVORS}, got {flavor!r}")
-    _require_one_dimension(params, "boundedness_sweep")
+    _require_one_dimension(params.d)
 
     setting, _, base = flavor.rpartition("-")
     verdict = classify(params, base, setting or "lebesgue", space)

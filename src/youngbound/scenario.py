@@ -304,8 +304,6 @@ def _validate_check(values: dict[str, object]) -> None:
     if setting == "modulation":
         values.setdefault("space", "M")
         values.setdefault("s", (Fraction(0), Fraction(0), Fraction(0)))
-    if values["d"] < 1:
-        raise ScenarioError(f"d must be a positive integer, got {values['d']}")
 
 
 def _validate_probe(values: dict[str, object]) -> None:
@@ -353,8 +351,6 @@ def _validate_sweep(values: dict[str, object]) -> None:
         raise ScenarioError(f"t_step must be positive, got {values['t_step']}")
     if values["t_min"] > values["t_max"]:
         raise ScenarioError("t_min must not exceed t_max")
-    if values["d"] < 1:
-        raise ScenarioError(f"d must be a positive integer, got {values['d']}")
 
 
 # command -> (sub-kind key or None, schema, validator, label).  A command

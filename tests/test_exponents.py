@@ -201,7 +201,7 @@ def test_param_tuple_rejects_bad_dimension():
 
 
 def test_param_tuple_allows_higher_dimensions():
-    """The exact layer is dimension-generic; only grids stop at d = 2."""
+    """The exact layer takes any dimension; only the numerics stop at d = 1."""
     v = check_convolution(ParamTuple(d=3, p=(2, 2, 2), t=(F(1, 2),) * 3))
     assert v.classification is Classification.BOUNDED
 

@@ -71,11 +71,6 @@ def test_kernel_frozen_values():
     assert kernel_f(5, 5, KernelParams((0, 2, 0))) == pytest.approx(1.0)
 
 
-def test_kernel_two_dimensional_points():
-    params = KernelParams((1, 0, 0), d=2)
-    assert kernel_f((3, 4), (0, 0), params) == pytest.approx(1 / math.sqrt(26.0))
-
-
 def test_kernel_table_matches_pointwise():
     params = KernelParams((F(1, 2), 1, F(3, 2)))
     table = kernel_table(GRID32, params)
@@ -92,6 +87,12 @@ def test_kernel_params_validation():
         KernelParams((1, 1), d=1)  # type: ignore[arg-type]
     with pytest.raises(ValueError):
         KernelParams((1, 1, 1), d=3)
+
+
+def test_kernel_params_reject_two_dimensions():
+    """The numerics are one-dimensional, the kernel included."""
+    with pytest.raises(ValueError, match="one-dimensional"):
+        KernelParams((1, 0, 0), d=2)
 
 
 # ---------------------------------------------------------------------------
