@@ -405,23 +405,20 @@ def _cmd_verify(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _weight_ladder(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
-    out = []
-    w = lo
-    while w <= hi:
-        out.append(w)
-        w += step
-    return out
+def _weight_ladder(lo: Fraction, step: Fraction, size: int) -> list[Fraction]:
+    return [lo + k * step for k in range(size)]
 
 
 def _cmd_sweep(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
-    ladder = _weight_ladder(values["t_min"], values["t_max"], values["t_step"])
-    count = len(ladder) ** 3
-    if count > MAX_SWEEP_ROWS:
+    lo, step = values["t_min"], values["t_step"]
+    size = (values["t_max"] - lo) // step + 1  # the weights in [t_min, t_max]
+    count = size ** 3
+    if count > MAX_SWEEP_ROWS:  # refused before any weight is built
         raise ScenarioError(
             f"sweep would emit {count} rows, above the cap of {MAX_SWEEP_ROWS}; "
             f"shrink the weight range or enlarge t_step"
         )
+    ladder = _weight_ladder(lo, step, size)
 
     flavor = values["flavor"]
     d = values["d"]

@@ -39,6 +39,7 @@ from .exponents import Exponent, PreconditionError, _exponent_triple, young_func
 from .grids import (
     BLOCK_ROWS,
     Grid,
+    GridMismatchError,
     SampledFunction,
     SampledKernel2d,
     _axis_power_norm,
@@ -253,8 +254,11 @@ def decomposition_residual(
     Each masked piece is applied as its own operator; nothing is shared with
     the full application except the inputs, so the identity F = sum_j F_j is
     actually exercised rather than assumed.  When T_F vanishes identically
-    the absolute sup of the mismatch is returned instead.
+    the absolute sup of the mismatch is returned instead.  f and g must
+    live on ``grid``.
     """
+    if f.grid != grid or g.grid != grid:
+        raise GridMismatchError("decomposition_residual: f or g is not on grid")
     t = kernel_params.t
 
     def full(x, y):

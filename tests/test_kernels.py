@@ -17,6 +17,7 @@ from youngbound import grids, kernels
 from youngbound.exponents import Exponent, young_functional
 from youngbound.grids import (
     Grid,
+    GridMismatchError,
     SampledFunction,
     SampledKernel2d,
     mixed_norm_2d,
@@ -330,6 +331,13 @@ def test_decomposition_residual_zero_inputs():
         grid, KernelParams((1, 1, 1)), RegionParams(), zero, zero
     )
     assert res == 0.0
+
+
+def test_decomposition_residual_rejects_inputs_on_another_grid():
+    grid = Grid(1, 16.0, 64)
+    f, g = smooth_pair(Grid(1, 16.0, 128), 0)
+    with pytest.raises(GridMismatchError):
+        decomposition_residual(grid, KernelParams((1, 1, 1)), RegionParams(), f, g)
 
 
 # ---------------------------------------------------------------------------

@@ -524,6 +524,50 @@ def test_sweep_row_cap_is_malformed(tmp_path, capsys):
     assert "10000" in capsys.readouterr().err.replace(",", "")
 
 
+def test_sweep_row_cap_is_checked_before_the_ladder_is_built(
+    tmp_path, capsys, monkeypatch
+):
+    """2,000,001 weights a side: the cap refuses the sweep from the ladder's
+    length alone, before any weight is built."""
+
+    def build(*args):
+        raise AssertionError("the weight ladder was built")
+
+    monkeypatch.setattr(cli, "_weight_ladder", build)
+    path = write(
+        tmp_path,
+        "flavor = convolution\np = 2, 2, 2\n"
+        "t_min = -1\nt_max = 1\nt_step = 1/1000000\n",
+    )
+    code = main(["sweep", "--scenario", path])
+    assert code == EXIT_MALFORMED
+    assert f"rows, above the cap of {cli.MAX_SWEEP_ROWS}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("check", "flavor = convolution\nd = 0\np = 2, 2, 2\n"),
+    ("sweep", "flavor = convolution\nd = 0\np = 2, 2, 2\n"
+              "t_min = 0\nt_max = 1\nt_step = 1\n"),
+])
+def test_nonpositive_dimension_is_malformed(tmp_path, capsys, command, text):
+    code = main([command, "--scenario", write(tmp_path, text)])
+    assert code == EXIT_MALFORMED
+    assert capsys.readouterr().err == (
+        "error: dimension must be a positive integer, got 0\n"
+    )
+
+
+def test_gaussian_probe_in_two_dimensions_is_malformed(tmp_path, capsys):
+    path = write(tmp_path, "kind = gaussian\nd = 2\np = 2, 2, 2\nt = 1, 1, 1\n")
+    code = main(["probe", "--scenario", path])
+    captured = capsys.readouterr()
+    assert code == EXIT_MALFORMED
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: the numerics are one-dimensional, got d = 2"
+    ]
+
+
 def test_sweep_multiplication_defaults_p_to_q(tmp_path, capsys):
     path = write(
         tmp_path,
