@@ -411,7 +411,7 @@ def _weight_ladder(lo: Fraction, step: Fraction, size: int) -> list[Fraction]:
 
 def _cmd_sweep(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
     lo, step = values["t_min"], values["t_step"]
-    size = (values["t_max"] - lo) // step + 1  # the weights in [t_min, t_max]
+    size = (values["t_max"] - lo) // step + 1
     count = size ** 3
     if count > MAX_SWEEP_ROWS:  # refused before any weight is built
         raise ScenarioError(

@@ -812,31 +812,27 @@ _SETTINGS = [
 
 
 def _assert_matches_rules(params, settings):
+    p, q = (
+        None if e is None else tuple(x.value for x in e) for e in (params.p, params.q)
+    )
     for setting, flavor, space in settings:
         verdict = classify(params, flavor, setting, space)
         got = (verdict.classification.value, binding_condition(verdict))
-        blocks = [params.p, params.t, params.q, params.s]
-        blocks[0::2] = [
-            None if e is None else tuple(x.value for x in e) for e in blocks[0::2]
-        ]
-        assert got == ref_verdict(setting, flavor, params.d, *blocks), (
-            setting, flavor, params,
-        )
+        want = ref_verdict(setting, flavor, params.d, p, params.t, q, params.s)
+        assert got == want, (setting, flavor, params)
 
 
 def test_weight_sweep_grid_matches_the_independent_rules():
     """Every row of the shipped weight sweep, in every setting that admits
     its flavor; the modulation settings mirror (p, t) into (q, s)."""
-    text = (Path(__file__).resolve().parent.parent / "scenarios/weight_sweep.txt")
-    values = resolve_scenario("sweep", parse_scenario_text(text.read_text()))
+    path = Path(__file__).resolve().parent.parent / "scenarios/weight_sweep.txt"
+    values = resolve_scenario("sweep", parse_scenario_text(path.read_text()))
     count = (values["t_max"] - values["t_min"]) // values["t_step"] + 1
     ladder = [values["t_min"] + k * values["t_step"] for k in range(count)]
-    settings = [s for s in _SETTINGS if s[1] == values["flavor"]]
+    admitted = [s for s in _SETTINGS if s[1] == values["flavor"]]
+    p = values["p"]
     for w in product(ladder, repeat=3):
-        p = values["p"]
-        _assert_matches_rules(
-            ParamTuple(d=values["d"], p=p, t=w, q=p, s=w), settings
-        )
+        _assert_matches_rules(ParamTuple(d=values["d"], p=p, t=w, q=p, s=w), admitted)
 
 
 _RECIPROCALS = st.sampled_from(
