@@ -411,6 +411,10 @@ def _weight_ladder(lo: Fraction, step: Fraction, size: int) -> list[Fraction]:
 
 def _cmd_sweep(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
     lo, step = values["t_min"], values["t_step"]
+    if step <= 0:
+        raise ScenarioError(f"t_step must be positive, got {step}")
+    if lo > values["t_max"]:
+        raise ScenarioError("t_min must not exceed t_max")
     size = (values["t_max"] - lo) // step + 1
     count = size ** 3
     if count > MAX_SWEEP_ROWS:  # refused before any weight is built

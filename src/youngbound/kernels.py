@@ -639,6 +639,8 @@ def verify_prop_tf_bounds(
     exps = _exponent_triple(p)
     if case not in (1, 2, 3):
         raise ValueError(f"case must be 1, 2, or 3, got {case}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if kernel not in ("bumps", "ones"):
         raise ValueError(f"kernel must be 'bumps' or 'ones', got {kernel!r}")
 

@@ -490,18 +490,13 @@ def gaussian_lower_bound_check(
         raise PreconditionError(
             f"slot-1 weight must be nonnegative for the envelope, got {t1f}"
         )
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     grid = grid or LOWER_BOUND_GRID
-    gaussian_resolution_guard(grid, alpha)
     if window >= grid.extent:
         raise ValueError("window must sit strictly inside the box")
 
     fam = GaussianFamily((Fraction(0), t1f, t2f))
     f1 = fam.member(1, alpha, grid)
     f2 = fam.member(2, alpha, grid)
-    if not np.any(np.abs(f1.values) > 0) or not np.any(np.abs(f2.values) > 0):
-        raise ValueError("degenerate (identically zero) family member")
     conv = convolve(f1, f2)
     x = grid.axis()
     mask = np.abs(x) <= window
@@ -633,7 +628,6 @@ def boundedness_sweep(
     if flavor == "convolution":
         ratios = _convolution_ratios(params, alphas, grid)
     elif flavor == "multiplication":
-        assert params.q is not None and params.s is not None
         dual = grid.dual()
         hats = GaussianFamily(params.s)
         q0c = params.q[0].conjugate()
@@ -647,7 +641,6 @@ def boundedness_sweep(
                 fourier_lebesgue_norm(g2, params.q[2], params.s[2])
             ratios.append(num / den)
     else:
-        assert params.q is not None and params.s is not None
         x = grid.axis()
         window = SampledFunction(grid, np.exp(-x * x / 2.0))
         p0c = params.p[0].conjugate()

@@ -412,6 +412,11 @@ def test_prop_tf_bounds_validates_arguments():
         verify_prop_tf_bounds(1, (2, 1, 2), kernel="spikes")
 
 
+def test_prop_tf_bounds_refuses_zero_trials():
+    with pytest.raises(ValueError, match="trials"):
+        verify_prop_tf_bounds(1, (2, 2, 2), trials=0)
+
+
 def test_prop_tf_bounds_flat_kernel_mode():
     report = verify_prop_tf_bounds(2, (2, 2, 2), trials=2, kernel="ones")
     assert report.kernel == "ones"

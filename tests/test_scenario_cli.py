@@ -98,20 +98,6 @@ def test_resolve_multiplication_requires_transform_blocks():
     assert cfg["s"] == (F(0), F(0), F(0))
 
 
-def test_resolve_weak_setting_is_convolution_only():
-    with pytest.raises(ScenarioError):
-        resolve_scenario(
-            "check",
-            {
-                "flavor": "multiplication",
-                "setting": "weak",
-                "p": "2,2,2",
-                "q": "2,2,2",
-                "s": "0,0,0",
-            },
-        )
-
-
 def test_resolve_rejects_decimal_weights():
     with pytest.raises(ScenarioError):
         resolve_scenario(
@@ -566,6 +552,71 @@ def test_gaussian_probe_in_two_dimensions_is_malformed(tmp_path, capsys):
     assert captured.err.splitlines() == [
         "error: the numerics are one-dimensional, got d = 2"
     ]
+
+
+# A scenario is checked for its keys, types and choices when it is read;
+# the range of each value is checked by the routine that uses it.
+@pytest.mark.parametrize("command, text, message", [
+    pytest.param(
+        "check",
+        "flavor = multiplication\nsetting = weak\np = 2,2,2\nq = 2,2,2\ns = 0,0,0\n",
+        "no checker for flavor 'multiplication' in setting 'weak'",
+        id="weak-multiplication",
+    ),
+    pytest.param(
+        "probe", "kind = translation\np = 2,2,2\npair = 1, 1\n",
+        "pair must name two distinct slots, got (1, 1)", id="pair-repeated",
+    ),
+    pytest.param(
+        "probe", "kind = translation\np = 2,2,2\npair = 0, 3\n",
+        "pair must name two distinct slots, got (0, 3)", id="pair-out-of-range",
+    ),
+    pytest.param(
+        "probe", "kind = lower-bound\nt1 = 0\nt2 = 0\nalpha = 0\n",
+        "alpha must lie in (0, 1], got 0.0", id="alpha-zero",
+    ),
+    pytest.param(
+        "probe", "kind = lower-bound\nt1 = 0\nt2 = 0\nalpha = -1\n",
+        "alpha must lie in (0, 1], got -1.0", id="alpha-negative",
+    ),
+    pytest.param(
+        "verify-lemmas", "which = slices\nregion = 7\np = 2\nt = 0,0,0\n",
+        "region must be in 1..5, got 7", id="region",
+    ),
+    pytest.param(
+        "verify-lemmas", "which = slices\nregion = 1\np = 2\nt = 0,0,0\ndelta = 1.5\n",
+        "delta must lie in (0, 1), got 3/2", id="delta",
+    ),
+    pytest.param(
+        "verify-lemmas",
+        "which = slices\nregion = 1\np = 2\nt = 0,0,0\nscan_lo = 5\nscan_hi = 2\n",
+        "scan range must satisfy 0 < lo < hi, got (5.0, 2.0)", id="scan-range",
+    ),
+    pytest.param(
+        "verify-lemmas", "which = operator\ncase = 4\np = 2,2,2\n",
+        "case must be 1, 2, or 3, got 4", id="case",
+    ),
+    pytest.param(
+        "verify-lemmas", "which = operator\ncase = 1\np = 2,2,2\ntrials = 0\n",
+        "trials must be at least 1, got 0", id="trials",
+    ),
+    pytest.param(
+        "sweep", "flavor = convolution\np = 2,2,2\nt_min = 0\nt_max = 1\nt_step = 0\n",
+        "t_step must be positive, got 0", id="t-step",
+    ),
+    pytest.param(
+        "sweep", "flavor = convolution\np = 2,2,2\nt_min = 1\nt_max = 0\nt_step = 1\n",
+        "t_min must not exceed t_max", id="t-order",
+    ),
+])
+def test_out_of_range_value_is_refused_by_the_routine_using_it(
+    tmp_path, capsys, command, text, message
+):
+    code = main([command, "--scenario", write(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert code == EXIT_MALFORMED
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
 def test_sweep_multiplication_defaults_p_to_q(tmp_path, capsys):
