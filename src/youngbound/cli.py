@@ -532,8 +532,8 @@ def main(argv: list[str] | None = None) -> int:
     started = _utc_now()
 
     try:
-        text = Path(args.scenario).read_text()
-    except OSError as exc:
+        text = Path(args.scenario).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read scenario file: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 
@@ -548,14 +548,11 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"error: precondition not met: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    except ValueError as exc:  # a ScenarioError among them
+    # A ScenarioError among them; OverflowError: a weight beyond binary64.
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 
-    if args.format == "table":
-        print("\n".join(lines))
-    elif args.format == "csv":
-        csv.writer(sys.stdout).writerows(rows)
     if args.format == "json" or args.out:
         record = RunRecord(
             command=args.command,
@@ -567,10 +564,18 @@ def main(argv: list[str] | None = None) -> int:
             finished_at=_utc_now(),
             versions=package_versions(),
         ).to_json()
-        if args.format == "json":
-            print(record)
-        if args.out:
+    if args.out:  # written first, so that a refused write prints nothing
+        try:
             Path(args.out).write_text(record + "\n")
+        except OSError as exc:
+            print(f"error: cannot write run record: {exc}", file=sys.stderr)
+            return EXIT_MALFORMED
+    if args.format == "table":
+        print("\n".join(lines))
+    elif args.format == "csv":
+        csv.writer(sys.stdout).writerows(rows)
+    else:
+        print(record)
     return code
 
 

@@ -146,7 +146,7 @@ def region_of(x, y, params: RegionParams) -> int:
         return 1
     if bxy < delta * bx:
         return 2
-    if math.sqrt(float(np.sum(xa * xa))) <= radius:
+    if abs(float(xa)) <= radius:
         return 3
     if bxy <= by:
         return 4

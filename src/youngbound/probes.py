@@ -228,14 +228,14 @@ class SweepReport:
 def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
     """Least-squares line through (log x, log y): (slope, intercept, r^2).
 
-    All inputs must be finite and strictly positive; a flat ladder fits
-    slope zero with r^2 = 1 by convention (the residual test would be 0/0
-    otherwise).
+    All inputs must be finite and strictly positive, with at least two
+    distinct x values; a flat ladder fits slope zero with r^2 = 1 by
+    convention (the residual test would be 0/0 otherwise).
     """
     xa = np.asarray(xs, dtype=float)
     ya = np.asarray(ys, dtype=float)
-    if xa.size < 2:
-        raise ValueError("need at least two ladder points to fit")
+    if xa.size < 2 or np.all(xa == xa[0]):  # one x value fixes no slope
+        raise ValueError("need at least two distinct ladder points to fit")
     if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
         raise ValueError("power-law fit requires finite data")
     if np.any(xa <= 0.0) or np.any(ya <= 0.0):
@@ -373,9 +373,7 @@ def gaussian_necessity_probe(
     grid = grid or PROBE_GRID
     alphas = list(alphas) if alphas is not None else list(DEFAULT_ALPHAS)
     ratios = _convolution_ratios(work, alphas, grid)
-    predicted = float(
-        (params.d * young_functional(work.p) - sum(work.t)) / 2
-    )
+    predicted = float((young_functional(work.p) - sum(work.t)) / 2)
     report = _alpha_ladder_report(
         "gaussian_necessity", alphas, ratios, predicted, tol, permutation=perm
     )

@@ -60,6 +60,8 @@ def test_fit_flat_ladder_convention():
 def test_fit_input_validation():
     with pytest.raises(ValueError):
         fit_power_law([1.0], [2.0])
+    with pytest.raises(ValueError, match="distinct"):  # one x fixes no slope
+        fit_power_law([2.0, 2.0], [1.0, 3.0])
     with pytest.raises(ValueError):
         fit_power_law([1.0, -2.0], [1.0, 1.0])
     with pytest.raises(ValueError):

@@ -619,6 +619,58 @@ def test_out_of_range_value_is_refused_by_the_routine_using_it(
     assert captured.err.splitlines() == [f"error: {message}"]
 
 
+_BEYOND_BINARY64 = "1" + "0" * 400  # an exact weight that no float can hold
+
+
+@pytest.mark.parametrize("command, text, flags", [
+    pytest.param("check", b"flavor = convolution\np = 2,2,2\n# \xff\n", [], id="not-utf8"),
+    pytest.param(
+        "check", (SCENARIOS / "convolution_boundary.txt").read_bytes(),
+        ["--out", "{tmp}/missing/record.json"], id="unwritable-out",
+    ),
+    pytest.param(
+        "probe", f"kind = gaussian\np = 2,2,2\nt = {_BEYOND_BINARY64},0,0\n".encode(),
+        [], id="gaussian-huge-weight",
+    ),
+    pytest.param(
+        "probe",
+        f"kind = boundedness\nflavor = convolution\np = 2,2,2\n"
+        f"t = 1,{_BEYOND_BINARY64},{_BEYOND_BINARY64}\n".encode(),
+        [], id="boundedness-huge-weight",
+    ),
+    pytest.param(
+        "probe", f"kind = lower-bound\nt1 = {_BEYOND_BINARY64}\nt2 = 0\nalpha = 0.5\n".encode(),
+        [], id="lower-bound-huge-weight",
+    ),
+    pytest.param(
+        "probe", f"kind = norm-slope\nexponent = 2\nweight = {_BEYOND_BINARY64}\n".encode(),
+        [], id="norm-slope-huge-weight",
+    ),
+    pytest.param(
+        "verify-lemmas",
+        f"which = slices\nregion = 1\np = 2\nt = {_BEYOND_BINARY64},0,0\n".encode(),
+        [], id="slices-huge-weight",
+    ),
+    pytest.param(
+        "probe", b"kind = gaussian\np = 2,2,2\nalphas = 0.5, 0.5\n", [],
+        id="one-point-ladder",
+    ),
+])
+def test_refused_request_exits_two_with_one_error_line(
+    tmp_path, capsys, command, text, flags
+):
+    path = tmp_path / "scenario.txt"
+    path.write_bytes(text)
+    code = main(
+        [command, "--scenario", str(path), *(f.format(tmp=tmp_path) for f in flags)]
+    )
+    captured = capsys.readouterr()
+    assert code == EXIT_MALFORMED
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error:")
+
+
 def test_sweep_multiplication_defaults_p_to_q(tmp_path, capsys):
     path = write(
         tmp_path,
