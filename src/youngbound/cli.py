@@ -79,7 +79,9 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="microseconds")
 
 
-def _grid_override(values: dict) -> Grid | None:
+def _grid_override(values: dict, peak_bytes: Callable[[Grid], int]) -> Grid | None:
+    """The grid of grid_n and grid_l, None without them; refused before anything
+    is allocated if ``peak_bytes`` of it exceeds the memory cap."""
     n = values.get("grid_n")
     extent = values.get("grid_l")
     if n is None and extent is None:
@@ -88,17 +90,14 @@ def _grid_override(values: dict) -> Grid | None:
         raise ScenarioError("grid_n and grid_l must be given together")
     from .grids import Grid
 
-    return Grid(1, float(extent), int(n))
-
-
-def _check_table_bytes(nbytes: int) -> None:
-    """Refuse a run whose tables held at once would exceed the memory cap,
-    before anything is allocated."""
+    grid = Grid(1, float(extent), int(n))
+    nbytes = peak_bytes(grid)
     if nbytes > MAX_TABLE_BYTES:
         raise ScenarioError(
             f"the tables held at once would take {nbytes} bytes, above the cap of "
             f"{MAX_TABLE_BYTES}; lower grid_n"
         )
+    return grid
 
 
 def _param_tuple(values: dict) -> ParamTuple:
@@ -307,11 +306,10 @@ def _cmd_probe(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
     from . import probes
 
     kind = values["kind"]
-    grid = _grid_override(values)
-    if grid is not None:  # the default grids are far below the cap
-        _check_table_bytes(
-            probes.peak_bytes(kind, values.get("flavor"), grid, values.get("stride", 1))
-        )
+    grid = _grid_override(
+        values,
+        lambda g: probes.peak_bytes(kind, values.get("flavor"), g, values.get("stride", 1)),
+    )
 
     entry = _PROBES[kind]
     report = entry.run(probes, values, grid)
@@ -363,11 +361,9 @@ def _cmd_verify(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
             *zip(report.scan_values, report.slice_norms, report.envelopes, report.ratios),
         ]
     else:
-        grid = _grid_override(values)
-        if grid is not None:
-            _check_table_bytes(
-                operator_peak_bytes(grid, values["trials"], values["kernel"])
-            )
+        grid = _grid_override(
+            values, lambda g: operator_peak_bytes(g, values["trials"], values["kernel"])
+        )
         report = verify_prop_tf_bounds(
             values["case"],
             values["p"],
@@ -430,7 +426,6 @@ def _cmd_sweep(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
     weight_names = ("t0", "t1", "t2") if flavor == "convolution" else ("s0", "s1", "s2")
     rows: list[list] = [[*weight_names, "classification", "binding", "strict"]]
     counts = {c.value: 0 for c in Classification}
-    records = []
     for w in product(ladder, repeat=3):
         params = ParamTuple(d=d, p=values["p"], t=w, q=q, s=None if q is None else w)
         verdict = classify(params, flavor)
@@ -440,21 +435,17 @@ def _cmd_sweep(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
         strict = any(rec.strictness_required for rec in verdict.trace)
         counts[label] += 1
         rows.append([*weights, label, binding, strict])
-        records.append(
-            {
-                "weights": weights,
-                "classification": label,
-                "binding_condition": binding,
-                "strictness_engaged": strict,
-            }
-        )
 
     results = {
         "flavor": flavor,
         "ladder": [str(w) for w in ladder],
         "row_count": count,
         "counts": counts,
-        "rows": records,
+        "rows": [
+            {"weights": [w0, w1, w2], "classification": label,
+             "binding_condition": binding, "strictness_engaged": strict}
+            for w0, w1, w2, label, binding, strict in rows[1:]
+        ],
     }
 
     lines = [SEP, f"sweep: {flavor}  {_params_line(values)}", SEP]

@@ -31,7 +31,6 @@ from typing import Sequence
 __all__ = [
     "Exponent",
     "INF",
-    "Weight",
     "ExponentError",
     "PreconditionError",
     "Classification",
@@ -53,8 +52,6 @@ __all__ = [
     "classify",
     "binding_condition",
 ]
-
-Weight = Fraction
 
 HALF = Fraction(1, 2)
 ZERO = Fraction(0)
@@ -130,10 +127,6 @@ class Exponent:
         except (ValueError, ZeroDivisionError) as exc:
             raise ExponentError(f"bad exponent literal: {text!r}") from exc
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
     def reciprocal(self) -> Fraction:
         """1/p as an exact rational; the reciprocal of oo is 0."""
         return ZERO if self.value is None else 1 / self.value
@@ -145,21 +138,6 @@ class Exponent:
         if self.value == 1:
             return INF
         return Exponent(1 / (1 - 1 / self.value))
-
-    def _key(self) -> tuple[int, Fraction]:
-        return (1, ZERO) if self.value is None else (0, self.value)
-
-    def __lt__(self, other: "Exponent") -> bool:
-        return self._key() < Exponent.of(other)._key()
-
-    def __le__(self, other: "Exponent") -> bool:
-        return self._key() <= Exponent.of(other)._key()
-
-    def __gt__(self, other: "Exponent") -> bool:
-        return self._key() > Exponent.of(other)._key()
-
-    def __ge__(self, other: "Exponent") -> bool:
-        return self._key() >= Exponent.of(other)._key()
 
     def __float__(self) -> float:
         return float("inf") if self.value is None else float(self.value)

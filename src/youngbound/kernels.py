@@ -556,6 +556,8 @@ class PropReport:
 
 
 _DEFAULT_SCALES = (0.5, 2.0 ** -0.5, 1.0, 2.0 ** 0.5, 2.0)
+# The dilation scales of each kernel: the flat kernel has no dilation leg.
+_KERNEL_SCALES = {"bumps": _DEFAULT_SCALES, "ones": (1.0,)}
 # An operator check samples its kernel BLOCK_ROWS grid rows at a time and
 # holds no n x n table.  At its peak a block holds, per point, the kernel
 # rows, their magnitudes, the magnitudes' powers and those powers under
@@ -571,7 +573,7 @@ OPERATOR_BYTES_PER_POINT = 128
 def operator_peak_bytes(grid: Grid, trials: int, kernel: str) -> int:
     """The bytes an operator check of ``trials`` on ``grid`` holds at its peak."""
     n = grid.n
-    points = trials * (1 if kernel == "ones" else len(_DEFAULT_SCALES))
+    points = trials * len(_KERNEL_SCALES[kernel])
     return min(2, points) * (
         OPERATOR_BYTES_PER_BLOCK_POINT * min(BLOCK_ROWS, n) * n
         + OPERATOR_BYTES_PER_POINT * n
@@ -641,7 +643,7 @@ def verify_prop_tf_bounds(
         raise ValueError(f"case must be 1, 2, or 3, got {case}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if kernel not in ("bumps", "ones"):
+    if kernel not in _KERNEL_SCALES:
         raise ValueError(f"kernel must be 'bumps' or 'ones', got {kernel!r}")
 
     r_val = young_functional(exps)
@@ -649,20 +651,14 @@ def verify_prop_tf_bounds(
         raise PreconditionError(
             f"standing hypothesis violated: R(p) = {r_val} < 0"
         )
-    recips = [e.reciprocal() for e in exps]
-    caps = {
-        1: recips[0],
-        2: max(Fraction(1, 2), recips[1]),
-        3: max(Fraction(1, 2), recips[2]),
-    }
-    if r_val > caps[case]:
-        raise PreconditionError(
-            f"case {case} requires R(p) <= {caps[case]}, got R(p) = {r_val}"
-        )
+    recip = exps[case - 1].reciprocal()
+    cap = recip if case == 1 else max(Fraction(1, 2), recip)
+    if r_val > cap:
+        raise PreconditionError(f"case {case} requires R(p) <= {cap}, got R(p) = {r_val}")
 
     r_exp = float("inf") if r_val == 0 else float(1 / r_val)
     grid = grid or Grid(1, 16.0, 512)
-    scale_list = [1.0] if kernel == "ones" else list(_DEFAULT_SCALES)
+    scale_list = list(_KERNEL_SCALES[kernel])
     rng = np.random.default_rng(seed)
     ax = grid.axis()
     p0c = exps[0].conjugate()

@@ -82,37 +82,29 @@ def _parse_float(tok: str, key: str) -> float:
     return value
 
 
-def _split_list(tok: str, key: str, *, length: int | None = None) -> list[str]:
-    parts = [part.strip() for part in tok.split(",")]
-    if any(not part for part in parts):
-        raise ScenarioError(f"{key}: empty entry in list {tok!r}")
-    if length is not None and len(parts) != length:
-        raise ScenarioError(
-            f"{key}: expected {length} comma-separated entries, got {len(parts)}"
-        )
-    return parts
+def _parse_str(tok: str, key: str) -> str:
+    return tok.strip()
 
 
-def _parse_field(kind: str, tok: str, key: str):
-    if kind == "exponent":
-        return _parse_exponent(tok, key)
-    if kind == "exponent_triple":
-        return tuple(_parse_exponent(p, key) for p in _split_list(tok, key, length=3))
-    if kind == "weight":
-        return _parse_weight(tok, key)
-    if kind == "weight_triple":
-        return tuple(_parse_weight(p, key) for p in _split_list(tok, key, length=3))
-    if kind == "int":
-        return _parse_int(tok, key)
-    if kind == "float":
-        return _parse_float(tok, key)
-    if kind == "float_list":
-        return tuple(_parse_float(p, key) for p in _split_list(tok, key))
-    if kind == "int_pair":
-        return tuple(_parse_int(p, key) for p in _split_list(tok, key, length=2))
-    if kind == "str":
-        return tok.strip()
-    raise AssertionError(f"unknown field kind {kind!r}")
+def _list(parse, length: int | None = None):
+    """A parser of comma lists whose entries ``parse`` reads; ``length``
+    entries unless that is None."""
+    def parse_list(tok: str, key: str) -> tuple:
+        parts = [part.strip() for part in tok.split(",")]
+        if any(not part for part in parts):
+            raise ScenarioError(f"{key}: empty entry in list {tok!r}")
+        if length is not None and len(parts) != length:
+            raise ScenarioError(
+                f"{key}: expected {length} comma-separated entries, got {len(parts)}"
+            )
+        return tuple(parse(part, key) for part in parts)
+
+    return parse_list
+
+
+_EXPONENT_TRIPLE = _list(_parse_exponent, 3)
+_WEIGHT_TRIPLE = _list(_parse_weight, 3)
+_FLOAT_LIST = _list(_parse_float)
 
 
 def canonical_value(value) -> str:
@@ -160,107 +152,107 @@ def parse_scenario_text(text: str) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class _Field:
-    kind: str
+    parse: object  # (token, key) -> value, or ScenarioError
     required: bool = False
     default: object = None
     choices: tuple[str, ...] | None = None
 
 
 _GRID_FIELDS = {
-    "grid_n": _Field("int"),
-    "grid_l": _Field("float"),
+    "grid_n": _Field(_parse_int),
+    "grid_l": _Field(_parse_float),
 }
 
 _CHECK_FIELDS = {
-    "flavor": _Field("str", required=True, choices=MODULATION_FLAVORS),
+    "flavor": _Field(_parse_str, required=True, choices=MODULATION_FLAVORS),
     "setting": _Field(
-        "str", default="lebesgue", choices=("lebesgue", "modulation", "weak")
+        _parse_str, default="lebesgue", choices=("lebesgue", "modulation", "weak")
     ),
-    "space": _Field("str", choices=("M", "W")),
-    "d": _Field("int", default=1),
-    "p": _Field("exponent_triple", required=True),
-    "t": _Field("weight_triple", default=(Fraction(0), Fraction(0), Fraction(0))),
-    "q": _Field("exponent_triple"),
-    "s": _Field("weight_triple"),
+    "space": _Field(_parse_str, choices=("M", "W")),
+    "d": _Field(_parse_int, default=1),
+    "p": _Field(_EXPONENT_TRIPLE, required=True),
+    "t": _Field(_WEIGHT_TRIPLE, default=(Fraction(0), Fraction(0), Fraction(0))),
+    "q": _Field(_EXPONENT_TRIPLE),
+    "s": _Field(_WEIGHT_TRIPLE),
 }
 
 _PROBE_FIELDS: dict[str, dict[str, _Field]] = {
     "gaussian": {
-        "d": _Field("int", default=1),
-        "p": _Field("exponent_triple", required=True),
-        "t": _Field("weight_triple", default=(Fraction(0),) * 3),
-        "alphas": _Field("float_list"),
-        "tol": _Field("float", default=0.05),
+        "d": _Field(_parse_int, default=1),
+        "p": _Field(_EXPONENT_TRIPLE, required=True),
+        "t": _Field(_WEIGHT_TRIPLE, default=(Fraction(0),) * 3),
+        "alphas": _Field(_FLOAT_LIST),
+        "tol": _Field(_parse_float, default=0.05),
         **_GRID_FIELDS,
     },
     "translation": {
-        "d": _Field("int", default=1),
-        "p": _Field("exponent_triple", required=True),
-        "t": _Field("weight_triple", default=(Fraction(0),) * 3),
-        "pair": _Field("int_pair", default=(1, 2)),
-        "offsets": _Field("float_list", default=(2.0, 4.0, 8.0, 16.0)),
-        "tol": _Field("float", default=0.05),
+        "d": _Field(_parse_int, default=1),
+        "p": _Field(_EXPONENT_TRIPLE, required=True),
+        "t": _Field(_WEIGHT_TRIPLE, default=(Fraction(0),) * 3),
+        "pair": _Field(_list(_parse_int, 2), default=(1, 2)),
+        "offsets": _Field(_FLOAT_LIST, default=(2.0, 4.0, 8.0, 16.0)),
+        "tol": _Field(_parse_float, default=0.05),
         **_GRID_FIELDS,
     },
     "lower-bound": {
-        "t1": _Field("weight", required=True),
-        "t2": _Field("weight", required=True),
-        "alpha": _Field("float", required=True),
-        "window": _Field("float", default=8.0),
+        "t1": _Field(_parse_weight, required=True),
+        "t2": _Field(_parse_weight, required=True),
+        "alpha": _Field(_parse_float, required=True),
+        "window": _Field(_parse_float, default=8.0),
         **_GRID_FIELDS,
     },
     "norm-slope": {
-        "exponent": _Field("exponent", required=True),
-        "weight": _Field("weight", default=Fraction(0)),
-        "alphas": _Field("float_list"),
-        "tol": _Field("float", default=0.05),
+        "exponent": _Field(_parse_exponent, required=True),
+        "weight": _Field(_parse_weight, default=Fraction(0)),
+        "alphas": _Field(_FLOAT_LIST),
+        "tol": _Field(_parse_float, default=0.05),
         **_GRID_FIELDS,
     },
     "boundedness": {
-        "d": _Field("int", default=1),
-        "flavor": _Field("str", required=True, choices=SWEEP_FLAVORS),
-        "space": _Field("str", default="M", choices=("M", "W")),
-        "p": _Field("exponent_triple", required=True),
-        "t": _Field("weight_triple", default=(Fraction(0),) * 3),
-        "q": _Field("exponent_triple"),
-        "s": _Field("weight_triple"),
-        "stride": _Field("int", default=8),
-        "tol": _Field("float", default=0.05),
-        "spread_cap": _Field("float", default=4.0),
+        "d": _Field(_parse_int, default=1),
+        "flavor": _Field(_parse_str, required=True, choices=SWEEP_FLAVORS),
+        "space": _Field(_parse_str, default="M", choices=("M", "W")),
+        "p": _Field(_EXPONENT_TRIPLE, required=True),
+        "t": _Field(_WEIGHT_TRIPLE, default=(Fraction(0),) * 3),
+        "q": _Field(_EXPONENT_TRIPLE),
+        "s": _Field(_WEIGHT_TRIPLE),
+        "stride": _Field(_parse_int, default=8),
+        "tol": _Field(_parse_float, default=0.05),
+        "spread_cap": _Field(_parse_float, default=4.0),
         **_GRID_FIELDS,
     },
 }
 
 _VERIFY_FIELDS: dict[str, dict[str, _Field]] = {
     "slices": {
-        "region": _Field("int", required=True),
-        "p": _Field("exponent", required=True),
-        "t": _Field("weight_triple", required=True),
-        "delta": _Field("float", default=0.5),
-        "radius": _Field("float", default=8.0),
-        "scan_lo": _Field("float", default=1.0),
-        "scan_hi": _Field("float", default=100.0),
-        "ratio_cap": _Field("float", default=3.0),
+        "region": _Field(_parse_int, required=True),
+        "p": _Field(_parse_exponent, required=True),
+        "t": _Field(_WEIGHT_TRIPLE, required=True),
+        "delta": _Field(_parse_float, default=0.5),
+        "radius": _Field(_parse_float, default=8.0),
+        "scan_lo": _Field(_parse_float, default=1.0),
+        "scan_hi": _Field(_parse_float, default=100.0),
+        "ratio_cap": _Field(_parse_float, default=3.0),
     },
     "operator": {
-        "case": _Field("int", required=True),
-        "p": _Field("exponent_triple", required=True),
-        "trials": _Field("int", default=4),
-        "kernel": _Field("str", default="bumps", choices=("bumps", "ones")),
-        "slope_tol": _Field("float", default=0.05),
-        "spread_cap": _Field("float", default=10.0),
+        "case": _Field(_parse_int, required=True),
+        "p": _Field(_EXPONENT_TRIPLE, required=True),
+        "trials": _Field(_parse_int, default=4),
+        "kernel": _Field(_parse_str, default="bumps", choices=("bumps", "ones")),
+        "slope_tol": _Field(_parse_float, default=0.05),
+        "spread_cap": _Field(_parse_float, default=10.0),
         **_GRID_FIELDS,
     },
 }
 
 _SWEEP_FIELDS = {
-    "flavor": _Field("str", required=True, choices=MODULATION_FLAVORS),
-    "d": _Field("int", default=1),
-    "p": _Field("exponent_triple"),
-    "q": _Field("exponent_triple"),
-    "t_min": _Field("weight", required=True),
-    "t_max": _Field("weight", required=True),
-    "t_step": _Field("weight", required=True),
+    "flavor": _Field(_parse_str, required=True, choices=MODULATION_FLAVORS),
+    "d": _Field(_parse_int, default=1),
+    "p": _Field(_EXPONENT_TRIPLE),
+    "q": _Field(_EXPONENT_TRIPLE),
+    "t_min": _Field(_parse_weight, required=True),
+    "t_max": _Field(_parse_weight, required=True),
+    "t_step": _Field(_parse_weight, required=True),
 }
 
 
@@ -274,7 +266,7 @@ def _apply_schema(entries: dict[str, str], fields: dict[str, _Field], label: str
         )
     for key, spec in fields.items():
         if key in entries:
-            value = _parse_field(spec.kind, entries[key], key)
+            value = spec.parse(entries[key], key)
             if spec.choices is not None and value not in spec.choices:
                 raise ScenarioError(
                     f"{key}: must be one of {', '.join(spec.choices)}, got {value!r}"
