@@ -157,19 +157,10 @@ def _cmd_check(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
     lines.append(SEP)
 
     rows: list[list] = [
-        ["condition_id", "lhs", "relation", "rhs", "satisfied", "strict"]
+        ["condition_id", "lhs", "relation", "rhs", "satisfied", "strict"],
+        *([rec.condition_id, str(rec.lhs), rec.relation, str(rec.rhs), rec.satisfied,
+           rec.strictness_required] for rec in verdict.trace),
     ]
-    for rec in verdict.trace:
-        rows.append(
-            [
-                rec.condition_id,
-                str(rec.lhs),
-                rec.relation,
-                str(rec.rhs),
-                rec.satisfied,
-                rec.strictness_required,
-            ]
-        )
     return results, code, lines, rows
 
 

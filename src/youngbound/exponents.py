@@ -529,23 +529,26 @@ def check_weak_proposition(params: ParamTuple) -> Verdict:
     return _sufficient(trace, "weak_young_convolution")
 
 
+# (flavor, setting) -> its checker, in every setting but the modulation one.
+CHECKERS = {
+    ("convolution", "lebesgue"): check_convolution,
+    ("multiplication", "lebesgue"): check_multiplication,
+    ("convolution", "weak"): check_weak_proposition,
+}
+
+
 def classify(
     params: ParamTuple, flavor: str, setting: str = "lebesgue", space: str = "M"
 ) -> Verdict:
     """The verdict of the one checker that answers ``flavor`` in ``setting``.
 
-    ``space`` ("M" or "W") applies to the modulation setting only; the
-    weak-type family covers convolution only.
+    ``space`` ("M" or "W") applies to the modulation setting only.
     """
     if setting == "modulation":
         return check_modulation(params, flavor, space)
-    if setting == "lebesgue" and flavor == "convolution":
-        return check_convolution(params)
-    if setting == "lebesgue" and flavor == "multiplication":
-        return check_multiplication(params)
-    if setting == "weak" and flavor == "convolution":
-        return check_weak_proposition(params)
-    raise ValueError(f"no checker for flavor {flavor!r} in setting {setting!r}")
+    if (flavor, setting) not in CHECKERS:
+        raise ValueError(f"no checker for flavor {flavor!r} in setting {setting!r}")
+    return CHECKERS[flavor, setting](params)
 
 
 def binding_condition(verdict: Verdict) -> str:

@@ -216,6 +216,14 @@ def _exponent_value(p) -> float:
     return val
 
 
+def _weight_value(t) -> float:
+    """An exact weight as a float; one beyond binary64 is a ValueError naming it."""
+    try:
+        return float(t)
+    except OverflowError:
+        raise ValueError(f"the weight {t} is beyond binary64") from None
+
+
 def _axis_power_norm(
     mag: np.ndarray, p: float, cell: float, axis
 ) -> np.ndarray:
@@ -286,9 +294,11 @@ def weighted_lebesgue_norm(f: SampledFunction, p, t) -> float:
     ResolutionError.
     """
     mag = np.abs(f.values)
-    if float(t) != 0.0:  # the weight <x>^0 is 1.0 exactly, and x * 1.0 is x
+    weight = _weight_value(t)
+    if weight != 0.0:  # the weight <x>^0 is 1.0 exactly, and x * 1.0 is x
         ax = f.grid.axis()
-        mag *= np.sqrt(1.0 + ax * ax) ** float(t)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            mag *= np.sqrt(1.0 + ax * ax) ** weight
     if not np.all(np.isfinite(mag)):
         if not np.all(np.isfinite(f.values)):
             raise ValueError("weighted_lebesgue_norm: non-finite samples")
@@ -510,7 +520,7 @@ def _table_norms(blocks, norms, space: str) -> list[float]:
     if space not in ("M", "W"):
         raise ValueError(f"space must be 'M' or 'W', got {space!r}")
     norms = [
-        (_exponent_value(p), _exponent_value(q), float(s), float(t))
+        (_exponent_value(p), _exponent_value(q), _weight_value(s), _weight_value(t))
         for p, q, s, t in norms
     ]
     parts = []

@@ -46,6 +46,7 @@ from .grids import (
     _MixedNorm,
     _require_one_dimension,
     _row_blocks,
+    _weight_value,
     bracket,
     weighted_lebesgue_norm,
 )
@@ -121,7 +122,7 @@ def kernel_f(x, y, params: KernelParams) -> float:
 
 def _kernel_values(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:
     """Vectorized F on broadcastable coordinate arrays (one dimension)."""
-    t0, t1, t2 = (float(v) for v in t)
+    t0, t1, t2 = (_weight_value(v) for v in t)
     bx = np.sqrt(1.0 + x * x)
     by = np.sqrt(1.0 + y * y)
     bxy = np.sqrt(1.0 + (x - y) * (x - y))
@@ -388,6 +389,7 @@ def verify_lemma_intestimates(
     p_exp = Exponent.of(p)
     rp, pf = p_exp.reciprocal(), float(p_exp)
     item = REGION_TO_ITEM[region]
+    weights = tuple(_weight_value(v) for v in kernel_params.t)  # refused before any envelope
 
     scan_values: list[float] = []
     v = lo
@@ -420,7 +422,7 @@ def verify_lemma_intestimates(
             if support == 0:
                 norm = 0.0
             else:
-                vals = np.where(mask, _kernel_values(x, y, kernel_params.t), 0.0)
+                vals = np.where(mask, _kernel_values(x, y, weights), 0.0)
                 norm = float(_axis_power_norm(vals, pf, du, axis=None))
         env = _envelope(item, v, kernel_params.t, rp)
         norms.append(norm)

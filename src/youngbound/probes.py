@@ -44,6 +44,7 @@ from .grids import (
     SampledFunction,
     _require_one_dimension,
     _row_blocks,
+    _weight_value,
     convolve,
     fourier_lebesgue_norm,
     gaussian_resolution_guard,
@@ -138,7 +139,7 @@ class GaussianFamily:
             raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
         gaussian_resolution_guard(grid, alpha)
         x = grid.axis()
-        vals = (1.0 + x * x) ** (float(-self.t[j]) / 2.0) * np.exp(-alpha * x * x)
+        vals = (1.0 + x * x) ** (-_weight_value(self.t[j]) / 2.0) * np.exp(-alpha * x * x)
         return SampledFunction(grid, vals)
 
 

@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exponents import MODULATION_FLAVORS, SWEEP_FLAVORS, Exponent, ExponentError
+from .exponents import CHECKERS, MODULATION_FLAVORS, SWEEP_FLAVORS, Exponent, ExponentError
 
 __all__ = [
     "ScenarioError",
@@ -284,6 +284,8 @@ def _validate_check(values: dict[str, object]) -> None:
     setting = values["setting"]
     if setting != "modulation" and "space" in values:
         raise ScenarioError("'space' applies only when setting = modulation")
+    if setting != "modulation" and (flavor, setting) not in CHECKERS:
+        return  # classify refuses the pair, whatever q and s are given
     needs_q = flavor == "multiplication" or setting == "modulation"
     if needs_q and "q" not in values:
         raise ScenarioError(f"flavor/setting {flavor}/{setting} requires 'q'")

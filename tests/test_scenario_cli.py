@@ -564,6 +564,11 @@ def test_gaussian_probe_in_two_dimensions_is_malformed(tmp_path, capsys):
         id="weak-multiplication",
     ),
     pytest.param(
+        "check", "flavor = multiplication\nsetting = weak\np = 2,2,2\n",
+        "no checker for flavor 'multiplication' in setting 'weak'",
+        id="weak-multiplication-without-q",
+    ),
+    pytest.param(
         "probe", "kind = translation\np = 2,2,2\npair = 1, 1\n",
         "pair must name two distinct slots, got (1, 1)", id="pair-repeated",
     ),
@@ -669,6 +674,65 @@ def test_refused_request_exits_two_with_one_error_line(
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error:")
+
+
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(youngbound.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+
+
+# (command, scenario bytes or None for a missing file, flags, text of the
+# error line).  pytest records warnings in-process, so only a fresh
+# process shows whether numpy's warnings reach stderr before the refusal.
+_FRESH_REFUSALS = {
+    "unreadable": ("check", None, [], "cannot read scenario file"),
+    "not-utf8": ("check", b"flavor = convolution\np = 2,2,2\n# \xff\n", [], "cannot read"),
+    "unknown-key": ("check", b"flavor = convolution\np = 2,2,2\nbogus = 1\n", [], "bogus"),
+    "grid-n-alone": (
+        "probe", b"kind = gaussian\np = 2,2,2\n", ["--grid-n", "512"],
+        "grid_n and grid_l must be given together",
+    ),
+    "grid-n-over-cap": (
+        "probe", b"kind = gaussian\np = 2,2,2\n", ["--grid-n", str(2 ** 24), "--grid-L", "48"],
+        "above the cap",
+    ),
+    "precondition": (
+        "probe", b"kind = lower-bound\nt1 = -1\nt2 = 0\nalpha = 0.5\n", [],
+        "precondition not met",
+    ),
+    "weight-overflows-grid": (
+        "probe", b"kind = norm-slope\nexponent = 2\nweight = 400\n", [], "overflows binary64",
+    ),
+    "weight-beyond-binary64": (
+        "probe", f"kind = gaussian\np = 2,2,2\nt = {_BEYOND_BINARY64},0,0\n".encode(), [],
+        f"the weight -{_BEYOND_BINARY64} is beyond binary64",
+    ),
+    "weak-multiplication-without-q": (
+        "check", b"flavor = multiplication\nsetting = weak\np = 2,2,2\n", [],
+        "no checker for flavor 'multiplication' in setting 'weak'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FRESH_REFUSALS))
+def test_refusal_in_a_fresh_process_is_one_error_line(tmp_path, case):
+    """A refused request exits 2, prints nothing on stdout and exactly one
+    `error: ` line on stderr, with no warning before it."""
+    command, text, flags, message = _FRESH_REFUSALS[case]
+    path = tmp_path / "scenario.txt"
+    if text is not None:
+        path.write_bytes(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "youngbound.cli", command, "--scenario", str(path), *flags],
+        env=_fresh_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_MALFORMED, "")
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ")
+    assert message in line
 
 
 def test_sweep_multiplication_defaults_p_to_q(tmp_path, capsys):
@@ -861,6 +925,21 @@ def _csv_cells(text):
 @pytest.mark.parametrize("stem", sorted(EXTRA_PROBES))
 def test_extra_probe_records_match_golden(stem, tmp_path, capsys):
     _assert_matches_golden(_strict_record(_golden_argv(stem, tmp_path), capsys), stem)
+
+
+@pytest.mark.parametrize("stem", [*sorted(SHIPPED_COMMANDS), *sorted(EXTRA_PROBES)])
+def test_scenario_echo_reads_back_as_itself(stem):
+    """Each field's parser reads the canonical text of its own values, so
+    the echo of a record resolves to the same values and the same echo."""
+    if stem in SHIPPED_COMMANDS:
+        command, text = SHIPPED_COMMANDS[stem], (SCENARIOS / f"{stem}.txt").read_text()
+    else:
+        command, text = "probe", EXTRA_PROBES[stem]
+    values = resolve_scenario(command, parse_scenario_text(text))
+    echo = scenario_echo(values)
+    again = resolve_scenario(command, echo)
+    assert again == values
+    assert scenario_echo(again) == echo
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv"])
@@ -1132,7 +1211,7 @@ def test_overflowing_weights_are_malformed_not_nan(tmp_path, capsys, text):
     exit 2 and names the overflow instead of fitting a NaN slope."""
     path = write(tmp_path, text)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)  # no warning before the refusal
         code = main(["probe", "--scenario", path])
     captured = capsys.readouterr()
     assert code == EXIT_MALFORMED
@@ -1224,17 +1303,13 @@ print(json.dumps({"seen": seen, "codes": codes, "kernels": "youngbound.kernels" 
 def test_exact_commands_never_load_the_numerical_layer():
     """A fresh interpreter runs `check` and `sweep` without importing numpy,
     grids, kernels or probes; a probe then loads probes but not kernels."""
-    src = str(Path(youngbound.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    )}
     argv = [
         str(SCENARIOS / f"{stem}.txt")
         for stem in ("convolution_boundary", "weight_sweep", "gaussian_necessity")
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _ISOLATION_PROBE, *argv],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+        env=_fresh_env(), capture_output=True, text=True, timeout=120, check=True,
     )
     result = json.loads(proc.stdout)
     assert result["seen"] == {
@@ -1263,12 +1338,8 @@ def test_table_check_builds_no_run_record():
     """A table-format `check` writes no run record, so a fresh interpreter
     running it loads neither importlib.metadata nor platform, unless they
     were loaded before the command line was imported."""
-    src = str(Path(youngbound.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    )}
     proc = subprocess.run(
         [sys.executable, "-c", _RECORD_PROBE, str(SCENARIOS / "convolution_boundary.txt")],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+        env=_fresh_env(), capture_output=True, text=True, timeout=120, check=True,
     )
     assert proc.stdout.split() == [str(EXIT_PASS), "[]"]
