@@ -25,6 +25,7 @@ Weighted norms use the japanese bracket <x> = sqrt(1 + |x|^2).
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -245,6 +246,33 @@ def _row_blocks(count: int) -> list[slice]:
     ]
 
 
+def _two_at_a_time(fn, items: list) -> list:
+    """``list(map(fn, items))``, even indices on the calling thread and odd
+    ones on a helper thread, which overlap where numpy releases the GIL.
+    Each thread stops at its first failure; once the helper is joined, the
+    lowest failing index raises its exception, as the serial loop does."""
+    results = [None] * len(items)
+    failures: dict[int, Exception] = {}
+
+    def work(start: int) -> None:
+        for i in range(start, len(items), 2):
+            try:
+                results[i] = fn(items[i])
+            except Exception as exc:  # raised again on the calling thread
+                failures[i] = exc
+                return
+
+    helper = threading.Thread(target=work, args=(1,))
+    helper.start()
+    try:
+        work(0)
+    finally:
+        helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 class _MixedNorm:
     """L^p along axis 0 and L^q along axis 1 of a table of magnitudes that
     arrives in consecutive row blocks, with quadrature cells ``cells``; the
@@ -253,8 +281,9 @@ class _MixedNorm:
     The blocks give the bits of the whole table: every step works row by
     row except the L^p sum down the columns, and numpy sums axis 0 of a
     table with more than one column as a fold over the rows in order, so
-    each block carries the running column sums in as its first row.  A
-    sup is a running maximum.
+    each block adds the running column sums into its first row (the sum
+    that a fold over them in front of that row would form first).  A sup
+    is a running maximum.
     """
 
     def __init__(self, p: float, q: float, cells: tuple[float, float], p_inside: bool):
@@ -269,9 +298,9 @@ class _MixedNorm:
             top = np.max(mag, axis=0)
             self.columns = top if self.columns is None else np.maximum(self.columns, top)
         else:
-            power = mag ** self.p
+            power = mag ** self.p  # a fresh array: one ``mag`` serves several norms
             if self.columns is not None:
-                power = np.concatenate((self.columns[None, :], power))
+                power[0] += self.columns
             self.columns = np.sum(power, axis=0)
 
     def value(self) -> float:
@@ -535,9 +564,10 @@ def _table_norms(blocks, norms, space: str) -> list[float]:
                     column = folded if column is None else column * folded
                 parts.append((_MixedNorm(p, q, cells, space == "M"), t, column))
         for norm, t, column in parts:
-            # The weighted copy is freed when add returns, before the next
-            # block is built.
+            # The weighted copy is freed when add returns, and the block
+            # before the next one is built.
             norm.add(_weighted_magnitudes(table, t, column))
+        del table
     return [norm.value() for norm, _, _ in parts]
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import statistics
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,6 +45,7 @@ from .grids import (
     _MixedNorm,
     _require_one_dimension,
     _row_blocks,
+    _two_at_a_time,
     _weight_value,
     bracket,
     weighted_lebesgue_norm,
@@ -305,29 +305,37 @@ class SliceReport:
     notes: str
 
 
-def _envelope(item: int, v: float, t, rp: Fraction) -> float:
-    """Closed-form slice envelope at scan value v (bracket of the slice)."""
+def _envelope(region: int, v: float, t, rp: Fraction) -> float:
+    """Closed-form slice envelope of ``region`` at scan value v (bracket of
+    the slice); one beyond binary64 is a ValueError naming the weights."""
     t0, t1, t2 = t
+    item = REGION_TO_ITEM[region]
     bv = math.sqrt(1.0 + v * v)
     log_factor = (1.0 + math.log(bv)) ** float(rp)
-    if item == 1:
-        lead = bv ** float(-t0 - t1)
-        if t2 == rp:
-            return lead * log_factor
-        return lead * (1.0 + bv ** float(rp - t2))
-    if item == 2:
-        lead = bv ** float(-t0 - t2)
-        if t1 == rp:
-            return lead * log_factor
-        return lead * (1.0 + bv ** float(rp - t1))
-    if item == 3:
+    try:
+        if item == 1:
+            lead = bv ** float(-t0 - t1)
+            if t2 == rp:
+                return lead * log_factor
+            return lead * (1.0 + bv ** float(rp - t2))
+        if item == 2:
+            lead = bv ** float(-t0 - t2)
+            if t1 == rp:
+                return lead * log_factor
+            return lead * (1.0 + bv ** float(rp - t1))
+        if item == 3:
+            return bv ** float(-t1 - t2)
+        # item 4 covers the two outer regions
+        if t0 < rp:
+            return bv ** float(-t0 - t1 - t2 + rp)
+        if t0 == rp:
+            return bv ** float(-t1 - t2) * log_factor
         return bv ** float(-t1 - t2)
-    # item 4 covers the two outer regions
-    if t0 < rp:
-        return bv ** float(-t0 - t1 - t2 + rp)
-    if t0 == rp:
-        return bv ** float(-t1 - t2) * log_factor
-    return bv ** float(-t1 - t2)
+    except OverflowError:
+        raise ValueError(
+            f"the slice envelope of region {region} at scan value {v:g} overflows "
+            f"binary64 for the weights t = {', '.join(map(str, t))}"
+        ) from None
 
 
 def _slice_domain(region: int, v: float, rparams: RegionParams) -> tuple[float, float] | None:
@@ -424,7 +432,7 @@ def verify_lemma_intestimates(
             else:
                 vals = np.where(mask, _kernel_values(x, y, weights), 0.0)
                 norm = float(_axis_power_norm(vals, pf, du, axis=None))
-        env = _envelope(item, v, kernel_params.t, rp)
+        env = _envelope(region, v, kernel_params.t, rp)
         norms.append(norm)
         envelopes.append(env)
         if norm == 0.0:
@@ -497,8 +505,10 @@ class _GaussSum1d:
         )
 
 
-# exp(-x) rounds to +0.0 in binary64 for every x >= _EXP_ZERO (from 745.14 on).
-_EXP_ZERO = 746.0
+# exp(-x) is below the smallest normal double, np.finfo(float).tiny = 2^-1022,
+# for every x >= _EXP_ZERO (from ln 2^1022 = 708.3964 on), and rounds to +0.0
+# from 745.14 on; between the two it is subnormal, and slow.
+_EXP_ZERO = 708.4
 
 
 def _band(mask: np.ndarray) -> slice | None:
@@ -518,13 +528,16 @@ class _GaussSum2d(_GaussSum1d):
 
         Each term is evaluated only on the band of rows and columns where
         a (x - u)^2 and a (y - v)^2 stay below _EXP_ZERO, and inside that
-        band only where its exponent does.  Everywhere else exp rounds to
-        +0.0, whose addition changes no bit of the sum (rounding is
-        monotone, so the skipped exponents are at most -_EXP_ZERO as
-        computed).  numpy's exp takes about 1.2 ns a point where its result
-        is normal, 21 ns where it underflows to 0 and 150 ns where it is
-        subnormal (x86-64, numpy 2.4): over the benchmark's seven operator
-        cases, 2.0% of the evaluated points take 28% of the sampling time.
+        band only where its exponent does.  Everywhere else exp is below
+        the smallest normal double (rounding is monotone, so the skipped
+        exponents are at most -_EXP_ZERO as computed), so a skipped term
+        is below |amp| 2^-1022: it moves no bit of an entry above
+        2^54 times the sum of those bounds, and no entry by more than it.
+        numpy's exp takes about 1.2 ns a point where its result is normal,
+        21 ns where it underflows to 0 and 150 ns where it is subnormal
+        (x86-64, numpy 2.4); skipping the subnormal results took the
+        benchmark's seven operator cases (1,600 calls, serial) from 1.97 s
+        to 1.32 s of sampling on a 2-core x86-64 VM.
         """
         out = np.zeros((x.size, y.size))
         for amp, a, u, v in self.terms:
@@ -562,12 +575,12 @@ _DEFAULT_SCALES = (0.5, 2.0 ** -0.5, 1.0, 2.0 ** 0.5, 2.0)
 _KERNEL_SCALES = {"bumps": _DEFAULT_SCALES, "ones": (1.0,)}
 # An operator check samples its kernel BLOCK_ROWS grid rows at a time and
 # holds no n x n table.  At its peak a block holds, per point, the kernel
-# rows, their magnitudes, the magnitudes' powers and those powers under
-# the running column sums of the mixed norm: 32 bytes (a T_F row block's
-# complex product, and the band argument, term and one-byte `exp` mask of
-# `_GaussSum2d.sample`, take less).  Beside the block lie a few n-point
+# rows, their magnitudes and the magnitudes' powers, into whose first row
+# the mixed norm adds its running column sums: 24 bytes, beside a T_F row
+# block's complex product or the band argument, term and one-byte `exp`
+# mask of `_GaussSum2d.sample`.  Beside the block lie a few n-point
 # arrays.  Two (trial, scale) points run at once; each holds at its traced
-# peak 28.9-33.3 bytes a block point beyond OPERATOR_BYTES_PER_POINT a point.
+# peak 27.9-33.1 bytes a block point beyond OPERATOR_BYTES_PER_POINT a point.
 OPERATOR_BYTES_PER_BLOCK_POINT = 36
 OPERATOR_BYTES_PER_POINT = 128
 
@@ -580,33 +593,6 @@ def operator_peak_bytes(grid: Grid, trials: int, kernel: str) -> int:
         OPERATOR_BYTES_PER_BLOCK_POINT * min(BLOCK_ROWS, n) * n
         + OPERATOR_BYTES_PER_POINT * n
     )
-
-
-def _two_at_a_time(fn, items: list) -> list:
-    """``list(map(fn, items))``, even indices on the calling thread and odd
-    ones on a helper thread, which overlap where numpy releases the GIL.
-    Each thread stops at its first failure; once the helper is joined, the
-    lowest failing index raises its exception, as the serial loop does."""
-    results = [None] * len(items)
-    failures: dict[int, Exception] = {}
-
-    def work(start: int) -> None:
-        for i in range(start, len(items), 2):
-            try:
-                results[i] = fn(items[i])
-            except Exception as exc:  # raised again on the calling thread
-                failures[i] = exc
-                return
-
-    helper = threading.Thread(target=work, args=(1,))
-    helper.start()
-    try:
-        work(0)
-    finally:
-        helper.join()
-    if failures:
-        raise failures[min(failures)]
-    return results
 
 
 def verify_prop_tf_bounds(

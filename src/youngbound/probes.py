@@ -44,6 +44,7 @@ from .grids import (
     SampledFunction,
     _require_one_dimension,
     _row_blocks,
+    _two_at_a_time,
     _weight_value,
     convolve,
     fourier_lebesgue_norm,
@@ -86,11 +87,11 @@ CONSTANCY_TOL = 1e-10
 IDENTITY_TOL = 1e-6
 
 # A modulation ladder builds no short-time table: its norms read the
-# magnitude table BLOCK_ROWS lattice rows at a time.  A block holds the
-# float64 rows and their half-width complex spectra (16 bytes per point),
-# then the half-width magnitudes, a weighted copy, its powers and those
-# powers under the running column sums; the traced peak is 15.3-20.3
-# bytes per block point, so NORM_BYTES_PER_BLOCK_POINT leaves room.
+# magnitude table BLOCK_ROWS lattice rows at a time, and each block is
+# freed before the next is built.  A block holds the float64 rows and
+# their half-width complex spectra (16 bytes per point), then the
+# half-width magnitudes, a weighted copy and its powers; the traced peak
+# of a norm pass is 16.1-16.5 bytes per block point.
 #
 # The multiplication flavor also checks the short-time product identity,
 # one block of lattice rows at a time.  At its peak a block holds the
@@ -98,7 +99,7 @@ IDENTITY_TOL = 1e-6
 # (inverted in place) and the scaled n-wide slice of it; the left side is
 # built after the factors are freed.  The traced peak is 66.0-68.5 bytes
 # per block point, more than a norm block.
-NORM_BYTES_PER_BLOCK_POINT = 22
+NORM_BYTES_PER_BLOCK_POINT = 17
 IDENTITY_BYTES_PER_BLOCK_POINT = 72
 # Bytes per grid point that a probe holds at its peak besides short-time
 # blocks: `convolve` holds two n-point and several 2n-point complex arrays
@@ -113,12 +114,14 @@ def peak_bytes(kind: str, flavor: str | None, grid: Grid, stride: int) -> int:
     holds at its peak."""
     per_point = NORM_SLOPE_BYTES_PER_POINT if kind == "norm-slope" else PROBE_BYTES_PER_POINT
     block = grid.n * min(BLOCK_ROWS, grid.n // max(stride, 1))
-    tables = 0
+    point = per_point * grid.n
+    # A modulation ladder runs two work items at once: two ladder points,
+    # or the product identity beside one.
     if flavor == "modulation-convolution":
-        tables = NORM_BYTES_PER_BLOCK_POINT * block
-    elif flavor == "modulation-multiplication":
-        tables = IDENTITY_BYTES_PER_BLOCK_POINT * block
-    return tables + per_point * grid.n
+        return 2 * (NORM_BYTES_PER_BLOCK_POINT * block + point)
+    if flavor == "modulation-multiplication":
+        return (IDENTITY_BYTES_PER_BLOCK_POINT + NORM_BYTES_PER_BLOCK_POINT) * block + 2 * point
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +142,13 @@ class GaussianFamily:
             raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
         gaussian_resolution_guard(grid, alpha)
         x = grid.axis()
-        vals = (1.0 + x * x) ** (-_weight_value(self.t[j]) / 2.0) * np.exp(-alpha * x * x)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            vals = (1.0 + x * x) ** (-_weight_value(self.t[j]) / 2.0) * np.exp(-alpha * x * x)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(
+                f"the weight {self.t[j]} makes <x>^(-t) e^(-{alpha} x^2) overflow "
+                f"binary64 on the grid (|x| up to {float(np.max(np.abs(x))):g})"
+            )
         return SampledFunction(grid, vals)
 
 
@@ -645,9 +654,10 @@ def boundedness_sweep(
         p0c = params.p[0].conjugate()
         q0c = params.q[0].conjugate()
         mult = base == "multiplication"
-        mid = len(alphas) // 2
-        for i, a in enumerate(alphas):
+        for a in alphas:  # a failing alpha raises before any point runs
             gaussian_resolution_guard(grid, a)
+
+        def point(a: float) -> float:
             f = SampledFunction(grid, np.exp(-a * x * x))
             if mult:
                 target = SampledFunction(grid, f.values * f.values)
@@ -658,8 +668,6 @@ def boundedness_sweep(
                 target, window, stride,
                 [(p0c, q0c, -params.s[0], -params.t[0])], space=space,
             )
-            if mult and i == mid:
-                identity_err = _stft_product_identity_error(f, f, stride)
             # f1 = f2, so one pass over the blocks serves both norms.
             den = 1.0
             for norm in stft_magnitude_norms(
@@ -668,7 +676,21 @@ def boundedness_sweep(
                 space=space,
             ):
                 den *= norm
-            ratios.append(num / den)
+            return num / den
+
+        def identity(a: float) -> float:
+            f = SampledFunction(grid, np.exp(-a * x * x))
+            return _stft_product_identity_error(f, f, stride)
+
+        # The identity at the middle scale costs about three points at
+        # stride 2: first in line, it runs on the calling thread while the
+        # helper takes the first points.
+        jobs = [(point, a) for a in alphas]
+        if mult:
+            jobs.insert(0, (identity, alphas[len(alphas) // 2]))
+        ratios = _two_at_a_time(lambda job: job[0](job[1]), jobs)
+        if mult:
+            identity_err = ratios.pop(0)
 
     inv = [1.0 / a for a in alphas]
     slope, _, _ = fit_power_law(inv, ratios)

@@ -587,6 +587,25 @@ def test_prop_mixed_norm_matches_loop_oracle(seed, p, q, x_cell, y_cell):
         assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_mixed_norm_blocks_leave_the_table_and_keep_its_bits(block):
+    """One magnitude table fed in row blocks to two norms, p = 1 and
+    p = 2, is left as it was, and each norm has the bits of the whole
+    table's mixed_norm_2d."""
+    g = Grid(1, 8.0, 128)
+    table = np.random.default_rng(4).uniform(0.0, 3.0, (g.n, g.n))
+    before = table.copy()
+    norms = {p: _MixedNorm(float(p), 3.0, (g.h, g.h), p_inside=True) for p in (1, 2)}
+    with mock.patch.object(grids, "BLOCK_ROWS", block):
+        for rows in grids._row_blocks(g.n):
+            for norm in norms.values():
+                norm.add(table[rows])
+    assert table.tobytes() == before.tobytes()
+    kernel = SampledKernel2d(g, table)
+    for p, norm in norms.items():
+        assert repr(norm.value()) == repr(mixed_norm_2d(kernel, p, 3, 1))
+
+
 def test_mixed_norm_validates_order():
     g = Grid(1, 8.0, 64)
     kernel = _kernel_on(g, lambda x, y: np.exp(-x * x - y * y))

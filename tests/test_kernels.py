@@ -263,15 +263,33 @@ _gauss_terms = st.lists(
 @settings(max_examples=80)
 @given(_gauss_terms, st.integers(3, 8), st.floats(0.5, 40.0))
 def test_prop_gauss_sum_sampling_bitwise_equals_naive(terms, log_n, extent):
-    """Clipping each bump to the band where its exponent stays above -746
-    changes no bit: outside it exp rounds to +0.0.  Widths from 1e-3 to 1e3
-    and centers beyond the box make the band anything from the whole grid
-    to nothing."""
+    """Clipping each bump to the band where its exponent stays above
+    -_EXP_ZERO skips only terms below |amp| 2^-1022: they move no entry by
+    more than their sum, and no bit of an entry 2^54 times larger, where
+    each is under half an ulp.  Widths from 1e-3 to 1e3 and centers beyond
+    the box make the band anything from the whole grid to nothing."""
     ax = Grid(1, extent, 2 ** log_n).axis()
     fast = _GaussSum2d(tuple(terms)).sample(ax, ax)
     slow = naive_gauss_sum_2d(terms, ax, ax)
-    assert np.array_equal(fast, slow)
-    assert np.array_equal(np.signbit(fast), np.signbit(slow))
+    skipped = sum(abs(amp) for amp, *_ in terms) * np.finfo(float).tiny
+    assert np.all(np.abs(fast - slow) <= skipped)
+    normal = np.abs(slow) >= 2.0 ** 54 * skipped
+    assert np.array_equal(fast[normal], slow[normal])
+    assert np.array_equal(np.signbit(fast[normal]), np.signbit(slow[normal]))
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_operator_check_has_the_bits_of_the_naive_sampler(case, monkeypatch):
+    """The terms the kernel sampling skips move no ratio or slope of an
+    operator check at n = 512: evaluating every term everywhere, as the
+    oracle does, gives the same report bits."""
+    grid = Grid(1, 16.0, 512)
+    fast = verify_prop_tf_bounds(case, (2, 2, 2), trials=1, grid=grid)
+    monkeypatch.setattr(
+        _GaussSum2d, "sample", lambda self, x, y: naive_gauss_sum_2d(self.terms, x, y)
+    )
+    naive = verify_prop_tf_bounds(case, (2, 2, 2), trials=1, grid=grid)
+    assert repr((fast.ratios, fast.slopes)) == repr((naive.ratios, naive.slopes))
 
 
 def test_tf_is_bilinear():
@@ -560,7 +578,7 @@ def test_two_at_a_time_raises_the_lowest_failing_index():
 
     threads = threading.active_count()
     with pytest.raises(ValueError, match="1"):
-        kernels._two_at_a_time(fn, [0, 1, 2, 3])
+        grids._two_at_a_time(fn, [0, 1, 2, 3])
     assert threading.active_count() == threads
 
 
@@ -582,7 +600,7 @@ def test_two_at_a_time_runs_every_item_once_under_fast_switching():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = kernels._two_at_a_time(fn, list(range(2000)))
+        results = grids._two_at_a_time(fn, list(range(2000)))
     finally:
         sys.setswitchinterval(interval)
     assert results == [i * i for i in range(2000)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction as F
 from unittest import mock
 
@@ -10,9 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from youngbound import grids
+from youngbound import grids, probes
 from youngbound.exponents import Classification, ParamTuple, check_convolution
-from youngbound.grids import Grid, ResolutionError, SampledFunction, stft
+from youngbound.grids import (
+    Grid,
+    ResolutionError,
+    SampledFunction,
+    gaussian_resolution_guard,
+    stft,
+)
 from youngbound.kernels import PreconditionError
 from youngbound.probes import (
     _stft_product_identity_error,
@@ -305,6 +312,39 @@ def test_modulation_ladder_builds_each_table_once(monkeypatch, flavor, complex_t
     # 256 / stride 8 = 32 lattice rows in blocks of 5: 7 blocks a pass.
     real = sum(dtype == np.dtype(float).str for dtype, *_ in blocks)
     assert (real, len(blocks) - real) == (18 * 7, complex_tables * 7)
+
+
+@pytest.mark.parametrize("flavor", ["modulation-convolution", "modulation-multiplication"])
+@pytest.mark.parametrize("stride, grid", [(8, None), (1, Grid(1, 24.0, 256))])
+def test_threaded_modulation_ladder_equals_serial_run(flavor, stride, grid, monkeypatch):
+    """Two ladder points (or the product identity and a point) at a time
+    give the report of one after another, to the bit."""
+    threaded = boundedness_sweep(_MODULATION_TUPLE, flavor, grid=grid, stride=stride)
+    monkeypatch.setattr(probes, "_two_at_a_time", lambda fn, items: list(map(fn, items)))
+    serial = boundedness_sweep(_MODULATION_TUPLE, flavor, grid=grid, stride=stride)
+    assert repr(threaded) == repr(serial)
+
+
+@pytest.mark.parametrize("flavor", ["modulation-convolution", "modulation-multiplication"])
+def test_modulation_ladder_guards_every_scale_before_any_point(flavor, monkeypatch):
+    """On a box that truncates the fourth scale the ladder raises that
+    scale's ResolutionError, as the serial loop did on reaching it, before
+    any point or thread starts."""
+    grid = Grid(1, 8.0, 256)
+
+    def runs(*args, **kwargs):
+        raise AssertionError("a ladder point ran before every scale was guarded")
+
+    monkeypatch.setattr(probes, "stft_magnitude_norms", runs)
+    monkeypatch.setattr(probes, "_stft_product_identity_error", runs)
+    threads = threading.active_count()
+    with pytest.raises(ResolutionError) as raised:
+        boundedness_sweep(_MODULATION_TUPLE, flavor, grid=grid)
+    assert threading.active_count() == threads
+    with pytest.raises(ResolutionError) as serial:
+        gaussian_resolution_guard(grid, probes.MODULATION_ALPHAS[3])
+    assert str(raised.value) == str(serial.value)
+    gaussian_resolution_guard(grid, probes.MODULATION_ALPHAS[2])
 
 
 def test_product_identity_reuse_is_bitwise():

@@ -714,6 +714,16 @@ _FRESH_REFUSALS = {
         "check", b"flavor = multiplication\nsetting = weak\np = 2,2,2\n", [],
         "no checker for flavor 'multiplication' in setting 'weak'",
     ),
+    "gaussian-member-overflows": (
+        "probe",
+        f"kind = lower-bound\nt1 = {10 ** 307}\nt2 = -{10 ** 307}\nalpha = 0.5\n".encode(), [],
+        f"the weight -{10 ** 307} makes <x>^(-t) e^(-0.5 x^2) overflow binary64",
+    ),
+    "slice-envelope-overflows": (
+        "verify-lemmas",
+        f"which = slices\nregion = 4\np = 2\nt = -{10 ** 307}, -{10 ** 307}, 0\n".encode(), [],
+        "the slice envelope of region 4 at scan value 1 overflows binary64",
+    ),
 }
 
 
@@ -1058,8 +1068,9 @@ _IDENTITY_LADDER = (
 
 def test_product_identity_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
     """At grid_n = 2**18, stride 1, one block of 64 rows of the product
-    identity is charged 72 bytes a point and the grid 128 bytes a point
-    (1.16 GiB), so the ladder exits 2 before any block is built."""
+    identity is charged 72 bytes a point, the ladder point beside it 17,
+    and each of the two 128 bytes a grid point (1.45 GiB), so the ladder
+    exits 2 before any block is built."""
 
     def allocates(*args, **kwargs):
         raise AssertionError("a table was allocated before the budget check")
@@ -1070,14 +1081,14 @@ def test_product_identity_tables_count_against_the_cap(tmp_path, capsys, monkeyp
     assert main(["probe", "--scenario", path]) == EXIT_MALFORMED
     err = capsys.readouterr().err
     assert "above the cap" in err
-    assert str(72 * 64 * 2 ** 18 + 128 * 2 ** 18) in err
+    assert str((72 + 17) * 64 * 2 ** 18 + 2 * 128 * 2 ** 18) in err
 
 
 def test_stride_one_identity_ladder_at_4096_is_admitted(tmp_path, capsys, monkeypatch):
     """At grid_n = 4096, stride 1, one whole short-time table would take
     256 MiB, but the ladder is charged one 64-row block of the product
-    identity plus its points (18.5 MiB), so it passes the budget check and
-    reaches the sweep."""
+    identity and one of a ladder point, plus their points (23.25 MiB), so
+    it passes the budget check and reaches the sweep."""
 
     class Admitted(Exception):
         pass
