@@ -17,7 +17,9 @@ Two records of the same run differ only in their timestamps.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -368,19 +370,46 @@ def scenario_echo(values: dict[str, object]) -> dict[str, str]:
 # Run records
 # ---------------------------------------------------------------------------
 
-def _dist_version(name: str) -> str:
-    from importlib import metadata  # only a written record needs it
+def _version_header(entry: str) -> str:
+    """The ``Version:`` header of a dist-info or egg-info directory's METADATA
+    or PKG-INFO file, or of an egg-info file; ``0+unknown`` without one."""
+    for path in (os.path.join(entry, "METADATA"), os.path.join(entry, "PKG-INFO"), entry):
+        try:
+            with open(path, encoding="utf-8") as f:
+                headers = f.read().partition("\n\n")[0]
+        except OSError:
+            continue
+        found = re.search(r"^version:(.*)$", headers, re.IGNORECASE | re.MULTILINE)
+        return found.group(1).strip() if found else "0+unknown"
+    return "0+unknown"
 
-    try:
-        return metadata.version(name)
-    except metadata.PackageNotFoundError:  # not installed, e.g. direct source use
-        return "0+unknown"
+
+@functools.cache
+def _dist_version(name: str) -> str:
+    """The version of the first ``<name>-*.dist-info`` or ``.egg-info`` entry
+    on ``sys.path``, the one importlib.metadata reads, with names compared in
+    its normal form; ``0+unknown`` without one (this package run from its
+    source tree).  Importing importlib.metadata would cost a cold `check` a
+    third of its run time.  Zip files on the path are not searched."""
+    wanted = re.sub(r"[-_.]+", "_", name.lower())
+    for root in sys.path:
+        try:
+            children = os.listdir(root or ".")
+        except OSError:  # missing, or a zip file
+            continue
+        for child in children:
+            stem, _, kind = child.lower().rpartition(".")
+            if kind in ("dist-info", "egg-info") and (
+                re.sub(r"[-_.]+", "_", stem.partition("-")[0]) == wanted
+            ):
+                return _version_header(os.path.join(root, child))
+    return "0+unknown"
 
 
 def package_versions() -> dict[str, str]:
-    """Versions of the installed distributions, read from their metadata:
-    importing numpy for its version would cost an exact command most of its
-    run time."""
+    """Versions of python and of the installed distributions of this package
+    and numpy, read from their metadata files once per process: importing
+    numpy for its version would cost an exact command most of its run time."""
     return {
         "artifact": _dist_version("artifact"),
         "numpy": _dist_version("numpy"),

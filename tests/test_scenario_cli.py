@@ -29,6 +29,7 @@ from youngbound.cli import (
 from youngbound.scenario import (
     RunRecord,
     ScenarioError,
+    _dist_version,
     package_versions,
     parse_scenario_text,
     resolve_scenario,
@@ -124,6 +125,59 @@ def test_package_versions_reports_the_stack():
     assert "numpy" in versions
     assert "python" in versions
     assert versions["numpy"] == numpy.__version__
+
+
+@pytest.fixture
+def dist_version():
+    """``_dist_version`` with an empty cache, emptied again afterwards, so a
+    patched ``sys.path`` is read and leaves no entry behind."""
+    _dist_version.cache_clear()
+    yield _dist_version
+    _dist_version.cache_clear()
+
+
+def test_dist_version_agrees_with_importlib_metadata(dist_version):
+    """Every distribution that importlib.metadata lists gets the version it
+    reads, and an absent name gets 0+unknown."""
+    from importlib import metadata
+
+    names = {dist.metadata["Name"] for dist in metadata.distributions()}
+    assert "numpy" in names
+    assert {n: dist_version(n) for n in names} == {n: metadata.version(n) for n in names}
+    assert dist_version("no-such-distribution") == "0+unknown"
+
+
+def _dist_info(root: Path, entry: str, version: str, name: str = "METADATA") -> None:
+    (root / entry).mkdir(parents=True)
+    (root / entry / name).write_text(
+        f"Metadata-Version: 2.1\nName: x\nVersion: {version}\n\nVersion: body\n"
+    )
+
+
+def test_dist_version_reads_the_first_entry_of_the_path(tmp_path, monkeypatch, dist_version):
+    """The first path entry that holds a matching dist-info or egg-info wins,
+    '' is the working directory, and names compare as importlib.metadata
+    compares them: runs of '-_.' are one '_', and case is folded."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    _dist_info(first, "Foo.Bar-1.0.dist-info", "1.0")
+    _dist_info(second, "foo_bar-2.0.dist-info", "2.0")
+    _dist_info(second, "Dir_Egg.egg-info", "3.0", name="PKG-INFO")
+    (second / "file_egg-4.0-py3.11.egg-info").write_text("Name: file-egg\nVersion: 4.0\n")
+    from importlib import metadata
+
+    for path, expected in (
+        ([str(tmp_path / "missing"), str(first), str(second)], "1.0"),
+        ([str(second), str(first)], "2.0"),
+        (["", str(second)], "1.0"),
+    ):
+        monkeypatch.chdir(first)
+        monkeypatch.setattr(sys, "path", path)
+        dist_version.cache_clear()
+        for name in ("Foo.Bar", "foo-bar", "foo_bar", "FOO-._bar"):
+            assert dist_version(name) == metadata.version(name) == expected
+        for name, version in (("dir-egg", "3.0"), ("File.Egg", "4.0")):
+            assert dist_version(name) == metadata.version(name) == version
+        assert dist_version("foo") == "0+unknown"
 
 
 def test_run_record_round_trip():
@@ -1334,23 +1388,50 @@ def test_exact_commands_never_load_the_numerical_layer():
 
 
 _RECORD_PROBE = """
-import contextlib, io, sys
+import contextlib, io, json, sys
 
-NAMES = ("importlib.metadata", "platform")
-before = {m for m in NAMES if m in sys.modules}
+names = json.loads(sys.argv[1])
+before = {m for m in names if m in sys.modules}
 import youngbound.cli as cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["check", "--scenario", sys.argv[1]])
-print(code, sorted({m for m in NAMES if m in sys.modules} - before))
+    code = cli.main(sys.argv[2:])
+print(code, sorted({m for m in names if m in sys.modules} - before))
 """
+
+
+def _record_probe(names: list[str], argv: list[str]) -> list[str]:
+    """The exit code of ``argv`` run by ``cli.main`` in a fresh interpreter,
+    and which of ``names`` it loaded that were not loaded before the command
+    line was imported."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _RECORD_PROBE, json.dumps(names), *argv],
+        env=_fresh_env(), capture_output=True, text=True, timeout=120, check=True,
+    )
+    return proc.stdout.split()
 
 
 def test_table_check_builds_no_run_record():
     """A table-format `check` writes no run record, so a fresh interpreter
     running it loads neither importlib.metadata nor platform, unless they
     were loaded before the command line was imported."""
-    proc = subprocess.run(
-        [sys.executable, "-c", _RECORD_PROBE, str(SCENARIOS / "convolution_boundary.txt")],
-        env=_fresh_env(), capture_output=True, text=True, timeout=120, check=True,
-    )
-    assert proc.stdout.split() == [str(EXIT_PASS), "[]"]
+    argv = ["check", "--scenario", str(SCENARIOS / "convolution_boundary.txt")]
+    assert _record_probe(["importlib.metadata", "platform"], argv) == [str(EXIT_PASS), "[]"]
+
+
+# Modules that a run which writes a record must not load: each costs a cold
+# process more than the command's own work.
+_RECORD_RUN_MODULES = ["importlib.metadata", "email"]
+
+
+@pytest.mark.parametrize("command, stem, code", [
+    ("check", "convolution_boundary", EXIT_PASS),
+    ("sweep", "weight_sweep", EXIT_PASS),
+    ("probe", "gaussian_necessity", EXIT_WITNESS),
+])
+@pytest.mark.parametrize("sink", ["json", "out"])
+def test_record_runs_load_no_metadata_machinery(tmp_path, command, stem, code, sink):
+    """A run that writes its record to stdout or to --out reads the versions
+    without importlib.metadata or email."""
+    flags = ["--format", "json"] if sink == "json" else ["--out", str(tmp_path / "r.json")]
+    argv = [command, "--scenario", str(SCENARIOS / f"{stem}.txt"), *flags]
+    assert _record_probe(_RECORD_RUN_MODULES, argv) == [str(code), "[]"]
