@@ -22,7 +22,6 @@ sufficient conditions failed while no necessary condition was violated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import permutations
@@ -75,7 +74,6 @@ class PreconditionError(ValueError):
     """
 
 
-@dataclass(frozen=True)
 class Exponent:
     """A Lebesgue exponent: a rational in [1, oo) or infinity.
 
@@ -83,22 +81,20 @@ class Exponent:
     module constant ``INF`` rather than spelling ``Exponent(None)``.
     """
 
-    value: Fraction | None
+    def __init__(self, value: Fraction | int | None) -> None:
+        if isinstance(value, float):
+            raise ExponentError(f"exponents must be exact rationals, got float {value!r}")
+        if value is not None:
+            try:
+                value = Fraction(value)
+            except (TypeError, ValueError) as exc:
+                raise ExponentError(f"not a rational exponent: {value!r}") from exc
+            if value < 1:
+                raise ExponentError(f"exponent must lie in [1, oo], got {value}")
+        self.value: Fraction | None = value
 
-    def __post_init__(self) -> None:
-        if self.value is None:
-            return
-        if isinstance(self.value, float):
-            raise ExponentError(
-                f"exponents must be exact rationals, got float {self.value!r}"
-            )
-        try:
-            v = Fraction(self.value)
-        except (TypeError, ValueError) as exc:
-            raise ExponentError(f"not a rational exponent: {self.value!r}") from exc
-        if v < 1:
-            raise ExponentError(f"exponent must lie in [1, oo], got {v}")
-        object.__setattr__(self, "value", v)
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Exponent) and self.value == other.value
 
     @classmethod
     def of(cls, value: "Exponent | Fraction | int | str | None") -> "Exponent":
@@ -173,7 +169,6 @@ def _weight_triple(values: Sequence) -> WeightTriple:
     return tuple(out)  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
 class ParamTuple:
     """Parameters of a trilinear boundedness question.
 
@@ -182,21 +177,20 @@ class ParamTuple:
     checks and are required by the multiplication and modulation checkers.
     """
 
-    d: int
-    p: ExponentTriple
-    t: WeightTriple = (ZERO, ZERO, ZERO)
-    q: ExponentTriple | None = None
-    s: WeightTriple | None = None
+    def __init__(
+        self, d: int, p: Sequence, t: Sequence = (ZERO, ZERO, ZERO),
+        q: Sequence | None = None, s: Sequence | None = None,
+    ) -> None:
+        if not isinstance(d, int) or d < 1:
+            raise ValueError(f"dimension must be a positive integer, got {d!r}")
+        vars(self).update(
+            d=d, p=_exponent_triple(p), t=_weight_triple(t),
+            q=None if q is None else _exponent_triple(q),
+            s=None if s is None else _weight_triple(s),
+        )
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or self.d < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.d!r}")
-        object.__setattr__(self, "p", _exponent_triple(self.p))
-        object.__setattr__(self, "t", _weight_triple(self.t))
-        if self.q is not None:
-            object.__setattr__(self, "q", _exponent_triple(self.q))
-        if self.s is not None:
-            object.__setattr__(self, "s", _weight_triple(self.s))
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 class Classification(str, Enum):
@@ -205,7 +199,6 @@ class Classification(str, Enum):
     UNDETERMINED = "Undetermined"
 
 
-@dataclass(frozen=True)
 class ConditionRecord:
     """One comparison performed by a checker.
 
@@ -213,12 +206,19 @@ class ConditionRecord:
     for strictness triggers).  ``satisfied`` says whether it held.
     """
 
-    condition_id: str
-    lhs: Fraction
-    relation: str
-    rhs: Fraction
-    satisfied: bool
-    strictness_required: bool = False
+    def __init__(
+        self, condition_id: str, lhs: Fraction, relation: str, rhs: Fraction,
+        satisfied: bool, strictness_required: bool = False,
+    ) -> None:
+        self.condition_id = condition_id
+        self.lhs = lhs
+        self.relation = relation
+        self.rhs = rhs
+        self.satisfied = satisfied
+        self.strictness_required = strictness_required
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ConditionRecord) and vars(self) == vars(other)
 
     @property
     def informational(self) -> bool:
@@ -228,11 +228,14 @@ class ConditionRecord:
         return self.condition_id.startswith(("strict_trigger_", "alt_strict_"))
 
 
-@dataclass(frozen=True)
 class Verdict:
-    classification: Classification
-    theorem_used: str
-    trace: tuple[ConditionRecord, ...]
+    def __init__(self, classification: Classification, theorem_used: str, trace: tuple):
+        self.classification = classification
+        self.theorem_used = theorem_used
+        self.trace = trace
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Verdict) and vars(self) == vars(other)
 
 
 def conjugate(p: Exponent) -> Exponent:

@@ -16,16 +16,17 @@ Two records of the same run differ only in their timestamps.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exponents import CHECKERS, MODULATION_FLAVORS, SWEEP_FLAVORS, Exponent, ExponentError
+from .exponents import (
+    CHECKERS, MODULATION_FLAVORS, SWEEP_FLAVORS, ConditionRecord, Exponent, ExponentError,
+    Verdict,
+)
 
 __all__ = [
     "ScenarioError",
@@ -152,12 +153,12 @@ def parse_scenario_text(text: str) -> dict[str, str]:
     return entries
 
 
-@dataclass(frozen=True)
 class _Field:
-    parse: object  # (token, key) -> value, or ScenarioError
-    required: bool = False
-    default: object = None
-    choices: tuple[str, ...] | None = None
+    def __init__(self, parse, required=False, default=None, choices=None) -> None:
+        self.parse = parse  # (token, key) -> value, or ScenarioError
+        self.required = required
+        self.default = default
+        self.choices: tuple[str, ...] | None = choices
 
 
 _GRID_FIELDS = {
@@ -418,9 +419,9 @@ def package_versions() -> dict[str, str]:
 
 
 def _encode(obj):
-    """JSON form of what ``json`` cannot write itself: a dataclass (a
-    report, a verdict, a trace row) as its fields, a Fraction as a string."""
-    if dataclasses.is_dataclass(obj):
+    """JSON form of what ``json`` cannot write itself: a report (a dataclass),
+    a verdict or a trace row as its fields, a Fraction as a string."""
+    if isinstance(obj, (Verdict, ConditionRecord)) or hasattr(obj, "__dataclass_fields__"):
         # Fraction fields are spelled here: each call of this hook costs the
         # pure-Python encoder two generator frames, and a trace row has two.
         return {
@@ -436,23 +437,27 @@ def _encode(obj):
 _NONFINITE = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}
 
 
-@dataclass
 class RunRecord:
     """Everything needed to audit or replay one command invocation."""
 
-    command: str
-    scenario: dict[str, str]
-    results: dict
-    exit_code: int
-    seed: int | None
-    started_at: str
-    finished_at: str
-    versions: dict[str, str]
-    record_version: int = RECORD_VERSION
     _JSON_TYPES = dict(
         command=str, scenario=dict, results=dict, exit_code=int,
         seed=(int, type(None)), started_at=str, finished_at=str, versions=dict,
     )
+
+    def __init__(
+        self, command: str, scenario: dict[str, str], results: dict, exit_code: int,
+        seed: int | None, started_at: str, finished_at: str, versions: dict[str, str],
+        record_version: int = RECORD_VERSION,
+    ) -> None:
+        vars(self).update(
+            command=command, scenario=scenario, results=results, exit_code=exit_code,
+            seed=seed, started_at=started_at, finished_at=finished_at, versions=versions,
+            record_version=record_version,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, RunRecord) and vars(self) == vars(other)
 
     def to_json(self) -> str:
         payload = vars(self)
