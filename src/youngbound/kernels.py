@@ -631,6 +631,8 @@ def verify_prop_tf_bounds(
         raise ValueError(f"case must be 1, 2, or 3, got {case}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"the seed must be a non-negative integer, got {seed}")
     if kernel not in _KERNEL_SCALES:
         raise ValueError(f"kernel must be 'bumps' or 'ones', got {kernel!r}")
 

@@ -778,7 +778,18 @@ _FRESH_REFUSALS = {
         f"which = slices\nregion = 4\np = 2\nt = -{10 ** 307}, -{10 ** 307}, 0\n".encode(), [],
         "the slice envelope of region 4 at scan value 1 overflows binary64",
     ),
+    "negative-operator-seed": (
+        "verify-lemmas", b"which = operator\ncase = 1\np = 2,2,2\n", ["--seed", "-1"],
+        "the seed must be a non-negative integer, got -1",
+    ),
 }
+
+
+def test_check_accepts_a_negative_seed(capsys):
+    """Nothing in `check` draws at random, so its seed is only recorded."""
+    path = str(SCENARIOS / "convolution_boundary.txt")
+    assert main(["check", "--scenario", path, "--seed", "-1", "--format", "json"]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["seed"] == -1
 
 
 @pytest.mark.parametrize("case", sorted(_FRESH_REFUSALS))
