@@ -9,7 +9,7 @@ ladder values are ordinary floats.
 
 Every command run is summarised in a :class:`RunRecord`: the resolved
 scenario (defaults included, canonically stringified), the results
-(report dataclasses, written out field by field), the exit code, and
+(reports and verdicts, written out field by field), the exit code, and
 enough version information to replay the run.
 Two records of the same run differ only in their timestamps.
 """
