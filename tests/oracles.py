@@ -271,6 +271,13 @@ def naive_gauss_sum_2d(terms, x, y):
     return out
 
 
+def numpy_uniforms(seed, shapes):
+    """numpy.random.default_rng(seed).uniform(low, high, k) for each
+    (low, high, k) of ``shapes`` in turn, one list of floats per call."""
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(low, high, k).tolist() for low, high, k in shapes]
+
+
 # ---------------------------------------------------------------------------
 # Log-log regression
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from youngbound import grids, kernels
 from youngbound.exponents import Exponent, young_functional
@@ -46,6 +46,7 @@ from oracles import (
     direct_bilinear_tf,
     gather_tf,
     naive_gauss_sum_2d,
+    numpy_uniforms,
     region_table,
     theta_table,
 )
@@ -525,6 +526,29 @@ def test_prop_streamed_operator_check_equals_whole_table_path(
             case, p, trials=1, seed=seed, grid=grid, kernel=kernel
         )
     assert repr((report.ratios, report.slopes)) == repr(expected)
+
+
+# The (low, high, k) of the operator check's draws: amplitudes, widths and
+# centers.
+_DRAW_SHAPES = [(0.5, 1.5, 2), (0.5, 2.0, 3), (-2.0, 2.0, 3)]
+
+
+@settings(max_examples=200)
+@example(2**32 - 1, _DRAW_SHAPES)
+@example(2**32, _DRAW_SHAPES)
+@example(2**128, _DRAW_SHAPES)
+@given(
+    st.integers(0, 2**256),
+    st.lists(st.sampled_from(_DRAW_SHAPES), min_size=1, max_size=12),
+)
+def test_prop_bump_draws_reproduce_numpy_default_rng(seed, shapes):
+    """The operator check's generator draws the uniforms of
+    numpy.random.default_rng(seed), bit for bit, for seeds of one to nine
+    32-bit words and any sequence of the draw shapes."""
+    rng = kernels._DefaultRng(seed)
+    ours = [[v.hex() for v in rng.uniform(*shape)] for shape in shapes]
+    theirs = [[v.hex() for v in row] for row in numpy_uniforms(seed, shapes)]
+    assert ours == theirs
 
 
 def _serial(fn, items):

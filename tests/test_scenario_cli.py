@@ -1431,12 +1431,19 @@ def test_table_check_builds_no_run_record():
 
 # Modules that a run writing a record must not load, each of which costs a
 # cold process more than an exact command's own work.  A probe loads numpy
-# and the dataclasses of its report anyway.
+# and the dataclasses of its report anyway; the operator check draws its
+# bumps without numpy.random (20 ms and 6 MB of a cold process) and takes
+# its slice medians without statistics.
 _EXACT_RUN_MODULES = ["importlib.metadata", "email", "dataclasses", "inspect"]
 _RECORD_RUNS = {
     "check": ("convolution_boundary", EXIT_PASS, _EXACT_RUN_MODULES),
     "sweep": ("weight_sweep", EXIT_PASS, _EXACT_RUN_MODULES),
     "probe": ("gaussian_necessity", EXIT_WITNESS, ["importlib.metadata", "email"]),
+    "verify-lemmas": (
+        "operator_bounds",
+        EXIT_PASS,
+        ["numpy.random", "statistics", "importlib.metadata", "email"],
+    ),
 }
 
 
