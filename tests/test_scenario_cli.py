@@ -1431,9 +1431,9 @@ def test_table_check_builds_no_run_record():
 
 # Modules that a run writing a record must not load, each of which costs a
 # cold process more than an exact command's own work.  A probe loads numpy
-# and the dataclasses of its report anyway; the operator check draws its
-# bumps without numpy.random (20 ms and 6 MB of a cold process) and takes
-# its slice medians without statistics.
+# and the dataclasses of its report anyway.  The operator check draws its
+# bumps without numpy.random (11-16 ms and 6 MB of a cold process), and
+# `kernels` takes its slice medians without statistics.
 _EXACT_RUN_MODULES = ["importlib.metadata", "email", "dataclasses", "inspect"]
 _RECORD_RUNS = {
     "check": ("convolution_boundary", EXIT_PASS, _EXACT_RUN_MODULES),
