@@ -601,7 +601,8 @@ def operator_peak_bytes(grid: Grid, trials: int, kernel: str) -> int:
 
 # The operator trials draw their bumps from numpy's default_rng(seed), so a
 # recorded seed gives the same bumps in every version, but in plain integers:
-# importing numpy.random costs a cold process 11-16 ms and 6 MB for ~24 draws.
+# importing numpy's random module costs a cold process 11-16 ms and 6 MB for
+# ~24 draws.
 _M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
@@ -618,7 +619,7 @@ def _hashmix(const: int, mult: int):
 
 
 class _DefaultRng:
-    """``numpy.random.default_rng(seed)`` for ``uniform``, bit for bit.
+    """numpy's ``default_rng(seed)`` for ``uniform``, bit for bit.
 
     SeedSequence mixes the seed's little-endian 32-bit words into a 4-word
     pool and hashes that into a 128-bit PCG64 seed and increment; each draw
