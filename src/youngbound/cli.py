@@ -530,7 +530,9 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"error: precondition not met: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    # A ScenarioError among them; OverflowError: a weight beyond binary64.
+    # A ScenarioError among them.  OverflowError is a backstop: each overflow
+    # the numerics know of (an exact weight, exponent or dual scale beyond
+    # binary64, a slice envelope) is already a ValueError that names it.
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

@@ -28,7 +28,6 @@ import math
 import threading
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -205,13 +204,12 @@ def bracket(point) -> float:
 # ---------------------------------------------------------------------------
 
 def _exponent_value(p) -> float:
-    """Normalize an exponent argument to a float in [1, inf]."""
-    if isinstance(p, Exponent):
-        val = float(p)
-    elif isinstance(p, str):
-        val = float(Exponent.parse(p))
-    else:
-        val = float(Fraction(p)) if not isinstance(p, float) else p
+    """Normalize an exponent argument to a float in [1, inf]; a finite one
+    beyond binary64 is a ValueError naming it."""
+    try:
+        val = float(Exponent.parse(p) if isinstance(p, str) else p)
+    except OverflowError:
+        raise ValueError(f"the exponent {p} is beyond binary64") from None
     if math.isnan(val) or val < 1.0:
         raise ValueError(f"norm exponent must lie in [1, oo], got {p!r}")
     return val

@@ -41,6 +41,7 @@ from .grids import (
     SampledFunction,
     SampledKernel2d,
     _axis_power_norm,
+    _exponent_value,
     _MixedNorm,
     _require_one_dimension,
     _row_blocks,
@@ -394,7 +395,7 @@ def verify_lemma_intestimates(
         raise ValueError(f"scan range must satisfy 0 < lo < hi, got {scan_range}")
 
     p_exp = Exponent.of(p)
-    rp, pf = p_exp.reciprocal(), float(p_exp)
+    rp, pf = p_exp.reciprocal(), _exponent_value(p_exp)
     item = REGION_TO_ITEM[region]
     weights = tuple(_weight_value(v) for v in kernel_params.t)  # refused before any envelope
 
@@ -714,7 +715,12 @@ def verify_prop_tf_bounds(
     if r_val > cap:
         raise PreconditionError(f"case {case} requires R(p) <= {cap}, got R(p) = {r_val}")
 
-    r_exp = float("inf") if r_val == 0 else float(1 / r_val)
+    try:
+        r_exp = float("inf") if r_val == 0 else float(1 / r_val)
+    except OverflowError:
+        raise ValueError(
+            f"the dual scale r = 1/R(p) = {1 / r_val} is beyond binary64"
+        ) from None
     grid = grid or Grid(1, 16.0, 512)
     scale_list = list(_KERNEL_SCALES[kernel])
     rng = _DefaultRng(seed)

@@ -29,7 +29,6 @@ from youngbound.cli import (
 from youngbound.scenario import (
     RunRecord,
     ScenarioError,
-    _dist_version,
     package_versions,
     parse_scenario_text,
     resolve_scenario,
@@ -120,64 +119,19 @@ def test_scenario_echo_is_sorted_and_complete():
 
 
 def test_package_versions_reports_the_stack():
-    versions = package_versions()
-    assert "artifact" in versions
-    assert "numpy" in versions
-    assert "python" in versions
-    assert versions["numpy"] == numpy.__version__
+    """This process has loaded numpy, so the block names it."""
+    assert package_versions() == {
+        "artifact": youngbound.__version__,
+        "numpy": numpy.__version__,
+        "python": "{}.{}.{}".format(*sys.version_info),
+    }
 
 
-@pytest.fixture
-def dist_version():
-    """``_dist_version`` with an empty cache, emptied again afterwards, so a
-    patched ``sys.path`` is read and leaves no entry behind."""
-    _dist_version.cache_clear()
-    yield _dist_version
-    _dist_version.cache_clear()
-
-
-def test_dist_version_agrees_with_importlib_metadata(dist_version):
-    """Every distribution that importlib.metadata lists gets the version it
-    reads, and an absent name gets 0+unknown."""
-    from importlib import metadata
-
-    names = {dist.metadata["Name"] for dist in metadata.distributions()}
-    assert "numpy" in names
-    assert {n: dist_version(n) for n in names} == {n: metadata.version(n) for n in names}
-    assert dist_version("no-such-distribution") == "0+unknown"
-
-
-def _dist_info(root: Path, entry: str, version: str, name: str = "METADATA") -> None:
-    (root / entry).mkdir(parents=True)
-    (root / entry / name).write_text(
-        f"Metadata-Version: 2.1\nName: x\nVersion: {version}\n\nVersion: body\n"
-    )
-
-
-def test_dist_version_reads_the_first_entry_of_the_path(tmp_path, monkeypatch, dist_version):
-    """The first path entry that holds a matching dist-info or egg-info wins,
-    '' is the working directory, and names compare as importlib.metadata
-    compares them: runs of '-_.' are one '_', and case is folded."""
-    first, second = tmp_path / "first", tmp_path / "second"
-    _dist_info(first, "Foo.Bar-1.0.dist-info", "1.0")
-    _dist_info(second, "foo_bar-2.0.dist-info", "2.0")
-    _dist_info(second, "Dir_Egg.egg-info", "3.0", name="PKG-INFO")
-    (second / "file_egg-4.0-py3.11.egg-info").write_text("Name: file-egg\nVersion: 4.0\n")
-    from importlib import metadata
-
-    for path, expected in (
-        ([str(tmp_path / "missing"), str(first), str(second)], "1.0"),
-        ([str(second), str(first)], "2.0"),
-        (["", str(second)], "1.0"),
-    ):
-        monkeypatch.chdir(first)
-        monkeypatch.setattr(sys, "path", path)
-        dist_version.cache_clear()
-        for name in ("Foo.Bar", "foo-bar", "foo_bar", "FOO-._bar"):
-            assert dist_version(name) == metadata.version(name) == expected
-        for name, version in (("dir-egg", "3.0"), ("File.Egg", "4.0")):
-            assert dist_version(name) == metadata.version(name) == version
-        assert dist_version("foo") == "0+unknown"
+def test_the_package_version_is_the_project_version():
+    """Records name ``youngbound.__version__``, the one version constant."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SCENARIOS.parent / "pyproject.toml").read_text())["project"]
+    assert youngbound.__version__ == project["version"]
 
 
 def test_run_record_round_trip():
@@ -678,7 +632,9 @@ def test_out_of_range_value_is_refused_by_the_routine_using_it(
     assert captured.err.splitlines() == [f"error: {message}"]
 
 
-_BEYOND_BINARY64 = "1" + "0" * 400  # an exact weight that no float can hold
+_BEYOND_BINARY64 = "1" + "0" * 400  # an exact value that no float can hold
+# R(1, 2, p2) = 10^-400, so the dual scale r = 1/R(p) is beyond binary64.
+_P2_BEYOND_DUAL_SCALE = 1 / (F(1, 2) - F(1, 10 ** 400))
 
 
 @pytest.mark.parametrize("command, text, flags", [
@@ -777,6 +733,21 @@ _FRESH_REFUSALS = {
         "verify-lemmas",
         f"which = slices\nregion = 4\np = 2\nt = -{10 ** 307}, -{10 ** 307}, 0\n".encode(), [],
         "the slice envelope of region 4 at scan value 1 overflows binary64",
+    ),
+    "norm-slope-exponent-beyond-binary64": (
+        "probe", f"kind = norm-slope\nexponent = {_BEYOND_BINARY64}\n".encode(), [],
+        f"the exponent {_BEYOND_BINARY64} is beyond binary64",
+    ),
+    "slice-exponent-beyond-binary64": (
+        "verify-lemmas",
+        f"which = slices\nregion = 1\nt = 1, 1, 1\np = {_BEYOND_BINARY64}\n".encode(), [],
+        f"the exponent {_BEYOND_BINARY64} is beyond binary64",
+    ),
+    "operator-dual-scale-beyond-binary64": (
+        "verify-lemmas",
+        f"which = operator\ncase = 1\ntrials = 1\np = 1, 2, {_P2_BEYOND_DUAL_SCALE}\n".encode(),
+        ["--grid-n", "64", "--grid-L", "8"],
+        f"the dual scale r = 1/R(p) = {_BEYOND_BINARY64} is beyond binary64",
     ),
     "negative-operator-seed": (
         "verify-lemmas", b"which = operator\ncase = 1\np = 2,2,2\n", ["--seed", "-1"],
@@ -1404,21 +1375,21 @@ import contextlib, io, json, sys
 names = json.loads(sys.argv[1])
 before = {m for m in names if m in sys.modules}
 import youngbound.cli as cli
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()) as out:
     code = cli.main(sys.argv[2:])
-print(code, sorted({m for m in names if m in sys.modules} - before))
+print(json.dumps([code, sorted({m for m in names if m in sys.modules} - before), out.getvalue()]))
 """
 
 
-def _record_probe(names: list[str], argv: list[str]) -> list[str]:
+def _record_probe(names: list[str], argv: list[str]) -> tuple[int, list[str], str]:
     """The exit code of ``argv`` run by ``cli.main`` in a fresh interpreter,
-    and which of ``names`` it loaded that were not loaded before the command
-    line was imported."""
+    which of ``names`` it loaded that were not loaded before the command
+    line was imported, and its stdout."""
     proc = subprocess.run(
         [sys.executable, "-c", _RECORD_PROBE, json.dumps(names), *argv],
         env=_fresh_env(), capture_output=True, text=True, timeout=120, check=True,
     )
-    return proc.stdout.split()
+    return tuple(json.loads(proc.stdout))
 
 
 def test_table_check_builds_no_run_record():
@@ -1426,7 +1397,7 @@ def test_table_check_builds_no_run_record():
     running it loads neither importlib.metadata nor platform, unless they
     were loaded before the command line was imported."""
     argv = ["check", "--scenario", str(SCENARIOS / "convolution_boundary.txt")]
-    assert _record_probe(["importlib.metadata", "platform"], argv) == [str(EXIT_PASS), "[]"]
+    assert _record_probe(["importlib.metadata", "platform"], argv)[:2] == (EXIT_PASS, [])
 
 
 # Modules that a run writing a record must not load, each of which costs a
@@ -1434,7 +1405,7 @@ def test_table_check_builds_no_run_record():
 # and the dataclasses of its report anyway.  The operator check draws its
 # bumps without numpy.random (11-16 ms and 6 MB of a cold process), and
 # `kernels` takes its slice medians without statistics.
-_EXACT_RUN_MODULES = ["importlib.metadata", "email", "dataclasses", "inspect"]
+_EXACT_RUN_MODULES = ["numpy", "importlib.metadata", "email", "dataclasses", "inspect"]
 _RECORD_RUNS = {
     "check": ("convolution_boundary", EXIT_PASS, _EXACT_RUN_MODULES),
     "sweep": ("weight_sweep", EXIT_PASS, _EXACT_RUN_MODULES),
@@ -1450,10 +1421,17 @@ _RECORD_RUNS = {
 @pytest.mark.parametrize("command", sorted(_RECORD_RUNS))
 @pytest.mark.parametrize("sink", ["json", "out"])
 def test_record_runs_load_no_startup_modules(tmp_path, command, sink):
-    """A run that writes its record to stdout or to --out reads the versions
-    without importlib.metadata, and `check` and `sweep` build their verdicts
-    and records without dataclasses."""
+    """A run that writes its record to stdout or to --out loads none of its
+    row's modules, and its versions block names the code that ran: this
+    package and python, and numpy only where the run loaded it."""
     stem, code, names = _RECORD_RUNS[command]
-    flags = ["--format", "json"] if sink == "json" else ["--out", str(tmp_path / "r.json")]
+    out = tmp_path / "r.json"
+    flags = ["--format", "json"] if sink == "json" else ["--out", str(out)]
     argv = [command, "--scenario", str(SCENARIOS / f"{stem}.txt"), *flags]
-    assert _record_probe(names, argv) == [str(code), "[]"]
+    exit_code, loaded, stdout = _record_probe(names, argv)
+    assert (exit_code, loaded) == (code, [])
+    versions = json.loads(stdout if sink == "json" else out.read_text())["versions"]
+    expected = {"artifact": youngbound.__version__, "python": "{}.{}.{}".format(*sys.version_info)}
+    if "numpy" not in names:  # a numerical run loads numpy and names it
+        expected["numpy"] = numpy.__version__
+    assert versions == expected
