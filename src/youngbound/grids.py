@@ -223,47 +223,68 @@ def _weight_value(t) -> float:
         raise ValueError(f"the weight {t} is beyond binary64") from None
 
 
+def _axis_power(mag: np.ndarray, p: float, own: bool) -> np.ndarray:
+    """mag ** p; in place when ``own``, that is when ``mag`` is a copy the
+    caller may overwrite (``**=`` runs the same numpy routine as ``**``,
+    so the bits agree)."""
+    if own:
+        mag **= p
+        return mag
+    return mag ** p
+
+
 def _axis_power_norm(
-    mag: np.ndarray, p: float, cell: float, axis
+    mag: np.ndarray, p: float, cell: float, axis, own: bool = False
 ) -> np.ndarray:
     """(sum mag^p cell)^{1/p} along the given axes, sup when p = inf.
 
-    ``mag`` holds magnitudes: real and nonnegative.
+    ``mag`` holds magnitudes: real and nonnegative; see :func:`_axis_power`
+    for ``own``.
     """
     if math.isinf(p):
         return np.max(mag, axis=axis)
-    return (np.sum(mag ** p, axis=axis) * cell) ** (1.0 / p)
+    return (np.sum(_axis_power(mag, p, own), axis=axis) * cell) ** (1.0 / p)
 
 
-def _row_blocks(count: int) -> list[slice]:
-    """Consecutive slices of BLOCK_ROWS rows (the last may be shorter) that
-    cover rows 0 .. count - 1."""
+def _row_blocks(count: int, divisor: int = 1) -> list[slice]:
+    """Consecutive slices of max(1, BLOCK_ROWS // divisor) rows (the last
+    may be shorter) that cover rows 0 .. count - 1."""
+    size = max(1, BLOCK_ROWS // divisor)
     return [
-        slice(start, min(start + BLOCK_ROWS, count))
-        for start in range(0, count, BLOCK_ROWS)
+        slice(start, min(start + size, count)) for start in range(0, count, size)
     ]
 
 
 def _two_at_a_time(fn, items: list) -> list:
-    """``list(map(fn, items))``, even indices on the calling thread and odd
-    ones on a helper thread, which overlap where numpy releases the GIL.
-    Each thread stops at its first failure; once the helper is joined, the
-    lowest failing index raises its exception, as the serial loop does."""
+    """``list(map(fn, items))`` on the calling thread and one helper thread,
+    which overlap where numpy releases the GIL.
+
+    Each thread takes the next untaken index when it is free, so a long
+    item holds back no other.  No index is taken once an item has failed.
+    The indices are taken in order, so every index below a failing one was
+    taken and ran to its end: once the helper is joined, the lowest failing
+    index raises its exception, as the serial loop does."""
     results = [None] * len(items)
     failures: dict[int, Exception] = {}
+    lock = threading.Lock()
+    indices = iter(range(len(items)))
 
-    def work(start: int) -> None:
-        for i in range(start, len(items), 2):
+    def work() -> None:
+        while True:
+            with lock:
+                i = None if failures else next(indices, None)
+            if i is None:
+                return
             try:
                 results[i] = fn(items[i])
             except Exception as exc:  # raised again on the calling thread
-                failures[i] = exc
-                return
+                with lock:
+                    failures[i] = exc
 
-    helper = threading.Thread(target=work, args=(1,))
+    helper = threading.Thread(target=work)
     helper.start()
     try:
-        work(0)
+        work()
     finally:
         helper.join()
     if failures:
@@ -289,14 +310,16 @@ class _MixedNorm:
         self.columns = None  # running column sums of mag^p, or maxima
         self.rows: list[np.ndarray] = []  # L^q norm of each row
 
-    def add(self, mag: np.ndarray) -> None:
+    def add(self, mag: np.ndarray, own: bool = False) -> None:
+        """Take in the next block; when ``own``, ``mag`` is a copy that the
+        norm may overwrite, else it is left as it was."""
         if not self.p_inside:
-            self.rows.append(_axis_power_norm(mag, self.q, self.cells[1], axis=1))
+            self.rows.append(_axis_power_norm(mag, self.q, self.cells[1], axis=1, own=own))
         elif math.isinf(self.p):
             top = np.max(mag, axis=0)
             self.columns = top if self.columns is None else np.maximum(self.columns, top)
         else:
-            power = mag ** self.p  # a fresh array: one ``mag`` serves several norms
+            power = _axis_power(mag, self.p, own)
             if self.columns is not None:
                 power[0] += self.columns
             self.columns = np.sum(power, axis=0)
@@ -432,11 +455,15 @@ def _check_stft_inputs(f: SampledFunction, window: SampledFunction, stride: int)
 
 
 def _window_rows(
-    fv: np.ndarray, wv: np.ndarray, stride: int, rows: slice = slice(None)
+    fv: np.ndarray,
+    wv: np.ndarray,
+    stride: int,
+    rows: slice = slice(None),
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rows y -> fv(y) wv(y - x_m) for the lattice rows ``rows`` of x_m at
     every stride-th grid point, in FFT input order (the centering shift is
-    two half-slice products).
+    two half-slice products), written into ``out`` when it is given.
 
     All rows come from one strided view of the zero-padded window.
     """
@@ -447,10 +474,40 @@ def _window_rows(
     # Row m is the window shifted to lattice index m * stride: samples
     # padded[n - m * stride :][:n].
     shifted = sliding_window_view(padded, n)[n:0:-stride][rows]
-    rows = np.empty(shifted.shape, dtype=np.result_type(fv, wv))
-    np.multiply(fv[half:], shifted[:, half:], out=rows[:, :half])
-    np.multiply(fv[:half], shifted[:, :half], out=rows[:, half:])
-    return rows
+    if out is None:
+        out = np.empty(shifted.shape, dtype=np.result_type(fv, wv))
+    np.multiply(fv[half:], shifted[:, half:], out=out[:, :half])
+    np.multiply(fv[:half], shifted[:, :half], out=out[:, half:])
+    return out
+
+
+def _stft_rows(
+    f: SampledFunction,
+    conj_window: np.ndarray,
+    stride: int,
+    rows: slice = slice(None),
+    work: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The lattice rows ``rows`` of the :func:`stft` table of f against the
+    window whose conjugated samples are ``conj_window``: the rows are built
+    and transformed in ``work``, and the centering shift writes them,
+    scaled, to ``out`` (each a fresh array when None)."""
+    work = _window_rows(f.values, conj_window, stride, rows, out=work)
+    if out is None:
+        out = np.empty_like(work)
+    half = f.grid.n // 2
+    scale = f.grid.h * (TWO_PI ** -0.5)
+    np.fft.fft(work, axis=1, out=work)
+    np.multiply(work[:, half:], scale, out=out[:, :half])
+    np.multiply(work[:, :half], scale, out=out[:, half:])
+    return out
+
+
+def _flat_rows(buffer: np.ndarray, count: int, width: int, offset: int = 0) -> np.ndarray:
+    """A C-contiguous (count, width) array in the memory of ``buffer`` from
+    element ``offset`` on."""
+    return buffer.reshape(-1)[offset : offset + count * width].reshape(count, width)
 
 
 def stft(
@@ -472,18 +529,11 @@ def stft(
     equal bits.
     """
     _check_stft_inputs(f, window, stride)
-    half = f.grid.n // 2
-    spectra = _window_rows(f.values, np.conj(window.values), stride, rows)
-    np.fft.fft(spectra, axis=1, out=spectra)
-    scale = f.grid.h * (TWO_PI ** -0.5)
-    table = np.empty_like(spectra)
-    np.multiply(spectra[:, half:], scale, out=table[:, :half])
-    np.multiply(spectra[:, :half], scale, out=table[:, half:])
     return StftTable(
         grid=f.grid,
         stride=stride,
         x_positions=f.grid.axis()[::stride][rows],
-        values=table,
+        values=_stft_rows(f, np.conj(window.values), stride, rows),
         xi=f.grid.dual_axis(),
     )
 
@@ -503,47 +553,59 @@ def stft_magnitudes(
     float64, one real FFT each, and magnitudes are taken once.  ``rows``
     picks lattice rows, as in :func:`stft`, with the same bits.
     """
+    fr, wr = _real_stft_inputs(f, window, stride)
+    spectra = np.fft.rfft(_window_rows(fr, wr, stride, rows), axis=1)
+    table = np.abs(spectra)
+    del spectra
+    table *= f.grid.h * (TWO_PI ** -0.5)
+    return _half_width_table(f.grid, stride, rows, table)
+
+
+def _real_stft_inputs(
+    f: SampledFunction, window: SampledFunction, stride: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The checked real samples of f and the window for a magnitude table."""
     _check_stft_inputs(f, window, stride)
     if np.any(f.values.imag != 0.0) or np.any(window.values.imag != 0.0):
         raise ValueError("stft_magnitudes: function and window must be real")
-    grid = f.grid
+    return f.values.real, window.values.real
+
+
+def _half_width_table(grid: Grid, stride: int, rows: slice, values: np.ndarray) -> StftTable:
+    """The magnitude table ``values`` of lattice rows ``rows`` at xi >= 0."""
     half = grid.n // 2
-    spectra = np.fft.rfft(
-        _window_rows(f.values.real, window.values.real, stride, rows), axis=1
-    )
-    table = np.abs(spectra)
-    del spectra
-    table *= grid.h * (TWO_PI ** -0.5)
     multiplicity = np.full(half + 1, 2.0)
     multiplicity[[0, half]] = 1.0
     return StftTable(
         grid=grid,
         stride=stride,
         x_positions=grid.axis()[::stride][rows],
-        values=table,
+        values=values,
         xi=np.arange(half + 1) * grid.dual_spacing,
         multiplicity=multiplicity,
     )
 
 
 def _weighted_magnitudes(
-    table: StftTable, t: float, column: np.ndarray | None
+    table: StftTable, t: float, column: np.ndarray | None, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """|V| <x>^t of a block of rows, times the column weight ``column``; a
-    weight of None is 1."""
+    """|V| <x>^t of a block of rows, times the column weight ``column`` (a
+    weight of None is 1), in ``out`` or a fresh array: never in the table,
+    since one table serves several norms, so the norm may overwrite it."""
     row = ((1.0 + table.x_positions ** 2) ** (t / 2.0))[:, None] if t != 0.0 else None
-    a = np.abs(table.values) if np.iscomplexobj(table.values) else table.values
+    a = np.abs(table.values, out=out) if np.iscomplexobj(table.values) else table.values
     for weight in (row, column):
         if weight is not None:
-            # Never scale the table in place: one table serves several norms.
-            a = a * weight if a is table.values else np.multiply(a, weight, out=a)
-    return a
+            a = np.multiply(a, weight, out=out if a is table.values else a)
+    return np.positive(a, out=out) if a is table.values else a
 
 
-def _table_norms(blocks, norms, space: str) -> list[float]:
+def _table_norms(blocks, norms, space: str, scratch: np.ndarray | None = None) -> list[float]:
     """The :func:`stft_table_norm` of each (p, q, s, t) of ``norms`` over the
     table that ``blocks`` yields as consecutive row blocks (each a
-    :class:`StftTable` of some of its rows)."""
+    :class:`StftTable` of some of its rows).  Each norm's weighted copy of
+    a block is written into the memory of the float64 array ``scratch``
+    when it is given."""
     if space not in ("M", "W"):
         raise ValueError(f"space must be 'M' or 'W', got {space!r}")
     norms = [
@@ -561,10 +623,11 @@ def _table_norms(blocks, norms, space: str) -> list[float]:
                     folded = table.multiplicity ** (1.0 / q)
                     column = folded if column is None else column * folded
                 parts.append((_MixedNorm(p, q, cells, space == "M"), t, column))
+        out = None if scratch is None else _flat_rows(scratch, *table.values.shape)
         for norm, t, column in parts:
-            # The weighted copy is freed when add returns, and the block
-            # before the next one is built.
-            norm.add(_weighted_magnitudes(table, t, column))
+            # A fresh weighted copy is freed when add returns, and the
+            # block before the next one is built.
+            norm.add(_weighted_magnitudes(table, t, column, out), own=True)
         del table
     return [norm.value() for norm, _, _ in parts]
 
@@ -597,13 +660,33 @@ def stft_magnitude_norms(
     for each (p, q, s, t) of ``norms``, with the same bits, and never the
     whole table: its rows are built BLOCK_ROWS at a time, and every norm
     reads each block once.
+
+    One row buffer and one spectrum buffer, allocated once, serve every
+    block: each block's magnitudes go into the memory of its spent rows,
+    and each norm's weighted copy and its powers into the memory of the
+    spent spectra, so a pass asks for no fresh pages per block.
     """
-    _check_stft_inputs(f, window, stride)
-    blocks = (
-        stft_magnitudes(f, window, stride, rows)
-        for rows in _row_blocks(f.grid.n // stride)
-    )
-    return _table_norms(blocks, norms, space)
+    fr, wr = _real_stft_inputs(f, window, stride)
+    n = f.grid.n
+    width = n // 2 + 1
+    blocks = _row_blocks(n // stride)
+    rows_buffer = np.empty((blocks[0].stop, n))
+    spectra_buffer = np.empty((blocks[0].stop, width), dtype=np.complex128)
+    scale = f.grid.h * (TWO_PI ** -0.5)
+
+    def tables():
+        for rows in blocks:
+            count = rows.stop - rows.start
+            spectra = np.fft.rfft(
+                _window_rows(fr, wr, stride, rows, out=rows_buffer[:count]),
+                axis=1,
+                out=spectra_buffer[:count],
+            )
+            table = np.abs(spectra, out=_flat_rows(rows_buffer, count, width))
+            table *= scale
+            yield _half_width_table(f.grid, stride, rows, table)
+
+    return _table_norms(tables(), norms, space, spectra_buffer.view(np.float64))
 
 
 def modulation_norm(

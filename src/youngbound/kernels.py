@@ -27,6 +27,7 @@ the mixed-norm operator bounds built on top of them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -363,6 +364,8 @@ def _slice_domain(region: int, v: float, rparams: RegionParams) -> tuple[float, 
 # quadrature points across each slice.
 SCAN_RATIO = 2.0 ** 0.25
 QUAD_POINTS = 20001
+# Most scan values a slice check may ask for (the default scan has 27).
+MAX_SCAN_POINTS = 1000
 
 
 def verify_lemma_intestimates(
@@ -399,9 +402,20 @@ def verify_lemma_intestimates(
     item = REGION_TO_ITEM[region]
     weights = tuple(_weight_value(v) for v in kernel_params.t)  # refused before any envelope
 
+    # The values lo * SCAN_RATIO^k up to hi, counted before any is built.
+    # The bound is capped at the largest float, where hi * (1 + 1e-12)
+    # would overflow, and the loop runs a counted number of times: from a
+    # subnormal lo, v * SCAN_RATIO can round back to v.
+    limit = min(hi * (1.0 + 1e-12), sys.float_info.max)
+    count = math.floor((math.log2(limit) - math.log2(lo)) / math.log2(SCAN_RATIO)) + 1
+    if count > MAX_SCAN_POINTS:
+        raise ValueError(
+            f"the scan from {lo!r} to {hi!r} would take {count} points of "
+            f"{QUAD_POINTS}-point quadrature, above the limit of {MAX_SCAN_POINTS}"
+        )
     scan_values: list[float] = []
     v = lo
-    while v <= hi * (1.0 + 1e-12):
+    for _ in range(count):
         scan_values.append(v)
         v *= SCAN_RATIO
 

@@ -42,15 +42,17 @@ from .grids import (
     TWO_PI,
     Grid,
     SampledFunction,
+    _check_stft_inputs,
+    _flat_rows,
     _require_one_dimension,
     _row_blocks,
+    _stft_rows,
     _two_at_a_time,
     _weight_value,
     convolve,
     fourier_lebesgue_norm,
     gaussian_resolution_guard,
     inverse_fourier_transform,
-    stft,
     stft_magnitude_norms,
     weighted_lebesgue_norm,
 )
@@ -86,21 +88,28 @@ CONSTANCY_TOL = 1e-10
 # modulation-multiplication ladder accepts.
 IDENTITY_TOL = 1e-6
 
-# A modulation ladder builds no short-time table: its norms read the
-# magnitude table BLOCK_ROWS lattice rows at a time, and each block is
-# freed before the next is built.  A block holds the float64 rows and
-# their half-width complex spectra (16 bytes per point), then the
-# half-width magnitudes, a weighted copy and its powers; the traced peak
-# of a norm pass is 16.1-16.5 bytes per block point.
+# A modulation ladder builds no short-time table: each norm pass reads
+# the magnitude table BLOCK_ROWS lattice rows at a time, through a float64
+# row buffer and a half-width complex spectrum buffer allocated once per
+# pass (16 bytes per block point).  The magnitudes go into the memory of
+# the spent rows, and each norm's weighted copy and its powers into that
+# of the spent spectra.
 #
-# The multiplication flavor also checks the short-time product identity,
-# one block of lattice rows at a time.  At its peak a block holds the
-# factor rows and, inside `_xi_convolve_rows`, a 2n-wide padded spectrum
-# (inverted in place) and the scaled n-wide slice of it; the left side is
-# built after the factors are freed.  The traced peak is 66.0-68.5 bytes
-# per block point, more than a norm block.
+# The multiplication flavor also checks the short-time product identity
+# in blocks of max(1, BLOCK_ROWS // 2) lattice rows, through one 2n-wide
+# padded spectrum and one factor table (48 bytes per identity block
+# point); the magnitudes go into the spent part of the padded spectrum.
+#
+# Beside its buffers each job holds n-point arrays, and numpy's ufunc
+# buffers while it multiplies strided rows: three operands of 8192
+# elements, float64 in a pass (192 KiB) and complex in the identity
+# (384 KiB).  Beyond those the traced peak of a pass is 16.7 bytes per
+# block point and that of the identity 52 per identity block point (from
+# n = 1024 to 4096).
 NORM_BYTES_PER_BLOCK_POINT = 17
-IDENTITY_BYTES_PER_BLOCK_POINT = 72
+IDENTITY_BYTES_PER_BLOCK_POINT = 54
+NORM_UFUNC_BUFFER_BYTES = 3 * 8192 * 8
+IDENTITY_UFUNC_BUFFER_BYTES = 3 * 8192 * 16
 # Bytes per grid point that a probe holds at its peak besides short-time
 # blocks: `convolve` holds two n-point and several 2n-point complex arrays
 # at once.
@@ -113,14 +122,20 @@ def peak_bytes(kind: str, flavor: str | None, grid: Grid, stride: int) -> int:
     """The bytes a probe of ``kind`` (and ladder ``flavor``) on ``grid``
     holds at its peak."""
     per_point = NORM_SLOPE_BYTES_PER_POINT if kind == "norm-slope" else PROBE_BYTES_PER_POINT
-    block = grid.n * min(BLOCK_ROWS, grid.n // max(stride, 1))
+    rows = grid.n // max(stride, 1)
+    block = grid.n * min(BLOCK_ROWS, rows)
+    identity_block = grid.n * min(max(1, BLOCK_ROWS // 2), rows)
     point = per_point * grid.n
-    # A modulation ladder runs two work items at once: two ladder points,
-    # or the product identity beside one.
+    # A modulation ladder runs two jobs at once: two norm passes, or the
+    # product identity beside one, which holds more.
+    norm_pass = NORM_BYTES_PER_BLOCK_POINT * block + NORM_UFUNC_BUFFER_BYTES + point
     if flavor == "modulation-convolution":
-        return 2 * (NORM_BYTES_PER_BLOCK_POINT * block + point)
+        return 2 * norm_pass
     if flavor == "modulation-multiplication":
-        return (IDENTITY_BYTES_PER_BLOCK_POINT + NORM_BYTES_PER_BLOCK_POINT) * block + 2 * point
+        identity = (
+            IDENTITY_BYTES_PER_BLOCK_POINT * identity_block + IDENTITY_UFUNC_BUFFER_BYTES + point
+        )
+        return identity + norm_pass
     return point
 
 
@@ -530,19 +545,32 @@ def gaussian_lower_bound_check(
 # Boundedness sweep
 # ---------------------------------------------------------------------------
 
-def _xi_convolve_rows(a: np.ndarray, b: np.ndarray, dxi: float) -> np.ndarray:
+def _xi_convolve_rows(
+    a: np.ndarray,
+    b: np.ndarray,
+    dxi: float,
+    spec: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Row-wise convolution along the dual axis, centered layout, exact pad.
 
     When ``b`` is ``a`` its padded spectrum is computed once and squared.
+    The padded spectrum is built in ``spec`` (rows x 2n) and the result
+    written to ``out`` (rows x n, which may be ``a``), each a fresh array
+    when None.
     """
     n = a.shape[1]
-    spec = np.fft.fft(a, n=2 * n, axis=1)
+    if spec is None:
+        spec = np.empty((a.shape[0], 2 * n), dtype=np.complex128)
+    spec[:, :n] = a
+    spec[:, n:] = 0.0
+    np.fft.fft(spec, axis=1, out=spec)
     if b is a:
         spec *= spec
     else:
         spec *= np.fft.fft(b, n=2 * n, axis=1)
     np.fft.ifft(spec, axis=1, out=spec)
-    return spec[:, n // 2 : n // 2 + n] * dxi
+    return np.multiply(spec[:, n // 2 : n // 2 + n], dxi, out=out)
 
 
 def _stft_product_identity_error(
@@ -555,28 +583,46 @@ def _stft_product_identity_error(
     convolution of the tables of f1 and f2.
 
     Every row of the identity stands alone, so the tables are built
-    BLOCK_ROWS lattice rows at a time and the sup norms are running
-    maxima: the error has the bits of the whole-table error.
-    Passing the same object as f1 and f2 builds their table once.
+    max(1, BLOCK_ROWS // 2) lattice rows at a time and the sup norms are
+    running maxima: the error has the bits of the whole-table error.
+    One padded spectrum and one factor table, allocated once, serve every
+    block.  Passing the same object as f1 and f2 builds their table once;
+    a distinct f2 takes a fresh table and padded spectrum per block.
     """
     grid = f1.grid
+    n = grid.n
     x = grid.axis()
     phi = SampledFunction(grid, np.exp(-x * x / 2.0))
     phi_half = SampledFunction(grid, np.exp(-x * x / 4.0))
+    for f in (f1, f2):
+        _check_stft_inputs(f, phi_half, stride)
     product = SampledFunction(grid, f1.values * f2.values)
+    conj_phi, conj_half = np.conj(phi.values), np.conj(phi_half.values)
+    blocks = _row_blocks(n // stride, 2)
+    spec = np.empty((blocks[0].stop, 2 * n), dtype=np.complex128)
+    table = np.empty((blocks[0].stop, n), dtype=np.complex128)
     # np.maximum, unlike max(), keeps a NaN.
     lhs_sup = err_sup = rhs_sup = np.float64(0.0)
-    for rows in _row_blocks(grid.n // stride):
-        v1 = stft(f1, phi_half, stride, rows).values
-        v2 = v1 if f2 is f1 else stft(f2, phi_half, stride, rows).values
-        rhs = _xi_convolve_rows(v1, v2, grid.dual_spacing)
-        del v1, v2
+    for rows in blocks:
+        count = rows.stop - rows.start
+        padded = spec[:count]
+        # The factor rows and then the left side's rows are transformed in
+        # the first half of the padded spectrum, the right side is written
+        # over the factor table, the left side into the padded spectrum's
+        # second half, and the magnitudes into its spent first quarter.
+        work = _flat_rows(padded, count, n)
+        out = _flat_rows(padded.view(np.float64), count, n)
+        v1 = _stft_rows(f1, conj_half, stride, rows, work, table[:count])
+        v2 = v1 if f2 is f1 else _stft_rows(f2, conj_half, stride, rows)
+        rhs = _xi_convolve_rows(v1, v2, grid.dual_spacing, padded, out=v1)
+        del v2
         rhs *= TWO_PI ** -0.5
-        rhs_sup = np.maximum(rhs_sup, np.max(np.abs(rhs)))
-        lhs = stft(product, phi, stride, rows).values
-        lhs_sup = np.maximum(lhs_sup, np.max(np.abs(lhs)))
-        err_sup = np.maximum(err_sup, np.max(np.abs(np.subtract(lhs, rhs, out=rhs))))
-        del lhs, rhs
+        rhs_sup = np.maximum(rhs_sup, np.max(np.abs(rhs, out=out)))
+        lhs = _stft_rows(
+            product, conj_phi, stride, rows, work, _flat_rows(padded, count, n, count * n)
+        )
+        lhs_sup = np.maximum(lhs_sup, np.max(np.abs(lhs, out=out)))
+        err_sup = np.maximum(err_sup, np.max(np.abs(np.subtract(lhs, rhs, out=rhs), out=out)))
     if lhs_sup == 0.0:
         return float(rhs_sup)
     return float(err_sup) / float(lhs_sup)
@@ -657,8 +703,11 @@ def boundedness_sweep(
         for a in alphas:  # a failing alpha raises before any point runs
             gaussian_resolution_guard(grid, a)
 
-        def point(a: float) -> float:
-            f = SampledFunction(grid, np.exp(-a * x * x))
+        def gaussian(a: float) -> SampledFunction:
+            return SampledFunction(grid, np.exp(-a * x * x))
+
+        def numerator(a: float) -> float:
+            f = gaussian(a)
             if mult:
                 target = SampledFunction(grid, f.values * f.values)
             else:
@@ -668,29 +717,33 @@ def boundedness_sweep(
                 target, window, stride,
                 [(p0c, q0c, -params.s[0], -params.t[0])], space=space,
             )
+            return num
+
+        def denominator(a: float) -> float:
             # f1 = f2, so one pass over the blocks serves both norms.
             den = 1.0
             for norm in stft_magnitude_norms(
-                f, window, stride,
+                gaussian(a), window, stride,
                 [(params.p[j], params.q[j], params.s[j], params.t[j]) for j in (1, 2)],
                 space=space,
             ):
                 den *= norm
-            return num / den
+            return den
 
         def identity(a: float) -> float:
-            f = SampledFunction(grid, np.exp(-a * x * x))
+            f = gaussian(a)
             return _stft_product_identity_error(f, f, stride)
 
-        # The identity at the middle scale costs about three points at
-        # stride 2: first in line, it runs on the calling thread while the
-        # helper takes the first points.
-        jobs = [(point, a) for a in alphas]
+        # Each job is one pass over a table.  The identity at the middle
+        # scale costs six to seven passes at stride 2: first in line, it
+        # runs on one thread while the other takes the passes as they come.
+        jobs = [(identity, alphas[len(alphas) // 2])] if mult else []
+        for a in alphas:
+            jobs += [(numerator, a), (denominator, a)]
+        values = _two_at_a_time(lambda job: job[0](job[1]), jobs)
         if mult:
-            jobs.insert(0, (identity, alphas[len(alphas) // 2]))
-        ratios = _two_at_a_time(lambda job: job[0](job[1]), jobs)
-        if mult:
-            identity_err = ratios.pop(0)
+            identity_err = values.pop(0)
+        ratios = [num / den for num, den in zip(values[::2], values[1::2])]
 
     inv = [1.0 / a for a in alphas]
     slope, _, _ = fit_power_law(inv, ratios)

@@ -378,6 +378,15 @@ def test_slice_envelope_region_one_smoke(monkeypatch):
     assert len(report.scan_values) + len(report.excluded_empty) > 0
 
 
+def test_slice_scan_from_a_subnormal_value_ends():
+    """From the smallest subnormal, v * 2^(1/4) rounds back to v; the scan
+    still stops at its counted length instead of growing without end."""
+    report = verify_lemma_intestimates(
+        1, KernelParams((0, 0, 0)), RegionParams(), 2, scan_range=(5e-324, 1e-321)
+    )
+    assert len(report.scan_values) == 31
+
+
 def test_slice_envelope_rejects_bad_region():
     with pytest.raises(ValueError):
         verify_lemma_intestimates(
@@ -603,6 +612,50 @@ def test_two_at_a_time_raises_the_lowest_failing_index():
     threads = threading.active_count()
     with pytest.raises(ValueError, match="1"):
         grids._two_at_a_time(fn, [0, 1, 2, 3])
+    assert threading.active_count() == threads
+
+
+def test_two_at_a_time_hands_out_items_on_demand():
+    """While item 0 sleeps, the other thread runs items 1, 2 and 3: no
+    thread is held to a fixed share of the items."""
+    rest_done = threading.Event()
+    ran = []
+
+    def fn(i):
+        if i == 0:
+            return rest_done.wait(timeout=5.0)
+        ran.append(i)
+        if len(ran) == 3:
+            rest_done.set()
+        return i
+
+    assert grids._two_at_a_time(fn, [0, 1, 2, 3]) == [True, 1, 2, 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 2)), max_size=40))
+def test_prop_two_at_a_time_is_the_serial_loop(items):
+    """Items that sleep 0-2 ms and fail where marked: the helper returns
+    list(map(fn, items)) or raises the serial loop's exception, and leaves
+    no thread behind."""
+
+    def fn(item):
+        index, (fails, sleep_ms) = item
+        time.sleep(sleep_ms / 1000.0)
+        if fails:
+            raise ValueError(index)
+        return index * index
+
+    indexed = list(enumerate(items))
+    threads = threading.active_count()
+    try:
+        expected = list(map(fn, indexed))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            grids._two_at_a_time(fn, indexed)
+        assert raised.value.args == exc.args
+    else:
+        assert grids._two_at_a_time(fn, indexed) == expected
     assert threading.active_count() == threads
 
 

@@ -298,9 +298,9 @@ def test_modulation_ladder_builds_each_table_once(monkeypatch, flavor, complex_t
     window_rows = grids._window_rows
     blocks = []
 
-    def counting(fv, wv, stride, rows=slice(None)):
+    def counting(fv, wv, stride, rows=slice(None), out=None):
         blocks.append((fv.dtype.str, fv.tobytes(), wv.tobytes(), stride, rows.start))
-        return window_rows(fv, wv, stride, rows)
+        return window_rows(fv, wv, stride, rows, out)
 
     monkeypatch.setattr(grids, "_window_rows", counting)
     monkeypatch.setattr(grids, "BLOCK_ROWS", 5)
@@ -309,9 +309,10 @@ def test_modulation_ladder_builds_each_table_once(monkeypatch, flavor, complex_t
     )
     assert len(report.scales) == 9
     assert len(set(blocks)) == len(blocks)
-    # 256 / stride 8 = 32 lattice rows in blocks of 5: 7 blocks a pass.
+    # 256 / stride 8 = 32 lattice rows in blocks of 5: 7 blocks a norm
+    # pass; the identity's blocks of max(1, 5 // 2) = 2 rows: 16 a table.
     real = sum(dtype == np.dtype(float).str for dtype, *_ in blocks)
-    assert (real, len(blocks) - real) == (18 * 7, complex_tables * 7)
+    assert (real, len(blocks) - real) == (18 * 7, complex_tables * 16)
 
 
 @pytest.mark.parametrize("flavor", ["modulation-convolution", "modulation-multiplication"])

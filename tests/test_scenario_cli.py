@@ -749,6 +749,15 @@ _FRESH_REFUSALS = {
         ["--grid-n", "64", "--grid-L", "8"],
         f"the dual scale r = 1/R(p) = {_BEYOND_BINARY64} is beyond binary64",
     ),
+    "slice-scan-to-the-largest-float": (
+        "verify-lemmas",
+        b"which = slices\nregion = 1\np = 2\nt = 0,0,0\nscan_hi = 1.7976931348623157e308\n",
+        [], "would take 4097 points of 20001-point quadrature, above the limit of 1000",
+    ),
+    "slice-scan-from-the-smallest-subnormal": (
+        "verify-lemmas", b"which = slices\nregion = 1\np = 2\nt = 0,0,0\nscan_lo = 5e-324\n",
+        [], "the scan from 5e-324 to 100.0 would take 4323 points",
+    ),
     "negative-operator-seed": (
         "verify-lemmas", b"which = operator\ncase = 1\np = 2,2,2\n", ["--seed", "-1"],
         "the seed must be a non-negative integer, got -1",
@@ -1046,7 +1055,7 @@ def test_oversized_tables_are_refused_before_allocation(
     def allocates(*args, **kwargs):
         raise AssertionError("a table was allocated before the budget check")
 
-    monkeypatch.setattr("youngbound.probes.stft", allocates)
+    monkeypatch.setattr("youngbound.probes._stft_rows", allocates)
     monkeypatch.setattr("youngbound.probes.stft_magnitude_norms", allocates)
     monkeypatch.setattr("youngbound.kernels._GaussSum2d.sample", allocates)
     code = main([command, "--scenario", write(tmp_path, text)])
@@ -1103,28 +1112,30 @@ _IDENTITY_LADDER = (
 
 
 def test_product_identity_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
-    """At grid_n = 2**18, stride 1, one block of 64 rows of the product
-    identity is charged 72 bytes a point, the ladder point beside it 17,
-    and each of the two 128 bytes a grid point (1.45 GiB), so the ladder
-    exits 2 before any block is built."""
+    """At grid_n = 2**19, stride 1, one block of 32 rows of the product
+    identity is charged 54 bytes a point, one block of 64 rows of the norm
+    pass beside it 17, each of the two 128 bytes a grid point and its ufunc
+    buffers (1.50 GiB), so the ladder exits 2 before any block is built."""
 
     def allocates(*args, **kwargs):
         raise AssertionError("a table was allocated before the budget check")
 
-    monkeypatch.setattr("youngbound.probes.stft", allocates)
+    monkeypatch.setattr("youngbound.probes._stft_rows", allocates)
     monkeypatch.setattr("youngbound.probes.stft_magnitude_norms", allocates)
-    path = write(tmp_path, _IDENTITY_LADDER.format(2 ** 18))
+    path = write(tmp_path, _IDENTITY_LADDER.format(2 ** 19))
     assert main(["probe", "--scenario", path]) == EXIT_MALFORMED
     err = capsys.readouterr().err
     assert "above the cap" in err
-    assert str((72 + 17) * 64 * 2 ** 18 + 2 * 128 * 2 ** 18) in err
+    n = 2 ** 19
+    assert str(54 * 32 * n + 17 * 64 * n + 2 * 128 * n + 3 * 8192 * (16 + 8)) in err
 
 
 def test_stride_one_identity_ladder_at_4096_is_admitted(tmp_path, capsys, monkeypatch):
     """At grid_n = 4096, stride 1, one whole short-time table would take
-    256 MiB, but the ladder is charged one 64-row block of the product
-    identity and one of a ladder point, plus their points (23.25 MiB), so
-    it passes the budget check and reaches the sweep."""
+    256 MiB, but the ladder is charged one 32-row block of the product
+    identity and one 64-row block of a norm pass, plus their points and
+    ufunc buffers (12.56 MiB), so it passes the budget check and reaches
+    the sweep."""
 
     class Admitted(Exception):
         pass
