@@ -24,6 +24,7 @@ Weighted norms use the japanese bracket <x> = sqrt(1 + |x|^2).
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import warnings
@@ -246,6 +247,11 @@ def _axis_power_norm(
     return (np.sum(_axis_power(mag, p, own), axis=axis) * cell) ** (1.0 / p)
 
 
+def _block_rows(count: int, divisor: int = 1) -> int:
+    """Rows in the first of the :func:`_row_blocks` of ``count`` rows."""
+    return min(count, max(1, BLOCK_ROWS // divisor))
+
+
 def _row_blocks(count: int, divisor: int = 1) -> list[slice]:
     """Consecutive slices of max(1, BLOCK_ROWS // divisor) rows (the last
     may be shorter) that cover rows 0 .. count - 1."""
@@ -255,9 +261,25 @@ def _row_blocks(count: int, divisor: int = 1) -> list[slice]:
     ]
 
 
-def _two_at_a_time(fn, items: list) -> list:
-    """``list(map(fn, items))`` on the calling thread and one helper thread,
-    which overlap where numpy releases the GIL.
+# A block routine declares the buffers it holds across its blocks as a
+# list of (shape, dtype).  The same list allocates them and charges them
+# against the memory cap, so the charge cannot drift from the layout.
+def _allocate(layout: list) -> list[np.ndarray]:
+    """One set of the buffers that ``layout`` declares."""
+    return [np.empty(shape, dtype) for shape, dtype in layout]
+
+
+def _charge(layout: list, point_bytes: int, ufunc_dtype) -> int:
+    """The bytes of the buffers ``layout`` declares, of the n-point arrays
+    beside them, and of numpy's buffers for three ``ufunc_dtype`` operands."""
+    held = sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layout)
+    return held + point_bytes + 3 * np.getbufsize() * np.dtype(ufunc_dtype).itemsize
+
+
+def _two_at_a_time(fn, items: list, layout: list) -> list:
+    """``[fn(item, held) for item in items]`` on the calling thread and one
+    helper thread, which overlap where numpy releases the GIL; ``held()``
+    is the thread's set of the ``layout`` buffers, allocated on first use.
 
     Each thread takes the next untaken index when it is free, so a long
     item holds back no other.  No index is taken once an item has failed.
@@ -270,13 +292,14 @@ def _two_at_a_time(fn, items: list) -> list:
     indices = iter(range(len(items)))
 
     def work() -> None:
+        held = functools.cache(lambda: _allocate(layout))
         while True:
             with lock:
                 i = None if failures else next(indices, None)
             if i is None:
                 return
             try:
-                results[i] = fn(items[i])
+                results[i] = fn(items[i], held)
             except Exception as exc:  # raised again on the calling thread
                 with lock:
                     failures[i] = exc
@@ -648,6 +671,12 @@ def stft_table_norm(table: StftTable, p, q, s, t, *, space: str = "M") -> float:
     return _table_norms([table], [(p, q, s, t)], space)[0]
 
 
+def _norm_pass_buffers(grid: Grid, stride: int) -> list:
+    """A norm pass holds one block's float64 rows and half-width spectra."""
+    rows = _block_rows(grid.n // max(stride, 1))
+    return [((rows, grid.n), np.float64), ((rows, grid.n // 2 + 1), np.complex128)]
+
+
 def stft_magnitude_norms(
     f: SampledFunction,
     window: SampledFunction,
@@ -661,21 +690,24 @@ def stft_magnitude_norms(
     whole table: its rows are built BLOCK_ROWS at a time, and every norm
     reads each block once.
 
-    One row buffer and one spectrum buffer, allocated once, serve every
-    block: each block's magnitudes go into the memory of its spent rows,
-    and each norm's weighted copy and its powers into the memory of the
-    spent spectra, so a pass asks for no fresh pages per block.
+    One set of its :func:`_norm_pass_buffers` serves every block: the
+    magnitudes go into the spent rows, and each norm's weighted copy and
+    its powers into the spent spectra.
     """
+    buffers = _allocate(_norm_pass_buffers(f.grid, stride))
+    return _stft_magnitude_norms(f, window, stride, norms, space, buffers)
+
+
+def _stft_magnitude_norms(f, window, stride: int, norms, space: str, buffers) -> list[float]:
+    """:func:`stft_magnitude_norms` in a set of its :func:`_norm_pass_buffers`."""
     fr, wr = _real_stft_inputs(f, window, stride)
     n = f.grid.n
     width = n // 2 + 1
-    blocks = _row_blocks(n // stride)
-    rows_buffer = np.empty((blocks[0].stop, n))
-    spectra_buffer = np.empty((blocks[0].stop, width), dtype=np.complex128)
+    rows_buffer, spectra_buffer = buffers
     scale = f.grid.h * (TWO_PI ** -0.5)
 
     def tables():
-        for rows in blocks:
+        for rows in _row_blocks(n // stride):
             count = rows.stop - rows.start
             spectra = np.fft.rfft(
                 _window_rows(fr, wr, stride, rows, out=rows_buffer[:count]),

@@ -36,13 +36,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .exponents import Exponent, PreconditionError, _exponent_triple, young_functional
 from .grids import (
-    BLOCK_ROWS,
     Grid,
     GridMismatchError,
     SampledFunction,
     SampledKernel2d,
     _axis_power_norm,
+    _block_rows,
+    _charge,
     _exponent_value,
+    _flat_rows,
     _MixedNorm,
     _require_one_dimension,
     _row_blocks,
@@ -193,8 +195,8 @@ def _kernel_block(kernel, grid: Grid, rows: slice) -> np.ndarray:
 
 
 def _tf_rows(f: SampledFunction, g: SampledFunction):
-    """The rows of T_F(f, g) / h, as a function of a block of kernel rows
-    and the slice of grid rows it holds.
+    """The rows of T_F(f, g) / h, as a function of a block of kernel rows,
+    the slice of grid rows it holds and, if given, an array for the products.
 
     The third factor is read off the grid: x_i - y_j = (i - j + n/2 - n/2) h
     lands on sample i - j + n/2 when that index exists and contributes zero
@@ -213,9 +215,10 @@ def _tf_rows(f: SampledFunction, g: SampledFunction):
     windows = sliding_window_view(buf, n)
     fv = f.values
 
-    def rows_of(kblk: np.ndarray, rows: slice) -> np.ndarray:
+    def rows_of(kblk: np.ndarray, rows: slice, product=None) -> np.ndarray:
         gblk = windows[n + half - 1 - rows.start : n + half - 1 - rows.stop : -1]
-        return (kblk * fv[None, :] * gblk).sum(axis=1)
+        product = np.multiply(kblk, fv[None, :], out=product)
+        return np.multiply(product, gblk, out=product).sum(axis=1)
 
     return rows_of
 
@@ -542,8 +545,9 @@ def _band(mask: np.ndarray) -> slice | None:
 class _GaussSum2d(_GaussSum1d):
     """The same sum in two variables: each term has centers (u, v)."""
 
-    def sample(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The sum on the outer grid of the 1-d axes x and y.
+    def sample(self, x: np.ndarray, y: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+        """The sum on the outer grid of the 1-d axes x and y, into ``out``;
+        each term is built in ``scratch``, a C-contiguous complex array as large.
 
         Each term is evaluated only on the band of rows and columns where
         a (x - u)^2 and a (y - v)^2 stay below _EXP_ZERO, and inside that
@@ -552,24 +556,23 @@ class _GaussSum2d(_GaussSum1d):
         exponents are at most -_EXP_ZERO as computed), so a skipped term
         is below |amp| 2^-1022: it moves no bit of an entry above
         2^54 times the sum of those bounds, and no entry by more than it.
-        numpy's exp takes about 1.2 ns a point where its result is normal,
-        21 ns where it underflows to 0 and 150 ns where it is subnormal
-        (x86-64, numpy 2.4); skipping the subnormal results took the
-        benchmark's seven operator cases (1,600 calls, serial) from 1.97 s
-        to 1.32 s of sampling on a 2-core x86-64 VM.
+        numpy's exp takes about 150 ns a point where its result is
+        subnormal, against 1.2 ns where it is normal (x86-64, numpy 2.4).
         """
-        out = np.zeros((x.size, y.size))
+        out.fill(0.0)
         for amp, a, u, v in self.terms:
             rows = _band(a * (x - u) ** 2 < _EXP_ZERO)
             cols = _band(a * (y - v) ** 2 < _EXP_ZERO)
             if rows is None or cols is None:
                 continue
-            arg = (x[rows, None] - u) ** 2 + (y[None, cols] - v) ** 2
+            arg = _flat_rows(scratch.view(float), rows.stop - rows.start, cols.stop - cols.start)
+            np.add((x[rows, None] - u) ** 2, (y[None, cols] - v) ** 2, out=arg)
             arg *= -a
-            term = np.exp(arg, out=np.zeros_like(arg), where=arg > -_EXP_ZERO)
-            term *= amp
-            out[rows, cols] += term
-            del arg, term  # one term's temporaries alive at a time
+            keep = _flat_rows(scratch.view(bool), *arg.shape, arg.nbytes)
+            np.greater(arg, -_EXP_ZERO, out=keep)
+            np.exp(arg, out=arg, where=keep)
+            arg *= amp
+            np.add(out[rows, cols], arg, out=out[rows, cols], where=keep)
         return out
 
 
@@ -592,26 +595,21 @@ class PropReport:
 _DEFAULT_SCALES = (0.5, 2.0 ** -0.5, 1.0, 2.0 ** 0.5, 2.0)
 # The dilation scales of each kernel: the flat kernel has no dilation leg.
 _KERNEL_SCALES = {"bumps": _DEFAULT_SCALES, "ones": (1.0,)}
-# An operator check samples its kernel BLOCK_ROWS grid rows at a time and
-# holds no n x n table.  At its peak a block holds, per point, the kernel
-# rows, their magnitudes and the magnitudes' powers, into whose first row
-# the mixed norm adds its running column sums: 24 bytes, beside a T_F row
-# block's complex product or the band argument, term and one-byte `exp`
-# mask of `_GaussSum2d.sample`.  Beside the block lie a few n-point
-# arrays.  Two (trial, scale) points run at once; each holds at its traced
-# peak 27.9-33.1 bytes a block point beyond OPERATOR_BYTES_PER_POINT a point.
-OPERATOR_BYTES_PER_BLOCK_POINT = 36
-OPERATOR_BYTES_PER_POINT = 128
+def _operator_point_buffers(grid: Grid) -> list:
+    """An operator point holds one block of kernel rows and its T_F products."""
+    rows = _block_rows(grid.n)
+    return [((rows, grid.n), np.float64), ((rows, grid.n), np.complex128)]
 
 
 def operator_peak_bytes(grid: Grid, trials: int, kernel: str) -> int:
-    """The bytes an operator check of ``trials`` on ``grid`` holds at its peak."""
-    n = grid.n
-    points = trials * len(_KERNEL_SCALES[kernel])
-    return min(2, points) * (
-        OPERATOR_BYTES_PER_BLOCK_POINT * min(BLOCK_ROWS, n) * n
-        + OPERATOR_BYTES_PER_POINT * n
-    )
+    """The bytes an operator check of ``trials`` on ``grid`` holds at its
+    peak: two points run at once, unless the check has only one."""
+    # Beside its buffers a point holds 176 bytes a grid point: the two
+    # sampled inputs (complex, 32), and for each of at most two maps the
+    # reversed, zero-padded g of `_tf_rows` (48) and the image (16), and
+    # the kernel norm's running column sums and their next sum (16).
+    point = _charge(_operator_point_buffers(grid), 176 * grid.n, np.complex128)
+    return min(2, trials * len(_KERNEL_SCALES[kernel])) * point
 
 
 # The operator trials draw their bumps from numpy's default_rng(seed), so a
@@ -754,8 +752,9 @@ def verify_prop_tf_bounds(
     # T_F(f, g), and T_{Theta F}(f, g) = T_F(g, f).
     swaps = {1: (False, True), 2: (False,), 3: (True,)}[case]
 
-    def ratio(point) -> float:
+    def ratio(point, held) -> float:
         fsum, gsum, ksum, lam = point
+        kernel_rows, product = held()
         fl = SampledFunction(grid, fsum.dilated(lam).sample(ax))
         gl = SampledFunction(grid, gsum.dilated(lam).sample(ax))
         kl = None if ksum is None else ksum.dilated(lam)
@@ -765,14 +764,15 @@ def verify_prop_tf_bounds(
         maps = [_tf_rows(gl, fl) if swap else _tf_rows(fl, gl) for swap in swaps]
         images = [np.empty(grid.n, dtype=np.complex128) for _ in maps]
         for rows in _row_blocks(grid.n):
+            kblk = kernel_rows[: rows.stop - rows.start]
             if kl is None:
-                kblk = np.ones((rows.stop - rows.start, grid.n))
+                kblk.fill(1.0)
             else:
-                kblk = kl.sample(ax[rows], ax)
-            knorm.add(np.abs(kblk))
+                kl.sample(ax[rows], ax, kblk, product)
             for rows_of, out in zip(maps, images):
-                out[rows] = rows_of(kblk, rows)
-            del kblk  # freed before the next block is sampled
+                out[rows] = rows_of(kblk, rows, product[: len(kblk)])
+            # The maps have read the block, so the norm may overwrite it.
+            knorm.add(np.abs(kblk, out=kblk), own=True)
         denom = (
             knorm.value()
             * weighted_lebesgue_norm(fl, exps[1], 0)
@@ -790,7 +790,7 @@ def verify_prop_tf_bounds(
         sums = (_GaussSum1d(draw(2, 1)), _GaussSum1d(draw(2, 1)))
         ksum = _GaussSum2d(draw(3, 2)) if kernel == "bumps" else None
         points += [(*sums, ksum, lam) for lam in scale_list]
-    flat = _two_at_a_time(ratio, points)
+    flat = _two_at_a_time(ratio, points, _operator_point_buffers(grid))
     ratios = np.reshape(flat, (trials, -1)).tolist()
     logs = np.log(scale_list)
     slopes = [float(np.polyfit(logs, np.log(r), 1)[0]) for r in ratios if logs.size > 1]

@@ -38,14 +38,18 @@ from .exponents import (
     young_functional,
 )
 from .grids import (
-    BLOCK_ROWS,
     TWO_PI,
     Grid,
     SampledFunction,
+    _allocate,
+    _block_rows,
+    _charge,
     _check_stft_inputs,
     _flat_rows,
+    _norm_pass_buffers,
     _require_one_dimension,
     _row_blocks,
+    _stft_magnitude_norms,
     _stft_rows,
     _two_at_a_time,
     _weight_value,
@@ -53,7 +57,6 @@ from .grids import (
     fourier_lebesgue_norm,
     gaussian_resolution_guard,
     inverse_fourier_transform,
-    stft_magnitude_norms,
     weighted_lebesgue_norm,
 )
 
@@ -88,55 +91,26 @@ CONSTANCY_TOL = 1e-10
 # modulation-multiplication ladder accepts.
 IDENTITY_TOL = 1e-6
 
-# A modulation ladder builds no short-time table: each norm pass reads
-# the magnitude table BLOCK_ROWS lattice rows at a time, through a float64
-# row buffer and a half-width complex spectrum buffer allocated once per
-# pass (16 bytes per block point).  The magnitudes go into the memory of
-# the spent rows, and each norm's weighted copy and its powers into that
-# of the spent spectra.
-#
-# The multiplication flavor also checks the short-time product identity
-# in blocks of max(1, BLOCK_ROWS // 2) lattice rows, through one 2n-wide
-# padded spectrum and one factor table (48 bytes per identity block
-# point); the magnitudes go into the spent part of the padded spectrum.
-#
-# Beside its buffers each job holds n-point arrays, and numpy's ufunc
-# buffers while it multiplies strided rows: three operands of 8192
-# elements, float64 in a pass (192 KiB) and complex in the identity
-# (384 KiB).  Beyond those the traced peak of a pass is 16.7 bytes per
-# block point and that of the identity 52 per identity block point (from
-# n = 1024 to 4096).
-NORM_BYTES_PER_BLOCK_POINT = 17
-IDENTITY_BYTES_PER_BLOCK_POINT = 54
-NORM_UFUNC_BUFFER_BYTES = 3 * 8192 * 8
-IDENTITY_UFUNC_BUFFER_BYTES = 3 * 8192 * 16
-# Bytes per grid point that a probe holds at its peak besides short-time
-# blocks: `convolve` holds two n-point and several 2n-point complex arrays
-# at once.
-PROBE_BYTES_PER_POINT = 128
-# The norm-slope calibration convolves nothing: a few n-point arrays.
-NORM_SLOPE_BYTES_PER_POINT = 64
-
-
 def peak_bytes(kind: str, flavor: str | None, grid: Grid, stride: int) -> int:
     """The bytes a probe of ``kind`` (and ladder ``flavor``) on ``grid``
-    holds at its peak."""
-    per_point = NORM_SLOPE_BYTES_PER_POINT if kind == "norm-slope" else PROBE_BYTES_PER_POINT
-    rows = grid.n // max(stride, 1)
-    block = grid.n * min(BLOCK_ROWS, rows)
-    identity_block = grid.n * min(max(1, BLOCK_ROWS // 2), rows)
-    point = per_point * grid.n
-    # A modulation ladder runs two jobs at once: two norm passes, or the
-    # product identity beside one, which holds more.
-    norm_pass = NORM_BYTES_PER_BLOCK_POINT * block + NORM_UFUNC_BUFFER_BYTES + point
+    holds at its peak; a modulation ladder runs two jobs at once."""
+    # Beside its buffers a norm-pass job holds 112 bytes a grid point: its
+    # function (complex, 16) and, for a convolution numerator, the three
+    # 2n-point complex arrays of `convolve` (96), more than the pass's own
+    # target, padded window, lattice positions and half-width columns.
+    norm_pass = _charge(_norm_pass_buffers(grid, stride), 112 * grid.n, np.float64)
     if flavor == "modulation-convolution":
         return 2 * norm_pass
     if flavor == "modulation-multiplication":
-        identity = (
-            IDENTITY_BYTES_PER_BLOCK_POINT * identity_block + IDENTITY_UFUNC_BUFFER_BYTES + point
-        )
-        return identity + norm_pass
-    return point
+        # The identity, which holds more than a pass, beside one pass.  It
+        # holds 136 bytes a grid point beside its buffers: the function,
+        # f1 f2, the two windows and their conjugates (complex, 16 each), a
+        # block's zero-padded window (32) and the grid positions (8).
+        return _charge(_identity_buffers(grid, stride), 136 * grid.n, np.complex128) + norm_pass
+    # The other probes hold no blocks.  `convolve` holds two n-point and
+    # several 2n-point complex arrays at once: 128 bytes a point.  The
+    # norm-slope calibration convolves nothing: a few n-point arrays, 64.
+    return (64 if kind == "norm-slope" else 128) * grid.n
 
 
 # ---------------------------------------------------------------------------
@@ -549,19 +523,16 @@ def _xi_convolve_rows(
     a: np.ndarray,
     b: np.ndarray,
     dxi: float,
-    spec: np.ndarray | None = None,
+    spec: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Row-wise convolution along the dual axis, centered layout, exact pad.
 
     When ``b`` is ``a`` its padded spectrum is computed once and squared.
     The padded spectrum is built in ``spec`` (rows x 2n) and the result
-    written to ``out`` (rows x n, which may be ``a``), each a fresh array
-    when None.
+    written to ``out`` (rows x n, which may be ``a``; fresh when None).
     """
     n = a.shape[1]
-    if spec is None:
-        spec = np.empty((a.shape[0], 2 * n), dtype=np.complex128)
     spec[:, :n] = a
     spec[:, n:] = 0.0
     np.fft.fft(spec, axis=1, out=spec)
@@ -571,6 +542,12 @@ def _xi_convolve_rows(
         spec *= np.fft.fft(b, n=2 * n, axis=1)
     np.fft.ifft(spec, axis=1, out=spec)
     return np.multiply(spec[:, n // 2 : n // 2 + n], dxi, out=out)
+
+
+def _identity_buffers(grid: Grid, stride: int) -> list:
+    """The identity holds one block's 2n-wide padded spectrum and factor table."""
+    rows = _block_rows(grid.n // max(stride, 1), 2)
+    return [((rows, 2 * grid.n), np.complex128), ((rows, grid.n), np.complex128)]
 
 
 def _stft_product_identity_error(
@@ -585,9 +562,9 @@ def _stft_product_identity_error(
     Every row of the identity stands alone, so the tables are built
     max(1, BLOCK_ROWS // 2) lattice rows at a time and the sup norms are
     running maxima: the error has the bits of the whole-table error.
-    One padded spectrum and one factor table, allocated once, serve every
-    block.  Passing the same object as f1 and f2 builds their table once;
-    a distinct f2 takes a fresh table and padded spectrum per block.
+    One set of the :func:`_identity_buffers` serves every block.  Passing
+    the same object as f1 and f2 builds their table once; a distinct f2
+    takes a fresh table and padded spectrum per block.
     """
     grid = f1.grid
     n = grid.n
@@ -598,12 +575,10 @@ def _stft_product_identity_error(
         _check_stft_inputs(f, phi_half, stride)
     product = SampledFunction(grid, f1.values * f2.values)
     conj_phi, conj_half = np.conj(phi.values), np.conj(phi_half.values)
-    blocks = _row_blocks(n // stride, 2)
-    spec = np.empty((blocks[0].stop, 2 * n), dtype=np.complex128)
-    table = np.empty((blocks[0].stop, n), dtype=np.complex128)
+    spec, table = _allocate(_identity_buffers(grid, stride))
     # np.maximum, unlike max(), keeps a NaN.
     lhs_sup = err_sup = rhs_sup = np.float64(0.0)
-    for rows in blocks:
+    for rows in _row_blocks(n // stride, 2):
         count = rows.stop - rows.start
         padded = spec[:count]
         # The factor rows and then the left side's rows are transformed in
@@ -703,47 +678,33 @@ def boundedness_sweep(
         for a in alphas:  # a failing alpha raises before any point runs
             gaussian_resolution_guard(grid, a)
 
-        def gaussian(a: float) -> SampledFunction:
-            return SampledFunction(grid, np.exp(-a * x * x))
-
-        def numerator(a: float) -> float:
-            f = gaussian(a)
-            if mult:
-                target = SampledFunction(grid, f.values * f.values)
-            else:
+        def job(item: tuple[str, float], held) -> list[float] | float:
+            kind, a = item
+            f = SampledFunction(grid, np.exp(-a * x * x))
+            if kind == "identity":  # it allocates its own buffers
+                return _stft_product_identity_error(f, f, stride)
+            buffers = held()  # held through the convolution too
+            if kind == "numerator":
                 # f * f is real; its imaginary part is rounding.
-                target = SampledFunction(grid, convolve(f, f).values.real)
-            (num,) = stft_magnitude_norms(
-                target, window, stride,
-                [(p0c, q0c, -params.s[0], -params.t[0])], space=space,
-            )
-            return num
+                target = f.values * f.values if mult else convolve(f, f).values.real
+                f = SampledFunction(grid, target)
+                norms = [(p0c, q0c, -params.s[0], -params.t[0])]
+            else:
+                # f1 = f2, so one pass over the blocks serves both norms.
+                norms = [(params.p[j], params.q[j], params.s[j], params.t[j]) for j in (1, 2)]
+            return _stft_magnitude_norms(f, window, stride, norms, space, buffers)
 
-        def denominator(a: float) -> float:
-            # f1 = f2, so one pass over the blocks serves both norms.
-            den = 1.0
-            for norm in stft_magnitude_norms(
-                gaussian(a), window, stride,
-                [(params.p[j], params.q[j], params.s[j], params.t[j]) for j in (1, 2)],
-                space=space,
-            ):
-                den *= norm
-            return den
-
-        def identity(a: float) -> float:
-            f = gaussian(a)
-            return _stft_product_identity_error(f, f, stride)
-
-        # Each job is one pass over a table.  The identity at the middle
-        # scale costs six to seven passes at stride 2: first in line, it
-        # runs on one thread while the other takes the passes as they come.
-        jobs = [(identity, alphas[len(alphas) // 2])] if mult else []
+        # The identity at the middle scale costs six to seven passes at
+        # stride 2: first in line, it runs on one thread while the other
+        # takes the passes as they come, and its thread asks for no pass
+        # buffers until it is done.
+        jobs = [("identity", alphas[len(alphas) // 2])] if mult else []
         for a in alphas:
-            jobs += [(numerator, a), (denominator, a)]
-        values = _two_at_a_time(lambda job: job[0](job[1]), jobs)
+            jobs += [("numerator", a), ("denominator", a)]
+        values = _two_at_a_time(job, jobs, _norm_pass_buffers(grid, stride))
         if mult:
             identity_err = values.pop(0)
-        ratios = [num / den for num, den in zip(values[::2], values[1::2])]
+        ratios = [num / (d1 * d2) for (num,), (d1, d2) in zip(values[::2], values[1::2])]
 
     inv = [1.0 / a for a in alphas]
     slope, _, _ = fit_power_law(inv, ratios)

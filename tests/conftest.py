@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -18,6 +19,26 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("numerics")
+
+
+@pytest.fixture
+def allocations(monkeypatch):
+    """The layouts that ``grids._allocate`` is asked for, in order, through
+    every module that binds it."""
+    from youngbound import grids, kernels, probes
+
+    layouts = []
+    allocate = grids._allocate
+
+    def spy(layout):
+        layouts.append(layout)
+        return allocate(layout)
+
+    for module in (grids, kernels, probes):
+        if getattr(module, "_allocate", None) is allocate:
+            monkeypatch.setattr(module, "_allocate", spy)
+    return layouts
+
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 _results: dict[str, list[str]] = {}

@@ -261,6 +261,11 @@ _gauss_terms = st.lists(
 )
 
 
+def _outer_grid_buffers(n):
+    """A float64 table and a complex scratch array for sampling n x n."""
+    return np.empty((n, n)), np.empty((n, n), dtype=np.complex128)
+
+
 @settings(max_examples=80)
 @given(_gauss_terms, st.integers(3, 8), st.floats(0.5, 40.0))
 def test_prop_gauss_sum_sampling_bitwise_equals_naive(terms, log_n, extent):
@@ -270,7 +275,7 @@ def test_prop_gauss_sum_sampling_bitwise_equals_naive(terms, log_n, extent):
     each is under half an ulp.  Widths from 1e-3 to 1e3 and centers beyond
     the box make the band anything from the whole grid to nothing."""
     ax = Grid(1, extent, 2 ** log_n).axis()
-    fast = _GaussSum2d(tuple(terms)).sample(ax, ax)
+    fast = _GaussSum2d(tuple(terms)).sample(ax, ax, *_outer_grid_buffers(ax.size))
     slow = naive_gauss_sum_2d(terms, ax, ax)
     skipped = sum(abs(amp) for amp, *_ in terms) * np.finfo(float).tiny
     assert np.all(np.abs(fast - slow) <= skipped)
@@ -286,9 +291,12 @@ def test_operator_check_has_the_bits_of_the_naive_sampler(case, monkeypatch):
     oracle does, gives the same report bits."""
     grid = Grid(1, 16.0, 512)
     fast = verify_prop_tf_bounds(case, (2, 2, 2), trials=1, grid=grid)
-    monkeypatch.setattr(
-        _GaussSum2d, "sample", lambda self, x, y: naive_gauss_sum_2d(self.terms, x, y)
-    )
+
+    def naive_sample(self, x, y, out, scratch):
+        out[...] = naive_gauss_sum_2d(self.terms, x, y)
+        return out
+
+    monkeypatch.setattr(_GaussSum2d, "sample", naive_sample)
     naive = verify_prop_tf_bounds(case, (2, 2, 2), trials=1, grid=grid)
     assert repr((fast.ratios, fast.slopes)) == repr((naive.ratios, naive.slopes))
 
@@ -483,7 +491,7 @@ def _whole_table_prop_ratios(case, p, trials, seed, grid, kernel):
             if ksum is None:
                 table = np.ones((grid.n, grid.n))
             else:
-                table = ksum.dilated(lam).sample(ax, ax)
+                table = ksum.dilated(lam).sample(ax, ax, *_outer_grid_buffers(grid.n))
             ktab = SampledKernel2d(grid, table)
             denom = (
                 mixed_norm_2d(ktab, *knorm_args)
@@ -560,8 +568,9 @@ def test_prop_bump_draws_reproduce_numpy_default_rng(seed, shapes):
     assert ours == theirs
 
 
-def _serial(fn, items):
-    return list(map(fn, items))
+def _serial(fn, items, layout):
+    """The serial loop, each item with fresh buffers."""
+    return [fn(item, lambda: grids._allocate(layout)) for item in items]
 
 
 @pytest.mark.parametrize("setting", _OPERATOR_SETTINGS)
@@ -597,6 +606,22 @@ def test_failing_point_raises_the_serial_loops_exception(monkeypatch):
     assert str(threaded.value) == str(serial.value)
 
 
+def _unbuffered(fn):
+    return lambda item, held: fn(item)
+
+
+@pytest.mark.parametrize(
+    "kernel, trials, most", [("bumps", 1, 2), ("bumps", 4, 2), ("ones", 1, 1)]
+)
+def test_operator_check_allocates_one_point_set_a_thread(kernel, trials, most, allocations):
+    """Every (trial, scale) point reuses its thread's set of point buffers:
+    at most two sets, whatever the trial count, and one for a single point."""
+    grid = Grid(1, 8.0, 64)
+    verify_prop_tf_bounds(2, (2, 2, 2), trials=trials, grid=grid, kernel=kernel)
+    assert 1 <= len(allocations) <= most
+    assert all(layout == kernels._operator_point_buffers(grid) for layout in allocations)
+
+
 def test_two_at_a_time_raises_the_lowest_failing_index():
     """Item 2 fails while item 1 is still running; item 1 then fails too,
     and its exception is the one raised."""
@@ -611,7 +636,7 @@ def test_two_at_a_time_raises_the_lowest_failing_index():
 
     threads = threading.active_count()
     with pytest.raises(ValueError, match="1"):
-        grids._two_at_a_time(fn, [0, 1, 2, 3])
+        grids._two_at_a_time(_unbuffered(fn), [0, 1, 2, 3], [])
     assert threading.active_count() == threads
 
 
@@ -629,7 +654,7 @@ def test_two_at_a_time_hands_out_items_on_demand():
             rest_done.set()
         return i
 
-    assert grids._two_at_a_time(fn, [0, 1, 2, 3]) == [True, 1, 2, 3]
+    assert grids._two_at_a_time(_unbuffered(fn), [0, 1, 2, 3], []) == [True, 1, 2, 3]
 
 
 @settings(max_examples=60, deadline=None)
@@ -652,10 +677,10 @@ def test_prop_two_at_a_time_is_the_serial_loop(items):
         expected = list(map(fn, indexed))
     except ValueError as exc:
         with pytest.raises(ValueError) as raised:
-            grids._two_at_a_time(fn, indexed)
+            grids._two_at_a_time(_unbuffered(fn), indexed, [])
         assert raised.value.args == exc.args
     else:
-        assert grids._two_at_a_time(fn, indexed) == expected
+        assert grids._two_at_a_time(_unbuffered(fn), indexed, []) == expected
     assert threading.active_count() == threads
 
 
@@ -677,7 +702,7 @@ def test_two_at_a_time_runs_every_item_once_under_fast_switching():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = grids._two_at_a_time(fn, list(range(2000)))
+        results = grids._two_at_a_time(_unbuffered(fn), list(range(2000)), [])
     finally:
         sys.setswitchinterval(interval)
     assert results == [i * i for i in range(2000)]

@@ -321,9 +321,27 @@ def test_threaded_modulation_ladder_equals_serial_run(flavor, stride, grid, monk
     """Two ladder points (or the product identity and a point) at a time
     give the report of one after another, to the bit."""
     threaded = boundedness_sweep(_MODULATION_TUPLE, flavor, grid=grid, stride=stride)
-    monkeypatch.setattr(probes, "_two_at_a_time", lambda fn, items: list(map(fn, items)))
+    monkeypatch.setattr(
+        probes, "_two_at_a_time",
+        lambda fn, items, layout: [fn(item, lambda: grids._allocate(layout)) for item in items],
+    )
     serial = boundedness_sweep(_MODULATION_TUPLE, flavor, grid=grid, stride=stride)
     assert repr(threaded) == repr(serial)
+
+
+@pytest.mark.parametrize("stride", [1, 8])
+@pytest.mark.parametrize("flavor", ["modulation-convolution", "modulation-multiplication"])
+def test_modulation_ladder_allocates_one_pass_set_a_thread(flavor, stride, allocations):
+    """The 18 passes of a ladder share at most two sets of pass buffers,
+    one a thread, and the multiplication flavor's product identity takes
+    one set of its own."""
+    grid = Grid(1, 24.0, 256)
+    boundedness_sweep(_MODULATION_TUPLE, flavor, grid=grid, stride=stride)
+    passes = allocations.count(grids._norm_pass_buffers(grid, stride))
+    identities = allocations.count(probes._identity_buffers(grid, stride))
+    assert 1 <= passes <= 2
+    assert identities == (flavor == "modulation-multiplication")
+    assert passes + identities == len(allocations)
 
 
 @pytest.mark.parametrize("flavor", ["modulation-convolution", "modulation-multiplication"])
@@ -336,7 +354,7 @@ def test_modulation_ladder_guards_every_scale_before_any_point(flavor, monkeypat
     def runs(*args, **kwargs):
         raise AssertionError("a ladder point ran before every scale was guarded")
 
-    monkeypatch.setattr(probes, "stft_magnitude_norms", runs)
+    monkeypatch.setattr(probes, "_stft_magnitude_norms", runs)
     monkeypatch.setattr(probes, "_stft_product_identity_error", runs)
     threads = threading.active_count()
     with pytest.raises(ResolutionError) as raised:
@@ -357,8 +375,9 @@ def test_product_identity_reuse_is_bitwise():
     twin = SampledFunction(grid, f.values.copy())
     window = SampledFunction(grid, np.exp(-x * x / 2.0))
     v = stft(f, window, 4).values
+    spec = np.empty((v.shape[0], 2 * v.shape[1]), dtype=np.complex128)
     assert np.array_equal(
-        _xi_convolve_rows(v, v, 0.5), _xi_convolve_rows(v, v.copy(), 0.5)
+        _xi_convolve_rows(v, v, 0.5, spec), _xi_convolve_rows(v, v.copy(), 0.5, spec.copy())
     )
     separate = _stft_product_identity_error(f, twin, 4)
     assert _stft_product_identity_error(f, f, 4) == separate

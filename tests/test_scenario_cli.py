@@ -12,6 +12,7 @@ import sys
 import tracemalloc
 import warnings
 from fractions import Fraction as F
+from functools import partial
 from pathlib import Path
 
 import numpy
@@ -1056,7 +1057,7 @@ def test_oversized_tables_are_refused_before_allocation(
         raise AssertionError("a table was allocated before the budget check")
 
     monkeypatch.setattr("youngbound.probes._stft_rows", allocates)
-    monkeypatch.setattr("youngbound.probes.stft_magnitude_norms", allocates)
+    monkeypatch.setattr("youngbound.probes._stft_magnitude_norms", allocates)
     monkeypatch.setattr("youngbound.kernels._GaussSum2d.sample", allocates)
     code = main([command, "--scenario", write(tmp_path, text)])
     assert code == EXIT_MALFORMED
@@ -1065,9 +1066,9 @@ def test_oversized_tables_are_refused_before_allocation(
 
 def test_operator_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
     """At grid_n = 2**19 an operator check holds no kernel table, but each
-    of the two points in flight is charged 36 bytes a point of one block of
-    64 kernel rows and 128 bytes a grid point (2.38 GiB in all), so it
-    exits 2 before sampling."""
+    of the two points in flight is charged its declared blocks of 64 kernel
+    rows (8 bytes a point) and products (16), 176 bytes a grid point and
+    its ufunc buffers (1.67 GiB in all), so it exits 2 before sampling."""
 
     def allocates(*args, **kwargs):
         raise AssertionError("a table was allocated before the budget check")
@@ -1081,12 +1082,13 @@ def test_operator_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
     assert main(["verify-lemmas", "--scenario", path]) == EXIT_MALFORMED
     err = capsys.readouterr().err
     assert "above the cap" in err
-    assert str(2 * (36 * 64 * 2 ** 19 + 128 * 2 ** 19)) in err
+    n = 2 ** 19
+    assert str(2 * (24 * 64 * n + 176 * n + 3 * numpy.getbufsize() * 16)) in err
 
 
 def test_operator_check_at_8192_is_admitted(tmp_path, capsys, monkeypatch):
     """At grid_n = 8192 one kernel table would take 512 MiB, but the check
-    samples 64 rows at a time, two points at once, and is charged 38 MiB,
+    samples 64 rows at a time, two points at once, and is charged 27.5 MiB,
     so it passes the budget check and reaches the verifier."""
 
     class Admitted(Exception):
@@ -1112,29 +1114,33 @@ _IDENTITY_LADDER = (
 
 
 def test_product_identity_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
-    """At grid_n = 2**19, stride 1, one block of 32 rows of the product
-    identity is charged 54 bytes a point, one block of 64 rows of the norm
-    pass beside it 17, each of the two 128 bytes a grid point and its ufunc
-    buffers (1.50 GiB), so the ladder exits 2 before any block is built."""
+    """At grid_n = 2**19, stride 1, the product identity is charged its
+    declared 32-row blocks (a 2n-wide padded spectrum and a factor table,
+    complex), 136 bytes a grid point and its ufunc buffers, and the norm
+    pass beside it its 64-row blocks (float64 rows, half-width complex
+    spectra), 112 bytes a grid point and its ufunc buffers (1.37 GiB in
+    all), so the ladder exits 2 before any block is built."""
 
     def allocates(*args, **kwargs):
         raise AssertionError("a table was allocated before the budget check")
 
     monkeypatch.setattr("youngbound.probes._stft_rows", allocates)
-    monkeypatch.setattr("youngbound.probes.stft_magnitude_norms", allocates)
+    monkeypatch.setattr("youngbound.probes._stft_magnitude_norms", allocates)
     path = write(tmp_path, _IDENTITY_LADDER.format(2 ** 19))
     assert main(["probe", "--scenario", path]) == EXIT_MALFORMED
     err = capsys.readouterr().err
     assert "above the cap" in err
     n = 2 ** 19
-    assert str(54 * 32 * n + 17 * 64 * n + 2 * 128 * n + 3 * 8192 * (16 + 8)) in err
+    identity = 48 * 32 * n + 136 * n
+    norm_pass = 8 * 64 * n + 16 * 64 * (n // 2 + 1) + 112 * n
+    assert str(identity + norm_pass + 3 * numpy.getbufsize() * (16 + 8)) in err
 
 
 def test_stride_one_identity_ladder_at_4096_is_admitted(tmp_path, capsys, monkeypatch):
     """At grid_n = 4096, stride 1, one whole short-time table would take
     256 MiB, but the ladder is charged one 32-row block of the product
     identity and one 64-row block of a norm pass, plus their points and
-    ufunc buffers (12.56 MiB), so it passes the budget check and reaches
+    ufunc buffers (11.53 MiB), so it passes the budget check and reaches
     the sweep."""
 
     class Admitted(Exception):
@@ -1184,14 +1190,34 @@ _POINT_CHARGED_PROBES = {
 
 
 def _assert_charge_covers_the_traced_peak(
-    command, text, extent, sizes, charge, tmp_path, capsys
+    command, text, extent, sizes, charge, tmp_path, capsys, monkeypatch=None, jobs=None
 ):
     """Run ``command`` on ``text`` at each grid size of ``sizes`` under
     tracemalloc: the bytes ``charge(grid)`` is at least the traced peak and
-    at most 1.5 times it."""
+    at most 1.5 times it.
+
+    ``jobs``, when given, is a module whose ``_two_at_a_time`` runs two
+    jobs at once, patched through ``monkeypatch``.  Its jobs then run one after
+    another on this thread, each traced on its own and asking for fresh
+    buffers, and the peak is the sum of the two largest job peaks: the
+    most that two threads can hold at once, whatever their timing."""
+    from youngbound import grids
     from youngbound.grids import Grid
 
     path = write(tmp_path, text)
+    job_peaks = []
+
+    def one_at_a_time(fn, items, layout):
+        results = []
+        for item in items:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            results.append(fn(item, lambda: grids._allocate(layout)))
+            job_peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return results
+
+    if jobs is not None:
+        monkeypatch.setattr(jobs, "_two_at_a_time", one_at_a_time)
 
     def run(n):
         argv = [command, "--scenario", path, "--grid-n", str(n), "--grid-L", str(extent)]
@@ -1199,6 +1225,7 @@ def _assert_charge_covers_the_traced_peak(
 
     run(sizes[0] // 2)  # one-time allocations (lazy imports, caches) are not per point
     for n in sizes:
+        job_peaks.clear()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -1206,6 +1233,8 @@ def _assert_charge_covers_the_traced_peak(
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
+        if jobs is not None:
+            peak = sum(sorted(job_peaks)[-2:])
         estimate = charge(Grid(1, extent, n))
         assert peak <= estimate <= 1.5 * peak, (n, peak, estimate)
 
@@ -1225,13 +1254,17 @@ def test_probe_charge_covers_the_traced_peak(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("stride", [1, 4, 8])
 @pytest.mark.parametrize("flavor", ["modulation-convolution", "modulation-multiplication"])
-def test_modulation_ladder_charge_covers_the_traced_peak(flavor, stride, tmp_path, capsys):
+def test_modulation_ladder_charge_covers_the_traced_peak(
+    flavor, stride, tmp_path, capsys, monkeypatch
+):
+    """Two passes of a convolution ladder in flight, or the product
+    identity and one pass of a multiplication ladder."""
     from youngbound import probes
 
     _assert_charge_covers_the_traced_peak(
         "probe", _MODULATION_LADDER.format(flavor, stride), 24.0, (512, 1024),
         lambda grid: probes.peak_bytes("boundedness", flavor, grid, stride),
-        tmp_path, capsys,
+        tmp_path, capsys, monkeypatch, probes,
     )
 
 
@@ -1246,15 +1279,50 @@ def test_modulation_ladder_charge_covers_the_traced_peak(flavor, stride, tmp_pat
     ],
     ids=["case1", "case2", "case3", "r0", "ones"],
 )
-def test_operator_charge_covers_the_traced_peak(settings, tmp_path, capsys):
+def test_operator_charge_covers_the_traced_peak(settings, tmp_path, capsys, monkeypatch):
+    """Two (trial, scale) points in flight, or the one point of the flat
+    kernel's single trial."""
     text = f"which = operator\n{settings}trials = 1\n"
     values = resolve_scenario("verify-lemmas", parse_scenario_text(text))
     trials, kernel = values["trials"], values["kernel"]
     _assert_charge_covers_the_traced_peak(
         "verify-lemmas", text, 16.0, (512, 1024),
         lambda grid: kernels.operator_peak_bytes(grid, trials, kernel),
-        tmp_path, capsys,
+        tmp_path, capsys, monkeypatch, kernels,
     )
+
+
+def _largest_admitted(charge):
+    """The largest power-of-two grid_n, from 8 to 2**40, whose charge the
+    memory cap admits (every charge grows with n)."""
+    from youngbound.grids import Grid
+
+    return max(
+        2 ** k for k in range(3, 41) if charge(Grid(1, 16.0, 2 ** k)) <= cli.MAX_TABLE_BYTES
+    )
+
+
+def test_memory_cap_admits_at_least_the_grids_it_always_has():
+    """The cap admits a grid at least as large as it did under the fitted
+    per-block charges that the declared buffers replaced, so no request
+    that it once admitted is refused: 2**18 for the modulation ladders at
+    every power-of-two stride to 1024, 2**23 for the other probes, 2**24
+    for norm-slope, 2**17 for an operator check of two points or more, and
+    2**18 for the single point of one trial of the flat kernel."""
+    from youngbound import probes
+
+    for stride in (2 ** k for k in range(11)):
+        for flavor in ("modulation-convolution", "modulation-multiplication"):
+            charge = partial(probes.peak_bytes, "boundedness", flavor, stride=stride)
+            assert _largest_admitted(charge) >= 2 ** 18, (flavor, stride)
+    for kind, flavor in [("gaussian", None), ("translation", None), ("lower-bound", None),
+                         ("boundedness", "convolution"), ("boundedness", "multiplication")]:
+        assert _largest_admitted(partial(probes.peak_bytes, kind, flavor, stride=1)) >= 2 ** 23
+    assert _largest_admitted(partial(probes.peak_bytes, "norm-slope", None, stride=1)) >= 2 ** 24
+    for kernel, trials, floor in [("bumps", 1, 17), ("bumps", 4, 17), ("ones", 4, 17),
+                                  ("ones", 1, 18)]:
+        charge = partial(kernels.operator_peak_bytes, trials=trials, kernel=kernel)
+        assert _largest_admitted(charge) >= 2 ** floor, (kernel, trials)
 
 
 @pytest.mark.parametrize(
