@@ -179,7 +179,9 @@ class StftTable:
     from :func:`stft` holds complex V over the whole dual axis and has no
     ``multiplicity``.  A table from :func:`stft_magnitudes` holds |V| at
     xi >= 0 only, and column k stands for ``multiplicity[k]`` columns of
-    the full table: itself and its mirror -xi.
+    the full table: itself and its mirror -xi.  A folded pass of
+    :func:`stft_magnitude_norms` holds the rows x <= 0 only, and row m
+    stands for ``row_multiplicity[m]`` rows: itself and its mirror -x.
     """
 
     grid: Grid
@@ -188,6 +190,7 @@ class StftTable:
     values: np.ndarray
     xi: np.ndarray
     multiplicity: np.ndarray | None = None
+    row_multiplicity: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -477,28 +480,36 @@ def _check_stft_inputs(f: SampledFunction, window: SampledFunction, stride: int)
         raise ValueError("stft: window is identically zero")
 
 
+def _window_lattice(wv: np.ndarray, stride: int, padded: np.ndarray | None = None) -> np.ndarray:
+    """Row m: the window samples ``wv`` shifted to lattice index m * stride,
+    zero off the grid; every row is one strided view of a zero-padded copy,
+    built once for all the blocks of a table in ``padded`` (2n samples of
+    the window's dtype; fresh when None)."""
+    n = wv.size
+    half = n // 2
+    if padded is None:
+        padded = np.empty(2 * n, dtype=wv.dtype)
+    padded[:half] = 0.0
+    padded[half : half + n] = wv
+    padded[half + n :] = 0.0
+    # Row m is padded[n - m * stride :][:n].
+    return sliding_window_view(padded, n)[n:0:-stride]
+
+
 def _window_rows(
     fv: np.ndarray,
-    wv: np.ndarray,
-    stride: int,
+    windows: np.ndarray,
     rows: slice = slice(None),
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Rows y -> fv(y) wv(y - x_m) for the lattice rows ``rows`` of x_m at
-    every stride-th grid point, in FFT input order (the centering shift is
-    two half-slice products), written into ``out`` when it is given.
-
-    All rows come from one strided view of the zero-padded window.
-    """
-    n = fv.size
-    half = n // 2
-    padded = np.zeros(2 * n, dtype=wv.dtype)
-    padded[half : half + n] = wv
-    # Row m is the window shifted to lattice index m * stride: samples
-    # padded[n - m * stride :][:n].
-    shifted = sliding_window_view(padded, n)[n:0:-stride][rows]
+    """Rows y -> fv(y) w(y - x_m) for the lattice rows ``rows`` of the
+    :func:`_window_lattice` ``windows``, in FFT input order (the centering
+    shift is two half-slice products), written into ``out`` when it is
+    given."""
+    half = fv.size // 2
+    shifted = windows[rows]
     if out is None:
-        out = np.empty(shifted.shape, dtype=np.result_type(fv, wv))
+        out = np.empty(shifted.shape, dtype=np.result_type(fv, shifted))
     np.multiply(fv[half:], shifted[:, half:], out=out[:, :half])
     np.multiply(fv[:half], shifted[:, :half], out=out[:, half:])
     return out
@@ -506,17 +517,17 @@ def _window_rows(
 
 def _stft_rows(
     f: SampledFunction,
-    conj_window: np.ndarray,
-    stride: int,
+    windows: np.ndarray,
     rows: slice = slice(None),
     work: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The lattice rows ``rows`` of the :func:`stft` table of f against the
-    window whose conjugated samples are ``conj_window``: the rows are built
-    and transformed in ``work``, and the centering shift writes them,
-    scaled, to ``out`` (each a fresh array when None)."""
-    work = _window_rows(f.values, conj_window, stride, rows, out=work)
+    window whose conjugated samples make the :func:`_window_lattice`
+    ``windows``: the rows are built and transformed in ``work``, and the
+    centering shift writes them, scaled, to ``out`` (each a fresh array
+    when None)."""
+    work = _window_rows(f.values, windows, rows, out=work)
     if out is None:
         out = np.empty_like(work)
     half = f.grid.n // 2
@@ -556,7 +567,7 @@ def stft(
         grid=f.grid,
         stride=stride,
         x_positions=f.grid.axis()[::stride][rows],
-        values=_stft_rows(f, np.conj(window.values), stride, rows),
+        values=_stft_rows(f, _window_lattice(np.conj(window.values), stride), rows),
         xi=f.grid.dual_axis(),
     )
 
@@ -577,11 +588,12 @@ def stft_magnitudes(
     picks lattice rows, as in :func:`stft`, with the same bits.
     """
     fr, wr = _real_stft_inputs(f, window, stride)
-    spectra = np.fft.rfft(_window_rows(fr, wr, stride, rows), axis=1)
+    spectra = np.fft.rfft(_window_rows(fr, _window_lattice(wr, stride), rows), axis=1)
     table = np.abs(spectra)
     del spectra
     table *= f.grid.h * (TWO_PI ** -0.5)
-    return _half_width_table(f.grid, stride, rows, table)
+    xi, multiplicity = _half_width_columns(f.grid)
+    return StftTable(f.grid, stride, f.grid.axis()[::stride][rows], table, xi, multiplicity)
 
 
 def _real_stft_inputs(
@@ -594,65 +606,77 @@ def _real_stft_inputs(
     return f.values.real, window.values.real
 
 
-def _half_width_table(grid: Grid, stride: int, rows: slice, values: np.ndarray) -> StftTable:
-    """The magnitude table ``values`` of lattice rows ``rows`` at xi >= 0."""
+def _half_width_columns(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The columns xi = k pi / L, k = 0 .. n/2, of a magnitude table, and
+    how many columns of the full table each stands for."""
     half = grid.n // 2
     multiplicity = np.full(half + 1, 2.0)
     multiplicity[[0, half]] = 1.0
-    return StftTable(
-        grid=grid,
-        stride=stride,
-        x_positions=grid.axis()[::stride][rows],
-        values=values,
-        xi=np.arange(half + 1) * grid.dual_spacing,
-        multiplicity=multiplicity,
-    )
+    return np.arange(half + 1) * grid.dual_spacing, multiplicity
+
+
+def _norm_tuples(norms, space: str) -> list[tuple[float, float, float, float]]:
+    """The checked (p, q, s, t) of ``norms`` as floats."""
+    if space not in ("M", "W"):
+        raise ValueError(f"space must be 'M' or 'W', got {space!r}")
+    return [
+        (_exponent_value(p), _exponent_value(q), _weight_value(s), _weight_value(t))
+        for p, q, s, t in norms
+    ]
+
+
+def _axis_weight(
+    positions: np.ndarray, weight: float, multiplicity: np.ndarray | None, r: float
+) -> np.ndarray | None:
+    """<.>^weight at ``positions``, times multiplicity^{1/r} when the
+    positions stand for several rows or columns of the full table and r is
+    finite; None for the weight 1.  A zero exponent gives the weight 1.0
+    exactly, and x * 1.0 is x."""
+    out = (1.0 + positions ** 2) ** (weight / 2.0) if weight != 0.0 else None
+    if multiplicity is not None and not math.isinf(r):
+        folded = multiplicity ** (1.0 / r)
+        out = folded if out is None else out * folded
+    return out
 
 
 def _weighted_magnitudes(
-    table: StftTable, t: float, column: np.ndarray | None, out: np.ndarray | None = None
+    table: StftTable,
+    row: np.ndarray | None,
+    column: np.ndarray | None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """|V| <x>^t of a block of rows, times the column weight ``column`` (a
-    weight of None is 1), in ``out`` or a fresh array: never in the table,
-    since one table serves several norms, so the norm may overwrite it."""
-    row = ((1.0 + table.x_positions ** 2) ** (t / 2.0))[:, None] if t != 0.0 else None
+    """|V| of a block of rows times the row weight ``row`` and the column
+    weight ``column`` (a weight of None is 1), in ``out`` or a fresh array:
+    never in the table, since one table serves several norms, so the norm
+    may overwrite it."""
     a = np.abs(table.values, out=out) if np.iscomplexobj(table.values) else table.values
-    for weight in (row, column):
+    for weight in (None if row is None else row[:, None], column):
         if weight is not None:
             a = np.multiply(a, weight, out=out if a is table.values else a)
     return np.positive(a, out=out) if a is table.values else a
 
 
 def _table_norms(blocks, norms, space: str, scratch: np.ndarray | None = None) -> list[float]:
-    """The :func:`stft_table_norm` of each (p, q, s, t) of ``norms`` over the
-    table that ``blocks`` yields as consecutive row blocks (each a
-    :class:`StftTable` of some of its rows).  Each norm's weighted copy of
-    a block is written into the memory of the float64 array ``scratch``
-    when it is given."""
-    if space not in ("M", "W"):
-        raise ValueError(f"space must be 'M' or 'W', got {space!r}")
-    norms = [
-        (_exponent_value(p), _exponent_value(q), _weight_value(s), _weight_value(t))
-        for p, q, s, t in norms
-    ]
+    """The :func:`stft_table_norm` of each (p, q, s, t) of the
+    :func:`_norm_tuples` ``norms`` over the table that ``blocks`` yields as
+    consecutive row blocks (each a :class:`StftTable` of some of its
+    rows).  Each norm's weighted copy of a block is written into the
+    memory of the float64 array ``scratch`` when it is given."""
     parts = []
     for table in blocks:
         if not parts:
             cells = (table.grid.h * table.stride, table.grid.dual_spacing)
             for p, q, s, t in norms:
-                # A zero exponent gives the weight 1.0 exactly, and x * 1.0 is x.
-                column = (1.0 + table.xi ** 2) ** (s / 2.0) if s != 0.0 else None
-                if table.multiplicity is not None and not math.isinf(q):
-                    folded = table.multiplicity ** (1.0 / q)
-                    column = folded if column is None else column * folded
-                parts.append((_MixedNorm(p, q, cells, space == "M"), t, column))
+                column = _axis_weight(table.xi, s, table.multiplicity, q)
+                parts.append((_MixedNorm(p, q, cells, space == "M"), p, t, column))
         out = None if scratch is None else _flat_rows(scratch, *table.values.shape)
-        for norm, t, column in parts:
+        for norm, p, t, column in parts:
+            row = _axis_weight(table.x_positions, t, table.row_multiplicity, p)
             # A fresh weighted copy is freed when add returns, and the
             # block before the next one is built.
-            norm.add(_weighted_magnitudes(table, t, column, out), own=True)
+            norm.add(_weighted_magnitudes(table, row, column, out), own=True)
         del table
-    return [norm.value() for norm, _, _ in parts]
+    return [norm.value() for norm, *_ in parts]
 
 
 def stft_table_norm(table: StftTable, p, q, s, t, *, space: str = "M") -> float:
@@ -666,15 +690,21 @@ def stft_table_norm(table: StftTable, p, q, s, t, *, space: str = "M") -> float:
     Quadrature cells are stride h in x and pi / L in xi.  A column that
     stands for m columns of the full table is weighted m^{1/q} (1 when
     q = inf): the inner L^p norm is homogeneous, so in both spaces this
-    adds m times the column's q-th power to the L^q sum.
+    adds m times the column's q-th power to the L^q sum.  A row that
+    stands for m rows is weighted m^{1/p} in the same way.
     """
-    return _table_norms([table], [(p, q, s, t)], space)[0]
+    return _table_norms([table], _norm_tuples([(p, q, s, t)], space), space)[0]
 
 
 def _norm_pass_buffers(grid: Grid, stride: int) -> list:
-    """A norm pass holds one block's float64 rows and half-width spectra."""
+    """A norm pass holds one block's float64 rows and half-width spectra,
+    and the zero-padded window."""
     rows = _block_rows(grid.n // max(stride, 1))
-    return [((rows, grid.n), np.float64), ((rows, grid.n // 2 + 1), np.complex128)]
+    return [
+        ((rows, grid.n), np.float64),
+        ((rows, grid.n // 2 + 1), np.complex128),
+        ((2 * grid.n,), np.float64),
+    ]
 
 
 def stft_magnitude_norms(
@@ -686,9 +716,18 @@ def stft_magnitude_norms(
     space: str = "M",
 ) -> list[float]:
     """The :func:`stft_table_norm` of ``stft_magnitudes(f, window, stride)``
-    for each (p, q, s, t) of ``norms``, with the same bits, and never the
-    whole table: its rows are built BLOCK_ROWS at a time, and every norm
-    reads each block once.
+    for each (p, q, s, t) of ``norms``, and never the whole table: its rows
+    are built BLOCK_ROWS at a time, and every norm reads each block once.
+
+    When the samples of f and of the window are both even about x = 0
+    (v[k] == v[n - k] for k >= 1) and the lattice has an even number of
+    rows, more than two, the rows x > 0 are not built: row -x has their
+    magnitudes but
+    for the two samples that have no mirror on the grid, and it is
+    weighted 2^{1/p} in their place (see :func:`_mirror_error`).  Such a
+    fold moves a norm at rounding level; it is taken only when the bound
+    on what those samples can move every norm is at most FOLD_TOL of it.
+    Any other pass has the bits of the whole table.
 
     One set of its :func:`_norm_pass_buffers` serves every block: the
     magnitudes go into the spent rows, and each norm's weighted copy and
@@ -698,27 +737,87 @@ def stft_magnitude_norms(
     return _stft_magnitude_norms(f, window, stride, norms, space, buffers)
 
 
+# Largest bound on the move of a norm by a row fold, relative to the norm,
+# at which stft_magnitude_norms takes the fold: one ulp, below what the
+# fold's other order of summation moves a norm by itself.
+FOLD_TOL = 2.0 ** -52
+
+
+def _even(v: np.ndarray) -> bool:
+    """v[k] == v[n - k] for k = 1 .. n - 1: samples even about x = 0 (the
+    sample at x = -L has no mirror on the grid)."""
+    return bool(np.array_equal(v[1:], v[:0:-1]))
+
+
+def _mirror_error(fr: np.ndarray, wr: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """For even samples fr and wr, a bound on ||V(x, xi)| - |V(-x, xi)||
+    over xi at each lattice point x = a h, 0 < a < n/2, of ``offsets``
+    (before the factor h (2 pi)^{-1/2}).
+
+    Row x of the table, reversed about y = 0 (which conjugates its
+    spectrum), is row -x with two terms changed: it lacks f(-L) w(x - L)
+    at y = -L, whose mirror y = L is off the grid, and it has
+    f(L - x) w(-L) at y = L - x, where row -x reads the window off the
+    grid.  Each term moves every bin of the spectrum by its modulus."""
+    n = fr.size
+    return abs(fr[0]) * np.abs(wr[offsets]) + np.abs(fr[n - offsets]) * abs(wr[0])
+
+
+def _fold_bound(error, x, xi, multiplicity, norm, cells) -> float:
+    """The norm (p, q, s, t) of the table that is ``error`` on the rows at
+    ``x`` and in every column, zero elsewhere: by the triangle inequality
+    it bounds how far replacing those rows by their mirrors moves the
+    norm.  The table is separable, so in either space its norm is the
+    product of a row norm and a column norm."""
+    p, q, s, t = norm
+    row = _axis_weight(x, t, None, p)
+    column = _axis_weight(xi, s, multiplicity, q)
+    rows = _axis_power_norm(error if row is None else error * row, p, cells[0], None)
+    columns = _axis_power_norm(np.ones_like(xi) if column is None else column, q, cells[1], None)
+    return float(rows * columns)
+
+
 def _stft_magnitude_norms(f, window, stride: int, norms, space: str, buffers) -> list[float]:
     """:func:`stft_magnitude_norms` in a set of its :func:`_norm_pass_buffers`."""
     fr, wr = _real_stft_inputs(f, window, stride)
-    n = f.grid.n
-    width = n // 2 + 1
-    rows_buffer, spectra_buffer = buffers
-    scale = f.grid.h * (TWO_PI ** -0.5)
+    norms = _norm_tuples(norms, space)
+    grid = f.grid
+    n = grid.n
+    rows_buffer, spectra_buffer, padded = buffers
+    scale = grid.h * (TWO_PI ** -0.5)
+    windows = _window_lattice(wr, stride, padded)
+    x = grid.axis()[::stride]
+    xi, multiplicity = _half_width_columns(grid)
 
-    def tables():
-        for rows in _row_blocks(n // stride):
-            count = rows.stop - rows.start
+    def tables(count: int, row_multiplicity: np.ndarray | None = None):
+        for rows in _row_blocks(count):
+            k = rows.stop - rows.start
             spectra = np.fft.rfft(
-                _window_rows(fr, wr, stride, rows, out=rows_buffer[:count]),
+                _window_rows(fr, windows, rows, out=rows_buffer[:k]),
                 axis=1,
-                out=spectra_buffer[:count],
+                out=spectra_buffer[:k],
             )
-            table = np.abs(spectra, out=_flat_rows(rows_buffer, count, width))
+            table = np.abs(spectra, out=_flat_rows(rows_buffer, k, n // 2 + 1))
             table *= scale
-            yield _half_width_table(f.grid, stride, rows, table)
+            folded = None if row_multiplicity is None else row_multiplicity[rows]
+            yield StftTable(grid, stride, x[rows], table, xi, multiplicity, folded)
 
-    return _table_norms(tables(), norms, space, spectra_buffer.view(np.float64))
+    scratch = spectra_buffer.view(np.float64)
+    half = x.size // 2
+    if x.size % 2 == 0 and x.size > 2 and _even(fr) and _even(wr):
+        # Rows x = -L .. 0; every row between stands for itself and -x.
+        row_multiplicity = np.full(half + 1, 2.0)
+        row_multiplicity[[0, half]] = 1.0
+        values = _table_norms(tables(half + 1, row_multiplicity), norms, space, scratch)
+        # Rows 1 .. half - 1 stand in for their mirrors x = a h > 0.
+        error = _mirror_error(fr, wr, n // 2 - stride * np.arange(1, half)) * scale
+        cells = (grid.h * stride, grid.dual_spacing)
+        if all(
+            _fold_bound(error, x[1:half], xi, multiplicity, norm, cells) <= FOLD_TOL * value
+            for value, norm in zip(values, norms)
+        ):
+            return values
+    return _table_norms(tables(x.size), norms, space, scratch)
 
 
 def modulation_norm(

@@ -202,23 +202,45 @@ def _tf_rows(f: SampledFunction, g: SampledFunction):
     lands on sample i - j + n/2 when that index exists and contributes zero
     otherwise.  Each row is summed on its own, so a block of rows has the
     bits of the same rows of a larger block.
+
+    When f and g are real and so is the block, the products F f g are
+    float64 and are widened into the complex product array with zero
+    imaginary parts: they are the real parts of the complex products, bit
+    for bit (every imaginary factor is zero), and the complex row sum adds
+    its real lane on its own, so the rows keep the complex path's bits.
+    The products are formed in the block itself when ``own`` (it is a copy
+    the caller may overwrite), else in the real lanes of the product array.
     """
     if f.grid != g.grid:
         raise ValueError("t_f: f and g on different grids")
     n = f.grid.n
     half = n // 2
+    real = not (np.any(f.values.imag) or np.any(g.values.imag))
+    fv = f.values.real if real else f.values
     # g reversed and zero-padded: window k of this buffer holds
     # g[2n - 1 - k - j] at column j (zero off the grid), so row i, which
     # needs g[i - j + n/2], reads window n + n/2 - 1 - i without a gather.
-    buf = np.zeros(3 * n, dtype=np.complex128)
-    buf[n : 2 * n] = g.values[::-1]
+    buf = np.zeros(3 * n, dtype=fv.dtype)
+    buf[n : 2 * n] = (g.values.real if real else g.values)[::-1]
     windows = sliding_window_view(buf, n)
-    fv = f.values
 
-    def rows_of(kblk: np.ndarray, rows: slice, product=None) -> np.ndarray:
+    def rows_of(kblk: np.ndarray, rows: slice, product=None, own: bool = False) -> np.ndarray:
         gblk = windows[n + half - 1 - rows.start : n + half - 1 - rows.stop : -1]
-        product = np.multiply(kblk, fv[None, :], out=product)
-        return np.multiply(product, gblk, out=product).sum(axis=1)
+        if not real or np.iscomplexobj(kblk):
+            product = np.multiply(kblk, fv[None, :], out=product)
+            return np.multiply(product, gblk, out=product).sum(axis=1)
+        if product is None:
+            product = np.empty(kblk.shape, dtype=np.complex128)
+        if own:
+            np.multiply(kblk, fv, out=kblk)
+            np.multiply(kblk, gblk, out=kblk)
+            np.copyto(product, kblk)
+        else:
+            lanes = product.view(np.float64).reshape(*kblk.shape, 2)
+            np.multiply(kblk, fv, out=lanes[..., 0])
+            np.multiply(lanes[..., 0], gblk, out=lanes[..., 0])
+            lanes[..., 1] = 0.0
+        return product.sum(axis=1)
 
     return rows_of
 
@@ -545,9 +567,10 @@ def _band(mask: np.ndarray) -> slice | None:
 class _GaussSum2d(_GaussSum1d):
     """The same sum in two variables: each term has centers (u, v)."""
 
-    def sample(self, x: np.ndarray, y: np.ndarray, out: np.ndarray, scratch: np.ndarray):
-        """The sum on the outer grid of the 1-d axes x and y, into ``out``;
-        each term is built in ``scratch``, a C-contiguous complex array as large.
+    def sampler(self, x: np.ndarray, y: np.ndarray):
+        """The sum on the outer grid of the 1-d axes x and y, as a function
+        of a slice of x, an output block of as many rows and a C-contiguous
+        complex scratch array as large, which fills the block and returns it.
 
         Each term is evaluated only on the band of rows and columns where
         a (x - u)^2 and a (y - v)^2 stay below _EXP_ZERO, and inside that
@@ -558,22 +581,46 @@ class _GaussSum2d(_GaussSum1d):
         2^54 times the sum of those bounds, and no entry by more than it.
         numpy's exp takes about 150 ns a point where its result is
         subnormal, against 1.2 ns where it is normal (x86-64, numpy 2.4).
+
+        The bands and the squared distances are 1-d and are computed here,
+        once for every block.  A block that skips no exponent takes exp and
+        the sum unmasked.  In any other block a skipped exponent is set to
+        -inf, whose exp is +0: the block starts at +0 and no sum of finite
+        terms turns an entry into -0, so adding amp * 0 changes no bit.
         """
-        out.fill(0.0)
+        terms = []
         for amp, a, u, v in self.terms:
-            rows = _band(a * (x - u) ** 2 < _EXP_ZERO)
-            cols = _band(a * (y - v) ** 2 < _EXP_ZERO)
-            if rows is None or cols is None:
-                continue
-            arg = _flat_rows(scratch.view(float), rows.stop - rows.start, cols.stop - cols.start)
-            np.add((x[rows, None] - u) ** 2, (y[None, cols] - v) ** 2, out=arg)
-            arg *= -a
-            keep = _flat_rows(scratch.view(bool), *arg.shape, arg.nbytes)
-            np.greater(arg, -_EXP_ZERO, out=keep)
-            np.exp(arg, out=arg, where=keep)
-            arg *= amp
-            np.add(out[rows, cols], arg, out=out[rows, cols], where=keep)
-        return out
+            dx, dy = (x - u) ** 2, (y - v) ** 2
+            rows, cols = _band(a * dx < _EXP_ZERO), _band(a * dy < _EXP_ZERO)
+            if rows is not None and cols is not None:
+                terms.append((amp, a, rows, cols, dx, dy[cols], float(np.max(dy[cols]))))
+
+        def sample(block: slice, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+            out.fill(0.0)
+            for amp, a, rows, cols, dx, dy, dy_top in terms:
+                start, stop = max(rows.start, block.start), min(rows.stop, block.stop)
+                if start >= stop:
+                    continue
+                arg = _flat_rows(scratch.view(float), stop - start, dy.size)
+                np.add(dx[start:stop, None], dy, out=arg)
+                arg *= -a
+                # The squares fall and then rise along each axis, so the
+                # block's smallest exponent is that of its largest squares.
+                if (max(dx[start], dx[stop - 1]) + dy_top) * -a <= -_EXP_ZERO:
+                    drop = _flat_rows(scratch.view(bool), *arg.shape, arg.nbytes)
+                    np.less_equal(arg, -_EXP_ZERO, out=drop)
+                    np.copyto(arg, -np.inf, where=drop)
+                np.exp(arg, out=arg)
+                arg *= amp
+                target = out[start - block.start : stop - block.start, cols]
+                np.add(target, arg, out=target)
+            return out
+
+        return sample
+
+    def sample(self, x: np.ndarray, y: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+        """The :meth:`sampler` block of every row of x, into ``out``."""
+        return self.sampler(x, y)(slice(0, x.size), out, scratch)
 
 
 @dataclass
@@ -605,10 +652,13 @@ def operator_peak_bytes(grid: Grid, trials: int, kernel: str) -> int:
     """The bytes an operator check of ``trials`` on ``grid`` holds at its
     peak: two points run at once, unless the check has only one."""
     # Beside its buffers a point holds 176 bytes a grid point: the two
-    # sampled inputs (complex, 32), and for each of at most two maps the
-    # reversed, zero-padded g of `_tf_rows` (48) and the image (16), and
-    # the kernel norm's running column sums and their next sum (16).
-    point = _charge(_operator_point_buffers(grid), 176 * grid.n, np.complex128)
+    # sampled inputs (complex, 32); for each of at most two maps the
+    # reversed, zero-padded g of `_tf_rows` (real, 24) and the image (16);
+    # the kernel norm's running column sums and their next sum (16); and
+    # the squared distances of the kernel sampler, along both axes for each
+    # of its three bumps (48).  Its products are real, so numpy buffers
+    # float64 operands.
+    point = _charge(_operator_point_buffers(grid), 176 * grid.n, np.float64)
     return min(2, trials * len(_KERNEL_SCALES[kernel])) * point
 
 
@@ -757,7 +807,7 @@ def verify_prop_tf_bounds(
         kernel_rows, product = held()
         fl = SampledFunction(grid, fsum.dilated(lam).sample(ax))
         gl = SampledFunction(grid, gsum.dilated(lam).sample(ax))
-        kl = None if ksum is None else ksum.dilated(lam)
+        sample = None if ksum is None else ksum.dilated(lam).sampler(ax, ax)
         # mixed_norm_2d and t_f of the kernel table, one block of its
         # rows at a time: every block serves the norm and each map.
         knorm = _MixedNorm(knorm_p, knorm_q, (grid.h, grid.h), p_inside=case != 1)
@@ -765,14 +815,15 @@ def verify_prop_tf_bounds(
         images = [np.empty(grid.n, dtype=np.complex128) for _ in maps]
         for rows in _row_blocks(grid.n):
             kblk = kernel_rows[: rows.stop - rows.start]
-            if kl is None:
+            if sample is None:
                 kblk.fill(1.0)
             else:
-                kl.sample(ax[rows], ax, kblk, product)
-            for rows_of, out in zip(maps, images):
-                out[rows] = rows_of(kblk, rows, product[: len(kblk)])
-            # The maps have read the block, so the norm may overwrite it.
-            knorm.add(np.abs(kblk, out=kblk), own=True)
+                sample(rows, kblk, product)
+            # The norm reads the block first, in the spent product array,
+            # and the last map may form its products in the block.
+            knorm.add(np.abs(kblk, out=_flat_rows(product.view(float), *kblk.shape)), own=True)
+            for i, (rows_of, out) in enumerate(zip(maps, images)):
+                out[rows] = rows_of(kblk, rows, product[: len(kblk)], own=i == len(maps) - 1)
         denom = (
             knorm.value()
             * weighted_lebesgue_norm(fl, exps[1], 0)

@@ -53,6 +53,7 @@ from .grids import (
     _stft_rows,
     _two_at_a_time,
     _weight_value,
+    _window_lattice,
     convolve,
     fourier_lebesgue_norm,
     gaussian_resolution_guard,
@@ -103,10 +104,16 @@ def peak_bytes(kind: str, flavor: str | None, grid: Grid, stride: int) -> int:
         return 2 * norm_pass
     if flavor == "modulation-multiplication":
         # The identity, which holds more than a pass, beside one pass.  It
-        # holds 136 bytes a grid point beside its buffers: the function,
-        # f1 f2, the two windows and their conjugates (complex, 16 each), a
-        # block's zero-padded window (32) and the grid positions (8).
-        return _charge(_identity_buffers(grid, stride), 136 * grid.n, np.complex128) + norm_pass
+        # holds 88 bytes a grid point beside its buffers: the function,
+        # f1 f2, the two windows and, while a padded window is filled, its
+        # conjugate (complex, 16 each), and the grid positions (8).  Its
+        # Python objects take 128 bytes a block (the list of block slices)
+        # and at most 8 KiB besides (array views, the lattices' strided
+        # views, scalars).
+        rows = grid.n // stride
+        blocks = -(-rows // max(1, _block_rows(rows, 2)))  # not listed: n may be 2**40
+        identity = _charge(_identity_buffers(grid, stride), 88 * grid.n, np.complex128)
+        return identity + 128 * blocks + 8192 + norm_pass
     # The other probes hold no blocks.  `convolve` holds two n-point and
     # several 2n-point complex arrays at once: 128 bytes a point.  The
     # norm-slope calibration convolves nothing: a few n-point arrays, 64.
@@ -545,9 +552,15 @@ def _xi_convolve_rows(
 
 
 def _identity_buffers(grid: Grid, stride: int) -> list:
-    """The identity holds one block's 2n-wide padded spectrum and factor table."""
+    """The identity holds one block's 2n-wide padded spectrum and factor
+    table, and its two zero-padded windows."""
     rows = _block_rows(grid.n // max(stride, 1), 2)
-    return [((rows, 2 * grid.n), np.complex128), ((rows, grid.n), np.complex128)]
+    return [
+        ((rows, 2 * grid.n), np.complex128),
+        ((rows, grid.n), np.complex128),
+        ((2 * grid.n,), np.complex128),
+        ((2 * grid.n,), np.complex128),
+    ]
 
 
 def _stft_product_identity_error(
@@ -574,8 +587,9 @@ def _stft_product_identity_error(
     for f in (f1, f2):
         _check_stft_inputs(f, phi_half, stride)
     product = SampledFunction(grid, f1.values * f2.values)
-    conj_phi, conj_half = np.conj(phi.values), np.conj(phi_half.values)
-    spec, table = _allocate(_identity_buffers(grid, stride))
+    spec, table, phi_padded, half_padded = _allocate(_identity_buffers(grid, stride))
+    phi_rows = _window_lattice(np.conj(phi.values), stride, phi_padded)
+    half_rows = _window_lattice(np.conj(phi_half.values), stride, half_padded)
     # np.maximum, unlike max(), keeps a NaN.
     lhs_sup = err_sup = rhs_sup = np.float64(0.0)
     for rows in _row_blocks(n // stride, 2):
@@ -587,14 +601,14 @@ def _stft_product_identity_error(
         # second half, and the magnitudes into its spent first quarter.
         work = _flat_rows(padded, count, n)
         out = _flat_rows(padded.view(np.float64), count, n)
-        v1 = _stft_rows(f1, conj_half, stride, rows, work, table[:count])
-        v2 = v1 if f2 is f1 else _stft_rows(f2, conj_half, stride, rows)
+        v1 = _stft_rows(f1, half_rows, rows, work, table[:count])
+        v2 = v1 if f2 is f1 else _stft_rows(f2, half_rows, rows)
         rhs = _xi_convolve_rows(v1, v2, grid.dual_spacing, padded, out=v1)
         del v2
         rhs *= TWO_PI ** -0.5
         rhs_sup = np.maximum(rhs_sup, np.max(np.abs(rhs, out=out)))
         lhs = _stft_rows(
-            product, conj_phi, stride, rows, work, _flat_rows(padded, count, n, count * n)
+            product, phi_rows, rows, work, _flat_rows(padded, count, n, count * n)
         )
         lhs_sup = np.maximum(lhs_sup, np.max(np.abs(lhs, out=out)))
         err_sup = np.maximum(err_sup, np.max(np.abs(np.subtract(lhs, rhs, out=rhs), out=out)))

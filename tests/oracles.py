@@ -173,6 +173,77 @@ def whole_table_identity_error(f1vals, f2vals, h, extent, stride):
     return float(np.max(np.abs(lhs - rhs))) / scale
 
 
+# ---------------------------------------------------------------------------
+# Closed forms of the Gaussian short-time norms
+# ---------------------------------------------------------------------------
+
+# Relative floor of the comparison with the grid: rounding, and the
+# rectangle rule's own error on lattices of step at most 0.1875, where the
+# branch points of <x>^{tr} at +-i put it near e^{-2 pi / 0.1875} = 3e-15.
+GAUSSIAN_STFT_FLOOR = 1e-12
+
+
+def _bracket_gaussian_integral(a, r, w, lo=0.0):
+    """The integral of (e^{-a x^2} <x>^w)^r over |x| >= lo, by a dense
+    trapezoid after the substitution u = x sqrt(r a), with step
+    min(0.002, sqrt(r a) / 20) out to |u| = 10 (where e^{-u^2} is 4e-44).
+    Not Gauss-Hermite: <x>^{wr} has branch points at x = +-i, which come
+    close to the real u axis as r a shrinks."""
+    scale = math.sqrt(r * a)
+    start = lo * scale
+    if start >= 10.0:
+        return 0.0
+    step = min(0.002, scale / 20.0)
+    u = np.linspace(start, 10.0, int(math.ceil((10.0 - start) / step)) + 1)
+    vals = np.exp(-u * u) * (1.0 + (u / scale) ** 2) ** (r * w / 2.0)
+    return 2.0 * float(np.trapezoid(vals, u)) / scale
+
+
+def _lattice_norm(points, cell, r, weight):
+    """(sum of <x>^{weight r} cell)^{1/r} over ``points``; max at r = inf."""
+    vals = (1.0 + points * points) ** (weight / 2.0)
+    if math.isinf(r):
+        return float(np.max(vals))
+    return float(np.sum(vals ** r) * cell) ** (1.0 / r)
+
+
+def gaussian_stft_norm(c, b, p, q, s, t, n, extent, stride):
+    """The weighted modulation norm of f = c e^{-b x^2} against the window
+    e^{-x^2/2}, and the tolerance within which the grid of n points on
+    [-extent, extent), at lattice stride ``stride``, must reproduce it.
+
+    |V f|(x, xi) = c (2b+1)^{-1/2} e^{-B x^2} e^{-C xi^2}, B = b/(2b+1),
+    C = 1/(2(2b+1)).  It is separable, so the M and W norms agree:
+    c (2b+1)^{-1/2} X Y, with X = ||e^{-B x^2} <x>^t||_{L^p} and
+    Y = ||e^{-C xi^2} <xi>^s||_{L^q}.  A sup (p or q infinite) is taken
+    over the lattice the grid samples.
+
+    The tolerance is derived from the box.  The grid's x and xi integrals
+    stop at the box edges, which takes the tail fractions of X^p and Y^q
+    off; and the box truncates f and the window, which moves every entry
+    of the grid's table by at most c (e^{-b L^2} + e^{-L^2/2} / sqrt(2b)),
+    hence the norm by at most that times the lattice norms of <x>^t and
+    <xi>^s.  Twice their sum, plus GAUSSIAN_STFT_FLOOR of the value, is the
+    tolerance.
+    """
+    h = 2.0 * extent / n
+    x = (np.arange(0, n, stride) - n // 2) * h
+    xi = (np.arange(n) - n // 2) * (math.pi / extent)
+    big_b, big_c = b / (2.0 * b + 1.0), 1.0 / (2.0 * (2.0 * b + 1.0))
+    factors, tails = [], 0.0
+    for a, r, w, points, edge in ((big_b, p, t, x, extent), (big_c, q, s, xi, -xi[0])):
+        if math.isinf(r):
+            factors.append(float(np.max(np.exp(-a * points ** 2) * (1.0 + points ** 2) ** (w / 2.0))))
+            continue
+        whole = _bracket_gaussian_integral(a, r, w)
+        factors.append(whole ** (1.0 / r))
+        tails += _bracket_gaussian_integral(a, r, w, lo=edge) / (r * whole)
+    value = c / math.sqrt(2.0 * b + 1.0) * factors[0] * factors[1]
+    entry = c * (math.exp(-b * extent ** 2) + math.exp(-extent ** 2 / 2.0) / math.sqrt(2.0 * b))
+    spill = entry * _lattice_norm(x, stride * h, p, t) * _lattice_norm(xi, math.pi / extent, q, s)
+    return value, 2.0 * (tails * value + spill) + GAUSSIAN_STFT_FLOOR * value
+
+
 def weighted_table_norm(values, x_positions, xi_axis, x_cell, xi_cell, p, q, s, t, space):
     """Modulation-type norm of a short-time table with both weights always
     applied: A = |V| <x>^t <xi>^s, then inner and outer power sums (inner

@@ -41,6 +41,7 @@ from oracles import (
     direct_dft_centered,
     direct_stft_point,
     gaussian_lp_norm,
+    gaussian_stft_norm,
     loop_mixed_norm,
     loop_stft_table,
     loop_weighted_norm,
@@ -468,6 +469,109 @@ def test_prop_streamed_norms_equal_whole_table_norms(inputs, block, norms, space
     part = stft_magnitudes(f, w, stride, rows)
     assert np.array_equal(part.values, whole.values[rows])
     assert np.array_equal(part.x_positions, whole.x_positions[rows])
+
+
+# The modulation ladders' grid: n = 2048 on [-24, 24).
+LADDER_GRID = Grid(1, 24.0, 2048)
+
+
+def _counting_rows():
+    """A stand-in for grids._window_rows that records, in the list it
+    returns beside it, how many lattice rows each call builds."""
+    built = []
+    window_rows = grids._window_rows
+
+    def counting(fv, windows, rows=slice(None), out=None):
+        out = window_rows(fv, windows, rows, out)
+        built.append(out.shape[0])
+        return out
+
+    return counting, built
+
+
+_ORACLE_EXPONENTS = st.sampled_from([1.0, 2.0, 4.0, math.inf])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(0.5, 2.0),
+    st.floats(2.0 ** -4, 2.0),
+    _ORACLE_EXPONENTS,
+    _ORACLE_EXPONENTS,
+    st.floats(-1.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.sampled_from([1, 2, 8]),
+    st.sampled_from(["M", "W"]),
+)
+def test_prop_folded_gaussian_norms_match_the_closed_form(c, b, p, q, s, t, stride, space):
+    """On the ladders' grid, the short-time norms of an even Gaussian
+    c e^{-b x^2} against e^{-x^2/2}, built from the rows x <= 0 only, agree
+    with the closed form within the tolerance the oracle derives from the
+    box truncation (the oracle imports nothing from the package).  From
+    b = 1/8 on, the samples without a mirror are below 1e-31, and the pass
+    always folds."""
+    x = LADDER_GRID.axis()
+    f = SampledFunction(LADDER_GRID, c * np.exp(-b * x * x))
+    w = SampledFunction(LADDER_GRID, np.exp(-x * x / 2.0))
+    counting, built = _counting_rows()
+    with mock.patch.object(grids, "_window_rows", counting):
+        got = stft_magnitude_norms(f, w, stride, [(p, q, s, t)], space=space)[0]
+    value, tol = gaussian_stft_norm(c, b, p, q, s, t, LADDER_GRID.n, LADDER_GRID.extent, stride)
+    assert abs(got - value) <= tol, (got, value, tol)
+    if b >= 0.125:
+        assert sum(built) == LADDER_GRID.n // stride // 2 + 1
+
+
+def test_a_non_even_input_keeps_the_whole_table_bits(monkeypatch):
+    """One sample off its mirror, by one part in 10^7, and the pass builds
+    every row and gives the bits of stft_table_norm on the whole table."""
+    x = LADDER_GRID.axis()
+    values = np.exp(-0.3 * x * x)
+    values[700] *= 1.0 + 1e-7
+    f = SampledFunction(LADDER_GRID, values)
+    w = SampledFunction(LADDER_GRID, np.exp(-x * x / 2.0))
+    norms = [(2.0, 1.0, 0.0, 0.25), (1.0, math.inf, -0.5, 1.0)]
+    whole = stft_magnitudes(f, w, 8)
+    for space in ("M", "W"):
+        counting, built = _counting_rows()
+        monkeypatch.setattr(grids, "_window_rows", counting)
+        got = stft_magnitude_norms(f, w, 8, norms, space=space)
+        assert got == [stft_table_norm(whole, *norm, space=space) for norm in norms]
+        assert sum(built) == LADDER_GRID.n // 8
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("stride", [8, 16])
+def test_an_even_input_on_two_lattice_rows_keeps_the_whole_table_bits(stride, monkeypatch):
+    """With two lattice rows (x = -L and x = 0) no row has a mirror to fold
+    into: the pass builds both and gives the bits of the whole table, sup
+    norms included.  On one row it builds that row."""
+    g = Grid(1, 8.0, 16)
+    x = g.axis()
+    f = SampledFunction(g, np.exp(-x * x))
+    w = SampledFunction(g, np.exp(-x * x / 2.0))
+    norms = [(math.inf, 2.0, 0.0, 0.0), (1.0, math.inf, 1.0, -1.0)]
+    counting, built = _counting_rows()
+    monkeypatch.setattr(grids, "_window_rows", counting)
+    got = stft_magnitude_norms(f, w, stride, norms)
+    assert sum(built) == 16 // stride
+    whole = stft_magnitudes(f, w, stride)
+    assert got == [stft_table_norm(whole, *norm) for norm in norms]
+
+
+def test_a_fold_the_mirror_bound_refuses_keeps_the_whole_table_bits(monkeypatch):
+    """At b = 1/16 the sample at x = -L (e^{-36}) can move the L^1 norms
+    weighted <x> <xi> of the folded rows by more than FOLD_TOL of them:
+    the pass builds the folded rows, then every row, and gives the bits of
+    the whole table."""
+    x = LADDER_GRID.axis()
+    f = SampledFunction(LADDER_GRID, np.exp(-x * x / 16.0))
+    w = SampledFunction(LADDER_GRID, np.exp(-x * x / 2.0))
+    counting, built = _counting_rows()
+    monkeypatch.setattr(grids, "_window_rows", counting)
+    got = stft_magnitude_norms(f, w, 8, [(1.0, 1.0, 1.0, 1.0)])
+    assert sum(built) == 129 + 256
+    assert got == [stft_table_norm(stft_magnitudes(f, w, 8), 1.0, 1.0, 1.0, 1.0)]
 
 
 def test_stft_validates_inputs():

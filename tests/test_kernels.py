@@ -292,11 +292,14 @@ def test_operator_check_has_the_bits_of_the_naive_sampler(case, monkeypatch):
     grid = Grid(1, 16.0, 512)
     fast = verify_prop_tf_bounds(case, (2, 2, 2), trials=1, grid=grid)
 
-    def naive_sample(self, x, y, out, scratch):
-        out[...] = naive_gauss_sum_2d(self.terms, x, y)
-        return out
+    def naive_sampler(self, x, y):
+        def sample(block, out, scratch):
+            out[...] = naive_gauss_sum_2d(self.terms, x[block], y)
+            return out
 
-    monkeypatch.setattr(_GaussSum2d, "sample", naive_sample)
+        return sample
+
+    monkeypatch.setattr(_GaussSum2d, "sampler", naive_sampler)
     naive = verify_prop_tf_bounds(case, (2, 2, 2), trials=1, grid=grid)
     assert repr((fast.ratios, fast.slopes)) == repr((naive.ratios, naive.slopes))
 
@@ -458,6 +461,31 @@ def test_prop_tf_bounds_flat_kernel_mode():
     assert report.kernel == "ones"
     assert report.scales == [1.0]
     assert report.passed
+
+
+# repr((ratios, slopes)) of two-trial operator checks at seed 0 on a
+# 256-point grid of half-width 16, as the block code before its real-product
+# path and per-point term bands computed them.
+_PINNED_OPERATOR_REPORTS = {
+    (1, (2, 2, 2), "bumps"): "([[0.3935362540893277, 0.3935687635101121, 0.3935362540893278, 0.3935687635101121, 0.39605391190900985], [0.51103295445166, 0.5110549581065575, 0.5123697957638346, 0.5135164238957435, 0.5128371345323404]], [0.0036801114472641613, 0.0034201563028763166])",
+    (2, (2, 2, 2), "bumps"): "([[0.2589662847628988, 0.2589702228654791, 0.25896628476289874, 0.26028782867983064, 0.258966284762883], [0.6802829677006798, 0.6803107172640106, 0.6802829677006798, 0.6803107172640105, 0.6802829677006798]], [0.0014643258382731994, -1.013012406900521e-16])",
+    (3, (2, 2, 2), "bumps"): "([[0.433045343519049, 0.433051928843414, 0.433045343519049, 0.4352552390659047, 0.43304534351904883], [0.4939766265533583, 0.4939967764561682, 0.49397662655335817, 0.4939967764561682, 0.4939766265533584]], [0.0014643258383081484, -1.013012406900521e-16])",
+    (1, (1, 2, 2), "bumps"): "([[0.48141898138080746, 0.48072353199252055, 0.4819889177885283, 0.4856950858649531, 0.4783748795257095], [0.7505696849750025, 0.7514311519046318, 0.7528283749589357, 0.7540764061685127, 0.7556849081969249]], [-0.0006918646171297506, 0.004933472458913654])",
+    (2, (2, 2, 2), "ones"): "([[0.24643333640775908], [0.2592584619926946]], [])",
+}
+
+
+@pytest.mark.parametrize("setting", list(_PINNED_OPERATOR_REPORTS))
+def test_operator_check_keeps_its_pinned_bits(setting):
+    """The operator check's ratios and slopes keep the bits that the
+    complex-product block code gave, for cases 1 to 3, the R(p) = 0 case
+    and the flat kernel: the other bitwise tests compare two paths that
+    share the sampler and the row sums, so only literals pin those."""
+    case, p, kernel = setting
+    report = verify_prop_tf_bounds(
+        case, p, trials=2, seed=0, grid=Grid(1, 16.0, 256), kernel=kernel
+    )
+    assert repr((report.ratios, report.slopes)) == _PINNED_OPERATOR_REPORTS[setting]
 
 
 def _whole_table_prop_ratios(case, p, trials, seed, grid, kernel):

@@ -293,14 +293,18 @@ _MODULATION_TUPLE = ParamTuple(
 def test_modulation_ladder_builds_each_table_once(monkeypatch, flavor, complex_tables):
     """Nine scales: one numerator and one shared denominator pass over the
     real rows each (f1 = f2), and no block of rows is transformed twice.
-    Only the product identity transforms complex rows, two blocks per block
-    of lattice rows: its left side and its half-window rows."""
+    The even inputs (every denominator, and the multiplication flavor's
+    numerator f f) build only the rows x <= 0; the convolution numerator
+    f * f is not bitwise even and builds every row.  Only the product
+    identity transforms complex rows, two blocks per block of lattice
+    rows: its left side and its half-window rows."""
     window_rows = grids._window_rows
     blocks = []
 
-    def counting(fv, wv, stride, rows=slice(None), out=None):
-        blocks.append((fv.dtype.str, fv.tobytes(), wv.tobytes(), stride, rows.start))
-        return window_rows(fv, wv, stride, rows, out)
+    def counting(fv, windows, rows=slice(None), out=None):
+        key = np.ascontiguousarray(windows).tobytes()
+        blocks.append((fv.dtype.str, fv.tobytes(), key, rows.start))
+        return window_rows(fv, windows, rows, out)
 
     monkeypatch.setattr(grids, "_window_rows", counting)
     monkeypatch.setattr(grids, "BLOCK_ROWS", 5)
@@ -309,10 +313,12 @@ def test_modulation_ladder_builds_each_table_once(monkeypatch, flavor, complex_t
     )
     assert len(report.scales) == 9
     assert len(set(blocks)) == len(blocks)
-    # 256 / stride 8 = 32 lattice rows in blocks of 5: 7 blocks a norm
-    # pass; the identity's blocks of max(1, 5 // 2) = 2 rows: 16 a table.
+    # 256 / stride 8 = 32 lattice rows in blocks of 5: 7 blocks for a whole
+    # pass, 4 for the 17 rows x <= 0 of a folded one; the identity's blocks
+    # of max(1, 5 // 2) = 2 rows: 16 a table.
+    folded = 18 if flavor == "modulation-multiplication" else 9
     real = sum(dtype == np.dtype(float).str for dtype, *_ in blocks)
-    assert (real, len(blocks) - real) == (18 * 7, complex_tables * 16)
+    assert (real, len(blocks) - real) == (4 * folded + 7 * (18 - folded), complex_tables * 16)
 
 
 @pytest.mark.parametrize("flavor", ["modulation-convolution", "modulation-multiplication"])

@@ -1058,7 +1058,7 @@ def test_oversized_tables_are_refused_before_allocation(
 
     monkeypatch.setattr("youngbound.probes._stft_rows", allocates)
     monkeypatch.setattr("youngbound.probes._stft_magnitude_norms", allocates)
-    monkeypatch.setattr("youngbound.kernels._GaussSum2d.sample", allocates)
+    monkeypatch.setattr("youngbound.kernels._GaussSum2d.sampler", allocates)
     code = main([command, "--scenario", write(tmp_path, text)])
     assert code == EXIT_MALFORMED
     assert "above the cap" in capsys.readouterr().err
@@ -1068,12 +1068,13 @@ def test_operator_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
     """At grid_n = 2**19 an operator check holds no kernel table, but each
     of the two points in flight is charged its declared blocks of 64 kernel
     rows (8 bytes a point) and products (16), 176 bytes a grid point and
-    its ufunc buffers (1.67 GiB in all), so it exits 2 before sampling."""
+    its float64 ufunc buffers (1.67 GiB in all), so it exits 2 before
+    sampling."""
 
     def allocates(*args, **kwargs):
         raise AssertionError("a table was allocated before the budget check")
 
-    monkeypatch.setattr("youngbound.kernels._GaussSum2d.sample", allocates)
+    monkeypatch.setattr("youngbound.kernels._GaussSum2d.sampler", allocates)
     path = write(
         tmp_path,
         "which = operator\ncase = 1\np = 2, 2, 2\nkernel = bumps\n"
@@ -1083,12 +1084,12 @@ def test_operator_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "above the cap" in err
     n = 2 ** 19
-    assert str(2 * (24 * 64 * n + 176 * n + 3 * numpy.getbufsize() * 16)) in err
+    assert str(2 * (24 * 64 * n + 176 * n + 3 * numpy.getbufsize() * 8)) in err
 
 
 def test_operator_check_at_8192_is_admitted(tmp_path, capsys, monkeypatch):
     """At grid_n = 8192 one kernel table would take 512 MiB, but the check
-    samples 64 rows at a time, two points at once, and is charged 27.5 MiB,
+    samples 64 rows at a time, two points at once, and is charged 27.1 MiB,
     so it passes the budget check and reaches the verifier."""
 
     class Admitted(Exception):
@@ -1116,10 +1117,12 @@ _IDENTITY_LADDER = (
 def test_product_identity_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
     """At grid_n = 2**19, stride 1, the product identity is charged its
     declared 32-row blocks (a 2n-wide padded spectrum and a factor table,
-    complex), 136 bytes a grid point and its ufunc buffers, and the norm
+    complex) and two padded windows, 88 bytes a grid point, 128 bytes a
+    block and 8 KiB of Python objects and its ufunc buffers, and the norm
     pass beside it its 64-row blocks (float64 rows, half-width complex
-    spectra), 112 bytes a grid point and its ufunc buffers (1.37 GiB in
-    all), so the ladder exits 2 before any block is built."""
+    spectra) and its padded window, 112 bytes a grid point and its ufunc
+    buffers (1.39 GiB in all), so the ladder exits 2 before any block is
+    built."""
 
     def allocates(*args, **kwargs):
         raise AssertionError("a table was allocated before the budget check")
@@ -1131,8 +1134,8 @@ def test_product_identity_tables_count_against_the_cap(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert "above the cap" in err
     n = 2 ** 19
-    identity = 48 * 32 * n + 136 * n
-    norm_pass = 8 * 64 * n + 16 * 64 * (n // 2 + 1) + 112 * n
+    identity = 48 * 32 * n + 2 * 32 * n + 88 * n + 128 * (n // 32) + 8192
+    norm_pass = 8 * 64 * n + 16 * 64 * (n // 2 + 1) + 16 * n + 112 * n
     assert str(identity + norm_pass + 3 * numpy.getbufsize() * (16 + 8)) in err
 
 
