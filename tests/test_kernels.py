@@ -464,8 +464,8 @@ def test_prop_tf_bounds_flat_kernel_mode():
 
 
 # repr((ratios, slopes)) of two-trial operator checks at seed 0 on a
-# 256-point grid of half-width 16, as the block code before its real-product
-# path and per-point term bands computed them.
+# 256-point grid of half-width 16, recorded from the complex-product block
+# code; any faster path must reproduce them bit for bit.
 _PINNED_OPERATOR_REPORTS = {
     (1, (2, 2, 2), "bumps"): "([[0.3935362540893277, 0.3935687635101121, 0.3935362540893278, 0.3935687635101121, 0.39605391190900985], [0.51103295445166, 0.5110549581065575, 0.5123697957638346, 0.5135164238957435, 0.5128371345323404]], [0.0036801114472641613, 0.0034201563028763166])",
     (2, (2, 2, 2), "bumps"): "([[0.2589662847628988, 0.2589702228654791, 0.25896628476289874, 0.26028782867983064, 0.258966284762883], [0.6802829677006798, 0.6803107172640106, 0.6802829677006798, 0.6803107172640105, 0.6802829677006798]], [0.0014643258382731994, -1.013012406900521e-16])",
