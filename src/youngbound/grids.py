@@ -227,27 +227,15 @@ def _weight_value(t) -> float:
         raise ValueError(f"the weight {t} is beyond binary64") from None
 
 
-def _axis_power(mag: np.ndarray, p: float, own: bool) -> np.ndarray:
-    """mag ** p; in place when ``own``, that is when ``mag`` is a copy the
-    caller may overwrite (``**=`` runs the same numpy routine as ``**``,
-    so the bits agree)."""
-    if own:
-        mag **= p
-        return mag
-    return mag ** p
-
-
-def _axis_power_norm(
-    mag: np.ndarray, p: float, cell: float, axis, own: bool = False
-) -> np.ndarray:
+def _axis_power_norm(mag: np.ndarray, p: float, cell: float, axis) -> np.ndarray:
     """(sum mag^p cell)^{1/p} along the given axes, sup when p = inf.
 
-    ``mag`` holds magnitudes: real and nonnegative; see :func:`_axis_power`
-    for ``own``.
-    """
+    ``mag`` holds magnitudes, real and nonnegative, and is consumed: its
+    powers are taken in place (``**=`` runs the same routine as ``**``)."""
     if math.isinf(p):
         return np.max(mag, axis=axis)
-    return (np.sum(_axis_power(mag, p, own), axis=axis) * cell) ** (1.0 / p)
+    mag **= p
+    return (np.sum(mag, axis=axis) * cell) ** (1.0 / p)
 
 
 def _block_rows(count: int, divisor: int = 1) -> int:
@@ -255,13 +243,12 @@ def _block_rows(count: int, divisor: int = 1) -> int:
     return min(count, max(1, BLOCK_ROWS // divisor))
 
 
-def _row_blocks(count: int, divisor: int = 1) -> list[slice]:
+def _row_blocks(count: int, divisor: int = 1):
     """Consecutive slices of max(1, BLOCK_ROWS // divisor) rows (the last
-    may be shorter) that cover rows 0 .. count - 1."""
+    may be shorter) that cover rows 0 .. count - 1, made one at a time."""
     size = max(1, BLOCK_ROWS // divisor)
-    return [
-        slice(start, min(start + size, count)) for start in range(0, count, size)
-    ]
+    for start in range(0, count, size):
+        yield slice(start, min(start + size, count))
 
 
 # A block routine declares the buffers it holds across its blocks as a
@@ -336,21 +323,22 @@ class _MixedNorm:
         self.columns = None  # running column sums of mag^p, or maxima
         self.rows: list[np.ndarray] = []  # L^q norm of each row
 
-    def add(self, mag: np.ndarray, own: bool = False) -> None:
-        """Take in the next block; when ``own``, ``mag`` is a copy that the
-        norm may overwrite, else it is left as it was."""
+    def add(self, mag: np.ndarray) -> None:
+        """Take in the next block, consuming ``mag``."""
         if not self.p_inside:
-            self.rows.append(_axis_power_norm(mag, self.q, self.cells[1], axis=1, own=own))
+            self.rows.append(_axis_power_norm(mag, self.q, self.cells[1], axis=1))
         elif math.isinf(self.p):
             top = np.max(mag, axis=0)
             self.columns = top if self.columns is None else np.maximum(self.columns, top)
         else:
-            power = _axis_power(mag, self.p, own)
+            mag **= self.p
             if self.columns is not None:
-                power[0] += self.columns
-            self.columns = np.sum(power, axis=0)
+                mag[0] += self.columns
+            self.columns = np.sum(mag, axis=0)
 
     def value(self) -> float:
+        """The norm of the blocks taken in; it may consume the running sums,
+        so it is read once."""
         if not self.p_inside:
             inner = np.concatenate(self.rows)
             return float(_axis_power_norm(inner, self.p, self.cells[0], axis=None))
@@ -544,18 +532,13 @@ def _flat_rows(buffer: np.ndarray, count: int, width: int, offset: int = 0) -> n
     return buffer.reshape(-1)[offset : offset + count * width].reshape(count, width)
 
 
-def stft(
-    f: SampledFunction,
-    window: SampledFunction,
-    stride: int = 1,
-    rows: slice = slice(None),
-) -> StftTable:
+def stft(f: SampledFunction, window: SampledFunction, stride: int = 1) -> StftTable:
     """V(x, xi) = transform of y -> f(y) conj(window(y - x)) at lattice x.
 
     The window is shifted by whole samples (x runs over every stride-th grid
-    point), so no interpolation enters.  ``rows`` picks lattice rows of the
-    table; each row is transformed on its own, so a block of rows has the
-    bits of the same rows of the whole table.
+    point), so no interpolation enters.  Each row is transformed on its
+    own, so a block of rows from :func:`_stft_rows` has the bits of the same
+    rows of the whole table.
 
     The rows are multiplied straight into the FFT input order and the
     output centering shift is two half-slice copies.  ``tests/oracles.py``
@@ -566,34 +549,26 @@ def stft(
     return StftTable(
         grid=f.grid,
         stride=stride,
-        x_positions=f.grid.axis()[::stride][rows],
-        values=_stft_rows(f, _window_lattice(np.conj(window.values), stride), rows),
+        x_positions=f.grid.axis()[::stride],
+        values=_stft_rows(f, _window_lattice(np.conj(window.values), stride)),
         xi=f.grid.dual_axis(),
     )
 
 
-def stft_magnitudes(
-    f: SampledFunction,
-    window: SampledFunction,
-    stride: int = 1,
-    rows: slice = slice(None),
-) -> StftTable:
+def stft_magnitudes(f: SampledFunction, window: SampledFunction, stride: int = 1) -> StftTable:
     """|V(x, xi)| of a real function against a real window, at xi >= 0.
 
     For real f and window V(x, -xi) is the conjugate of V(x, xi), so the
     columns xi = k pi / L, k = 0 .. n/2, carry every magnitude of the
     :func:`stft` table: column k counts twice for 0 < k < n/2, and once at
     k = 0 and at k = n/2 (the full table's column -n/2).  The rows are
-    float64, one real FFT each, and magnitudes are taken once.  ``rows``
-    picks lattice rows, as in :func:`stft`, with the same bits.
+    float64, one real FFT each, and magnitudes are taken once.
     """
     fr, wr = _real_stft_inputs(f, window, stride)
-    spectra = np.fft.rfft(_window_rows(fr, _window_lattice(wr, stride), rows), axis=1)
-    table = np.abs(spectra)
-    del spectra
+    table = np.abs(np.fft.rfft(_window_rows(fr, _window_lattice(wr, stride)), axis=1))
     table *= f.grid.h * (TWO_PI ** -0.5)
     xi, multiplicity = _half_width_columns(f.grid)
-    return StftTable(f.grid, stride, f.grid.axis()[::stride][rows], table, xi, multiplicity)
+    return StftTable(f.grid, stride, f.grid.axis()[::stride], table, xi, multiplicity)
 
 
 def _real_stft_inputs(
@@ -674,7 +649,7 @@ def _table_norms(blocks, norms, space: str, scratch: np.ndarray | None = None) -
             row = _axis_weight(table.x_positions, t, table.row_multiplicity, p)
             # A fresh weighted copy is freed when add returns, and the
             # block before the next one is built.
-            norm.add(_weighted_magnitudes(table, row, column, out), own=True)
+            norm.add(_weighted_magnitudes(table, row, column, out))
         del table
     return [norm.value() for norm, *_ in parts]
 
@@ -772,7 +747,8 @@ def _fold_bound(error, x, xi, multiplicity, norm, cells) -> float:
     p, q, s, t = norm
     row = _axis_weight(x, t, None, p)
     column = _axis_weight(xi, s, multiplicity, q)
-    rows = _axis_power_norm(error if row is None else error * row, p, cells[0], None)
+    # The norm consumes a fresh product: ``error`` serves every norm.
+    rows = _axis_power_norm(error * (1.0 if row is None else row), p, cells[0], None)
     columns = _axis_power_norm(np.ones_like(xi) if column is None else column, q, cells[1], None)
     return float(rows * columns)
 

@@ -107,13 +107,10 @@ def peak_bytes(kind: str, flavor: str | None, grid: Grid, stride: int) -> int:
         # holds 88 bytes a grid point beside its buffers: the function,
         # f1 f2, the two windows and, while a padded window is filled, its
         # conjugate (complex, 16 each), and the grid positions (8).  Its
-        # Python objects take 128 bytes a block (the list of block slices)
-        # and at most 8 KiB besides (array views, the lattices' strided
-        # views, scalars).
-        rows = grid.n // stride
-        blocks = -(-rows // max(1, _block_rows(rows, 2)))  # not listed: n may be 2**40
+        # Python objects take at most 8 KiB (one block's slice and array
+        # views, the lattices' strided views, scalars).
         identity = _charge(_identity_buffers(grid, stride), 88 * grid.n, np.complex128)
-        return identity + 128 * blocks + 8192 + norm_pass
+        return identity + 8192 + norm_pass
     # The other probes hold no blocks.  `convolve` holds two n-point and
     # several 2n-point complex arrays at once: 128 bytes a point.  The
     # norm-slope calibration convolves nothing: a few n-point arrays, 64.

@@ -342,6 +342,64 @@ def naive_gauss_sum_2d(terms, x, y):
     return out
 
 
+# Relative floor of the comparison of a grid T_F with the closed form:
+# rounding only, since the rectangle rule's aliasing error on the operator
+# check's lattices (h = 1/16, Gaussian widths up to 24) is near e^{-100}.
+GAUSSIAN_TF_FLOOR = 1e-12
+
+
+def _gauss_tail(terms, extent, h):
+    """A bound on h times the sum of |sum amp e^{-c (y - p)^2}| over the
+    lattice points y of step h outside [-extent, extent), for centers
+    inside the box: per term, its mass outside the box plus h times its
+    two edge values (a decreasing tail's lattice sum exceeds its integral
+    by at most the first sample)."""
+    out = 0.0
+    for amp, c, p in terms:
+        root = math.sqrt(c)
+        mass = math.sqrt(math.pi / c) / 2.0 * (
+            math.erfc(root * (extent - p)) + math.erfc(root * (extent + p))
+        )
+        edges = math.exp(-c * (extent - p) ** 2) + math.exp(-c * (extent + p) ** 2)
+        out += abs(amp) * (mass + h * edges)
+    return out
+
+
+def gaussian_tf(kernel_terms, f_terms, g_terms, n, extent):
+    """T_F(f, g)(x) = int F(x, y) f(y) g(x - y) dy in closed form at the n
+    grid points of [-extent, extent), and the tolerance within which the
+    grid's T_F must reproduce it.
+
+    F = sum A e^{-a ((x - u)^2 + (y - v)^2)} over (A, a, u, v), f = sum
+    b e^{-c (y - p)^2} over (b, c, p) and g = sum d e^{-e (z - q)^2} over
+    (d, e, q).  Each (kernel, f, g) term is A b d e^{-a (x - u)^2} times the
+    integral of e^{-a (y - v)^2 - c (y - p)^2 - e (y - (x - q))^2}, which is
+    sqrt(pi / W) e^{-S / W} with W = a + c + e and S the sum over the three
+    pairs of weights of w_i w_j (m_i - m_j)^2, centers m = (v, p, x - q).
+
+    The grid sums only y in the box with x - y in the box (g is zero off
+    the grid).  What it leaves out is at most sup|F| (sup|g| T_f +
+    sup|f| T_g), with T the :func:`_gauss_tail` bound of each factor and
+    the sups bounded by the sums of the amplitudes' moduli.  That, plus
+    GAUSSIAN_TF_FLOOR of the largest |T_F|, is the tolerance."""
+    h = 2.0 * extent / n
+    x = (np.arange(n) - n // 2) * h
+    values = np.zeros(n)
+    for big_a, a, u, v in kernel_terms:
+        for b, c, p in f_terms:
+            for d, e, q in g_terms:
+                w = a + c + e
+                m3 = x - q
+                spread = a * c * (v - p) ** 2 + a * e * (v - m3) ** 2 + c * e * (p - m3) ** 2
+                values += big_a * b * d * math.sqrt(math.pi / w) * np.exp(
+                    -a * (x - u) ** 2 - spread / w
+                )
+    sup = [sum(abs(t[0]) for t in terms) for terms in (kernel_terms, f_terms, g_terms)]
+    tails = _gauss_tail(f_terms, extent, h), _gauss_tail(g_terms, extent, h)
+    tol = sup[0] * (sup[2] * tails[0] + sup[1] * tails[1])
+    return values, tol + GAUSSIAN_TF_FLOOR * float(np.max(np.abs(values)))
+
+
 def numpy_uniforms(seed, shapes):
     """numpy.random.default_rng(seed).uniform(low, high, k) for each
     (low, high, k) of ``shapes`` in turn, one list of floats per call."""

@@ -45,6 +45,7 @@ from youngbound.kernels import (
 from oracles import (
     direct_bilinear_tf,
     gather_tf,
+    gaussian_tf,
     naive_gauss_sum_2d,
     numpy_uniforms,
     region_table,
@@ -275,7 +276,8 @@ def test_prop_gauss_sum_sampling_bitwise_equals_naive(terms, log_n, extent):
     each is under half an ulp.  Widths from 1e-3 to 1e3 and centers beyond
     the box make the band anything from the whole grid to nothing."""
     ax = Grid(1, extent, 2 ** log_n).axis()
-    fast = _GaussSum2d(tuple(terms)).sample(ax, ax, *_outer_grid_buffers(ax.size))
+    sample = _GaussSum2d(tuple(terms)).sampler(ax, ax)
+    fast = sample(slice(0, ax.size), *_outer_grid_buffers(ax.size))
     slow = naive_gauss_sum_2d(terms, ax, ax)
     skipped = sum(abs(amp) for amp, *_ in terms) * np.finfo(float).tiny
     assert np.all(np.abs(fast - slow) <= skipped)
@@ -488,6 +490,15 @@ def test_operator_check_keeps_its_pinned_bits(setting):
     assert repr((report.ratios, report.slopes)) == _PINNED_OPERATOR_REPORTS[setting]
 
 
+def _draw(rng, k, dims):
+    """k Gaussian terms (amplitude, width, one center per dimension), drawn
+    from numpy's generator in the order verify_prop_tf_bounds draws them."""
+    amps = rng.uniform(0.5, 1.5, k)
+    widths = rng.uniform(0.5, 2.0, k)
+    centers = [rng.uniform(-2.0, 2.0, k) for _ in range(dims)]
+    return tuple(zip(amps, widths, *centers))
+
+
 def _whole_table_prop_ratios(case, p, trials, seed, grid, kernel):
     """The ratios and slopes of verify_prop_tf_bounds, coded on whole
     kernel tables: the same draws, then mixed_norm_2d and t_f / t_theta_f
@@ -496,22 +507,15 @@ def _whole_table_prop_ratios(case, p, trials, seed, grid, kernel):
     r_val = young_functional(exps)
     r_exp = math.inf if r_val == 0 else float(1 / r_val)
     rng = np.random.default_rng(seed)
-
-    def draw(k, dims):
-        amps = rng.uniform(0.5, 1.5, k)
-        widths = rng.uniform(0.5, 2.0, k)
-        centers = [rng.uniform(-2.0, 2.0, k) for _ in range(dims)]
-        return tuple(zip(amps, widths, *centers))
-
     scales = [1.0] if kernel == "ones" else list(_DEFAULT_SCALES)
     ax = grid.axis()
     knorm_args = ("inf", r_exp, 2) if case == 1 else (r_exp, "inf", 1)
     maps = {1: (t_f, t_theta_f), 2: (t_f,), 3: (t_theta_f,)}[case]
     ratios, slopes = [], []
     for _ in range(trials):
-        fsum = _GaussSum1d(draw(2, 1))
-        gsum = _GaussSum1d(draw(2, 1))
-        ksum = _GaussSum2d(draw(3, 2)) if kernel == "bumps" else None
+        fsum = _GaussSum1d(_draw(rng, 2, 1))
+        gsum = _GaussSum1d(_draw(rng, 2, 1))
+        ksum = _GaussSum2d(_draw(rng, 3, 2)) if kernel == "bumps" else None
         row = []
         for lam in scales:
             fl = SampledFunction(grid, fsum.dilated(lam).sample(ax))
@@ -519,7 +523,8 @@ def _whole_table_prop_ratios(case, p, trials, seed, grid, kernel):
             if ksum is None:
                 table = np.ones((grid.n, grid.n))
             else:
-                table = ksum.dilated(lam).sample(ax, ax, *_outer_grid_buffers(grid.n))
+                sample = ksum.dilated(lam).sampler(ax, ax)
+                table = sample(slice(0, grid.n), *_outer_grid_buffers(grid.n))
             ktab = SampledKernel2d(grid, table)
             denom = (
                 mixed_norm_2d(ktab, *knorm_args)
@@ -571,6 +576,34 @@ def test_prop_streamed_operator_check_equals_whole_table_path(
             case, p, trials=1, seed=seed, grid=grid, kernel=kernel
         )
     assert repr((report.ratios, report.slopes)) == repr(expected)
+
+
+@pytest.mark.parametrize("n, extent", [(512, 16.0), (1024, 32.0)])
+def test_tf_matches_the_closed_form_on_the_operator_draws(n, extent):
+    """t_f and t_theta_f of the sampled kernel and inputs of every trial
+    and scale of the benchmark's operator cases (seed 0, four trials: the
+    draws do not depend on the case or p) equal the closed-form T_F of the
+    Gaussian sums, within oracles.gaussian_tf's tolerance: the mass each
+    drawn factor has outside [-L, L), times the other factors' sups, plus
+    1e-12 of the largest |T_F|."""
+    grid = Grid(1, extent, n)
+    ax = grid.axis()
+    rng = np.random.default_rng(0)
+    table, scratch = _outer_grid_buffers(n)
+    for _ in range(4):
+        fsum, gsum = _GaussSum1d(_draw(rng, 2, 1)), _GaussSum1d(_draw(rng, 2, 1))
+        ksum = _GaussSum2d(_draw(rng, 3, 2))
+        for lam in _DEFAULT_SCALES:
+            fl, gl, kl = fsum.dilated(lam), gsum.dilated(lam), ksum.dilated(lam)
+            f = SampledFunction(grid, fl.sample(ax))
+            g = SampledFunction(grid, gl.sample(ax))
+            ktab = SampledKernel2d(grid, kl.sampler(ax, ax)(slice(0, n), table, scratch))
+            for got, (first, second) in (
+                (t_f(ktab, f, g), (fl, gl)),
+                (t_theta_f(ktab, f, g), (gl, fl)),
+            ):
+                want, tol = gaussian_tf(kl.terms, first.terms, second.terms, n, extent)
+                assert np.max(np.abs(got.values - want)) <= tol
 
 
 # The (low, high, k) of the operator check's draws: amplitudes, widths and

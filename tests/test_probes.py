@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import threading
+import tracemalloc
 from fractions import Fraction as F
 from unittest import mock
 
@@ -413,6 +414,31 @@ def test_prop_streamed_identity_equals_whole_table_oracle(inputs, shared):
     expected = whole_table_identity_error(f1.values, f2.values, grid.h, extent, stride)
     with mock.patch.object(grids, "BLOCK_ROWS", block):
         assert _stft_product_identity_error(f1, f2, stride) == expected
+
+
+def test_identity_holds_one_block_of_python_objects(monkeypatch):
+    """With one lattice row a block, the identity at n = 512 holds the same
+    declared buffers and n-point arrays at stride 8 (64 blocks) as at
+    stride 1 (512 blocks), so its traced peaks differ by less than 4 KiB:
+    nothing it keeps grows with the number of blocks.  An untraced first
+    run leaves out what numpy caches on a first transform."""
+    monkeypatch.setattr(grids, "BLOCK_ROWS", 2)
+    grid = Grid(1, 16.0, 512)
+    x = grid.axis()
+    f1 = SampledFunction(grid, np.exp(-0.3 * x * x))
+    f2 = SampledFunction(grid, np.exp(-0.5 * x * x))
+    _stft_product_identity_error(f1, f2, 8)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for stride in (8, 1):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _stft_product_identity_error(f1, f2, stride)
+            peaks[stride] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert abs(peaks[1] - peaks[8]) < 4096, peaks
 
 
 def test_sweep_propagates_resolution_guard():

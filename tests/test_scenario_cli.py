@@ -1117,12 +1117,11 @@ _IDENTITY_LADDER = (
 def test_product_identity_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
     """At grid_n = 2**19, stride 1, the product identity is charged its
     declared 32-row blocks (a 2n-wide padded spectrum and a factor table,
-    complex) and two padded windows, 88 bytes a grid point, 128 bytes a
-    block and 8 KiB of Python objects and its ufunc buffers, and the norm
-    pass beside it its 64-row blocks (float64 rows, half-width complex
-    spectra) and its padded window, 112 bytes a grid point and its ufunc
-    buffers (1.39 GiB in all), so the ladder exits 2 before any block is
-    built."""
+    complex) and two padded windows, 88 bytes a grid point, 8 KiB of
+    Python objects and its ufunc buffers, and the norm pass beside it its
+    64-row blocks (float64 rows, half-width complex spectra) and its
+    padded window, 112 bytes a grid point and its ufunc buffers (1.39 GiB
+    in all), so the ladder exits 2 before any block is built."""
 
     def allocates(*args, **kwargs):
         raise AssertionError("a table was allocated before the budget check")
@@ -1134,7 +1133,7 @@ def test_product_identity_tables_count_against_the_cap(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert "above the cap" in err
     n = 2 ** 19
-    identity = 48 * 32 * n + 2 * 32 * n + 88 * n + 128 * (n // 32) + 8192
+    identity = 48 * 32 * n + 2 * 32 * n + 88 * n + 8192
     norm_pass = 8 * 64 * n + 16 * 64 * (n // 2 + 1) + 16 * n + 112 * n
     assert str(identity + norm_pass + 3 * numpy.getbufsize() * (16 + 8)) in err
 
