@@ -348,6 +348,45 @@ class _MixedNorm:
         return float(_axis_power_norm(inner, self.q, self.cells[1], axis=None))
 
 
+class _WeightedNorms:
+    """|| f <.>^t ||_{L^p} for functions on one grid, as
+    :func:`weighted_lebesgue_norm` computes it, with each weight <x>^t
+    computed once for the life of the memo.  A memo lives for one call: a
+    ladder or probe makes one for its points and drops it when it returns,
+    and it holds 8 bytes a grid point for each distinct nonzero weight."""
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.weights: dict[float, np.ndarray] = {}
+
+    def __call__(self, f: SampledFunction, p, t) -> float:
+        if f.grid != self.grid:
+            raise GridMismatchError(
+                "weighted_lebesgue_norm: the function is not on the memo's grid"
+            )
+        weight = _weight_value(t)
+        mag = np.abs(f.values)
+        if weight != 0.0:  # the weight <x>^0 is 1.0 exactly, and x * 1.0 is x
+            with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+                if weight not in self.weights:  # sqrt(1 + x^2) ** weight, in one array
+                    w = self.weights[weight] = self.grid.axis()
+                    w *= w
+                    w += 1.0
+                    np.sqrt(w, out=w)
+                    w **= weight
+                mag *= self.weights[weight]
+        if not np.all(np.isfinite(mag)):
+            if not np.all(np.isfinite(f.values)):
+                raise ValueError("weighted_lebesgue_norm: non-finite samples")
+            reach = float(np.max(np.abs(self.grid.axis())))
+            raise ResolutionError(
+                f"weighted_lebesgue_norm: |f| <x>^{t} overflows binary64 on the "
+                f"grid (|x| up to {reach:g}); the weight exponent is too large "
+                "for this box"
+            )
+        return float(_axis_power_norm(mag, _exponent_value(p), self.grid.h, axis=None))
+
+
 def weighted_lebesgue_norm(f: SampledFunction, p, t) -> float:
     """|| f <.>^t ||_{L^p} by the rectangle rule; sup norm when p = inf.
 
@@ -357,22 +396,7 @@ def weighted_lebesgue_norm(f: SampledFunction, p, t) -> float:
     zero, the weighted magnitude is inf * 0 = NaN); that is a
     ResolutionError.
     """
-    mag = np.abs(f.values)
-    weight = _weight_value(t)
-    if weight != 0.0:  # the weight <x>^0 is 1.0 exactly, and x * 1.0 is x
-        ax = f.grid.axis()
-        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            mag *= np.sqrt(1.0 + ax * ax) ** weight
-    if not np.all(np.isfinite(mag)):
-        if not np.all(np.isfinite(f.values)):
-            raise ValueError("weighted_lebesgue_norm: non-finite samples")
-        reach = float(np.max(np.abs(f.grid.axis())))
-        raise ResolutionError(
-            f"weighted_lebesgue_norm: |f| <x>^{t} overflows binary64 on the "
-            f"grid (|x| up to {reach:g}); the weight exponent is too large "
-            "for this box"
-        )
-    return float(_axis_power_norm(mag, _exponent_value(p), f.grid.h, axis=None))
+    return _WeightedNorms(f.grid)(f, p, t)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +456,7 @@ def _warn_if_edge_heavy(f: SampledFunction, label: str) -> None:
             f"convolve: {label} has relative edge mass {edge / peak:.3e}; "
             "the result is the convolution of the truncated data",
             ResolutionWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of convolve
         )
 
 
@@ -441,15 +465,32 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
 
     Zero-pads to 2n, so the circular product equals the linear
     convolution of the sampled sequences exactly; the only quadrature error
-    is the rectangle rule itself.
+    is the rectangle rule itself.  When ``g`` is ``f`` its padded spectrum
+    is computed once and squared.
     """
+    return _convolve_taking([f, g])
+
+
+def _convolve_taking(factors: list) -> SampledFunction:
+    """:func:`convolve` of the two functions in ``factors``, emptying the
+    list: each factor is let go once it is transformed, so when the caller
+    holds no other reference to it, its samples are freed before the next
+    2n-point array is made."""
+    f, g = factors
     if f.grid != g.grid:
         raise GridMismatchError("convolve: operands live on different grids")
     grid = f.grid
     _warn_if_edge_heavy(f, "first factor")
     _warn_if_edge_heavy(g, "second factor")
+    same = g is f
+    del f, g
     n = grid.n
-    spec = np.fft.fft(f.values, n=2 * n) * np.fft.fft(g.values, n=2 * n)
+    spec = np.fft.fft(factors.pop(0).values, n=2 * n)
+    if same:  # one transform, squared
+        factors.clear()
+        spec *= spec
+    else:
+        spec *= np.fft.fft(factors.pop().values, n=2 * n)
     vals = np.fft.ifft(spec)[n // 2 : n // 2 + n] * grid.h
     return SampledFunction(grid, vals)
 

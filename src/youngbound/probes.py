@@ -22,7 +22,7 @@ uniformly bounded along the whole ladder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -53,12 +53,13 @@ from .grids import (
     _stft_rows,
     _two_at_a_time,
     _weight_value,
+    _WeightedNorms,
+    _convolve_taking,
     _window_lattice,
     convolve,
-    fourier_lebesgue_norm,
+    fourier_transform,
     gaussian_resolution_guard,
     inverse_fourier_transform,
-    weighted_lebesgue_norm,
 )
 
 __all__ = [
@@ -96,9 +97,10 @@ def peak_bytes(kind: str, flavor: str | None, grid: Grid, stride: int) -> int:
     """The bytes a probe of ``kind`` (and ladder ``flavor``) on ``grid``
     holds at its peak; a modulation ladder runs two jobs at once."""
     # Beside its buffers a norm-pass job holds 112 bytes a grid point: its
-    # function (complex, 16) and, for a convolution numerator, the three
-    # 2n-point complex arrays of `convolve` (96), more than the pass's own
-    # target, padded window, lattice positions and half-width columns.
+    # function (complex, 16) and, for a convolution numerator, the
+    # 2n-point spectrum and inverse and the n-point result of `convolve`
+    # (80), more than the pass's own target, padded window, lattice
+    # positions and half-width columns.
     norm_pass = _charge(_norm_pass_buffers(grid, stride), 112 * grid.n, np.float64)
     if flavor == "modulation-convolution":
         return 2 * norm_pass
@@ -111,10 +113,19 @@ def peak_bytes(kind: str, flavor: str | None, grid: Grid, stride: int) -> int:
         # views, the lattices' strided views, scalars).
         identity = _charge(_identity_buffers(grid, stride), 88 * grid.n, np.complex128)
         return identity + 8192 + norm_pass
-    # The other probes hold no blocks.  `convolve` holds two n-point and
-    # several 2n-point complex arrays at once: 128 bytes a point.  The
-    # norm-slope calibration convolves nothing: a few n-point arrays, 64.
-    return (64 if kind == "norm-slope" else 128) * grid.n
+    # The other probes hold no blocks.  A point holds at most 80 bytes a
+    # grid point: in a convolution, one n-point complex factor beside two
+    # 2n-point complex spectra, or the product spectrum, its inverse and
+    # the result (a ladder hands its factors over, and each goes once it is
+    # transformed); in the multiplication ladder, two functions and the
+    # product, or two functions, the transform and its working copy.  For
+    # the whole run a ladder or probe also holds at most two factors of its
+    # Gaussian family and three weights of its norm memo, 8 bytes a point
+    # each (40), and its small arrays and Python objects take under 8 more.
+    # The norm-slope calibration convolves nothing: its member, |f| and the
+    # temporaries of making a member, beside one factor and one weight, stay
+    # under 56 bytes a point, so 64 covers it.
+    return (64 if kind == "norm-slope" else 80 + 5 * 8 + 8) * grid.n
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +134,16 @@ def peak_bytes(kind: str, flavor: str | None, grid: Grid, stride: int) -> int:
 
 @dataclass(frozen=True)
 class GaussianFamily:
-    """f_j = <.>^{-t_j} e^{-alpha |x|^2} for a weight triple t."""
+    """f_j = <.>^{-t_j} e^{-alpha |x|^2} for a weight triple t.
+
+    The factor <x>^{-t_j} of each (j, grid) is computed once and kept for
+    the family's lifetime (8 bytes a grid point); a ladder makes its own
+    family, so no factor outlives the ladder.  The kept factors take no
+    part in equality or hashing.
+    """
 
     t: tuple[Fraction, Fraction, Fraction]
+    factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "t", tuple(Fraction(v) for v in self.t))
@@ -136,7 +154,9 @@ class GaussianFamily:
         gaussian_resolution_guard(grid, alpha)
         x = grid.axis()
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            vals = (1.0 + x * x) ** (-_weight_value(self.t[j]) / 2.0) * np.exp(-alpha * x * x)
+            if (j, grid) not in self.factors:
+                self.factors[j, grid] = (1.0 + x * x) ** (-_weight_value(self.t[j]) / 2.0)
+            vals = self.factors[j, grid] * np.exp(-alpha * x * x)
         if not np.all(np.isfinite(vals)):
             raise ValueError(
                 f"the weight {self.t[j]} makes <x>^(-t) e^(-{alpha} x^2) overflow "
@@ -301,9 +321,8 @@ def gaussian_norm_slope(
     grid = grid or PROBE_GRID
     alphas = list(alphas) if alphas is not None else list(DEFAULT_ALPHAS)
     fam = GaussianFamily((tw, tw, tw))
-    values = [
-        weighted_lebesgue_norm(fam.member(0, a, grid), pe, tw) for a in alphas
-    ]
+    norm = _WeightedNorms(grid)
+    values = [norm(fam.member(0, a, grid), pe, tw) for a in alphas]
     predicted = float(Fraction(1, 2) * pe.reciprocal())
     return _alpha_ladder_report("norm_slope", alphas, values, predicted, tol)
 
@@ -333,20 +352,28 @@ def _slot1_nonneg_permutation(t) -> tuple[int, int, int]:
     )
 
 
+def _member_pair(fam: GaussianFamily, alpha: float, grid: Grid) -> list[SampledFunction]:
+    """[f1, f2] of ``fam`` at ``alpha``, one array twice when t1 = t2.  The
+    caller holds the members only through this list, so a convolution that
+    takes them frees each one once it is transformed."""
+    f1 = fam.member(1, alpha, grid)
+    return [f1, f1 if fam.t[2] == fam.t[1] else fam.member(2, alpha, grid)]
+
+
 def _convolution_ratios(
     params: ParamTuple, alphas: Sequence[float], grid: Grid
 ) -> list[float]:
     """||f1 * f2||_{L^{p0'}_{-t0}} / (||f1||_{L^{p1}_{t1}} ||f2||_{L^{p2}_{t2}})
     along the Gaussian family of ``params.t``."""
     fam = GaussianFamily(params.t)
+    norm = _WeightedNorms(grid)
     p0c = params.p[0].conjugate()
     ratios = []
     for a in alphas:
-        f1 = fam.member(1, a, grid)
-        f2 = fam.member(2, a, grid)
-        num = weighted_lebesgue_norm(convolve(f1, f2), p0c, -params.t[0])
-        den = weighted_lebesgue_norm(f1, params.p[1], params.t[1]) * \
-            weighted_lebesgue_norm(f2, params.p[2], params.t[2])
+        factors = _member_pair(fam, a, grid)
+        den = norm(factors[0], params.p[1], params.t[1]) * \
+            norm(factors[1], params.p[2], params.t[2])
+        num = norm(_convolve_taking(factors), p0c, -params.t[0])
         ratios.append(num / den)
     return ratios
 
@@ -434,18 +461,15 @@ def translation_necessity_probe(
         )
 
     p0c = work.p[0].conjugate()
+    norm = _WeightedNorms(grid)
     products = []
     conv_norms = []
     for x0 in offs:
-        f1 = fam.sample(grid, +x0)
-        f2 = fam.sample(grid, -x0)
-        conv_norms.append(
-            weighted_lebesgue_norm(convolve(f1, f2), p0c, -work.t[0])
-        )
+        factors = [fam.sample(grid, +x0), fam.sample(grid, -x0)]
         products.append(
-            weighted_lebesgue_norm(f1, work.p[1], work.t[1])
-            * weighted_lebesgue_norm(f2, work.p[2], work.t[2])
+            norm(factors[0], work.p[1], work.t[1]) * norm(factors[1], work.p[2], work.t[2])
         )
+        conv_norms.append(norm(_convolve_taking(factors), p0c, -work.t[0]))
     slope, _, r2 = fit_power_law(offs, products)
     predicted = float(work.t[1] + work.t[2])
     base = conv_norms[0]
@@ -496,9 +520,7 @@ def gaussian_lower_bound_check(
         raise ValueError("window must sit strictly inside the box")
 
     fam = GaussianFamily((Fraction(0), t1f, t2f))
-    f1 = fam.member(1, alpha, grid)
-    f2 = fam.member(2, alpha, grid)
-    conv = convolve(f1, f2)
+    conv = _convolve_taking(_member_pair(fam, alpha, grid))
     x = grid.axis()
     mask = np.abs(x) <= window
     g = conv.values.real[mask]
@@ -670,16 +692,24 @@ def boundedness_sweep(
     elif flavor == "multiplication":
         dual = grid.dual()
         hats = GaussianFamily(params.s)
+        # The functions live on dual.dual(), and their transforms here.
+        norm = _WeightedNorms(dual.dual().dual())
         q0c = params.q[0].conjugate()
-        for a in alphas:
-            g1, g2 = (
-                inverse_fourier_transform(hats.member(j, a, dual)) for j in (1, 2)
-            )
+        same = params.s[2] == params.s[1]  # then g2 is g1, transformed once
+
+        def ratio(a: float) -> float:  # its arrays go when it returns
+            g1 = inverse_fourier_transform(hats.member(1, a, dual))
+            g2 = g1 if same else inverse_fourier_transform(hats.member(2, a, dual))
             product = SampledFunction(g1.grid, g1.values * g2.values)
-            num = fourier_lebesgue_norm(product, q0c, -params.s[0])
-            den = fourier_lebesgue_norm(g1, params.q[1], params.s[1]) * \
-                fourier_lebesgue_norm(g2, params.q[2], params.s[2])
-            ratios.append(num / den)
+            num = norm(fourier_transform(product), q0c, -params.s[0])
+            del product  # two functions and a transform at a time
+            ghat = fourier_transform(g1)
+            den = norm(ghat, params.q[1], params.s[1])
+            if not same:
+                ghat = fourier_transform(g2)
+            return num / (den * norm(ghat, params.q[2], params.s[2]))
+
+        ratios = [ratio(a) for a in alphas]
     else:
         x = grid.axis()
         window = SampledFunction(grid, np.exp(-x * x / 2.0))

@@ -212,6 +212,38 @@ def test_convolve_rejects_mismatched_grids():
         convolve(f, g)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("imaginary", [False, True])
+def test_self_convolution_transforms_once_with_the_bits_of_two(seed, imaginary):
+    """convolve(f, f) transforms f once and squares its spectrum; the result
+    has the bits of convolving f with an equal copy, which takes two
+    transforms."""
+    g = Grid(1, 8.0, 256)
+    rng = np.random.default_rng(seed)
+    envelope = np.exp(-g.axis() ** 2 / 2.0)
+    vals = envelope * rng.standard_normal(g.n)
+    if imaginary:
+        vals = vals + 1j * envelope * rng.standard_normal(g.n)
+    f = SampledFunction(g, vals)
+    with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft:
+        once = convolve(f, f).values
+        assert fft.call_count == 1
+        twice = convolve(f, SampledFunction(g, f.values.copy())).values
+        assert fft.call_count == 3
+    assert np.array_equal(once.view(np.uint64), twice.view(np.uint64))
+
+
+def test_convolution_taking_its_factors_empties_the_list():
+    g = Grid(1, 8.0, 64)
+    f = sample(g, gaussian(1.0))
+    h = sample(g, gaussian(0.5))
+    for factors in ([f, f], [f, h]):
+        expected = convolve(*factors).values
+        held = list(factors)
+        assert np.array_equal(grids._convolve_taking(held).values, expected)
+        assert held == []
+
+
 def test_edge_heavy_input_warns():
     g = Grid(1, 4.0, 64)
     f = sample(g, gaussian(0.05))  # visibly truncated at |x| = 4
@@ -292,6 +324,31 @@ def test_prop_norm_matches_python_loop(vals, p, t):
     pf = math.inf if p == "inf" else p
     slow = loop_weighted_norm(vals, g.h, g.axis(), pf, t)
     assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
+
+
+_MEMO_EXPONENTS = st.sampled_from([1, 2, 3, "inf"])
+_MEMO_WEIGHTS = st.sampled_from([Fraction(-3, 2), -1, 0, Fraction(1, 3), Fraction(1, 2), 1, 2])
+
+
+@settings(max_examples=40)
+@given(smooth_arrays, st.lists(st.tuples(_MEMO_EXPONENTS, _MEMO_WEIGHTS), min_size=1, max_size=12))
+def test_prop_weight_memo_has_the_bits_of_fresh_norms(vals, calls):
+    """One memo serves norms of repeated and interleaved weights with the
+    bits of a fresh weighted_lebesgue_norm each time, and keeps one weight
+    for each distinct nonzero exponent."""
+    g = Grid(1, 4.0, 64)
+    fs = [SampledFunction(g, vals + 0j), SampledFunction(g, vals[::-1] * 1j)]
+    memo = grids._WeightedNorms(g)
+    for i, (p, t) in enumerate(calls):
+        f = fs[i % 2]
+        assert memo(f, p, t) == weighted_lebesgue_norm(f, p, t)
+    assert set(memo.weights) == {float(t) for _, t in calls if t != 0}
+
+
+def test_weight_memo_refuses_another_grid():
+    memo = grids._WeightedNorms(Grid(1, 4.0, 64))
+    with pytest.raises(GridMismatchError):
+        memo(sample(Grid(1, 8.0, 64), gaussian(1.0)), 2, 1)
 
 
 @settings(max_examples=30)

@@ -18,8 +18,13 @@ from youngbound.grids import (
     Grid,
     ResolutionError,
     SampledFunction,
+    convolve,
+    fourier_lebesgue_norm,
+    fourier_transform,
     gaussian_resolution_guard,
+    inverse_fourier_transform,
     stft,
+    weighted_lebesgue_norm,
 )
 from youngbound.kernels import PreconditionError
 from youngbound.probes import (
@@ -94,6 +99,63 @@ def test_gaussian_family_member_values():
     assert np.max(np.abs(member.values - expected)) < 1e-14
     with pytest.raises(ValueError):
         fam.member(0, 2.0, g)  # alpha above 1
+
+
+def test_family_keeps_each_factor_with_the_bits_of_a_fresh_family():
+    fam = GaussianFamily((F(1, 2), F(1, 3), F(-2)))
+    g, other = Grid(1, 16.0, 256), Grid(1, 12.0, 256)
+    for j, alpha, grid in [(1, 1.0, g), (1, 0.5, g), (2, 0.25, g), (1, 0.5, other), (2, 1.0, g)]:
+        kept = fam.member(j, alpha, grid).values
+        fresh = GaussianFamily(fam.t).member(j, alpha, grid).values
+        assert np.array_equal(kept.view(np.uint64), fresh.view(np.uint64))
+    assert set(fam.factors) == {(1, g), (2, g), (1, other)}
+
+
+def _ladder_calls():
+    """One run of every ladder and probe that keeps factors or weights."""
+    gaussian_norm_slope(2, F(1, 2))
+    gaussian_necessity_probe(ParamTuple(d=1, p=(2, 2, 2), t=(F(1, 8), F(1, 4), F(1, 2))))
+    translation_necessity_probe(ParamTuple(d=1, p=(2, 1, 1), t=(0, 1, -2)))
+    gaussian_lower_bound_check(1, 0, 0.25)
+    boundedness_sweep(ParamTuple(d=1, p=(2, 2, 2), t=(F(1, 2), F(1, 4), F(3, 8))), "convolution")
+    boundedness_sweep(
+        ParamTuple(d=1, p=(2, 2, 2), t=(0, 0, 0), q=(2, 2, 2), s=(F(1, 2), F(1, 4), F(3, 8))),
+        "multiplication",
+    )
+
+
+def test_no_memo_outlives_its_call():
+    """Families and norm memos live for one call: equality, hashing and
+    repr ignore the kept factors, none survives the ladder that made it,
+    and no module of the package gains a global or fills a cache."""
+    import gc
+    import sys
+
+    fam = GaussianFamily((1, 2, 3))
+    fam.member(1, 0.5, Grid(1, 16.0, 256))
+    assert fam.factors
+    assert fam == GaussianFamily((1, 2, 3))
+    assert hash(fam) == hash(GaussianFamily((1, 2, 3)))
+    assert "factors" not in repr(fam)
+
+    def live(kind):
+        gc.collect()
+        return {id(o) for o in gc.get_objects() if isinstance(o, kind)}
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("youngbound")]
+
+    def state():
+        out = {}
+        for module in modules:
+            for name, value in vars(module).items():
+                size = len(value) if isinstance(value, (dict, list, set)) else None
+                info = getattr(value, "cache_info", None)
+                out[module.__name__, name] = (id(value), size, info and info().currsize)
+        return out
+
+    before = state(), live(GaussianFamily), live(grids._WeightedNorms)
+    _ladder_calls()
+    assert (state(), live(GaussianFamily), live(grids._WeightedNorms)) == before
 
 
 def test_bump_family_profile():
@@ -259,6 +321,47 @@ def test_sweep_multiplication_flat_case():
     report = boundedness_sweep(params, "multiplication")
     assert report.passed
     assert abs(report.fitted_slope) <= 0.01
+
+
+@pytest.mark.parametrize("t", [(F(3, 8),) * 3, (F(1, 2), F(1, 4), F(3, 8))])
+def test_convolution_ladder_has_the_bits_of_fresh_norms_and_members(t):
+    """With t1 = t2 the ladder convolves one member with itself; either way
+    its ratios have the bits of fresh members, norms and convolutions."""
+    params = ParamTuple(d=1, p=(2, 2, 2), t=t)
+    report = boundedness_sweep(params, "convolution")
+    expected = []
+    for a in DEFAULT_ALPHAS:
+        f1, f2 = (GaussianFamily(t).member(j, a, probes.PROBE_GRID) for j in (1, 2))
+        num = weighted_lebesgue_norm(convolve(f1, f2), params.p[0].conjugate(), -t[0])
+        den = weighted_lebesgue_norm(f1, 2, t[1]) * weighted_lebesgue_norm(f2, 2, t[2])
+        expected.append(num / den)
+    assert report.ratios == expected
+
+
+@pytest.mark.parametrize(
+    "s, transforms", [((F(3, 8),) * 3, (13, 26)), ((F(1, 2), F(1, 4), F(3, 8)), (26, 39))]
+)
+def test_multiplication_ladder_with_equal_weights_has_the_bits_of_two_transforms(
+    s, transforms
+):
+    """With s1 = s2 the multiplication ladder takes one inverse and one
+    forward transform of its function per point, not two of each, and its
+    ratios have the bits of the run that takes them all."""
+    params = ParamTuple(d=1, p=(2, 2, 2), t=(0, 0, 0), q=(2, 2, 2), s=s)
+    with mock.patch.object(
+        probes, "inverse_fourier_transform", wraps=inverse_fourier_transform
+    ) as inv, mock.patch.object(probes, "fourier_transform", wraps=fourier_transform) as fwd:
+        report = boundedness_sweep(params, "multiplication")
+    assert (inv.call_count, fwd.call_count) == transforms
+    dual = probes.PROBE_GRID.dual()
+    expected = []
+    for a in DEFAULT_ALPHAS:
+        g1, g2 = (inverse_fourier_transform(GaussianFamily(s).member(j, a, dual)) for j in (1, 2))
+        product = SampledFunction(g1.grid, g1.values * g2.values)
+        num = fourier_lebesgue_norm(product, params.q[0].conjugate(), -s[0])
+        den = fourier_lebesgue_norm(g1, 2, s[1]) * fourier_lebesgue_norm(g2, 2, s[2])
+        expected.append(num / den)
+    assert report.ratios == expected
 
 
 def test_sweep_interior_weights_stay_inside_tolerance():

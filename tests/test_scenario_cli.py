@@ -1175,10 +1175,13 @@ def test_probe_points_count_against_the_cap(tmp_path, capsys, monkeypatch):
     assert str(128 * 2 ** 24) in err
 
 
-# Every probe that is not a modulation ladder, with a box it resolves.
+# Every probe that is not a modulation ladder, with a box it resolves; the
+# "-distinct" ones keep the most factors and weights their kind can hold.
 _POINT_CHARGED_PROBES = {
     "gaussian": ("kind = gaussian\np = 2, 2, 2\n", 48.0),
     "translation": ("kind = translation\np = 2, 1, 1\nt = 0, 1, -2\n", 32.0),
+    "gaussian-distinct": ("kind = gaussian\np = 2, 2, 2\nt = 1/8, 1/4, 1/2\n", 48.0),
+    "translation-distinct": ("kind = translation\np = 2, 1, 1\nt = 1/2, 1, -2\n", 32.0),
     "lower-bound": ("kind = lower-bound\nt1 = 1\nt2 = 0\nalpha = 0.25\n", 18.0),
     "norm-slope": ("kind = norm-slope\nexponent = 2\nweight = 1\n", 48.0),
     "convolution": (
@@ -1186,6 +1189,14 @@ _POINT_CHARGED_PROBES = {
     ),
     "multiplication": (
         "kind = boundedness\nflavor = multiplication\np = 2, 2, 2\nt = 3/8, 3/8, 3/8\n",
+        48.0,
+    ),
+    "convolution-distinct": (
+        "kind = boundedness\nflavor = convolution\np = 2, 2, 2\nt = 1/2, 1/4, 3/8\n", 48.0
+    ),
+    "multiplication-distinct": (
+        "kind = boundedness\nflavor = multiplication\np = 2, 2, 2\nt = 0, 0, 0\n"
+        "q = 2, 2, 2\ns = 1/2, 1/4, 3/8\n",
         48.0,
     ),
 }
