@@ -24,7 +24,9 @@ Weighted norms use the japanese bracket <x> = sqrt(1 + |x|^2).
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import math
 import threading
 import warnings
@@ -71,6 +73,16 @@ GAUSSIAN_EDGE_TOL = 1e-12
 # norms of the modulation ladders, the product identity, the operator
 # check and t_f build their tables this many rows at a time.
 BLOCK_ROWS = 64
+# Elements in each of numpy's ufunc buffers while a block job runs (the
+# default is 8192).  numpy's buffered iterator copies a 2-D operand whose
+# rows are much shorter than its buffer into the buffer before the loop
+# runs: a 64-row broadcast add of 512-wide rows took 0.83 ns a point at
+# 8192, 0.63 at 2048 and 0.24 at 1024 or less (x86-64, numpy 2.4).  The
+# serial operator and modulation groups of the benchmark ran equally fast
+# at 128-1024 and slower at 2048, so this is the largest size that keeps
+# the 512-wide operator rows out of the buffer.  Elementwise results do not
+# depend on how the loop is split, so no bit moves.
+UFUNC_BUFFER = 1024
 
 
 class GridMismatchError(ValueError):
@@ -263,33 +275,47 @@ def _charge(layout: list, point_bytes: int, ufunc_dtype) -> int:
     """The bytes of the buffers ``layout`` declares, of the n-point arrays
     beside them, and of numpy's buffers for three ``ufunc_dtype`` operands."""
     held = sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layout)
-    return held + point_bytes + 3 * np.getbufsize() * np.dtype(ufunc_dtype).itemsize
+    return held + point_bytes + 3 * UFUNC_BUFFER * np.dtype(ufunc_dtype).itemsize
 
 
-def _two_at_a_time(fn, items: list, layout: list) -> list:
+@contextlib.contextmanager
+def _small_ufunc_buffer():
+    """Run the block (or, as a decorator, each call) with ufunc buffers of
+    UFUNC_BUFFER elements.  numpy keeps the size in a context variable,
+    which a new thread starts at its default, and errstate restores it on
+    exit, also when the block raises."""
+    with np.errstate():
+        np.setbufsize(UFUNC_BUFFER)
+        yield
+
+
+def _two_at_a_time(fn, items, layout: list) -> list:
     """``[fn(item, held) for item in items]`` on the calling thread and one
     helper thread, which overlap where numpy releases the GIL; ``held()``
     is the thread's set of the ``layout`` buffers, allocated on first use.
 
-    Each thread takes the next untaken index when it is free, so a long
-    item holds back no other.  No index is taken once an item has failed.
-    The indices are taken in order, so every index below a failing one was
-    taken and ran to its end: once the helper is joined, the lowest failing
-    index raises its exception, as the serial loop does."""
-    results = [None] * len(items)
+    Each thread takes the next item of the iterable ``items`` under a lock
+    when it is free, so a long item holds back no other and an item is
+    made only when it is taken.  No item is taken once one has failed.
+    The items are taken in order, so every item before a failing one was
+    taken and ran to its end: once the helper is joined, the first failing
+    item raises its exception, as the serial loop does."""
+    results: dict[int, object] = {}
     failures: dict[int, Exception] = {}
     lock = threading.Lock()
-    indices = iter(range(len(items)))
+    items, indices, done = iter(items), itertools.count(), object()
 
     def work() -> None:
         held = functools.cache(lambda: _allocate(layout))
         while True:
-            with lock:
-                i = None if failures else next(indices, None)
-            if i is None:
-                return
             try:
-                results[i] = fn(items[i], held)
+                with lock:
+                    if failures:
+                        return
+                    i, item = next(indices), next(items, done)
+                if item is done:
+                    return
+                results[i] = fn(item, held)
             except Exception as exc:  # raised again on the calling thread
                 with lock:
                     failures[i] = exc
@@ -302,7 +328,7 @@ def _two_at_a_time(fn, items: list, layout: list) -> list:
         helper.join()
     if failures:
         raise failures[min(failures)]
-    return results
+    return [results[i] for i in range(len(results))]
 
 
 class _MixedNorm:

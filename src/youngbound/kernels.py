@@ -48,6 +48,7 @@ from .grids import (
     _MixedNorm,
     _require_one_dimension,
     _row_blocks,
+    _small_ufunc_buffer,
     _two_at_a_time,
     _weight_value,
     bracket,
@@ -655,9 +656,12 @@ def operator_peak_bytes(grid: Grid, trials: int, kernel: str) -> int:
     # reversed, zero-padded g of `_tf_rows` (real, 24) and the image (16);
     # the kernel norm's running column sums and their next sum (16); and
     # the squared distances of the kernel sampler, along both axes for each
-    # of its three bumps (48).  Its products are real, so numpy buffers
-    # float64 operands.
-    point = _charge(_operator_point_buffers(grid), 176 * grid.n, np.float64)
+    # of its three bumps (48).  The maps and the sampler go before the
+    # images are scaled and measured (24 more), so no later step holds
+    # more.  Its small arrays and Python objects (the bumps, closures,
+    # slices and views) take at most 8 KiB.  Its products are real, so
+    # numpy buffers float64 operands.
+    point = _charge(_operator_point_buffers(grid), 176 * grid.n + 8192, np.float64)
     return min(2, trials * len(_KERNEL_SCALES[kernel])) * point
 
 
@@ -801,6 +805,7 @@ def verify_prop_tf_bounds(
     # T_F(f, g), and T_{Theta F}(f, g) = T_F(g, f).
     swaps = {1: (False, True), 2: (False,), 3: (True,)}[case]
 
+    @_small_ufunc_buffer()
     def ratio(point, held) -> float:
         fsum, gsum, ksum, lam = point
         kernel_rows, product = held()
@@ -823,6 +828,10 @@ def verify_prop_tf_bounds(
             knorm.add(np.abs(kblk, out=_flat_rows(product.view(float), *kblk.shape)))
             for i, (rows_of, out) in enumerate(zip(maps, images)):
                 out[rows] = rows_of(kblk, rows, product[: len(kblk)], own=i == len(maps) - 1)
+        # The maps' padded inputs and the sampler's squared distances go
+        # before each image is scaled and measured, so the point holds no
+        # more after its blocks than during them.
+        del maps, sample
         denom = (
             knorm.value()
             * weighted_lebesgue_norm(fl, exps[1], 0)
@@ -834,13 +843,15 @@ def verify_prop_tf_bounds(
         )
         return num / denom
 
-    # Every trial's bumps are drawn first, in the serial loop's rng order.
-    points = []
-    for _ in range(trials):
-        sums = (_GaussSum1d(draw(2, 1)), _GaussSum1d(draw(2, 1)))
-        ksum = _GaussSum2d(draw(3, 2)) if kernel == "bumps" else None
-        points += [(*sums, ksum, lam) for lam in scale_list]
-    flat = _two_at_a_time(ratio, points, _operator_point_buffers(grid))
+    def points():
+        """Each trial's points, its bumps drawn when its first point is
+        taken: the items are taken in order, so in the serial rng order."""
+        for _ in range(trials):
+            sums = (_GaussSum1d(draw(2, 1)), _GaussSum1d(draw(2, 1)))
+            ksum = _GaussSum2d(draw(3, 2)) if kernel == "bumps" else None
+            yield from ((*sums, ksum, lam) for lam in scale_list)
+
+    flat = _two_at_a_time(ratio, points(), _operator_point_buffers(grid))
     ratios = np.reshape(flat, (trials, -1)).tolist()
     logs = np.log(scale_list)
     slopes = [float(np.polyfit(logs, np.log(r), 1)[0]) for r in ratios if logs.size > 1]

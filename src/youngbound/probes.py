@@ -49,6 +49,7 @@ from .grids import (
     _norm_pass_buffers,
     _require_one_dimension,
     _row_blocks,
+    _small_ufunc_buffer,
     _stft_magnitude_norms,
     _stft_rows,
     _two_at_a_time,
@@ -719,6 +720,7 @@ def boundedness_sweep(
         for a in alphas:  # a failing alpha raises before any point runs
             gaussian_resolution_guard(grid, a)
 
+        @_small_ufunc_buffer()
         def job(item: tuple[str, float], held) -> list[float] | float:
             kind, a = item
             f = SampledFunction(grid, np.exp(-a * x * x))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import sys
 import threading
@@ -768,3 +770,95 @@ def test_two_at_a_time_runs_every_item_once_under_fast_switching():
         sys.setswitchinterval(interval)
     assert results == [i * i for i in range(2000)]
     assert sorted(calls) == list(range(2000))
+
+
+@contextlib.contextmanager
+def _default_buffer():
+    """A stand-in for ``_small_ufunc_buffer`` that leaves numpy's buffer at
+    its default."""
+    yield
+
+
+def _report_hexes(report) -> list[str]:
+    floats = [*itertools.chain(*report.ratios), *report.slopes]
+    return [v.hex() for v in (*floats, report.max_ratio, report.min_ratio, report.spread)]
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+@pytest.mark.parametrize(
+    "case, p, kernel",
+    [(1, (2, 2, 2), "bumps"), (2, (2, 2, 2), "bumps"), (3, (2, 2, 2), "bumps"),
+     (1, (1, 2, 2), "bumps"), (2, (2, 2, 2), "ones")],
+    ids=["case1", "case2", "case3", "r0", "ones"],
+)
+def test_operator_points_keep_their_bits_under_the_small_buffer(case, p, kernel, n, monkeypatch):
+    """Every ratio, slope and summary float of the report is the same under
+    the small ufunc buffer as under numpy's default one, to the bit."""
+    grid = Grid(1, 16.0, n)
+    small = verify_prop_tf_bounds(case, p, trials=1, seed=3, grid=grid, kernel=kernel)
+    monkeypatch.setattr(kernels, "_small_ufunc_buffer", _default_buffer)
+    default = verify_prop_tf_bounds(case, p, trials=1, seed=3, grid=grid, kernel=kernel)
+    assert _report_hexes(small) == _report_hexes(default)
+
+
+@pytest.mark.parametrize("caller", [None, 4096])
+def test_operator_check_leaves_the_callers_buffer_size(caller, monkeypatch):
+    """Each point runs under UFUNC_BUFFER on whichever thread takes it; after
+    a threaded check, and after one whose points raise, the calling thread
+    keeps the buffer size it had: numpy's default or one it set itself."""
+    seen = []
+    dilated = _GaussSum1d.dilated
+
+    def watched(self, lam):
+        seen.append(np.getbufsize())
+        return dilated(self, lam)
+
+    def failing(self, lam):
+        raise ValueError("a failing point")
+
+    grid = Grid(1, 8.0, 64)
+    with np.errstate():
+        if caller is not None:
+            np.setbufsize(caller)
+        before = np.getbufsize()
+        monkeypatch.setattr(_GaussSum1d, "dilated", watched)
+        verify_prop_tf_bounds(1, (2, 2, 2), trials=2, grid=grid)
+        assert np.getbufsize() == before
+        assert seen and set(seen) == {grids.UFUNC_BUFFER}
+        monkeypatch.setattr(_GaussSum1d, "dilated", failing)
+        with pytest.raises(ValueError, match="a failing point"):
+            verify_prop_tf_bounds(1, (2, 2, 2), trials=2, grid=grid)
+        assert np.getbufsize() == before
+
+
+@pytest.mark.parametrize("trials", [3, 12])
+def test_operator_trials_are_drawn_when_their_first_point_is_taken(trials, monkeypatch):
+    """When a point starts, at most two trials have been drawn beyond the
+    trials before its own, how many trials there are: its own, and at
+    most one that the other thread took while this point waited to start."""
+    first_amps = []  # the first uniform of each draw call, in draw order
+    uniform = kernels._DefaultRng.uniform
+
+    def counted(self, low, high, k):
+        out = uniform(self, low, high, k)
+        first_amps.append(out[0])
+        return out
+
+    leads = []
+    real = grids._two_at_a_time
+
+    def watched(fn, items, layout):
+        def point(item, held):
+            # A bumps trial makes ten draw calls: amplitudes, widths and
+            # centers of f and g (3 each) and of the kernel (4).
+            trial = first_amps.index(item[0].terms[0][0]) // 10
+            leads.append(len(first_amps) // 10 - trial)
+            return fn(item, held)
+
+        return real(point, items, layout)
+
+    monkeypatch.setattr(kernels._DefaultRng, "uniform", counted)
+    monkeypatch.setattr(kernels, "_two_at_a_time", watched)
+    verify_prop_tf_bounds(2, (2, 2, 2), trials=trials, grid=Grid(1, 8.0, 32))
+    assert len(leads) == trials * len(_DEFAULT_SCALES)
+    assert 1 <= min(leads) and max(leads) <= 2

@@ -476,6 +476,75 @@ def test_modulation_ladder_guards_every_scale_before_any_point(flavor, monkeypat
     gaussian_resolution_guard(grid, probes.MODULATION_ALPHAS[2])
 
 
+# Norms with finite, infinite, zero and nonzero exponents and weights.
+_BUFFER_NORMS = [(2, 1, 0.5, 0.25), (1, math.inf, -0.5, 0), (math.inf, 2, 0, 1)]
+
+
+@pytest.mark.parametrize("space", ["M", "W"])
+@pytest.mark.parametrize("n, stride", [(2048, 2), (4096, 4)])
+@pytest.mark.parametrize("shift", [0.0, 0.75], ids=["even", "shifted"])
+def test_norm_passes_keep_their_bits_under_the_small_buffer(n, stride, space, shift):
+    """A norm pass gives the same bits under the small ufunc buffer as under
+    numpy's default one, with rows of 1025 and 2049 columns, wider than
+    the small buffer, and both in a folded pass (the even Gaussian) and a
+    whole one."""
+    grid = Grid(1, 24.0, n)
+    x = grid.axis()
+    f = SampledFunction(grid, np.exp(-0.3 * (x - shift) ** 2))
+    window = SampledFunction(grid, np.exp(-x * x / 2.0))
+    default = grids.stft_magnitude_norms(f, window, stride, _BUFFER_NORMS, space=space)
+    with grids._small_ufunc_buffer():
+        small = grids.stft_magnitude_norms(f, window, stride, _BUFFER_NORMS, space=space)
+    assert [v.hex() for v in small] == [v.hex() for v in default]
+
+
+@pytest.mark.parametrize("n, stride", [(1024, 1), (2048, 2)])
+def test_product_identity_keeps_its_bits_under_the_small_buffer(n, stride):
+    grid = Grid(1, 24.0, n)
+    x = grid.axis()
+    f = SampledFunction(grid, np.exp(-0.4 * x * x))
+    g = SampledFunction(grid, np.exp(-0.2 * (x - 1.0) ** 2))
+    for f1, f2 in [(f, f), (f, g)]:
+        default = _stft_product_identity_error(f1, f2, stride)
+        with grids._small_ufunc_buffer():
+            small = _stft_product_identity_error(f1, f2, stride)
+        assert small.hex() == default.hex()
+
+
+@pytest.mark.parametrize("caller", [None, 4096])
+@pytest.mark.parametrize("flavor", ["modulation-convolution", "modulation-multiplication"])
+def test_modulation_ladder_leaves_the_callers_buffer_size(flavor, caller, monkeypatch):
+    """Each job runs under UFUNC_BUFFER on whichever thread takes it; after
+    a ladder, and after one whose jobs raise, the calling thread keeps the
+    buffer size it had: numpy's default or one it set itself."""
+    seen = []
+    norms, identity = probes._stft_magnitude_norms, probes._stft_product_identity_error
+
+    def watched(run):
+        def job(*args):
+            seen.append(np.getbufsize())
+            return run(*args)
+        return job
+
+    def failing(*args):
+        raise ValueError("a failing job")
+
+    grid = Grid(1, 24.0, 256)
+    with np.errstate():
+        if caller is not None:
+            np.setbufsize(caller)
+        before = np.getbufsize()
+        monkeypatch.setattr(probes, "_stft_magnitude_norms", watched(norms))
+        monkeypatch.setattr(probes, "_stft_product_identity_error", watched(identity))
+        boundedness_sweep(_MODULATION_TUPLE, flavor, grid=grid)
+        assert np.getbufsize() == before
+        assert seen and set(seen) == {grids.UFUNC_BUFFER}
+        monkeypatch.setattr(probes, "_stft_magnitude_norms", failing)
+        with pytest.raises(ValueError, match="a failing job"):
+            boundedness_sweep(_MODULATION_TUPLE, flavor, grid=grid)
+        assert np.getbufsize() == before
+
+
 def test_product_identity_reuse_is_bitwise():
     """Reusing f1's table for f2 and squaring one padded spectrum give the
     very bits of the separate-table path and of the whole-table oracle."""

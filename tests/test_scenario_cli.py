@@ -1067,9 +1067,9 @@ def test_oversized_tables_are_refused_before_allocation(
 def test_operator_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
     """At grid_n = 2**19 an operator check holds no kernel table, but each
     of the two points in flight is charged its declared blocks of 64 kernel
-    rows (8 bytes a point) and products (16), 176 bytes a grid point and
-    its float64 ufunc buffers (1.67 GiB in all), so it exits 2 before
-    sampling."""
+    rows (8 bytes a point) and products (16), 176 bytes a grid point, 8 KiB
+    of small objects and its float64 ufunc buffers of 1024 elements
+    (1.67 GiB in all), so it exits 2 before sampling."""
 
     def allocates(*args, **kwargs):
         raise AssertionError("a table was allocated before the budget check")
@@ -1084,12 +1084,12 @@ def test_operator_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "above the cap" in err
     n = 2 ** 19
-    assert str(2 * (24 * 64 * n + 176 * n + 3 * numpy.getbufsize() * 8)) in err
+    assert str(2 * (24 * 64 * n + 176 * n + 8192 + 3 * 1024 * 8)) in err
 
 
 def test_operator_check_at_8192_is_admitted(tmp_path, capsys, monkeypatch):
     """At grid_n = 8192 one kernel table would take 512 MiB, but the check
-    samples 64 rows at a time, two points at once, and is charged 27.1 MiB,
+    samples 64 rows at a time, two points at once, and is charged 26.8 MiB,
     so it passes the budget check and reaches the verifier."""
 
     class Admitted(Exception):
@@ -1120,8 +1120,9 @@ def test_product_identity_tables_count_against_the_cap(tmp_path, capsys, monkeyp
     complex) and two padded windows, 88 bytes a grid point, 8 KiB of
     Python objects and its ufunc buffers, and the norm pass beside it its
     64-row blocks (float64 rows, half-width complex spectra) and its
-    padded window, 112 bytes a grid point and its ufunc buffers (1.39 GiB
-    in all), so the ladder exits 2 before any block is built."""
+    padded window, 112 bytes a grid point and its ufunc buffers, each of
+    1024 elements (1.39 GiB in all), so the ladder exits 2 before any
+    block is built."""
 
     def allocates(*args, **kwargs):
         raise AssertionError("a table was allocated before the budget check")
@@ -1135,14 +1136,14 @@ def test_product_identity_tables_count_against_the_cap(tmp_path, capsys, monkeyp
     n = 2 ** 19
     identity = 48 * 32 * n + 2 * 32 * n + 88 * n + 8192
     norm_pass = 8 * 64 * n + 16 * 64 * (n // 2 + 1) + 16 * n + 112 * n
-    assert str(identity + norm_pass + 3 * numpy.getbufsize() * (16 + 8)) in err
+    assert str(identity + norm_pass + 3 * 1024 * (16 + 8)) in err
 
 
 def test_stride_one_identity_ladder_at_4096_is_admitted(tmp_path, capsys, monkeypatch):
     """At grid_n = 4096, stride 1, one whole short-time table would take
     256 MiB, but the ladder is charged one 32-row block of the product
     identity and one 64-row block of a norm pass, plus their points and
-    ufunc buffers (11.53 MiB), so it passes the budget check and reaches
+    ufunc buffers (11.17 MiB), so it passes the budget check and reaches
     the sweep."""
 
     class Admitted(Exception):

@@ -21,8 +21,12 @@ of the fastest runs of each group (the part of the id before the first
 ``/``); then the per-operation bests over all rounds, the medians, and how
 many rounds the change won.  It also says whether the change's masked
 record texts and exit codes (``bench/refcheck.masked_text_sha``) equal the
-parent's, operation by operation.  Only the standard library and numpy are
-needed, and nothing under ``bench/`` is written.
+parent's, operation by operation, and checks every record of each side
+against ``bench/refs.json`` with ``bench/refcheck.mismatch``: a float that
+moved beyond the benchmark's rule shows here before a benchmark run.  It
+exits 1 when the sides differ or any record fails its reference, naming
+each such operation.  Only the standard library and numpy are needed, and
+nothing under ``bench/`` is written.
 """
 
 from __future__ import annotations
@@ -53,12 +57,15 @@ def _ops(only: list[str]):
 
 def child(repeats: int, only: list[str]) -> None:
     """Run the operations in this interpreter and print one JSON object:
-    per operation, its fastest seconds, exit code and masked record digest."""
+    per operation, its fastest seconds, exit code, masked record digest and
+    why it fails its reference (None when it matches)."""
     from youngbound import cli
 
     ops = _ops(only)
     import refcheck  # importable once _ops has put bench/ on the path
 
+    with open(BENCH_DIR / "refs.json", encoding="utf-8") as fh:
+        refs = json.load(fh)
     result = {}
     with tempfile.TemporaryDirectory() as tmp:
         for i, op in enumerate(ops):
@@ -72,7 +79,9 @@ def child(repeats: int, only: list[str]) -> None:
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                     code = cli.main(argv)
                 best = min(best, perf_counter() - t0)
-            result[op.id] = [best, code, refcheck.masked_text_sha(out.getvalue())]
+            text = out.getvalue()
+            result[op.id] = [best, code, refcheck.masked_text_sha(text),
+                             refcheck.mismatch(refs[op.id], code, text)]
     print(json.dumps(result))
 
 
@@ -92,7 +101,7 @@ def _group(op_id: str) -> str:
 def _summary(run: dict) -> dict:
     bests = [v[0] for v in run.values()]
     groups: dict[str, float] = {}
-    for op_id, (seconds, _, _) in run.items():
+    for op_id, (seconds, *_) in run.items():
         groups[_group(op_id)] = groups.get(_group(op_id), 0.0) + seconds
     return {"op_ms_p50": 1000 * statistics.median(bests), "sum_s": sum(bests), **groups}
 
@@ -137,14 +146,22 @@ def main() -> int:
     for op_id in rounds[0]["parent"]:
         best = {s: 1000 * min(r[s][op_id][0] for r in rounds) for s in sides}
         print(f"  {op_id}: {best['parent']:.2f} -> {best['change']:.2f}")
-        outputs = {tuple(r[s][op_id][1:]) for r in rounds for s in sides}
+        outputs = {tuple(r[s][op_id][1:3]) for r in rounds for s in sides}
         if len(outputs) != 1:
             mismatched.append(op_id)
     if mismatched:
         print(f"\nmasked records differ: {', '.join(mismatched)}")
     else:
         print(f"\nmasked records and exit codes: all {len(rounds[0]['parent'])} equal")
-    return 1 if mismatched else 0
+    failing = False
+    for side in sides:
+        reasons = {op_id: v[3] for r in rounds for op_id, v in r[side].items() if v[3]}
+        failing = failing or bool(reasons)
+        for op_id, reason in reasons.items():
+            print(f"{side} fails its reference: {op_id}: {reason}")
+    if not failing:
+        print("bench/refs.json: every record of both sides matches")
+    return 1 if mismatched or failing else 0
 
 
 if __name__ == "__main__":
