@@ -57,7 +57,6 @@ EXIT_MALFORMED = 2
 EXIT_INCONCLUSIVE = 3
 
 MAX_SWEEP_ROWS = 10_000
-MAX_TABLE_BYTES = 1 << 30
 
 SEP = "=" * 70
 SUBSEP = "-" * 70
@@ -79,9 +78,9 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="microseconds")
 
 
-def _grid_override(values: dict, peak_bytes: Callable[[Grid], int]) -> Grid | None:
-    """The grid of grid_n and grid_l, None without them; refused before anything
-    is allocated if ``peak_bytes`` of it exceeds the memory cap."""
+def _grid_override(values: dict) -> Grid | None:
+    """The grid of grid_n and grid_l, None without them.  The routine that
+    runs on it refuses it if what it would hold exceeds the memory cap."""
     n = values.get("grid_n")
     extent = values.get("grid_l")
     if n is None and extent is None:
@@ -90,14 +89,7 @@ def _grid_override(values: dict, peak_bytes: Callable[[Grid], int]) -> Grid | No
         raise ScenarioError("grid_n and grid_l must be given together")
     from .grids import Grid
 
-    grid = Grid(1, float(extent), int(n))
-    nbytes = peak_bytes(grid)
-    if nbytes > MAX_TABLE_BYTES:
-        raise ScenarioError(
-            f"the tables held at once would take {nbytes} bytes, above the cap of "
-            f"{MAX_TABLE_BYTES}; lower grid_n"
-        )
-    return grid
+    return Grid(1, float(extent), int(n))
 
 
 def _param_tuple(values: dict) -> ParamTuple:
@@ -297,13 +289,8 @@ def _cmd_probe(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
     from . import probes
 
     kind = values["kind"]
-    grid = _grid_override(
-        values,
-        lambda g: probes.peak_bytes(kind, values.get("flavor"), g, values.get("stride", 1)),
-    )
-
     entry = _PROBES[kind]
-    report = entry.run(probes, values, grid)
+    report = entry.run(probes, values, _grid_override(values))
     if entry.witnessed(values, report):
         code = EXIT_WITNESS
     else:
@@ -321,7 +308,6 @@ def _cmd_verify(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
     from .kernels import (
         KernelParams,
         RegionParams,
-        operator_peak_bytes,
         verify_lemma_intestimates,
         verify_prop_tf_bounds,
     )
@@ -352,15 +338,12 @@ def _cmd_verify(values: dict, args) -> tuple[dict, int, list[str], list[list]]:
             *zip(report.scan_values, report.slice_norms, report.envelopes, report.ratios),
         ]
     else:
-        grid = _grid_override(
-            values, lambda g: operator_peak_bytes(g, values["trials"], values["kernel"])
-        )
         report = verify_prop_tf_bounds(
             values["case"],
             values["p"],
             trials=values["trials"],
             seed=args.seed if args.seed is not None else 0,
-            grid=grid,
+            grid=_grid_override(values),
             kernel=values["kernel"],
             slope_tol=values["slope_tol"],
             spread_cap=values["spread_cap"],

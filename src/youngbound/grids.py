@@ -25,6 +25,7 @@ Weighted norms use the japanese bracket <x> = sqrt(1 + |x|^2).
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import functools
 import itertools
 import math
@@ -83,6 +84,9 @@ BLOCK_ROWS = 64
 # the 512-wide operator rows out of the buffer.  Elementwise results do not
 # depend on how the loop is split, so no bit moves.
 UFUNC_BUFFER = 1024
+# Most bytes the arrays of one numerical request may take at once: each
+# routine refuses a larger request before it makes a grid-sized array.
+MAX_TABLE_BYTES = 1 << 30
 
 
 class GridMismatchError(ValueError):
@@ -271,6 +275,15 @@ def _allocate(layout: list) -> list[np.ndarray]:
     return [np.empty(shape, dtype) for shape, dtype in layout]
 
 
+def _refuse_above_cap(nbytes: int) -> None:
+    """Refuse a request whose arrays held at once would take ``nbytes``."""
+    if nbytes > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"the tables held at once would take {nbytes} bytes, above the cap of "
+            f"{MAX_TABLE_BYTES}; lower grid_n"
+        )
+
+
 def _charge(layout: list, point_bytes: int, ufunc_dtype) -> int:
     """The bytes of the buffers ``layout`` declares, of the n-point arrays
     beside them, and of numpy's buffers for three ``ufunc_dtype`` operands."""
@@ -299,7 +312,8 @@ def _two_at_a_time(fn, items, layout: list) -> list:
     made only when it is taken.  No item is taken once one has failed.
     The items are taken in order, so every item before a failing one was
     taken and ran to its end: once the helper is joined, the first failing
-    item raises its exception, as the serial loop does."""
+    item raises its exception, as the serial loop does.  The helper runs in
+    a copy of the caller's context, so numpy's error state holds on both."""
     results: dict[int, object] = {}
     failures: dict[int, Exception] = {}
     lock = threading.Lock()
@@ -320,7 +334,7 @@ def _two_at_a_time(fn, items, layout: list) -> list:
                 with lock:
                     failures[i] = exc
 
-    helper = threading.Thread(target=work)
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(work,))
     helper.start()
     try:
         work()

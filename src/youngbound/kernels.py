@@ -46,6 +46,7 @@ from .grids import (
     _exponent_value,
     _flat_rows,
     _MixedNorm,
+    _refuse_above_cap,
     _require_one_dimension,
     _row_blocks,
     _small_ufunc_buffer,
@@ -189,7 +190,7 @@ def region_codes(x: np.ndarray, y: np.ndarray, params: RegionParams) -> np.ndarr
 def _kernel_block(kernel, grid: Grid, rows: slice) -> np.ndarray:
     if isinstance(kernel, SampledKernel2d):
         if kernel.grid != grid:
-            raise ValueError("t_f: kernel and functions on different grids")
+            raise GridMismatchError("t_f: kernel and functions on different grids")
         return kernel.values[rows]
     ax = grid.axis()
     return kernel(ax[rows, None], ax[None, :])
@@ -216,7 +217,7 @@ def _tf_rows(f: SampledFunction, g: SampledFunction):
     1.284 s in two sets of 10 alternating rounds (shared 2-core x86-64 VM).
     """
     if f.grid != g.grid:
-        raise ValueError("t_f: f and g on different grids")
+        raise GridMismatchError("t_f: f and g on different grids")
     n = f.grid.n
     half = n // 2
     real = not (np.any(f.values.imag) or np.any(g.values.imag))
@@ -642,27 +643,12 @@ class PropReport:
 _DEFAULT_SCALES = (0.5, 2.0 ** -0.5, 1.0, 2.0 ** 0.5, 2.0)
 # The dilation scales of each kernel: the flat kernel has no dilation leg.
 _KERNEL_SCALES = {"bumps": _DEFAULT_SCALES, "ones": (1.0,)}
+
+
 def _operator_point_buffers(grid: Grid) -> list:
     """An operator point holds one block of kernel rows and its T_F products."""
     rows = _block_rows(grid.n)
     return [((rows, grid.n), np.float64), ((rows, grid.n), np.complex128)]
-
-
-def operator_peak_bytes(grid: Grid, trials: int, kernel: str) -> int:
-    """The bytes an operator check of ``trials`` on ``grid`` holds at its
-    peak: two points run at once, unless the check has only one."""
-    # Beside its buffers a point holds 176 bytes a grid point: the two
-    # sampled inputs (complex, 32); for each of at most two maps the
-    # reversed, zero-padded g of `_tf_rows` (real, 24) and the image (16);
-    # the kernel norm's running column sums and their next sum (16); and
-    # the squared distances of the kernel sampler, along both axes for each
-    # of its three bumps (48).  The maps and the sampler go before the
-    # images are scaled and measured (24 more), so no later step holds
-    # more.  Its small arrays and Python objects (the bumps, closures,
-    # slices and views) take at most 8 KiB.  Its products are real, so
-    # numpy buffers float64 operands.
-    point = _charge(_operator_point_buffers(grid), 176 * grid.n + 8192, np.float64)
-    return min(2, trials * len(_KERNEL_SCALES[kernel])) * point
 
 
 # The operator trials draw their bumps from numpy's default_rng(seed), so a
@@ -788,6 +774,17 @@ def verify_prop_tf_bounds(
         ) from None
     grid = grid or Grid(1, 16.0, 512)
     scale_list = list(_KERNEL_SCALES[kernel])
+    # Two points run at once, unless the check has only one.  Beside its
+    # buffers a point holds 176 bytes a grid point: the two sampled inputs
+    # (complex, 32); for each of at most two maps the reversed, zero-padded
+    # g of `_tf_rows` (real, 24) and the image (16); the kernel norm's
+    # running column sums and their next sum (16); and the sampler's squared
+    # distances, along both axes for each of its three bumps (48).  The maps
+    # and the sampler go before the images are scaled and measured (24
+    # more).  Its small objects (bumps, closures, slices, views) take at
+    # most 8 KiB; its products are real, so numpy buffers float64 operands.
+    point = _charge(_operator_point_buffers(grid), 176 * grid.n + 8192, np.float64)
+    _refuse_above_cap(min(2, trials * len(scale_list)) * point)
     rng = _DefaultRng(seed)
     ax = grid.axis()
     p0c = exps[0].conjugate()

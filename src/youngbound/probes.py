@@ -47,6 +47,7 @@ from .grids import (
     _check_stft_inputs,
     _flat_rows,
     _norm_pass_buffers,
+    _refuse_above_cap,
     _require_one_dimension,
     _row_blocks,
     _small_ufunc_buffer,
@@ -94,39 +95,16 @@ CONSTANCY_TOL = 1e-10
 # modulation-multiplication ladder accepts.
 IDENTITY_TOL = 1e-6
 
-def peak_bytes(kind: str, flavor: str | None, grid: Grid, stride: int) -> int:
-    """The bytes a probe of ``kind`` (and ladder ``flavor``) on ``grid``
-    holds at its peak; a modulation ladder runs two jobs at once."""
-    # Beside its buffers a norm-pass job holds 112 bytes a grid point: its
-    # function (complex, 16) and, for a convolution numerator, the
-    # 2n-point spectrum and inverse and the n-point result of `convolve`
-    # (80), more than the pass's own target, padded window, lattice
-    # positions and half-width columns.
-    norm_pass = _charge(_norm_pass_buffers(grid, stride), 112 * grid.n, np.float64)
-    if flavor == "modulation-convolution":
-        return 2 * norm_pass
-    if flavor == "modulation-multiplication":
-        # The identity, which holds more than a pass, beside one pass.  It
-        # holds 88 bytes a grid point beside its buffers: the function,
-        # f1 f2, the two windows and, while a padded window is filled, its
-        # conjugate (complex, 16 each), and the grid positions (8).  Its
-        # Python objects take at most 8 KiB (one block's slice and array
-        # views, the lattices' strided views, scalars).
-        identity = _charge(_identity_buffers(grid, stride), 88 * grid.n, np.complex128)
-        return identity + 8192 + norm_pass
-    # The other probes hold no blocks.  A point holds at most 80 bytes a
-    # grid point: in a convolution, one n-point complex factor beside two
-    # 2n-point complex spectra, or the product spectrum, its inverse and
-    # the result (a ladder hands its factors over, and each goes once it is
-    # transformed); in the multiplication ladder, two functions and the
-    # product, or two functions, the transform and its working copy.  For
-    # the whole run a ladder or probe also holds at most two factors of its
-    # Gaussian family and three weights of its norm memo, 8 bytes a point
-    # each (40), and its small arrays and Python objects take under 8 more.
-    # The norm-slope calibration convolves nothing: its member, |f| and the
-    # temporaries of making a member, beside one factor and one weight, stay
-    # under 56 bytes a point, so 64 covers it.
-    return (64 if kind == "norm-slope" else 80 + 5 * 8 + 8) * grid.n
+def _refuse_ladder(grid: Grid, point_bytes: int, members, weights) -> None:
+    """Refuse a Gaussian ladder or probe on ``grid`` above the memory cap:
+    a point holds ``point_bytes`` a grid point, and the run keeps one family
+    factor per distinct weight of ``members`` and one memo weight per
+    distinct nonzero one of ``weights`` (exact, so a weight beyond binary64
+    is refused later by its own text), 8 bytes a point each.  8 bytes a
+    point more cover its small objects and numpy's ufunc buffers (under
+    70 KB in the charge tests)."""
+    kept = len(set(members)) + len(set(weights) - {0})
+    _refuse_above_cap((point_bytes + 8 * kept + 8) * grid.n)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +299,8 @@ def gaussian_norm_slope(
     tw = Fraction(t)
     grid = grid or PROBE_GRID
     alphas = list(alphas) if alphas is not None else list(DEFAULT_ALPHAS)
+    # A point: the member (complex, 16) and |f| or the member's temporaries.
+    _refuse_ladder(grid, 32, [tw], [tw])
     fam = GaussianFamily((tw, tw, tw))
     norm = _WeightedNorms(grid)
     values = [norm(fam.member(0, a, grid), pe, tw) for a in alphas]
@@ -366,6 +346,10 @@ def _convolution_ratios(
 ) -> list[float]:
     """||f1 * f2||_{L^{p0'}_{-t0}} / (||f1||_{L^{p1}_{t1}} ||f2||_{L^{p2}_{t2}})
     along the Gaussian family of ``params.t``."""
+    t0, t1, t2 = params.t
+    # A point: one complex factor beside two 2n-point complex spectra, or
+    # the product spectrum, its inverse and the result (80 bytes).
+    _refuse_ladder(grid, 80, [t1, t2], [t1, t2, -t0])
     fam = GaussianFamily(params.t)
     norm = _WeightedNorms(grid)
     p0c = params.p[0].conjugate()
@@ -461,6 +445,8 @@ def translation_necessity_probe(
             f"{fam.support_radius}) outside the box of extent {grid.extent}"
         )
 
+    # A point: the two bumps, then the arrays of their convolution.
+    _refuse_ladder(grid, 80, [], [work.t[1], work.t[2], -work.t[0]])
     p0c = work.p[0].conjugate()
     norm = _WeightedNorms(grid)
     products = []
@@ -520,6 +506,8 @@ def gaussian_lower_bound_check(
     if window >= grid.extent:
         raise ValueError("window must sit strictly inside the box")
 
+    # The arrays of the convolution, then it beside the envelope's arrays.
+    _refuse_ladder(grid, 80, [t1f, t2f], [])
     fam = GaussianFamily((Fraction(0), t1f, t2f))
     conv = _convolve_taking(_member_pair(fam, alpha, grid))
     x = grid.axis()
@@ -691,32 +679,45 @@ def boundedness_sweep(
     if flavor == "convolution":
         ratios = _convolution_ratios(params, alphas, grid)
     elif flavor == "multiplication":
+        s0, s1, s2 = params.s
+        same = s2 == s1  # then g2 is g1, transformed once
+        # A point: g1, the product and its transform's arrays (64), and g2.
+        _refuse_ladder(grid, 64 if same else 80, [s1, s2], [s1, s2, -s0])
         dual = grid.dual()
         hats = GaussianFamily(params.s)
         # The functions live on dual.dual(), and their transforms here.
         norm = _WeightedNorms(dual.dual().dual())
         q0c = params.q[0].conjugate()
-        same = params.s[2] == params.s[1]  # then g2 is g1, transformed once
 
         def ratio(a: float) -> float:  # its arrays go when it returns
             g1 = inverse_fourier_transform(hats.member(1, a, dual))
             g2 = g1 if same else inverse_fourier_transform(hats.member(2, a, dual))
             product = SampledFunction(g1.grid, g1.values * g2.values)
-            num = norm(fourier_transform(product), q0c, -params.s[0])
+            num = norm(fourier_transform(product), q0c, -s0)
             del product  # two functions and a transform at a time
             ghat = fourier_transform(g1)
-            den = norm(ghat, params.q[1], params.s[1])
+            den = norm(ghat, params.q[1], s1)
             if not same:
                 ghat = fourier_transform(g2)
-            return num / (den * norm(ghat, params.q[2], params.s[2]))
+            return num / (den * norm(ghat, params.q[2], s2))
 
         ratios = [ratio(a) for a in alphas]
     else:
+        mult = base == "multiplication"
+        # Two jobs run at once: two passes, or the identity beside one.
+        # Beside its buffers a pass holds 112 bytes a grid point: its
+        # function (complex, 16) and, for a convolution numerator, the
+        # 2n-point spectrum and inverse and the result of `convolve` (80),
+        # more than its own arrays.  The identity holds 88: f, f1 f2, the
+        # two windows and a conjugate (complex, 16 each) and the positions
+        # (8), and at most 8 KiB of Python objects.
+        norm_pass = _charge(_norm_pass_buffers(grid, stride), 112 * grid.n, np.float64)
+        identity = _charge(_identity_buffers(grid, stride), 88 * grid.n + 8192, np.complex128)
+        _refuse_above_cap(norm_pass + (identity if mult else norm_pass))
         x = grid.axis()
         window = SampledFunction(grid, np.exp(-x * x / 2.0))
         p0c = params.p[0].conjugate()
         q0c = params.q[0].conjugate()
-        mult = base == "multiplication"
         for a in alphas:  # a failing alpha raises before any point runs
             gaussian_resolution_guard(grid, a)
 

@@ -374,6 +374,17 @@ def test_decomposition_residual_rejects_inputs_on_another_grid():
         decomposition_residual(grid, KernelParams((1, 1, 1)), RegionParams(), f, g)
 
 
+def test_t_f_names_a_grid_mismatch():
+    """A kernel table, or a g, on another grid than f is a GridMismatchError
+    (a ValueError), as in convolve, stft and decomposition_residual."""
+    f, g = smooth_pair(GRID32, 0)
+    other = Grid(1, 8.0, 64)
+    with pytest.raises(GridMismatchError, match="kernel and functions"):
+        t_f(kernel_table(other, KernelParams((1, 1, 1))), f, g)
+    with pytest.raises(GridMismatchError, match="f and g"):
+        t_f(kernel_table(GRID32, KernelParams((1, 1, 1))), f, smooth_pair(other, 0)[1])
+
+
 # ---------------------------------------------------------------------------
 # Slice-norm envelopes
 # ---------------------------------------------------------------------------
@@ -770,6 +781,26 @@ def test_two_at_a_time_runs_every_item_once_under_fast_switching():
         sys.setswitchinterval(interval)
     assert results == [i * i for i in range(2000)]
     assert sorted(calls) == list(range(2000))
+
+
+def test_two_at_a_time_runs_both_threads_in_the_callers_error_state():
+    """numpy keeps its error state in a context variable, which a new
+    thread starts at its default; the helper runs in a copy of the
+    caller's context, so a job on either thread sees the caller's
+    np.geterr()."""
+    both = threading.Barrier(2, timeout=5.0)
+    seen = {}
+
+    def fn(i):
+        both.wait()  # each thread holds its item until the other has one
+        seen[threading.get_ident()] = np.geterr()
+        return i
+
+    with np.errstate(over="raise", divide="ignore", invalid="raise"):
+        caller = np.geterr()
+        assert grids._two_at_a_time(_unbuffered(fn), [0, 1], []) == [0, 1]
+    assert len(seen) == 2
+    assert all(state == caller for state in seen.values())
 
 
 @contextlib.contextmanager

@@ -9,17 +9,16 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from fractions import Fraction as F
-from functools import partial
 from pathlib import Path
 
 import numpy
 import pytest
 
+import charge_cases
 import youngbound
-from youngbound import cli, exponents, kernels
+from youngbound import cli, exponents, grids, kernels, probes
 from youngbound.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_MALFORMED,
@@ -27,6 +26,7 @@ from youngbound.cli import (
     EXIT_WITNESS,
     main,
 )
+from youngbound.exponents import ParamTuple
 from youngbound.scenario import (
     RunRecord,
     ScenarioError,
@@ -946,10 +946,7 @@ def test_infinite_results_are_spelled_as_strings(tmp_path, capsys):
 # live here, not under scenarios/, because every file there is a benchmark
 # operation.  The modulation ladders use the product-identity tuple of the
 # benchmark's modulation operations, at stride 8 on the default grid.
-_MODULATION_LADDER = (
-    "kind = boundedness\nflavor = {}\np = 2, 2, 2\nt = 1/4, 1/4, 0\n"
-    "q = 2, 1, 2\ns = 0, 0, 0\nstride = {}\n"
-)
+_MODULATION_LADDER = charge_cases.MODULATION_LADDER
 EXTRA_PROBES = {
     "probe_lower_bound": "kind = lower-bound\nt1 = 1/2\nt2 = -1/4\nalpha = 0.25\n",
     "probe_norm_slope": "kind = norm-slope\nexponent = 3\nweight = 1/2\n",
@@ -1087,24 +1084,29 @@ def test_operator_tables_count_against_the_cap(tmp_path, capsys, monkeypatch):
     assert str(2 * (24 * 64 * n + 176 * n + 8192 + 3 * 1024 * 8)) in err
 
 
+class _Admitted(Exception):
+    """The first grid-sized array of a request that its charge admitted."""
+
+
+def _admitted(self):
+    raise _Admitted
+
+
+def _makes_no_grid_array(self):
+    raise AssertionError("a grid array was made before the budget check")
+
+
 def test_operator_check_at_8192_is_admitted(tmp_path, capsys, monkeypatch):
     """At grid_n = 8192 one kernel table would take 512 MiB, but the check
     samples 64 rows at a time, two points at once, and is charged 26.8 MiB,
-    so it passes the budget check and reaches the verifier."""
-
-    class Admitted(Exception):
-        pass
-
-    def admitted(*args, **kwargs):
-        raise Admitted
-
-    monkeypatch.setattr("youngbound.kernels.verify_prop_tf_bounds", admitted)
+    so it passes its refusal call and makes its first grid array."""
+    monkeypatch.setattr(grids.Grid, "axis", _admitted)
     path = write(
         tmp_path,
         "which = operator\ncase = 1\np = 2, 2, 2\nkernel = bumps\n"
         "grid_n = 8192\ngrid_l = 16\n",
     )
-    with pytest.raises(Admitted):
+    with pytest.raises(_Admitted):
         main(["verify-lemmas", "--scenario", path])
     assert "above the cap" not in capsys.readouterr().err
 
@@ -1143,176 +1145,119 @@ def test_stride_one_identity_ladder_at_4096_is_admitted(tmp_path, capsys, monkey
     """At grid_n = 4096, stride 1, one whole short-time table would take
     256 MiB, but the ladder is charged one 32-row block of the product
     identity and one 64-row block of a norm pass, plus their points and
-    ufunc buffers (11.17 MiB), so it passes the budget check and reaches
-    the sweep."""
-
-    class Admitted(Exception):
-        pass
-
-    def admitted(*args, **kwargs):
-        raise Admitted
-
-    monkeypatch.setattr("youngbound.probes.boundedness_sweep", admitted)
+    ufunc buffers (11.17 MiB), so it passes its refusal call and makes its
+    first grid array."""
+    monkeypatch.setattr(grids.Grid, "axis", _admitted)
     path = write(tmp_path, _IDENTITY_LADDER.format(4096))
-    with pytest.raises(Admitted):
+    with pytest.raises(_Admitted):
         main(["probe", "--scenario", path])
     assert "above the cap" not in capsys.readouterr().err
 
 
 def test_probe_points_count_against_the_cap(tmp_path, capsys, monkeypatch):
-    """At grid_n = 2**24 a gaussian probe is charged 128 bytes a point
-    (2 GiB), so it exits 2 before the probe runs."""
-
-    def runs(*args, **kwargs):
-        raise AssertionError("the probe ran before the budget check")
-
-    monkeypatch.setattr("youngbound.probes.gaussian_necessity_probe", runs)
+    """At grid_n = 2**24 a gaussian probe with equal zero weights is charged
+    96 bytes a point (1.5 GiB): 80 for a point, 8 for its one family factor
+    (t1 = t2), none for memo weights (every weight is 0), and 8 for its
+    small objects.  So it exits 2 before it makes a grid array."""
+    monkeypatch.setattr(grids.Grid, "axis", _makes_no_grid_array)
     path = write(
         tmp_path, "kind = gaussian\np = 2, 2, 2\ngrid_n = 16777216\ngrid_l = 48\n"
     )
     assert main(["probe", "--scenario", path]) == EXIT_MALFORMED
     err = capsys.readouterr().err
     assert "above the cap" in err
-    assert str(128 * 2 ** 24) in err
+    assert str(96 * 2 ** 24) in err
 
 
-# Every probe that is not a modulation ladder, with a box it resolves; the
-# "-distinct" ones keep the most factors and weights their kind can hold.
-_POINT_CHARGED_PROBES = {
-    "gaussian": ("kind = gaussian\np = 2, 2, 2\n", 48.0),
-    "translation": ("kind = translation\np = 2, 1, 1\nt = 0, 1, -2\n", 32.0),
-    "gaussian-distinct": ("kind = gaussian\np = 2, 2, 2\nt = 1/8, 1/4, 1/2\n", 48.0),
-    "translation-distinct": ("kind = translation\np = 2, 1, 1\nt = 1/2, 1, -2\n", 32.0),
-    "lower-bound": ("kind = lower-bound\nt1 = 1\nt2 = 0\nalpha = 0.25\n", 18.0),
-    "norm-slope": ("kind = norm-slope\nexponent = 2\nweight = 1\n", 48.0),
-    "convolution": (
-        "kind = boundedness\nflavor = convolution\np = 2, 2, 2\nt = 3/8, 3/8, 3/8\n", 48.0
+# The library call of each request kind on a given grid: every probe kind,
+# the four ladder flavors and the operator check.
+_MODULATION_TUPLE = ParamTuple(
+    d=1, p=(2, 2, 2), t=(F(1, 4), F(1, 4), 0), q=(2, 1, 2), s=(0, 0, 0)
+)
+_LIBRARY_CALLS = {
+    "gaussian": lambda grid: probes.gaussian_necessity_probe(
+        ParamTuple(d=1, p=(2, 2, 2), t=(0, 0, 0)), grid=grid
     ),
-    "multiplication": (
-        "kind = boundedness\nflavor = multiplication\np = 2, 2, 2\nt = 3/8, 3/8, 3/8\n",
-        48.0,
+    "translation": lambda grid: probes.translation_necessity_probe(
+        ParamTuple(d=1, p=(2, 1, 1), t=(0, 1, -2)), grid=grid
     ),
-    "convolution-distinct": (
-        "kind = boundedness\nflavor = convolution\np = 2, 2, 2\nt = 1/2, 1/4, 3/8\n", 48.0
+    "lower-bound": lambda grid: probes.gaussian_lower_bound_check(1, 0, 0.25, grid=grid),
+    "norm-slope": lambda grid: probes.gaussian_norm_slope(2, 1, grid=grid),
+    "convolution": lambda grid: probes.boundedness_sweep(
+        ParamTuple(d=1, p=(2, 2, 2), t=(F(3, 8),) * 3), "convolution", grid=grid
     ),
-    "multiplication-distinct": (
-        "kind = boundedness\nflavor = multiplication\np = 2, 2, 2\nt = 0, 0, 0\n"
-        "q = 2, 2, 2\ns = 1/2, 1/4, 3/8\n",
-        48.0,
+    "multiplication": lambda grid: probes.boundedness_sweep(
+        ParamTuple(d=1, p=(2, 2, 2), t=(F(3, 8),) * 3, q=(2, 2, 2), s=(F(3, 8),) * 3),
+        "multiplication", grid=grid,
     ),
+    "modulation-convolution": lambda grid: probes.boundedness_sweep(
+        _MODULATION_TUPLE, "modulation-convolution", grid=grid
+    ),
+    "modulation-multiplication": lambda grid: probes.boundedness_sweep(
+        _MODULATION_TUPLE, "modulation-multiplication", grid=grid
+    ),
+    "operator": lambda grid: kernels.verify_prop_tf_bounds(1, (2, 2, 2), grid=grid),
+}
+# The same requests through the command line, with the box of each.
+_CLI_REQUESTS = {
+    **{name: charge_cases.POINT_CHARGED_PROBES[name] for name in (
+        "gaussian", "translation", "lower-bound", "norm-slope", "convolution", "multiplication"
+    )},
+    **{
+        flavor: charge_cases.MODULATION_LADDERS[f"{flavor}-8"]
+        for flavor in charge_cases.MODULATION_FLAVORS
+    },
+    "operator": charge_cases.OPERATOR_CHECKS["case1"],
 }
 
 
-def _assert_charge_covers_the_traced_peak(
-    command, text, extent, sizes, charge, tmp_path, capsys, monkeypatch=None, jobs=None
-):
-    """Run ``command`` on ``text`` at each grid size of ``sizes`` under
-    tracemalloc: the bytes ``charge(grid)`` is at least the traced peak and
-    at most 1.5 times it.
-
-    ``jobs``, when given, is a module whose ``_two_at_a_time`` runs two
-    jobs at once, patched through ``monkeypatch``.  Its jobs then run one after
-    another on this thread, each traced on its own and asking for fresh
-    buffers, and the peak is the sum of the two largest job peaks: the
-    most that two threads can hold at once, whatever their timing."""
-    from youngbound import grids
-    from youngbound.grids import Grid
-
+@pytest.mark.parametrize("name", sorted(_LIBRARY_CALLS))
+def test_over_cap_requests_are_refused_before_any_grid_array(name, tmp_path, capsys, monkeypatch):
+    """At grid_n = 2**26 every request is charged above the cap, and its
+    routine refuses it before it makes a grid array: from the command line
+    with exit 2, and from a library call with a ValueError."""
+    monkeypatch.setattr(grids.Grid, "axis", _makes_no_grid_array)
+    command, text, extent = _CLI_REQUESTS[name]
     path = write(tmp_path, text)
-    job_peaks = []
-
-    def one_at_a_time(fn, items, layout):
-        results = []
-        for item in items:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            results.append(fn(item, lambda: grids._allocate(layout)))
-            job_peaks.append(tracemalloc.get_traced_memory()[1] - base)
-        return results
-
-    if jobs is not None:
-        monkeypatch.setattr(jobs, "_two_at_a_time", one_at_a_time)
-
-    def run(n):
-        argv = [command, "--scenario", path, "--grid-n", str(n), "--grid-L", str(extent)]
-        assert main(argv) != EXIT_MALFORMED, capsys.readouterr().err
-
-    run(sizes[0] // 2)  # one-time allocations (lazy imports, caches) are not per point
-    for n in sizes:
-        job_peaks.clear()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            run(n)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        if jobs is not None:
-            peak = sum(sorted(job_peaks)[-2:])
-        estimate = charge(Grid(1, extent, n))
-        assert peak <= estimate <= 1.5 * peak, (n, peak, estimate)
+    argv = [command, "--scenario", path, "--grid-n", str(2 ** 26), "--grid-L", str(extent)]
+    assert main(argv) == EXIT_MALFORMED
+    assert "above the cap" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="above the cap"):
+        _LIBRARY_CALLS[name](grids.Grid(1, extent, 2 ** 26))
 
 
-@pytest.mark.parametrize("name", sorted(_POINT_CHARGED_PROBES))
-def test_probe_charge_covers_the_traced_peak(name, tmp_path, capsys):
-    from youngbound import probes
+def _assert_charge_covers_the_traced_peak(case, sizes):
+    """At each grid size of ``sizes`` the charge of ``case`` is at least
+    its traced peak and at most 1.5 times it, and its per-point term is at
+    least the alpha of the line alpha n + beta fitted to the peaks: a
+    constant term such as numpy's buffers cannot hide a per-point
+    shortfall that grows past the charge at the sizes the cap admits."""
+    charges, peaks = charge_cases.readings(case, sizes)
+    for n, charge, peak in zip(sizes, charges, peaks):
+        assert peak <= charge <= 1.5 * peak, (n, peak, charge)
+    per_point, _ = charge_cases.fit(sizes, charges)
+    alpha, beta = charge_cases.fit(sizes, peaks)
+    assert per_point >= alpha, (per_point, alpha, beta)
 
-    text, extent = _POINT_CHARGED_PROBES[name]
-    values = resolve_scenario("probe", parse_scenario_text(text))
+
+@pytest.mark.parametrize("name", sorted(charge_cases.POINT_CHARGED_PROBES))
+def test_probe_charge_covers_the_traced_peak(name):
     _assert_charge_covers_the_traced_peak(
-        "probe", text, extent, (16384, 65536),
-        lambda grid: probes.peak_bytes(values["kind"], values.get("flavor"), grid, 1),
-        tmp_path, capsys,
+        charge_cases.POINT_CHARGED_PROBES[name], charge_cases.POINT_SIZES
     )
 
 
-@pytest.mark.parametrize("stride", [1, 4, 8])
-@pytest.mark.parametrize("flavor", ["modulation-convolution", "modulation-multiplication"])
-def test_modulation_ladder_charge_covers_the_traced_peak(
-    flavor, stride, tmp_path, capsys, monkeypatch
-):
-    """Two passes of a convolution ladder in flight, or the product
-    identity and one pass of a multiplication ladder."""
-    from youngbound import probes
-
+@pytest.mark.parametrize("name", sorted(charge_cases.MODULATION_LADDERS))
+def test_modulation_ladder_charge_covers_the_traced_peak(name):
     _assert_charge_covers_the_traced_peak(
-        "probe", _MODULATION_LADDER.format(flavor, stride), 24.0, (512, 1024),
-        lambda grid: probes.peak_bytes("boundedness", flavor, grid, stride),
-        tmp_path, capsys, monkeypatch, probes,
+        charge_cases.MODULATION_LADDERS[name], charge_cases.BLOCK_SIZES
     )
 
 
-@pytest.mark.parametrize(
-    "settings",
-    [
-        "case = 1\np = 2, 2, 2\n",
-        "case = 2\np = 2, 2, 2\n",
-        "case = 3\np = 2, 2, 2\n",
-        "case = 1\np = 1, 2, 2\n",  # R(p) = 0
-        "case = 2\np = 2, 2, 2\nkernel = ones\n",
-    ],
-    ids=["case1", "case2", "case3", "r0", "ones"],
-)
-def test_operator_charge_covers_the_traced_peak(settings, tmp_path, capsys, monkeypatch):
-    """Two (trial, scale) points in flight, or the one point of the flat
-    kernel's single trial."""
-    text = f"which = operator\n{settings}trials = 1\n"
-    values = resolve_scenario("verify-lemmas", parse_scenario_text(text))
-    trials, kernel = values["trials"], values["kernel"]
+@pytest.mark.parametrize("name", sorted(charge_cases.OPERATOR_CHECKS))
+def test_operator_charge_covers_the_traced_peak(name):
     _assert_charge_covers_the_traced_peak(
-        "verify-lemmas", text, 16.0, (512, 1024),
-        lambda grid: kernels.operator_peak_bytes(grid, trials, kernel),
-        tmp_path, capsys, monkeypatch, kernels,
-    )
-
-
-def _largest_admitted(charge):
-    """The largest power-of-two grid_n, from 8 to 2**40, whose charge the
-    memory cap admits (every charge grows with n)."""
-    from youngbound.grids import Grid
-
-    return max(
-        2 ** k for k in range(3, 41) if charge(Grid(1, 16.0, 2 ** k)) <= cli.MAX_TABLE_BYTES
+        charge_cases.OPERATOR_CHECKS[name], charge_cases.BLOCK_SIZES
     )
 
 
@@ -1320,23 +1265,22 @@ def test_memory_cap_admits_at_least_the_grids_it_always_has():
     """The cap admits a grid at least as large as it did under the fitted
     per-block charges that the declared buffers replaced, so no request
     that it once admitted is refused: 2**18 for the modulation ladders at
-    every power-of-two stride to 1024, 2**23 for the other probes, 2**24
-    for norm-slope, 2**17 for an operator check of two points or more, and
-    2**18 for the single point of one trial of the flat kernel."""
-    from youngbound import probes
-
+    every power-of-two stride to 1024, 2**23 for the other probes (each
+    with the most factors and weights its kind can hold among the charge
+    cases), 2**24 for norm-slope, 2**17 for an operator check of two
+    points or more, and 2**18 for the single point of one trial of the
+    flat kernel."""
+    largest = charge_cases.largest_admitted
     for stride in (2 ** k for k in range(11)):
-        for flavor in ("modulation-convolution", "modulation-multiplication"):
-            charge = partial(probes.peak_bytes, "boundedness", flavor, stride=stride)
-            assert _largest_admitted(charge) >= 2 ** 18, (flavor, stride)
-    for kind, flavor in [("gaussian", None), ("translation", None), ("lower-bound", None),
-                         ("boundedness", "convolution"), ("boundedness", "multiplication")]:
-        assert _largest_admitted(partial(probes.peak_bytes, kind, flavor, stride=1)) >= 2 ** 23
-    assert _largest_admitted(partial(probes.peak_bytes, "norm-slope", None, stride=1)) >= 2 ** 24
+        for flavor in charge_cases.MODULATION_FLAVORS:
+            text = _MODULATION_LADDER.format(flavor, stride)
+            assert largest("probe", text, 24.0) >= 2 ** 18, (flavor, stride)
+    for name, case in charge_cases.POINT_CHARGED_PROBES.items():
+        assert largest(*case) >= 2 ** (24 if name == "norm-slope" else 23), name
     for kernel, trials, floor in [("bumps", 1, 17), ("bumps", 4, 17), ("ones", 4, 17),
                                   ("ones", 1, 18)]:
-        charge = partial(kernels.operator_peak_bytes, trials=trials, kernel=kernel)
-        assert _largest_admitted(charge) >= 2 ** floor, (kernel, trials)
+        text = charge_cases.OPERATOR_CHECK.format(1, "2, 2, 2", kernel, trials)
+        assert largest("verify-lemmas", text, 16.0) >= 2 ** floor, (kernel, trials)
 
 
 @pytest.mark.parametrize(
