@@ -71,9 +71,15 @@ BOUNDARY_TOL = 1e-6
 # half-width L before the box is said to truncate it.
 GAUSSIAN_EDGE_TOL = 1e-12
 # Rows of a table that the streamed numerics hold at once: the short-time
-# norms of the modulation ladders, the product identity, the operator
-# check and t_f build their tables this many rows at a time.
+# norms of the modulation ladders, the product identity and t_f build
+# their tables this many rows at a time.
 BLOCK_ROWS = 64
+# A block of the operator check has at least BLOCK_ROWS rows and at least
+# this many entries (128 rows at n = 512, 64 from n = 1024 on), so a point
+# at small n makes fewer numpy calls an entry, which its two threads
+# otherwise take turns at under the GIL.  Its two buffers take 24 bytes an
+# entry: 1.5 MB for n = 256 to 1024, inside a core's 2 MiB L2 cache.
+BLOCK_ENTRIES = 1 << 16
 # Elements in each of numpy's ufunc buffers while a block job runs (the
 # default is 8192).  numpy's buffered iterator copies a 2-D operand whose
 # rows are much shorter than its buffer into the buffer before the loop
@@ -254,17 +260,24 @@ def _axis_power_norm(mag: np.ndarray, p: float, cell: float, axis) -> np.ndarray
     return (np.sum(mag, axis=axis) * cell) ** (1.0 / p)
 
 
-def _block_rows(count: int, divisor: int = 1) -> int:
-    """Rows in the first of the :func:`_row_blocks` of ``count`` rows."""
-    return min(count, max(1, BLOCK_ROWS // divisor))
-
-
-def _row_blocks(count: int, divisor: int = 1):
-    """Consecutive slices of max(1, BLOCK_ROWS // divisor) rows (the last
-    may be shorter) that cover rows 0 .. count - 1, made one at a time."""
+def _block_size(divisor: int, width: int) -> int:
+    """max(1, BLOCK_ROWS // divisor) rows, or, for blocks of ``width``-wide
+    rows (0: any width), BLOCK_ENTRIES // width when that is more."""
     size = max(1, BLOCK_ROWS // divisor)
-    for start in range(0, count, size):
-        yield slice(start, min(start + size, count))
+    return max(size, BLOCK_ENTRIES // width) if width else size
+
+
+def _block_rows(count: int, divisor: int = 1, width: int = 0) -> int:
+    """Rows in the first of the :func:`_row_blocks` of ``count`` rows."""
+    return min(count, _block_size(divisor, width))
+
+
+def _row_blocks(count: int, divisor: int = 1, width: int = 0, start: int = 0):
+    """Consecutive slices of :func:`_block_size` rows (the last may be
+    shorter) that cover rows ``start`` .. count - 1, made one at a time."""
+    size = _block_size(divisor, width)
+    for first in range(start, count, size):
+        yield slice(first, min(first + size, count))
 
 
 # A block routine declares the buffers it holds across its blocks as a
@@ -375,6 +388,13 @@ class _MixedNorm:
             if self.columns is not None:
                 mag[0] += self.columns
             self.columns = np.sum(mag, axis=0)
+
+    def skip(self, count: int) -> None:
+        """Take in ``count`` rows of zeros.  A zero row's L^q norm is +0, and
+        adding +0 to a column sum or maximum of magnitudes moves no bit, so
+        only the row norms take them: the final sum keeps its length."""
+        if count and not self.p_inside:
+            self.rows.append(np.zeros(count))
 
     def value(self) -> float:
         """The norm of the blocks taken in; it may consume the running sums,
@@ -627,6 +647,9 @@ def stft(f: SampledFunction, window: SampledFunction, stride: int = 1) -> StftTa
     equal bits.
     """
     _check_stft_inputs(f, window, stride)
+    # The complex rows, transformed in place, and the table they are
+    # shifted into: 32 bytes an entry.
+    _refuse_above_cap(32 * (f.grid.n // stride) * f.grid.n)
     return StftTable(
         grid=f.grid,
         stride=stride,
@@ -646,6 +669,9 @@ def stft_magnitudes(f: SampledFunction, window: SampledFunction, stride: int = 1
     float64, one real FFT each, and magnitudes are taken once.
     """
     fr, wr = _real_stft_inputs(f, window, stride)
+    # The float64 rows beside their half-width complex spectra.
+    n = f.grid.n
+    _refuse_above_cap((n // stride) * (8 * n + 16 * (n // 2 + 1)))
     table = np.abs(np.fft.rfft(_window_rows(fr, _window_lattice(wr, stride)), axis=1))
     table *= f.grid.h * (TWO_PI ** -0.5)
     xi, multiplicity = _half_width_columns(f.grid)
@@ -891,7 +917,8 @@ def modulation_norm(
     """Weighted modulation-type norm computed through the short-time table.
 
     The norm of ``stft(f, window, stride)`` as :func:`stft_table_norm`
-    defines it.
+    defines it.  The table is the most this holds at once (its magnitudes
+    come after the transformed rows go), so stft's refusal is its own.
     """
     return stft_table_norm(stft(f, window, stride), p, q, s, t, space=space)
 
@@ -907,6 +934,7 @@ def mixed_norm_2d(kernel: SampledKernel2d, p, q, order: int) -> float:
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
+    _refuse_above_cap(8 * kernel.values.size)  # the magnitudes
     cell = kernel.grid.h
     norm = _MixedNorm(
         _exponent_value(p), _exponent_value(q), (cell, cell), p_inside=order == 1

@@ -135,6 +135,8 @@ def _kernel_values(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:
 
 
 def kernel_table(grid: Grid, params: KernelParams) -> SampledKernel2d:
+    # _kernel_values holds three float64 tables at once.
+    _refuse_above_cap(24 * grid.n * grid.n)
     ax = grid.axis()
     return SampledKernel2d(grid, _kernel_values(ax[:, None], ax[None, :], params.t))
 
@@ -449,36 +451,38 @@ def verify_lemma_intestimates(
         scan_values.append(v)
         v *= SCAN_RATIO
 
-    norms: list[float] = []
-    envelopes: list[float] = []
+    # Every envelope first: one beyond binary64 is refused before any
+    # quadrature runs, so before any can print a numpy warning.
+    envelopes = [_envelope(region, v, kernel_params.t, rp) for v in scan_values]
+
+    def quadrature(v: float, _held) -> tuple[float, int]:
+        """The slice norm at v and the number of its supporting points."""
+        domain = _slice_domain(region, v, region_params)
+        if domain is None:
+            return 0.0, 0
+        a, b = domain
+        u = np.linspace(a, b, QUAD_POINTS)
+        du = (b - a) / (QUAD_POINTS - 1)
+        if region in (1, 2):
+            x, y = np.full_like(u, v), u
+        else:
+            x, y = u, np.full_like(u, v)
+        mask = region_codes(x, y, region_params) == region
+        support = int(mask.sum())
+        if support == 0:
+            return 0.0, 0
+        vals = np.where(mask, _kernel_values(x, y, weights), 0.0)
+        return float(_axis_power_norm(vals, pf, du, axis=None)), support
+
+    # Each quadrature stands alone, so two at a time keep the serial bits.
+    measured = _two_at_a_time(quadrature, scan_values, [])
+    norms = [norm for norm, _ in measured]
     ratios: list[float | None] = []
     excluded: list[float] = []
     flagged: list[float] = []
     retained: list[float] = []
 
-    for v in scan_values:
-        domain = _slice_domain(region, v, region_params)
-        if domain is None:
-            norm = 0.0
-            support = 0
-        else:
-            a, b = domain
-            u = np.linspace(a, b, QUAD_POINTS)
-            du = (b - a) / (QUAD_POINTS - 1)
-            if region in (1, 2):
-                x, y = np.full_like(u, v), u
-            else:
-                x, y = u, np.full_like(u, v)
-            mask = region_codes(x, y, region_params) == region
-            support = int(mask.sum())
-            if support == 0:
-                norm = 0.0
-            else:
-                vals = np.where(mask, _kernel_values(x, y, weights), 0.0)
-                norm = float(_axis_power_norm(vals, pf, du, axis=None))
-        env = _envelope(region, v, kernel_params.t, rp)
-        norms.append(norm)
-        envelopes.append(env)
+    for v, env, (norm, support) in zip(scan_values, envelopes, measured):
         if norm == 0.0:
             excluded.append(v)
             ratios.append(None)
@@ -575,7 +579,8 @@ class _GaussSum2d(_GaussSum1d):
     def sampler(self, x: np.ndarray, y: np.ndarray):
         """The sum on the outer grid of the 1-d axes x and y, as a function
         of a slice of x, an output block of as many rows and a C-contiguous
-        complex scratch array as large, which fills the block and returns it.
+        complex scratch array as large, which fills the block and returns it;
+        and the slice of x outside which every row of the sum is +0.
 
         Each term is evaluated only on the band of rows and columns where
         a (x - u)^2 and a (y - v)^2 stay below _EXP_ZERO, and inside that
@@ -592,6 +597,13 @@ class _GaussSum2d(_GaussSum1d):
         the sum unmasked.  In any other block a skipped exponent is set to
         -inf, whose exp is +0: the block starts at +0 and no sum of finite
         terms turns an entry into -0, so adding amp * 0 changes no bit.
+        The first term to meet a block, if it covers the block and amp > 0,
+        writes amp * exp into it in place of that start: 0 + x is x for
+        x >= +0.
+
+        A row outside every term's row band is +0 in every column, so the
+        rows outside the hull of the bands are +0 (all rows are returned
+        when no term has a band).
         """
         terms = []
         for amp, a, u, v in self.terms:
@@ -601,7 +613,7 @@ class _GaussSum2d(_GaussSum1d):
                 terms.append((amp, a, rows, cols, dx, dy[cols], float(np.max(dy[cols]))))
 
         def sample(block: slice, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-            out.fill(0.0)
+            fresh = True  # nothing is written into the block yet
             for amp, a, rows, cols, dx, dy, dy_top in terms:
                 start, stop = max(rows.start, block.start), min(rows.stop, block.stop)
                 if start >= stop:
@@ -616,12 +628,23 @@ class _GaussSum2d(_GaussSum1d):
                     np.less_equal(arg, -_EXP_ZERO, out=drop)
                     np.copyto(arg, -np.inf, where=drop)
                 np.exp(arg, out=arg)
-                arg *= amp
                 target = out[start - block.start : stop - block.start, cols]
-                np.add(target, arg, out=target)
+                if fresh and target.size == out.size and amp > 0:
+                    np.multiply(arg, amp, out=target)
+                else:
+                    if fresh:
+                        out.fill(0.0)
+                    arg *= amp
+                    np.add(target, arg, out=target)
+                fresh = False
+            if fresh:
+                out.fill(0.0)
             return out
 
-        return sample
+        if not terms:
+            return sample, slice(0, x.size)
+        bands = [rows for _, _, rows, *_ in terms]
+        return sample, slice(min(b.start for b in bands), max(b.stop for b in bands))
 
 
 @dataclass
@@ -647,7 +670,7 @@ _KERNEL_SCALES = {"bumps": _DEFAULT_SCALES, "ones": (1.0,)}
 
 def _operator_point_buffers(grid: Grid) -> list:
     """An operator point holds one block of kernel rows and its T_F products."""
-    rows = _block_rows(grid.n)
+    rows = _block_rows(grid.n, width=grid.n)
     return [((rows, grid.n), np.float64), ((rows, grid.n), np.complex128)]
 
 
@@ -808,13 +831,19 @@ def verify_prop_tf_bounds(
         kernel_rows, product = held()
         fl = SampledFunction(grid, fsum.dilated(lam).sample(ax))
         gl = SampledFunction(grid, gsum.dilated(lam).sample(ax))
-        sample = None if ksum is None else ksum.dilated(lam).sampler(ax, ax)
+        if ksum is None:
+            sample, live = None, slice(0, grid.n)
+        else:
+            sample, live = ksum.dilated(lam).sampler(ax, ax)
         # mixed_norm_2d and t_f of the kernel table, one block of its
-        # rows at a time: every block serves the norm and each map.
+        # rows at a time: every block serves the norm and each map.  The
+        # rows outside ``live`` are +0, so their T_F rows are 0; the norm
+        # takes them as zero rows.
         knorm = _MixedNorm(knorm_p, knorm_q, (grid.h, grid.h), p_inside=case != 1)
         maps = [_tf_rows(gl, fl) if swap else _tf_rows(fl, gl) for swap in swaps]
-        images = [np.empty(grid.n, dtype=np.complex128) for _ in maps]
-        for rows in _row_blocks(grid.n):
+        images = [np.zeros(grid.n, dtype=np.complex128) for _ in maps]
+        knorm.skip(live.start)
+        for rows in _row_blocks(live.stop, width=grid.n, start=live.start):
             kblk = kernel_rows[: rows.stop - rows.start]
             if sample is None:
                 kblk.fill(1.0)
@@ -825,6 +854,7 @@ def verify_prop_tf_bounds(
             knorm.add(np.abs(kblk, out=_flat_rows(product.view(float), *kblk.shape)))
             for i, (rows_of, out) in enumerate(zip(maps, images)):
                 out[rows] = rows_of(kblk, rows, product[: len(kblk)], own=i == len(maps) - 1)
+        knorm.skip(grid.n - live.stop)
         # The maps' padded inputs and the sampler's squared distances go
         # before each image is scaled and measured, so the point holds no
         # more after its blocks than during them.

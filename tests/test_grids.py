@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -35,6 +36,7 @@ from youngbound.grids import (
     weighted_lebesgue_norm,
 )
 from youngbound.grids import _MixedNorm
+from youngbound.kernels import KernelParams, kernel_table
 
 from oracles import (
     direct_convolution,
@@ -780,3 +782,38 @@ def test_gaussian_resolution_guard():
         gaussian_resolution_guard(Grid(1, 4.0, 256), 0.01)
     with pytest.raises(ValueError):
         gaussian_resolution_guard(Grid(1, 16.0, 256), -1.0)
+
+
+def _whole_table_requests():
+    """Each whole-table library function at n = 1024 (a 512-point table for
+    mixed_norm_2d, which reads one), as a call."""
+    grid = Grid(1, 16.0, 1024)
+    ax = grid.axis()
+    f = SampledFunction(grid, np.exp(-ax ** 2))
+    w = SampledFunction(grid, np.exp(-ax ** 2 / 2.0))
+    table = SampledKernel2d(Grid(1, 16.0, 512), np.ones((512, 512)))
+    return {
+        "stft": lambda: stft(f, w),
+        "stft_magnitudes": lambda: stft_magnitudes(f, w),
+        "modulation_norm": lambda: modulation_norm(f, w, 2, 2, 0, 0),
+        "kernel_table": lambda: kernel_table(grid, KernelParams((1, 1, 1))),
+        "mixed_norm_2d": lambda: mixed_norm_2d(table, 2, 2, 1),
+    }
+
+
+@pytest.mark.parametrize("name", list(_whole_table_requests()))
+def test_whole_table_functions_refuse_above_the_cap(name, monkeypatch):
+    """With the cap at 1 MiB, each whole-table function (8 to 32 bytes a
+    table entry, 2 to 32 MiB here) is refused with the cap's error before
+    it makes its table: the traced peak stays below 64 KiB, where
+    modulation_norm traced 34 MB before it refused."""
+    request = _whole_table_requests()[name]
+    monkeypatch.setattr(grids, "MAX_TABLE_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="above the cap of 1048576; lower grid_n"):
+            request()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16

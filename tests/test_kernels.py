@@ -270,15 +270,18 @@ def _outer_grid_buffers(n):
 
 
 @settings(max_examples=80)
-@given(_gauss_terms, st.integers(3, 8), st.floats(0.5, 40.0))
-def test_prop_gauss_sum_sampling_bitwise_equals_naive(terms, log_n, extent):
+@given(_gauss_terms, st.integers(3, 8), st.floats(0.5, 40.0), st.integers(1, 9))
+def test_prop_gauss_sum_sampling_bitwise_equals_naive(terms, log_n, extent, block):
     """Clipping each bump to the band where its exponent stays above
     -_EXP_ZERO skips only terms below |amp| 2^-1022: they move no entry by
     more than their sum, and no bit of an entry 2^54 times larger, where
     each is under half an ulp.  Widths from 1e-3 to 1e3 and centers beyond
-    the box make the band anything from the whole grid to nothing."""
+    the box make the band anything from the whole grid to nothing.  No
+    entry is -0, as in the oracle, which starts every entry at +0; the
+    rows outside the returned live rows are +0; and sampling ``block``
+    rows at a time gives the bits (and signs of zero) of the whole table."""
     ax = Grid(1, extent, 2 ** log_n).axis()
-    sample = _GaussSum2d(tuple(terms)).sampler(ax, ax)
+    sample, live = _GaussSum2d(tuple(terms)).sampler(ax, ax)
     fast = sample(slice(0, ax.size), *_outer_grid_buffers(ax.size))
     slow = naive_gauss_sum_2d(terms, ax, ax)
     skipped = sum(abs(amp) for amp, *_ in terms) * np.finfo(float).tiny
@@ -286,6 +289,16 @@ def test_prop_gauss_sum_sampling_bitwise_equals_naive(terms, log_n, extent):
     normal = np.abs(slow) >= 2.0 ** 54 * skipped
     assert np.array_equal(fast[normal], slow[normal])
     assert np.array_equal(np.signbit(fast[normal]), np.signbit(slow[normal]))
+    assert not np.any(np.signbit(fast[fast == 0.0]))
+    dead = np.ones(ax.size, dtype=bool)
+    dead[live] = False
+    assert not np.any(fast[dead]) and not np.any(np.signbit(fast[dead]))
+    out, scratch = _outer_grid_buffers(ax.size)
+    for start in range(0, ax.size, block):
+        rows = slice(start, min(start + block, ax.size))
+        sample(rows, out[: rows.stop - start], scratch)
+        assert np.array_equal(out[: rows.stop - start], fast[rows])
+        assert np.array_equal(np.signbit(out[: rows.stop - start]), np.signbit(fast[rows]))
 
 
 @pytest.mark.parametrize("case", [1, 2, 3])
@@ -301,7 +314,7 @@ def test_operator_check_has_the_bits_of_the_naive_sampler(case, monkeypatch):
             out[...] = naive_gauss_sum_2d(self.terms, x[block], y)
             return out
 
-        return sample
+        return sample, slice(0, x.size)  # every row is sampled
 
     monkeypatch.setattr(_GaussSum2d, "sampler", naive_sampler)
     naive = verify_prop_tf_bounds(case, (2, 2, 2), trials=1, grid=grid)
@@ -411,6 +424,28 @@ def test_slice_scan_from_a_subnormal_value_ends():
         1, KernelParams((0, 0, 0)), RegionParams(), 2, scan_range=(5e-324, 1e-321)
     )
     assert len(report.scan_values) == 31
+
+
+@pytest.mark.parametrize("region", kernels.REGION_IDS)
+def test_threaded_slice_scan_equals_serial_run(region, monkeypatch):
+    """Two quadratures at a time give the report of one after another, to
+    the bit, in every region."""
+    args = (region, KernelParams((F(1, 2), 1, F(3, 2))), RegionParams(), 2)
+    threaded = verify_lemma_intestimates(*args, scan_range=(1.0, 64.0))
+    monkeypatch.setattr(kernels, "_two_at_a_time", _serial)
+    serial = verify_lemma_intestimates(*args, scan_range=(1.0, 64.0))
+    assert repr(threaded) == repr(serial)
+
+
+def test_slice_scan_refuses_an_overflowing_envelope_before_any_quadrature(monkeypatch):
+    """The region 4 envelope <v>^200.5 overflows from about v = 34.5 on:
+    the scan from 1 is refused before the quadrature of any of the
+    values below it runs."""
+    ran = []
+    monkeypatch.setattr(kernels, "_slice_domain", lambda *args: ran.append(args))
+    with pytest.raises(ValueError, match="region 4 at scan value 3[4-9].* overflows binary64"):
+        verify_lemma_intestimates(4, KernelParams((-100, -100, 0)), RegionParams(), 2)
+    assert ran == []
 
 
 def test_slice_envelope_rejects_bad_region():
@@ -536,7 +571,7 @@ def _whole_table_prop_ratios(case, p, trials, seed, grid, kernel):
             if ksum is None:
                 table = np.ones((grid.n, grid.n))
             else:
-                sample = ksum.dilated(lam).sampler(ax, ax)
+                sample, _ = ksum.dilated(lam).sampler(ax, ax)
                 table = sample(slice(0, grid.n), *_outer_grid_buffers(grid.n))
             ktab = SampledKernel2d(grid, table)
             denom = (
@@ -567,28 +602,74 @@ _OPERATOR_SETTINGS = [
 ]
 
 
-@settings(max_examples=30)
-@given(
-    st.sampled_from(_OPERATOR_SETTINGS),
-    st.sampled_from([16, 32, 64]),
-    st.sampled_from([1, 3, 5, 7, 64, 100]),
-    st.sampled_from([4.0, 8.0, 16.0]),
-    st.integers(0, 2 ** 32 - 1),
-)
-def test_prop_streamed_operator_check_equals_whole_table_path(
-    setting, n, block, extent, seed
-):
+def test_prop_streamed_operator_check_equals_whole_table_path():
     """Sampling the kernel in row blocks (of sizes that divide the grid or
-    not, or exceed it) and feeding each block to the mixed norm and to
-    every map gives the ratios and slopes of whole tables to the bit."""
-    case, p, kernel = setting
-    grid = Grid(1, extent, n)
-    expected = _whole_table_prop_ratios(case, p, 1, seed, grid, kernel)
-    with mock.patch.object(grids, "BLOCK_ROWS", block):
-        report = verify_prop_tf_bounds(
-            case, p, trials=1, seed=seed, grid=grid, kernel=kernel
-        )
-    assert repr((report.ratios, report.slopes)) == repr(expected)
+    not, or exceed it, by rows or by entries), skipping the rows outside
+    the sampler's live rows, and feeding each block to the mixed norm and
+    to every map gives the ratios and slopes of whole tables to the bit.
+    On a box of half-width 32 the bumps of the larger scales leave the
+    outer rows +0, so some checks at n = 512 skip rows, and the test
+    asserts that they did."""
+    skipping = []  # n of every check in which a point skipped rows
+    sampler = _GaussSum2d.sampler
+
+    def watched(self, x, y):
+        sample, live = sampler(self, x, y)
+        if live.stop - live.start < x.size:
+            skipping.append(x.size)
+        return sample, live
+
+    @settings(max_examples=30)
+    @example(_OPERATOR_SETTINGS[1], 512, 64, 1 << 16, 32.0, 0)
+    @example(_OPERATOR_SETTINGS[0], 512, 7, 1, 32.0, 1)
+    @given(
+        st.sampled_from(_OPERATOR_SETTINGS),
+        st.sampled_from([16, 32, 64, 512]),
+        st.sampled_from([1, 3, 5, 7, 64, 100]),
+        st.sampled_from([1, 700, 1 << 16]),
+        st.sampled_from([4.0, 8.0, 16.0, 32.0]),
+        st.integers(0, 2 ** 32 - 1),
+    )
+    def check(setting, n, block, entries, extent, seed):
+        case, p, kernel = setting
+        grid = Grid(1, extent, n)
+        expected = _whole_table_prop_ratios(case, p, 1, seed, grid, kernel)
+        with mock.patch.object(grids, "BLOCK_ROWS", block), mock.patch.object(
+            grids, "BLOCK_ENTRIES", entries
+        ), mock.patch.object(_GaussSum2d, "sampler", watched):
+            report = verify_prop_tf_bounds(
+                case, p, trials=1, seed=seed, grid=grid, kernel=kernel
+            )
+        assert repr((report.ratios, report.slopes)) == repr(expected)
+
+    check()
+    assert 512 in skipping
+
+
+# float.hex of the lambda = 2 ratio of one-trial operator checks at seed 0
+# on a 1024-point grid of half-width 32, where about half the kernel rows
+# at that scale are +0; recorded before the point loop skipped them.
+_PINNED_SKIPPING_POINTS = {
+    (1, (2, 2, 2)): "0x1.92fb2af46a817p-2",
+    (2, (2, 2, 2)): "0x1.092e752f4b082p-2",
+    (1, (1, 2, 2)): "0x1.ed8e80bbbea13p-2",
+}
+
+
+@pytest.mark.parametrize("case, p", list(_PINNED_SKIPPING_POINTS))
+def test_operator_point_that_skips_rows_keeps_its_pinned_bits(case, p):
+    report = verify_prop_tf_bounds(case, p, trials=1, seed=0, grid=Grid(1, 32.0, 1024))
+    assert report.scales[-1] == 2.0
+    assert report.ratios[0][-1].hex() == _PINNED_SKIPPING_POINTS[case, p]
+
+
+def test_operator_blocks_have_at_least_64_rows_and_65536_entries():
+    """256 rows at n = 256, 128 at n = 512 and 64 from n = 1024 on; at
+    n = 512 a point's buffers hold 24 bytes an entry, 1.5 MB."""
+    layouts = {n: kernels._operator_point_buffers(Grid(1, 16.0, n)) for n in (256, 512, 1024, 4096)}
+    rows = {n: layout[0][0][0] for n, layout in layouts.items()}
+    assert rows == {256: 256, 512: 128, 1024: 64, 4096: 64}
+    assert grids._charge(layouts[512], 0, np.float64) == 24 * 65536 + 3 * grids.UFUNC_BUFFER * 8
 
 
 @pytest.mark.parametrize("n, extent", [(512, 16.0), (1024, 32.0)])
@@ -610,7 +691,7 @@ def test_tf_matches_the_closed_form_on_the_operator_draws(n, extent):
             fl, gl, kl = fsum.dilated(lam), gsum.dilated(lam), ksum.dilated(lam)
             f = SampledFunction(grid, fl.sample(ax))
             g = SampledFunction(grid, gl.sample(ax))
-            ktab = SampledKernel2d(grid, kl.sampler(ax, ax)(slice(0, n), table, scratch))
+            ktab = SampledKernel2d(grid, kl.sampler(ax, ax)[0](slice(0, n), table, scratch))
             for got, (first, second) in (
                 (t_f(ktab, f, g), (fl, gl)),
                 (t_theta_f(ktab, f, g), (gl, fl)),

@@ -18,8 +18,8 @@ keeps each operation's fastest run.
 The report gives, per round, each side's ``op_ms_p50`` (the median over the
 operations of their fastest runs, as the benchmark defines it) and the sum
 of the fastest runs of each group (the part of the id before the first
-``/``); then the per-operation bests over all rounds, the medians, and how
-many rounds the change won.  It also says whether the change's masked
+``/``); then the medians and how many rounds the change won, and per
+operation its bests over all rounds and how many rounds the change won.  It also says whether the change's masked
 record texts and exit codes (``bench/refcheck.masked_text_sha``) equal the
 parent's, operation by operation, and checks every record of each side
 against ``bench/refs.json`` with ``bench/refcheck.mismatch``: a float that
@@ -141,11 +141,14 @@ def main() -> int:
         print(f"  {key}: {statistics.median(pa):.4g} -> {statistics.median(ch):.4g} "
               f"({wins} of {len(rounds)}; parent quartiles {quart[0]:.4g}..{quart[2]:.4g})")
 
-    print("\nper operation, fastest over all rounds (ms): parent -> change")
+    print("\nper operation, fastest over all rounds (ms): parent -> change "
+          "(change faster in k of n rounds)")
     mismatched = []
     for op_id in rounds[0]["parent"]:
         best = {s: 1000 * min(r[s][op_id][0] for r in rounds) for s in sides}
-        print(f"  {op_id}: {best['parent']:.2f} -> {best['change']:.2f}")
+        wins = sum(r["change"][op_id][0] < r["parent"][op_id][0] for r in rounds)
+        print(f"  {op_id}: {best['parent']:.2f} -> {best['change']:.2f} "
+              f"({wins} of {len(rounds)})")
         outputs = {tuple(r[s][op_id][1:3]) for r in rounds for s in sides}
         if len(outputs) != 1:
             mismatched.append(op_id)
