@@ -24,14 +24,13 @@ Weighted norms use the japanese bracket <x> = sqrt(1 + |x|^2).
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import functools
 import itertools
 import math
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -70,25 +69,20 @@ BOUNDARY_TOL = 1e-6
 # Largest edge value e^{-alpha L^2} a Gaussian may keep on a box of
 # half-width L before the box is said to truncate it.
 GAUSSIAN_EDGE_TOL = 1e-12
-# Rows of a table that the streamed numerics hold at once: the short-time
-# norms of the modulation ladders, the product identity and t_f build
-# their tables this many rows at a time.
+# Rows of a table that the streamed numerics hold at once.  Each block
+# routine's buffer layout sets its block rows from it, and its loop reads
+# them back from its buffers.
 BLOCK_ROWS = 64
-# A block of the operator check has at least BLOCK_ROWS rows and at least
-# this many entries (128 rows at n = 512, 64 from n = 1024 on), so a point
-# at small n makes fewer numpy calls an entry, which its two threads
-# otherwise take turns at under the GIL.  Its two buffers take 24 bytes an
-# entry: 1.5 MB for n = 256 to 1024, inside a core's 2 MiB L2 cache.
-BLOCK_ENTRIES = 1 << 16
-# Elements in each of numpy's ufunc buffers while a block job runs (the
-# default is 8192).  numpy's buffered iterator copies a 2-D operand whose
-# rows are much shorter than its buffer into the buffer before the loop
-# runs: a 64-row broadcast add of 512-wide rows took 0.83 ns a point at
-# 8192, 0.63 at 2048 and 0.24 at 1024 or less (x86-64, numpy 2.4).  The
-# serial operator and modulation groups of the benchmark ran equally fast
-# at 128-1024 and slower at 2048, so this is the largest size that keeps
-# the 512-wide operator rows out of the buffer.  Elementwise results do not
-# depend on how the loop is split, so no bit moves.
+# Elements in each of numpy's ufunc buffers while a job of _two_at_a_time
+# runs (the default is 8192).  numpy's buffered iterator copies a 2-D
+# operand whose rows are much shorter than its buffer into the buffer
+# before the loop runs: a 64-row broadcast add of 512-wide rows took
+# 0.83 ns a point at 8192, 0.63 at 2048 and 0.24 at 1024 or less (x86-64,
+# numpy 2.4).  The serial operator and modulation groups of the benchmark
+# ran equally fast at 128-1024 and slower at 2048, so this is the largest
+# size that keeps the 512-wide operator rows out of the buffer.
+# Elementwise results do not depend on how the loop is split, so no bit
+# moves.
 UFUNC_BUFFER = 1024
 # Most bytes the arrays of one numerical request may take at once: each
 # routine refuses a larger request before it makes a grid-sized array.
@@ -204,6 +198,7 @@ class StftTable:
     the full table: itself and its mirror -xi.  A folded pass of
     :func:`stft_magnitude_norms` holds the rows x <= 0 only, and row m
     stands for ``row_multiplicity[m]`` rows: itself and its mirror -x.
+    A pass builds its rows in blocks: its table has no ``values`` (None).
     """
 
     grid: Grid
@@ -260,22 +255,9 @@ def _axis_power_norm(mag: np.ndarray, p: float, cell: float, axis) -> np.ndarray
     return (np.sum(mag, axis=axis) * cell) ** (1.0 / p)
 
 
-def _block_size(divisor: int, width: int) -> int:
-    """max(1, BLOCK_ROWS // divisor) rows, or, for blocks of ``width``-wide
-    rows (0: any width), BLOCK_ENTRIES // width when that is more."""
-    size = max(1, BLOCK_ROWS // divisor)
-    return max(size, BLOCK_ENTRIES // width) if width else size
-
-
-def _block_rows(count: int, divisor: int = 1, width: int = 0) -> int:
-    """Rows in the first of the :func:`_row_blocks` of ``count`` rows."""
-    return min(count, _block_size(divisor, width))
-
-
-def _row_blocks(count: int, divisor: int = 1, width: int = 0, start: int = 0):
-    """Consecutive slices of :func:`_block_size` rows (the last may be
-    shorter) that cover rows ``start`` .. count - 1, made one at a time."""
-    size = _block_size(divisor, width)
+def _row_blocks(count: int, size: int, start: int = 0):
+    """Consecutive slices of ``size`` rows (the last may be shorter) that
+    cover rows ``start`` .. count - 1, made one at a time."""
     for first in range(start, count, size):
         yield slice(first, min(first + size, count))
 
@@ -304,17 +286,6 @@ def _charge(layout: list, point_bytes: int, ufunc_dtype) -> int:
     return held + point_bytes + 3 * UFUNC_BUFFER * np.dtype(ufunc_dtype).itemsize
 
 
-@contextlib.contextmanager
-def _small_ufunc_buffer():
-    """Run the block (or, as a decorator, each call) with ufunc buffers of
-    UFUNC_BUFFER elements.  numpy keeps the size in a context variable,
-    which a new thread starts at its default, and errstate restores it on
-    exit, also when the block raises."""
-    with np.errstate():
-        np.setbufsize(UFUNC_BUFFER)
-        yield
-
-
 def _two_at_a_time(fn, items, layout: list) -> list:
     """``[fn(item, held) for item in items]`` on the calling thread and one
     helper thread, which overlap where numpy releases the GIL; ``held()``
@@ -326,7 +297,9 @@ def _two_at_a_time(fn, items, layout: list) -> list:
     The items are taken in order, so every item before a failing one was
     taken and ran to its end: once the helper is joined, the first failing
     item raises its exception, as the serial loop does.  The helper runs in
-    a copy of the caller's context, so numpy's error state holds on both."""
+    a copy of the caller's context, so numpy's error state holds on both.
+    Each runs its items with ufunc buffers of UFUNC_BUFFER elements, and
+    errstate gives the caller its own size back, also when an item raises."""
     results: dict[int, object] = {}
     failures: dict[int, Exception] = {}
     lock = threading.Lock()
@@ -334,18 +307,20 @@ def _two_at_a_time(fn, items, layout: list) -> list:
 
     def work() -> None:
         held = functools.cache(lambda: _allocate(layout))
-        while True:
-            try:
-                with lock:
-                    if failures:
+        with np.errstate():
+            np.setbufsize(UFUNC_BUFFER)
+            while True:
+                try:
+                    with lock:
+                        if failures:
+                            return
+                        i, item = next(indices), next(items, done)
+                    if item is done:
                         return
-                    i, item = next(indices), next(items, done)
-                if item is done:
-                    return
-                results[i] = fn(item, held)
-            except Exception as exc:  # raised again on the calling thread
-                with lock:
-                    failures[i] = exc
+                    results[i] = fn(item, held)
+                except Exception as exc:  # raised again on the calling thread
+                    with lock:
+                        failures[i] = exc
 
     helper = threading.Thread(target=contextvars.copy_context().run, args=(work,))
     helper.start()
@@ -648,8 +623,11 @@ def stft(f: SampledFunction, window: SampledFunction, stride: int = 1) -> StftTa
     """
     _check_stft_inputs(f, window, stride)
     # The complex rows, transformed in place, and the table they are
-    # shifted into: 32 bytes an entry.
-    _refuse_above_cap(32 * (f.grid.n // stride) * f.grid.n)
+    # shifted into: 32 bytes an entry; the conjugated and the padded
+    # window and the two axes: 64 bytes a grid point; and numpy's buffers
+    # for three complex operands at the caller's size (0.27 MB at 8192).
+    n = f.grid.n
+    _refuse_above_cap(32 * (n // stride) * n + 64 * n + 48 * np.getbufsize())
     return StftTable(
         grid=f.grid,
         stride=stride,
@@ -669,13 +647,15 @@ def stft_magnitudes(f: SampledFunction, window: SampledFunction, stride: int = 1
     float64, one real FFT each, and magnitudes are taken once.
     """
     fr, wr = _real_stft_inputs(f, window, stride)
-    # The float64 rows beside their half-width complex spectra.
+    # The float64 rows beside their half-width complex spectra, the padded
+    # window (16 bytes a grid point) and numpy's buffers for three float64
+    # operands at the caller's size.
     n = f.grid.n
-    _refuse_above_cap((n // stride) * (8 * n + 16 * (n // 2 + 1)))
+    rows = (n // stride) * (8 * n + 16 * (n // 2 + 1))
+    _refuse_above_cap(rows + 16 * n + 24 * np.getbufsize())
     table = np.abs(np.fft.rfft(_window_rows(fr, _window_lattice(wr, stride)), axis=1))
     table *= f.grid.h * (TWO_PI ** -0.5)
-    xi, multiplicity = _half_width_columns(f.grid)
-    return StftTable(f.grid, stride, f.grid.axis()[::stride], table, xi, multiplicity)
+    return _magnitude_table(f.grid, stride, table)
 
 
 def _real_stft_inputs(
@@ -688,13 +668,14 @@ def _real_stft_inputs(
     return f.values.real, window.values.real
 
 
-def _half_width_columns(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """The columns xi = k pi / L, k = 0 .. n/2, of a magnitude table, and
-    how many columns of the full table each stands for."""
+def _magnitude_table(grid: Grid, stride: int, values: np.ndarray | None = None) -> StftTable:
+    """A magnitude table of ``values`` on the columns xi = k pi / L,
+    k = 0 .. n/2, with how many columns of the full table each stands for."""
     half = grid.n // 2
     multiplicity = np.full(half + 1, 2.0)
     multiplicity[[0, half]] = 1.0
-    return np.arange(half + 1) * grid.dual_spacing, multiplicity
+    xi = np.arange(half + 1) * grid.dual_spacing
+    return StftTable(grid, stride, grid.axis()[::stride], values, xi, multiplicity)
 
 
 def _norm_tuples(norms, space: str) -> list[tuple[float, float, float, float]]:
@@ -722,42 +703,44 @@ def _axis_weight(
 
 
 def _weighted_magnitudes(
-    table: StftTable,
+    values: np.ndarray,
     row: np.ndarray | None,
     column: np.ndarray | None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """|V| of a block of rows times the row weight ``row`` and the column
-    weight ``column`` (a weight of None is 1), in ``out`` or a fresh array:
-    never in the table, since one table serves several norms, so the norm
-    may overwrite it."""
-    a = np.abs(table.values, out=out) if np.iscomplexobj(table.values) else table.values
+    """|V| of a block of table rows ``values`` times the row weight ``row``
+    and the column weight ``column`` (a weight of None is 1), in ``out`` or
+    a fresh array: never in ``values``, since one table serves several
+    norms, so the norm may overwrite it."""
+    a = np.abs(values, out=out) if np.iscomplexobj(values) else values
     for weight in (None if row is None else row[:, None], column):
         if weight is not None:
-            a = np.multiply(a, weight, out=out if a is table.values else a)
-    return np.positive(a, out=out) if a is table.values else a
+            a = np.multiply(a, weight, out=out if a is values else a)
+    return np.positive(a, out=out) if a is values else a
 
 
-def _table_norms(blocks, norms, space: str, scratch: np.ndarray | None = None) -> list[float]:
+def _table_norms(frame: StftTable, norms, space: str, blocks=None, scratch=None) -> list[float]:
     """The :func:`stft_table_norm` of each (p, q, s, t) of the
-    :func:`_norm_tuples` ``norms`` over the table that ``blocks`` yields as
-    consecutive row blocks (each a :class:`StftTable` of some of its
-    rows).  Each norm's weighted copy of a block is written into the
-    memory of the float64 array ``scratch`` when it is given."""
-    parts = []
-    for table in blocks:
-        if not parts:
-            cells = (table.grid.h * table.stride, table.grid.dual_spacing)
-            for p, q, s, t in norms:
-                column = _axis_weight(table.xi, s, table.multiplicity, q)
-                parts.append((_MixedNorm(p, q, cells, space == "M"), p, t, column))
-        out = None if scratch is None else _flat_rows(scratch, *table.values.shape)
-        for norm, p, t, column in parts:
-            row = _axis_weight(table.x_positions, t, table.row_multiplicity, p)
-            # A fresh weighted copy is freed when add returns, and the
-            # block before the next one is built.
-            norm.add(_weighted_magnitudes(table, row, column, out))
-        del table
+    :func:`_norm_tuples` ``norms`` over a table on the axes of ``frame``:
+    ``frame.values``, or, when given, the consecutive row blocks that
+    ``blocks`` yields as (rows, values), ``rows`` a slice of the frame's
+    rows.  Each norm's row and column weights are computed once, and its
+    weighted copy of a block is written into the memory of the float64
+    array ``scratch`` when it is given."""
+    cells = (frame.grid.h * frame.stride, frame.grid.dual_spacing)
+    parts = [
+        (
+            _MixedNorm(p, q, cells, space == "M"),
+            _axis_weight(frame.x_positions, t, frame.row_multiplicity, p),
+            _axis_weight(frame.xi, s, frame.multiplicity, q),
+        )
+        for p, q, s, t in norms
+    ]
+    for rows, values in [(slice(None), frame.values)] if blocks is None else blocks:
+        out = None if scratch is None else _flat_rows(scratch, *values.shape)
+        for norm, row, column in parts:
+            # A fresh weighted copy is freed when add returns.
+            norm.add(_weighted_magnitudes(values, None if row is None else row[rows], column, out))
     return [norm.value() for norm, *_ in parts]
 
 
@@ -775,13 +758,13 @@ def stft_table_norm(table: StftTable, p, q, s, t, *, space: str = "M") -> float:
     adds m times the column's q-th power to the L^q sum.  A row that
     stands for m rows is weighted m^{1/p} in the same way.
     """
-    return _table_norms([table], _norm_tuples([(p, q, s, t)], space), space)[0]
+    return _table_norms(table, _norm_tuples([(p, q, s, t)], space), space)[0]
 
 
 def _norm_pass_buffers(grid: Grid, stride: int) -> list:
-    """A norm pass holds one block's float64 rows and half-width spectra,
-    and the zero-padded window."""
-    rows = _block_rows(grid.n // max(stride, 1))
+    """A norm pass holds one block of BLOCK_ROWS lattice rows (all, when
+    fewer): its float64 rows and half-width spectra; and the padded window."""
+    rows = min(BLOCK_ROWS, grid.n // max(stride, 1))
     return [
         ((rows, grid.n), np.float64),
         ((rows, grid.n // 2 + 1), np.complex128),
@@ -869,11 +852,11 @@ def _stft_magnitude_norms(f, window, stride: int, norms, space: str, buffers) ->
     rows_buffer, spectra_buffer, padded = buffers
     scale = grid.h * (TWO_PI ** -0.5)
     windows = _window_lattice(wr, stride, padded)
-    x = grid.axis()[::stride]
-    xi, multiplicity = _half_width_columns(grid)
+    whole = _magnitude_table(grid, stride)
+    x = whole.x_positions
 
-    def tables(count: int, row_multiplicity: np.ndarray | None = None):
-        for rows in _row_blocks(count):
+    def tables(count: int):
+        for rows in _row_blocks(count, len(rows_buffer)):
             k = rows.stop - rows.start
             spectra = np.fft.rfft(
                 _window_rows(fr, windows, rows, out=rows_buffer[:k]),
@@ -882,8 +865,7 @@ def _stft_magnitude_norms(f, window, stride: int, norms, space: str, buffers) ->
             )
             table = np.abs(spectra, out=_flat_rows(rows_buffer, k, n // 2 + 1))
             table *= scale
-            folded = None if row_multiplicity is None else row_multiplicity[rows]
-            yield StftTable(grid, stride, x[rows], table, xi, multiplicity, folded)
+            yield rows, table
 
     scratch = spectra_buffer.view(np.float64)
     half = x.size // 2
@@ -891,16 +873,116 @@ def _stft_magnitude_norms(f, window, stride: int, norms, space: str, buffers) ->
         # Rows x = -L .. 0; every row between stands for itself and -x.
         row_multiplicity = np.full(half + 1, 2.0)
         row_multiplicity[[0, half]] = 1.0
-        values = _table_norms(tables(half + 1, row_multiplicity), norms, space, scratch)
+        folded = replace(whole, x_positions=x[: half + 1], row_multiplicity=row_multiplicity)
+        values = _table_norms(folded, norms, space, tables(half + 1), scratch)
         # Rows 1 .. half - 1 stand in for their mirrors x = a h > 0.
         error = _mirror_error(fr, wr, n // 2 - stride * np.arange(1, half)) * scale
         cells = (grid.h * stride, grid.dual_spacing)
         if all(
-            _fold_bound(error, x[1:half], xi, multiplicity, norm, cells) <= FOLD_TOL * value
+            _fold_bound(error, x[1:half], whole.xi, whole.multiplicity, norm, cells)
+            <= FOLD_TOL * value
             for value, norm in zip(values, norms)
         ):
             return values
-    return _table_norms(tables(x.size), norms, space, scratch)
+    return _table_norms(whole, norms, space, tables(x.size), scratch)
+
+
+def _xi_convolve_rows(
+    a: np.ndarray,
+    b: np.ndarray,
+    dxi: float,
+    spec: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Row-wise convolution along the dual axis, centered layout, exact pad.
+
+    When ``b`` is ``a`` its padded spectrum is computed once and squared.
+    The padded spectrum is built in ``spec`` (rows x 2n) and the result
+    written to ``out`` (rows x n, which may be ``a``; fresh when None).
+    """
+    n = a.shape[1]
+    spec[:, :n] = a
+    spec[:, n:] = 0.0
+    np.fft.fft(spec, axis=1, out=spec)
+    if b is a:
+        spec *= spec
+    else:
+        spec *= np.fft.fft(b, n=2 * n, axis=1)
+    np.fft.ifft(spec, axis=1, out=spec)
+    return np.multiply(spec[:, n // 2 : n // 2 + n], dxi, out=out)
+
+
+def _identity_buffers(grid: Grid, stride: int) -> list:
+    """The identity holds a block of half as many lattice rows as a pass:
+    its 2n-wide padded spectrum and factor table; and two padded windows."""
+    rows = min(max(1, BLOCK_ROWS // 2), grid.n // max(stride, 1))
+    return [
+        ((rows, 2 * grid.n), np.complex128),
+        ((rows, grid.n), np.complex128),
+        ((2 * grid.n,), np.complex128),
+        ((2 * grid.n,), np.complex128),
+    ]
+
+
+def _identity_charge(grid: Grid, stride: int) -> int:
+    """Beside its buffers the identity holds 88 bytes a grid point (f, f1 f2,
+    the two windows and a conjugate, complex, 16 each, and the positions,
+    8) and at most 8 KiB of Python objects."""
+    return _charge(_identity_buffers(grid, stride), 88 * grid.n + 8192, np.complex128)
+
+
+def _stft_product_identity_error(
+    f1: SampledFunction, f2: SampledFunction, stride: int
+) -> float:
+    """Relative sup error in the short-time product identity.
+
+    With windows phi1 = phi2 = e^{-|y|^2/4} and phi = phi1 phi2, the table
+    of f1 f2 under phi equals (2 pi)^{-1/2} times the row-wise dual-axis
+    convolution of the tables of f1 and f2.
+
+    Every row of the identity stands alone, so the tables are built a
+    block of :func:`_identity_buffers` rows at a time and the sup norms are
+    running maxima: the error has the bits of the whole-table error.
+    One set of those buffers serves every block.  Passing the same object
+    as f1 and f2 builds their table once; a distinct f2 takes a fresh
+    table and padded spectrum per block.
+    """
+    grid = f1.grid
+    n = grid.n
+    x = grid.axis()
+    phi = SampledFunction(grid, np.exp(-x * x / 2.0))
+    phi_half = SampledFunction(grid, np.exp(-x * x / 4.0))
+    for f in (f1, f2):
+        _check_stft_inputs(f, phi_half, stride)
+    product = SampledFunction(grid, f1.values * f2.values)
+    spec, table, phi_padded, half_padded = _allocate(_identity_buffers(grid, stride))
+    phi_rows = _window_lattice(np.conj(phi.values), stride, phi_padded)
+    half_rows = _window_lattice(np.conj(phi_half.values), stride, half_padded)
+    # np.maximum, unlike max(), keeps a NaN.
+    lhs_sup = err_sup = rhs_sup = np.float64(0.0)
+    for rows in _row_blocks(n // stride, len(spec)):
+        count = rows.stop - rows.start
+        padded = spec[:count]
+        # The factor rows and then the left side's rows are transformed in
+        # the first half of the padded spectrum, the right side is written
+        # over the factor table, the left side into the padded spectrum's
+        # second half, and the magnitudes into its spent first quarter.
+        work = _flat_rows(padded, count, n)
+        out = _flat_rows(padded.view(np.float64), count, n)
+        v1 = _stft_rows(f1, half_rows, rows, work, table[:count])
+        v2 = v1 if f2 is f1 else _stft_rows(f2, half_rows, rows)
+        rhs = _xi_convolve_rows(v1, v2, grid.dual_spacing, padded, out=v1)
+        del v2
+        rhs *= TWO_PI ** -0.5
+        rhs_sup = np.maximum(rhs_sup, np.max(np.abs(rhs, out=out)))
+        lhs = _stft_rows(
+            product, phi_rows, rows, work, _flat_rows(padded, count, n, count * n)
+        )
+        lhs_sup = np.maximum(lhs_sup, np.max(np.abs(lhs, out=out)))
+        err_sup = np.maximum(err_sup, np.max(np.abs(np.subtract(lhs, rhs, out=rhs), out=out)))
+    if lhs_sup == 0.0:
+        return float(rhs_sup)
+    return float(err_sup) / float(lhs_sup)
 
 
 def modulation_norm(
@@ -934,7 +1016,9 @@ def mixed_norm_2d(kernel: SampledKernel2d, p, q, order: int) -> float:
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    _refuse_above_cap(8 * kernel.values.size)  # the magnitudes
+    # The magnitudes, the running sums or row norms and their next value
+    # (16 bytes a grid point), and at most 8 KiB of Python objects.
+    _refuse_above_cap(8 * kernel.values.size + 16 * kernel.grid.n + 8192)
     cell = kernel.grid.h
     norm = _MixedNorm(
         _exponent_value(p), _exponent_value(q), (cell, cell), p_inside=order == 1

@@ -36,12 +36,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .exponents import Exponent, PreconditionError, _exponent_triple, young_functional
 from .grids import (
+    BLOCK_ROWS,
     Grid,
     GridMismatchError,
     SampledFunction,
     SampledKernel2d,
     _axis_power_norm,
-    _block_rows,
     _charge,
     _exponent_value,
     _flat_rows,
@@ -49,7 +49,6 @@ from .grids import (
     _refuse_above_cap,
     _require_one_dimension,
     _row_blocks,
-    _small_ufunc_buffer,
     _two_at_a_time,
     _weight_value,
     bracket,
@@ -135,8 +134,10 @@ def _kernel_values(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:
 
 
 def kernel_table(grid: Grid, params: KernelParams) -> SampledKernel2d:
-    # _kernel_values holds three float64 tables at once.
-    _refuse_above_cap(24 * grid.n * grid.n)
+    # _kernel_values holds three float64 tables at once, five n-point
+    # arrays (the axis, two brackets and two of their powers) and numpy's
+    # buffers for three float64 operands at the caller's size.
+    _refuse_above_cap(24 * grid.n * grid.n + 40 * grid.n + 24 * np.getbufsize())
     ax = grid.axis()
     return SampledKernel2d(grid, _kernel_values(ax[:, None], ax[None, :], params.t))
 
@@ -261,7 +262,7 @@ def t_f(kernel, f: SampledFunction, g: SampledFunction) -> SampledFunction:
     rows_of = _tf_rows(f, g)
     grid = f.grid
     out = np.empty(grid.n, dtype=np.complex128)
-    for rows in _row_blocks(grid.n):
+    for rows in _row_blocks(grid.n, BLOCK_ROWS):
         out[rows] = rows_of(_kernel_block(kernel, grid, rows), rows)
     return SampledFunction(grid, out * grid.h)
 
@@ -445,11 +446,9 @@ def verify_lemma_intestimates(
             f"the scan from {lo!r} to {hi!r} would take {count} points of "
             f"{QUAD_POINTS}-point quadrature, above the limit of {MAX_SCAN_POINTS}"
         )
-    scan_values: list[float] = []
-    v = lo
-    for _ in range(count):
-        scan_values.append(v)
-        v *= SCAN_RATIO
+    scan_values = [lo]
+    for _ in range(count - 1):
+        scan_values.append(scan_values[-1] * SCAN_RATIO)
 
     # Every envelope first: one beyond binary64 is refused before any
     # quadrature runs, so before any can print a numpy warning.
@@ -477,35 +476,17 @@ def verify_lemma_intestimates(
     # Each quadrature stands alone, so two at a time keep the serial bits.
     measured = _two_at_a_time(quadrature, scan_values, [])
     norms = [norm for norm, _ in measured]
-    ratios: list[float | None] = []
-    excluded: list[float] = []
-    flagged: list[float] = []
-    retained: list[float] = []
+    ratios = [None if norm == 0.0 else norm / env for norm, env in zip(norms, envelopes)]
+    excluded = [v for v, ratio in zip(scan_values, ratios) if ratio is None]
+    flagged = [
+        v for v, ratio, (_, support) in zip(scan_values, ratios, measured)
+        if ratio is not None and support < 4
+    ]
+    retained = [ratio for ratio in ratios if ratio is not None]
 
-    for v, env, (norm, support) in zip(scan_values, envelopes, measured):
-        if norm == 0.0:
-            excluded.append(v)
-            ratios.append(None)
-            continue
-        if support < 4:
-            flagged.append(v)
-        ratio = norm / env
-        ratios.append(ratio)
-        retained.append(ratio)
-
-    if retained:
-        max_ratio = max(retained)
-        # The middle of the sorted ratios, as statistics.median computes it.
-        ordered, mid = sorted(retained), len(retained) // 2
-        if len(ordered) % 2:
-            median_ratio = ordered[mid]
-        else:
-            median_ratio = (ordered[mid - 1] + ordered[mid]) / 2
-        passed = max_ratio <= ratio_cap * median_ratio
-    else:
-        max_ratio = 0.0
-        median_ratio = 0.0
-        passed = True
+    max_ratio = max(retained, default=0.0)
+    median_ratio = float(np.median(retained)) if retained else 0.0
+    passed = not retained or max_ratio <= ratio_cap * median_ratio
 
     notes = (
         "four envelope items cover the five regions (the outer-zone item "
@@ -668,9 +649,17 @@ _DEFAULT_SCALES = (0.5, 2.0 ** -0.5, 1.0, 2.0 ** 0.5, 2.0)
 _KERNEL_SCALES = {"bumps": _DEFAULT_SCALES, "ones": (1.0,)}
 
 
+# A block of the operator check has at least BLOCK_ROWS rows and at least
+# this many entries (128 rows at n = 512, 64 from n = 1024 on), so a point
+# at small n makes fewer numpy calls an entry, which its two threads
+# otherwise take turns at under the GIL.  Its two buffers take 24 bytes an
+# entry: 1.5 MB for n = 256 to 1024, inside a core's 2 MiB L2 cache.
+BLOCK_ENTRIES = 1 << 16
+
+
 def _operator_point_buffers(grid: Grid) -> list:
     """An operator point holds one block of kernel rows and its T_F products."""
-    rows = _block_rows(grid.n, width=grid.n)
+    rows = min(grid.n, max(BLOCK_ROWS, BLOCK_ENTRIES // grid.n))
     return [((rows, grid.n), np.float64), ((rows, grid.n), np.complex128)]
 
 
@@ -825,7 +814,6 @@ def verify_prop_tf_bounds(
     # T_F(f, g), and T_{Theta F}(f, g) = T_F(g, f).
     swaps = {1: (False, True), 2: (False,), 3: (True,)}[case]
 
-    @_small_ufunc_buffer()
     def ratio(point, held) -> float:
         fsum, gsum, ksum, lam = point
         kernel_rows, product = held()
@@ -843,7 +831,7 @@ def verify_prop_tf_bounds(
         maps = [_tf_rows(gl, fl) if swap else _tf_rows(fl, gl) for swap in swaps]
         images = [np.zeros(grid.n, dtype=np.complex128) for _ in maps]
         knorm.skip(live.start)
-        for rows in _row_blocks(live.stop, width=grid.n, start=live.start):
+        for rows in _row_blocks(live.stop, len(kernel_rows), start=live.start):
             kblk = kernel_rows[: rows.stop - rows.start]
             if sample is None:
                 kblk.fill(1.0)

@@ -38,26 +38,19 @@ from .exponents import (
     young_functional,
 )
 from .grids import (
-    TWO_PI,
     Grid,
     SampledFunction,
-    _allocate,
-    _block_rows,
     _charge,
-    _check_stft_inputs,
-    _flat_rows,
+    _identity_charge,
     _norm_pass_buffers,
     _refuse_above_cap,
     _require_one_dimension,
-    _row_blocks,
-    _small_ufunc_buffer,
     _stft_magnitude_norms,
-    _stft_rows,
+    _stft_product_identity_error,
     _two_at_a_time,
     _weight_value,
     _WeightedNorms,
     _convolve_taking,
-    _window_lattice,
     convolve,
     fourier_transform,
     gaussian_resolution_guard,
@@ -534,97 +527,6 @@ def gaussian_lower_bound_check(
 # Boundedness sweep
 # ---------------------------------------------------------------------------
 
-def _xi_convolve_rows(
-    a: np.ndarray,
-    b: np.ndarray,
-    dxi: float,
-    spec: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Row-wise convolution along the dual axis, centered layout, exact pad.
-
-    When ``b`` is ``a`` its padded spectrum is computed once and squared.
-    The padded spectrum is built in ``spec`` (rows x 2n) and the result
-    written to ``out`` (rows x n, which may be ``a``; fresh when None).
-    """
-    n = a.shape[1]
-    spec[:, :n] = a
-    spec[:, n:] = 0.0
-    np.fft.fft(spec, axis=1, out=spec)
-    if b is a:
-        spec *= spec
-    else:
-        spec *= np.fft.fft(b, n=2 * n, axis=1)
-    np.fft.ifft(spec, axis=1, out=spec)
-    return np.multiply(spec[:, n // 2 : n // 2 + n], dxi, out=out)
-
-
-def _identity_buffers(grid: Grid, stride: int) -> list:
-    """The identity holds one block's 2n-wide padded spectrum and factor
-    table, and its two zero-padded windows."""
-    rows = _block_rows(grid.n // max(stride, 1), 2)
-    return [
-        ((rows, 2 * grid.n), np.complex128),
-        ((rows, grid.n), np.complex128),
-        ((2 * grid.n,), np.complex128),
-        ((2 * grid.n,), np.complex128),
-    ]
-
-
-def _stft_product_identity_error(
-    f1: SampledFunction, f2: SampledFunction, stride: int
-) -> float:
-    """Relative sup error in the short-time product identity.
-
-    With windows phi1 = phi2 = e^{-|y|^2/4} and phi = phi1 phi2, the table
-    of f1 f2 under phi equals (2 pi)^{-1/2} times the row-wise dual-axis
-    convolution of the tables of f1 and f2.
-
-    Every row of the identity stands alone, so the tables are built
-    max(1, BLOCK_ROWS // 2) lattice rows at a time and the sup norms are
-    running maxima: the error has the bits of the whole-table error.
-    One set of the :func:`_identity_buffers` serves every block.  Passing
-    the same object as f1 and f2 builds their table once; a distinct f2
-    takes a fresh table and padded spectrum per block.
-    """
-    grid = f1.grid
-    n = grid.n
-    x = grid.axis()
-    phi = SampledFunction(grid, np.exp(-x * x / 2.0))
-    phi_half = SampledFunction(grid, np.exp(-x * x / 4.0))
-    for f in (f1, f2):
-        _check_stft_inputs(f, phi_half, stride)
-    product = SampledFunction(grid, f1.values * f2.values)
-    spec, table, phi_padded, half_padded = _allocate(_identity_buffers(grid, stride))
-    phi_rows = _window_lattice(np.conj(phi.values), stride, phi_padded)
-    half_rows = _window_lattice(np.conj(phi_half.values), stride, half_padded)
-    # np.maximum, unlike max(), keeps a NaN.
-    lhs_sup = err_sup = rhs_sup = np.float64(0.0)
-    for rows in _row_blocks(n // stride, 2):
-        count = rows.stop - rows.start
-        padded = spec[:count]
-        # The factor rows and then the left side's rows are transformed in
-        # the first half of the padded spectrum, the right side is written
-        # over the factor table, the left side into the padded spectrum's
-        # second half, and the magnitudes into its spent first quarter.
-        work = _flat_rows(padded, count, n)
-        out = _flat_rows(padded.view(np.float64), count, n)
-        v1 = _stft_rows(f1, half_rows, rows, work, table[:count])
-        v2 = v1 if f2 is f1 else _stft_rows(f2, half_rows, rows)
-        rhs = _xi_convolve_rows(v1, v2, grid.dual_spacing, padded, out=v1)
-        del v2
-        rhs *= TWO_PI ** -0.5
-        rhs_sup = np.maximum(rhs_sup, np.max(np.abs(rhs, out=out)))
-        lhs = _stft_rows(
-            product, phi_rows, rows, work, _flat_rows(padded, count, n, count * n)
-        )
-        lhs_sup = np.maximum(lhs_sup, np.max(np.abs(lhs, out=out)))
-        err_sup = np.maximum(err_sup, np.max(np.abs(np.subtract(lhs, rhs, out=rhs), out=out)))
-    if lhs_sup == 0.0:
-        return float(rhs_sup)
-    return float(err_sup) / float(lhs_sup)
-
-
 def boundedness_sweep(
     params: ParamTuple,
     flavor: str,
@@ -708,12 +610,10 @@ def boundedness_sweep(
         # Beside its buffers a pass holds 112 bytes a grid point: its
         # function (complex, 16) and, for a convolution numerator, the
         # 2n-point spectrum and inverse and the result of `convolve` (80),
-        # more than its own arrays.  The identity holds 88: f, f1 f2, the
-        # two windows and a conjugate (complex, 16 each) and the positions
-        # (8), and at most 8 KiB of Python objects.
+        # more than its own arrays.
         norm_pass = _charge(_norm_pass_buffers(grid, stride), 112 * grid.n, np.float64)
-        identity = _charge(_identity_buffers(grid, stride), 88 * grid.n + 8192, np.complex128)
-        _refuse_above_cap(norm_pass + (identity if mult else norm_pass))
+        second = _identity_charge(grid, stride) if mult else norm_pass
+        _refuse_above_cap(norm_pass + second)
         x = grid.axis()
         window = SampledFunction(grid, np.exp(-x * x / 2.0))
         p0c = params.p[0].conjugate()
@@ -721,7 +621,6 @@ def boundedness_sweep(
         for a in alphas:  # a failing alpha raises before any point runs
             gaussian_resolution_guard(grid, a)
 
-        @_small_ufunc_buffer()
         def job(item: tuple[str, float], held) -> list[float] | float:
             kind, a = item
             f = SampledFunction(grid, np.exp(-a * x * x))

@@ -410,12 +410,11 @@ class RunRecord:
     def __init__(
         self, command: str, scenario: dict[str, str], results: dict, exit_code: int,
         seed: int | None, started_at: str, finished_at: str, versions: dict[str, str],
-        record_version: int = RECORD_VERSION,
     ) -> None:
         vars(self).update(
             command=command, scenario=scenario, results=results, exit_code=exit_code,
             seed=seed, started_at=started_at, finished_at=finished_at, versions=versions,
-            record_version=record_version,
+            record_version=RECORD_VERSION,
         )
 
     def __eq__(self, other: object) -> bool:
@@ -457,4 +456,4 @@ class RunRecord:
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ScenarioError(f"malformed run record field {name}: {value!r}")
             fields[name] = value
-        return cls(**fields, record_version=version)
+        return cls(**fields)

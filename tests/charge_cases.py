@@ -2,13 +2,16 @@
 
 A case is a request (command, scenario text, box half-width) that runs at
 a grid size n through its command's handler, in-process and with no file,
-as ``cli.main`` runs it.  Its charge is what its routine hands its own
-refusal call, ``_refuse_above_cap``, which is patched to record the bytes
-and stop the run.  Its traced peak is what tracemalloc sees above the start
+as ``cli.main`` runs it; or, with the command "library", a whole-table
+library function named by the text, called on inputs made before it is
+charged or traced.  Its charge is what its routine hands its own refusal
+call, ``_refuse_above_cap``, which is patched to record the bytes and stop
+the run.  Its traced peak is what tracemalloc sees above the start
 of a run.  A routine whose jobs run two at a time runs them one after
-another instead, each traced on its own and asking for fresh buffers, and
-its peak is the sum of the two largest job peaks: the most that two threads
-can hold at once, whatever their timing.
+another instead, each traced on its own, asking for fresh buffers and under
+the ufunc buffer size of ``grids._two_at_a_time``, and its peak is the sum
+of the two largest job peaks: the most that two threads can hold at once,
+whatever their timing.
 
 ``tests/test_scenario_cli.py`` checks every case, and
 ``tools/charge_readings.py`` prints their readings.
@@ -24,6 +27,16 @@ from unittest import mock
 import numpy as np
 
 from youngbound import cli, grids, kernels, probes
+from youngbound.grids import (
+    Grid,
+    SampledFunction,
+    SampledKernel2d,
+    mixed_norm_2d,
+    modulation_norm,
+    stft,
+    stft_magnitudes,
+)
+from youngbound.kernels import KernelParams, kernel_table
 from youngbound.scenario import parse_scenario_text, resolve_scenario
 
 # Every probe that is not a modulation ladder, with a box it resolves; the
@@ -92,6 +105,40 @@ OPERATOR_CHECKS = {
 BLOCK_SIZES = (256, 512, 1024)
 
 
+# Each whole-table library function on the box [-16, 16), at its default
+# stride and order.
+WHOLE_TABLES = {
+    name: ("library", name, 16.0)
+    for name in ("stft", "stft_magnitudes", "modulation_norm", "kernel_table", "mixed_norm_2d")
+}
+TABLE_SIZES = (256, 512, 1024)
+
+
+def _library_call(name: str, grid: Grid):
+    """The whole-table function ``name`` as a call on inputs on ``grid``,
+    made here: Gaussian samples, the kernel weights (1, 1, 1), or a table
+    of ones."""
+    if name == "mixed_norm_2d":
+        table = SampledKernel2d(grid, np.ones((grid.n, grid.n)))
+        return lambda: mixed_norm_2d(table, 2, 2, 1)
+    if name == "kernel_table":
+        return lambda: kernel_table(grid, KernelParams((1, 1, 1)))
+    ax = grid.axis()
+    f = SampledFunction(grid, np.exp(-ax ** 2))
+    w = SampledFunction(grid, np.exp(-ax ** 2 / 2.0))
+    if name == "modulation_norm":
+        return lambda: modulation_norm(f, w, 2, 2, 0, 0)
+    return lambda: {"stft": stft, "stft_magnitudes": stft_magnitudes}[name](f, w)
+
+
+def call(command: str, text: str, extent: float, n: int):
+    """The request on the grid of n points on [-extent, extent), as a call
+    of no arguments."""
+    if command == "library":
+        return _library_call(text, Grid(1, extent, n))
+    return lambda: run(command, text, extent, n)
+
+
 def run(command: str, text: str, extent: float, n: int):
     """Run the request on the grid of n points on [-extent, extent)."""
     entries = parse_scenario_text(text)
@@ -108,16 +155,17 @@ def charge(command: str, text: str, extent: float, n: int) -> int:
     """The bytes the request's routine hands its refusal call at grid size
     n; the routine stops there, so nothing grid-sized is made."""
     charged = []
+    request = call(command, text, extent, n)
 
     def record(nbytes: int) -> None:
         charged.append(nbytes)
         raise _Charged
 
     with contextlib.ExitStack() as stack:
-        for module in (probes, kernels):
+        for module in (grids, probes, kernels):
             stack.enter_context(mock.patch.object(module, "_refuse_above_cap", record))
         with contextlib.suppress(_Charged):
-            run(command, text, extent, n)
+            request()
     (nbytes,) = charged
     return nbytes
 
@@ -134,14 +182,17 @@ def largest_admitted(command: str, text: str, extent: float) -> int:
 def traced_peak(command: str, text: str, extent: float, n: int) -> int:
     """The bytes the request holds at its peak at grid size n, traced."""
     job_peaks = []
+    request = call(command, text, extent, n)
 
     def one_at_a_time(fn, items, layout):
         results = []
-        for item in items:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            results.append(fn(item, lambda: grids._allocate(layout)))
-            job_peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        with np.errstate():
+            np.setbufsize(grids.UFUNC_BUFFER)
+            for item in items:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                results.append(fn(item, lambda: grids._allocate(layout)))
+                job_peaks.append(tracemalloc.get_traced_memory()[1] - base)
         return results
 
     with contextlib.ExitStack() as stack:
@@ -150,7 +201,7 @@ def traced_peak(command: str, text: str, extent: float, n: int) -> int:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            run(command, text, extent, n)
+            request()
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -161,7 +212,7 @@ def readings(case: tuple, sizes) -> tuple[list[int], list[int]]:
     """The charges and the traced peaks of ``case`` at each grid size,
     after a run at half the smallest: one-time allocations (lazy imports,
     caches) are not per point."""
-    run(*case, sizes[0] // 2)
+    call(*case, sizes[0] // 2)()
     return [charge(*case, n) for n in sizes], [traced_peak(*case, n) for n in sizes]
 
 

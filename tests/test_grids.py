@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -755,10 +757,9 @@ def test_mixed_norm_blocks_leave_the_table_and_keep_its_bits(block):
     table = np.random.default_rng(4).uniform(0.0, 3.0, (g.n, g.n))
     before = table.copy()
     norms = {p: _MixedNorm(float(p), 3.0, (g.h, g.h), p_inside=True) for p in (1, 2)}
-    with mock.patch.object(grids, "BLOCK_ROWS", block):
-        for rows in grids._row_blocks(g.n):
-            for norm in norms.values():
-                norm.add(table[rows].copy())
+    for rows in grids._row_blocks(g.n, block):
+        for norm in norms.values():
+            norm.add(table[rows].copy())
     assert table.tobytes() == before.tobytes()
     kernel = SampledKernel2d(g, table)
     for p, norm in norms.items():
@@ -817,3 +818,34 @@ def test_whole_table_functions_refuse_above_the_cap(name, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
+
+
+# ---------------------------------------------------------------------------
+# Module boundaries
+# ---------------------------------------------------------------------------
+
+def _names_imported_from_grids(module: str) -> set[str]:
+    """The names of every ``from .grids import`` statement of the package
+    module ``module``, read from its source."""
+    tree = ast.parse((Path(grids.__file__).parent / f"{module}.py").read_text())
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "grids" and node.level == 1
+        for alias in node.names
+    }
+
+
+def test_short_time_rows_and_block_plumbing_stay_in_grids():
+    """The product identity lives beside the norm passes in grids, each
+    buffer layout sets its own block rows and the job runner sets the
+    ufunc buffer, so neither probes nor kernels reaches for grids'
+    short-time row or block-size helpers."""
+    probes = _names_imported_from_grids("probes")
+    kernels = _names_imported_from_grids("kernels")
+    assert probes and kernels
+    assert probes.isdisjoint({
+        "TWO_PI", "_window_lattice", "_stft_rows", "_check_stft_inputs", "_flat_rows",
+        "_allocate", "_block_rows", "_row_blocks", "_small_ufunc_buffer",
+    }), probes
+    assert kernels.isdisjoint({"_block_rows", "_small_ufunc_buffer"}), kernels

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import sys
@@ -177,7 +176,7 @@ def test_tf_callable_kernel_matches_table():
         return bx ** -1.0 * by ** -0.5
 
     a = t_f(table, f, g).values
-    with mock.patch.object(grids, "BLOCK_ROWS", 7):
+    with mock.patch.object(kernels, "BLOCK_ROWS", 7):
         b = t_f(callable_kernel, f, g).values
     assert np.max(np.abs(a - b)) < 1e-12
 
@@ -205,7 +204,7 @@ def test_prop_tf_bitwise_equals_gather_oracle(inputs):
     f = SampledFunction(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
     g = SampledFunction(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
     slow = gather_tf(kmat, f.values, g.values, grid.h, block_rows)
-    with mock.patch.object(grids, "BLOCK_ROWS", block_rows):
+    with mock.patch.object(kernels, "BLOCK_ROWS", block_rows):
         fast = t_f(SampledKernel2d(grid, kmat), f, g).values
     assert np.array_equal(fast, slow)
 
@@ -213,7 +212,7 @@ def test_prop_tf_bitwise_equals_gather_oracle(inputs):
         return np.exp(-((x - y) ** 2)) / (1.0 + x * x)
 
     ax = grid.axis()
-    with mock.patch.object(grids, "BLOCK_ROWS", block_rows):
+    with mock.patch.object(kernels, "BLOCK_ROWS", block_rows):
         fast = t_f(kernel, f, g).values
     slow = gather_tf(
         kernel(ax[:, None], ax[None, :]), f.values, g.values, grid.h, block_rows
@@ -238,7 +237,7 @@ def test_prop_real_tables_match_their_complex_cast_bitwise(inputs):
     assert cplx.values.dtype == np.complex128
     f = SampledFunction(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
     g = SampledFunction(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    with mock.patch.object(grids, "BLOCK_ROWS", block_rows):
+    with mock.patch.object(kernels, "BLOCK_ROWS", block_rows):
         fast = t_f(real, f, g).values
         slow = t_f(cplx, f, g).values
     assert fast.tobytes() == slow.tobytes()
@@ -448,6 +447,49 @@ def test_slice_scan_refuses_an_overflowing_envelope_before_any_quadrature(monkey
     assert ran == []
 
 
+def _bracket(v: float) -> float:
+    return math.sqrt(1.0 + v * v)
+
+
+# Each branch of the slice envelope that no other test reaches, at p = 2
+# (1/p = 1/2): region, weights, and the envelope at the scan value v.
+_ENVELOPE_BRANCHES = {
+    "item1-log": (1, (0, 0, F(1, 2)), lambda v: (1.0 + math.log(_bracket(v))) ** 0.5),
+    "item2-log": (2, (0, F(1, 2), 0), lambda v: (1.0 + math.log(_bracket(v))) ** 0.5),
+    "item4-below": (4, (0, 0, 0), lambda v: _bracket(v) ** 0.5),
+    "item4-log": (
+        4, (F(1, 2), 0, 0), lambda v: _bracket(v) ** 0.0 * (1.0 + math.log(_bracket(v))) ** 0.5
+    ),
+}
+
+
+@pytest.mark.parametrize("branch", list(_ENVELOPE_BRANCHES))
+def test_slice_envelope_branches_pass(branch):
+    """The log-factor envelopes of items 1 and 2 (t2 = 1/p, t1 = 1/p) and
+    item 4 below and at t0 = 1/p hold over the default scan, whose first
+    values meet no point of regions 1, 2 and 4."""
+    region, t, envelope = _ENVELOPE_BRANCHES[branch]
+    report = verify_lemma_intestimates(region, KernelParams(t), RegionParams(), 2)
+    assert report.envelopes == [envelope(v) for v in report.scan_values]
+    assert report.passed
+    assert len(report.excluded_empty) < len(report.scan_values) // 2
+    assert report.under_resolved == []
+
+
+def test_slice_with_too_few_supporting_points_is_flagged():
+    """At v = 3.9053809113196625 the region 5 slice (delta = 1/2, R = 8)
+    meets fewer than four of the quadrature points: the scan value is
+    flagged as under-resolved but kept."""
+    v = 3.9053809113196625
+    report = verify_lemma_intestimates(
+        5, KernelParams((0, 0, 0)), RegionParams(), 2, scan_range=(v, 1.1 * v)
+    )
+    assert report.scan_values == [v]
+    assert report.under_resolved == [v]
+    assert report.excluded_empty == []
+    assert report.ratios[0] is not None and report.ratios[0] > 0.0
+
+
 def test_slice_envelope_rejects_bad_region():
     with pytest.raises(ValueError):
         verify_lemma_intestimates(
@@ -634,8 +676,8 @@ def test_prop_streamed_operator_check_equals_whole_table_path():
         case, p, kernel = setting
         grid = Grid(1, extent, n)
         expected = _whole_table_prop_ratios(case, p, 1, seed, grid, kernel)
-        with mock.patch.object(grids, "BLOCK_ROWS", block), mock.patch.object(
-            grids, "BLOCK_ENTRIES", entries
+        with mock.patch.object(kernels, "BLOCK_ROWS", block), mock.patch.object(
+            kernels, "BLOCK_ENTRIES", entries
         ), mock.patch.object(_GaussSum2d, "sampler", watched):
             report = verify_prop_tf_bounds(
                 case, p, trials=1, seed=seed, grid=grid, kernel=kernel
@@ -884,13 +926,6 @@ def test_two_at_a_time_runs_both_threads_in_the_callers_error_state():
     assert all(state == caller for state in seen.values())
 
 
-@contextlib.contextmanager
-def _default_buffer():
-    """A stand-in for ``_small_ufunc_buffer`` that leaves numpy's buffer at
-    its default."""
-    yield
-
-
 def _report_hexes(report) -> list[str]:
     floats = [*itertools.chain(*report.ratios), *report.slopes]
     return [v.hex() for v in (*floats, report.max_ratio, report.min_ratio, report.spread)]
@@ -908,7 +943,7 @@ def test_operator_points_keep_their_bits_under_the_small_buffer(case, p, kernel,
     the small ufunc buffer as under numpy's default one, to the bit."""
     grid = Grid(1, 16.0, n)
     small = verify_prop_tf_bounds(case, p, trials=1, seed=3, grid=grid, kernel=kernel)
-    monkeypatch.setattr(kernels, "_small_ufunc_buffer", _default_buffer)
+    monkeypatch.setattr(grids, "UFUNC_BUFFER", 8192)  # numpy's default
     default = verify_prop_tf_bounds(case, p, trials=1, seed=3, grid=grid, kernel=kernel)
     assert _report_hexes(small) == _report_hexes(default)
 

@@ -18,6 +18,8 @@ from youngbound.grids import (
     Grid,
     ResolutionError,
     SampledFunction,
+    _stft_product_identity_error,
+    _xi_convolve_rows,
     convolve,
     fourier_lebesgue_norm,
     fourier_transform,
@@ -28,8 +30,6 @@ from youngbound.grids import (
 )
 from youngbound.kernels import PreconditionError
 from youngbound.probes import (
-    _stft_product_identity_error,
-    _xi_convolve_rows,
     DEFAULT_ALPHAS,
     SWEEP_FLAVORS,
     BumpFamily,
@@ -448,7 +448,7 @@ def test_modulation_ladder_allocates_one_pass_set_a_thread(flavor, stride, alloc
     grid = Grid(1, 24.0, 256)
     boundedness_sweep(_MODULATION_TUPLE, flavor, grid=grid, stride=stride)
     passes = allocations.count(grids._norm_pass_buffers(grid, stride))
-    identities = allocations.count(probes._identity_buffers(grid, stride))
+    identities = allocations.count(grids._identity_buffers(grid, stride))
     assert 1 <= passes <= 2
     assert identities == (flavor == "modulation-multiplication")
     assert passes + identities == len(allocations)
@@ -476,6 +476,13 @@ def test_modulation_ladder_guards_every_scale_before_any_point(flavor, monkeypat
     gaussian_resolution_guard(grid, probes.MODULATION_ALPHAS[2])
 
 
+def _as_a_job(call):
+    """``call()`` run as the one job of ``grids._two_at_a_time``, so under
+    its ufunc buffer of UFUNC_BUFFER elements."""
+    (value,) = grids._two_at_a_time(lambda item, held: call(), [None], [])
+    return value
+
+
 # Norms with finite, infinite, zero and nonzero exponents and weights.
 _BUFFER_NORMS = [(2, 1, 0.5, 0.25), (1, math.inf, -0.5, 0), (math.inf, 2, 0, 1)]
 
@@ -493,8 +500,9 @@ def test_norm_passes_keep_their_bits_under_the_small_buffer(n, stride, space, sh
     f = SampledFunction(grid, np.exp(-0.3 * (x - shift) ** 2))
     window = SampledFunction(grid, np.exp(-x * x / 2.0))
     default = grids.stft_magnitude_norms(f, window, stride, _BUFFER_NORMS, space=space)
-    with grids._small_ufunc_buffer():
-        small = grids.stft_magnitude_norms(f, window, stride, _BUFFER_NORMS, space=space)
+    small = _as_a_job(
+        lambda: grids.stft_magnitude_norms(f, window, stride, _BUFFER_NORMS, space=space)
+    )
     assert [v.hex() for v in small] == [v.hex() for v in default]
 
 
@@ -506,8 +514,7 @@ def test_product_identity_keeps_its_bits_under_the_small_buffer(n, stride):
     g = SampledFunction(grid, np.exp(-0.2 * (x - 1.0) ** 2))
     for f1, f2 in [(f, f), (f, g)]:
         default = _stft_product_identity_error(f1, f2, stride)
-        with grids._small_ufunc_buffer():
-            small = _stft_product_identity_error(f1, f2, stride)
+        small = _as_a_job(lambda: _stft_product_identity_error(f1, f2, stride))
         assert small.hex() == default.hex()
 
 
@@ -562,6 +569,22 @@ def test_product_identity_reuse_is_bitwise():
     assert _stft_product_identity_error(f, f, 4) == separate
     assert whole_table_identity_error(f.values, f.values, grid.h, 16.0, 4) == separate
     assert separate <= 1e-6
+
+
+def test_product_identity_of_a_zero_left_side_is_its_right_side():
+    """Where the left side f1 f2 is 0 the error is the right side's sup, in
+    place of a relative error over 0: 0 for f1 = 0, and for factors on
+    disjoint halves of the box the sup of the whole-table oracle's right
+    side, which the sampled tables leave above 0."""
+    grid = Grid(1, 16.0, 256)
+    x = grid.axis()
+    zero = SampledFunction(grid, np.zeros(grid.n))
+    left = SampledFunction(grid, np.where(x < 0.0, np.exp(-0.3 * (x + 2.0) ** 2), 0.0))
+    right = SampledFunction(grid, np.where(x >= 0.0, np.exp(-0.3 * (x - 2.0) ** 2), 0.0))
+    assert _stft_product_identity_error(zero, right, 4) == 0.0
+    apart = _stft_product_identity_error(left, right, 4)
+    assert apart == whole_table_identity_error(left.values, right.values, grid.h, 16.0, 4)
+    assert apart > 0.0
 
 
 @st.composite

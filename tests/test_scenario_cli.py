@@ -202,6 +202,76 @@ def test_run_record_rejects_malformed_fields(field, value):
         RunRecord.from_json(json.dumps(payload))
 
 
+def _record_without_command() -> str:
+    payload = json.loads(RunRecord("check", {}, {}, 0, 0, "", "", {}).to_json())
+    del payload["command"]
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("{", "not a run record: Expecting"),
+        ("[1]", "not a run record: top level must be an object"),
+        (_record_without_command(), "run record is missing field 'command'"),
+    ],
+    ids=["not-json", "not-an-object", "missing-field"],
+)
+def test_run_record_rejects_what_is_not_a_record(text, match):
+    with pytest.raises(ScenarioError, match=match):
+        RunRecord.from_json(text)
+
+
+_BOUNDEDNESS = "kind = boundedness\nflavor = convolution\np = 2,2,2\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, named",
+    [
+        pytest.param("probe", _BOUNDEDNESS + "stride = two\n", "stride: expected an integer",
+                     id="not-an-integer"),
+        pytest.param("probe", _BOUNDEDNESS + "tol = x\n", "tol: expected a number",
+                     id="not-a-number"),
+        pytest.param("probe", _BOUNDEDNESS + "tol = inf\n", "tol: expected a finite number",
+                     id="not-finite"),
+        pytest.param("check", "flavor = convolution\np = 2,,2\n", "p: empty entry",
+                     id="empty-list-entry"),
+        pytest.param("check", "flavor = convolution\np = 2,2\n",
+                     "p: expected 3 comma-separated entries", id="short-list"),
+        pytest.param("check", "flavor = convolution\n= 2\n", "line 2: missing key",
+                     id="missing-key"),
+        pytest.param("check", "flavor = convolution\np =\n", "missing value for 'p'",
+                     id="missing-value"),
+        pytest.param("check", "flavor = convolution\nsetting = strong\np = 2,2,2\n",
+                     "setting: must be one of", id="not-a-choice"),
+        pytest.param("check", "flavor = convolution\nspace = M\np = 2,2,2\n",
+                     "'space' applies only", id="space-outside-modulation"),
+        pytest.param("check", "flavor = multiplication\np = 2,2,2\nq = 2,2,2\n",
+                     "transform weights 's'", id="multiplication-without-s"),
+        pytest.param("check", "flavor = convolution\np = 2,2,2\nq = 2,2,2\n",
+                     "'q'/'s' apply only", id="q-for-convolution"),
+        pytest.param("sweep", "flavor = multiplication\nt_min = 0\nt_max = 1\nt_step = 1\n",
+                     "require 'q'", id="sweep-without-q"),
+        pytest.param("sweep", "flavor = convolution\nt_min = 0\nt_max = 1\nt_step = 1\n",
+                     "require 'p'", id="sweep-without-p"),
+        pytest.param("sweep",
+                     "flavor = convolution\np = 2,2,2\nq = 2,2,2\nt_min = 0\nt_max = 1\n"
+                     "t_step = 1\n", "'q' applies only", id="sweep-q-for-convolution"),
+        pytest.param("probe", "p = 2,2,2\n", "missing required key 'kind'",
+                     id="probe-without-kind"),
+    ],
+)
+def test_malformed_scenario_names_its_key(tmp_path, capsys, command, text, named):
+    """Each scenario refusal exits 2, prints nothing on stdout and one
+    error line that names the key (or line) at fault."""
+    code = main([command, "--scenario", write(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert code == EXIT_MALFORMED
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and named in line, line
+
+
 # ---------------------------------------------------------------------------
 # check command
 # ---------------------------------------------------------------------------
@@ -1053,7 +1123,7 @@ def test_oversized_tables_are_refused_before_allocation(
     def allocates(*args, **kwargs):
         raise AssertionError("a table was allocated before the budget check")
 
-    monkeypatch.setattr("youngbound.probes._stft_rows", allocates)
+    monkeypatch.setattr("youngbound.grids._stft_rows", allocates)
     monkeypatch.setattr("youngbound.probes._stft_magnitude_norms", allocates)
     monkeypatch.setattr("youngbound.kernels._GaussSum2d.sampler", allocates)
     code = main([command, "--scenario", write(tmp_path, text)])
@@ -1129,7 +1199,7 @@ def test_product_identity_tables_count_against_the_cap(tmp_path, capsys, monkeyp
     def allocates(*args, **kwargs):
         raise AssertionError("a table was allocated before the budget check")
 
-    monkeypatch.setattr("youngbound.probes._stft_rows", allocates)
+    monkeypatch.setattr("youngbound.grids._stft_rows", allocates)
     monkeypatch.setattr("youngbound.probes._stft_magnitude_norms", allocates)
     path = write(tmp_path, _IDENTITY_LADDER.format(2 ** 19))
     assert main(["probe", "--scenario", path]) == EXIT_MALFORMED
@@ -1258,6 +1328,15 @@ def test_modulation_ladder_charge_covers_the_traced_peak(name):
 def test_operator_charge_covers_the_traced_peak(name):
     _assert_charge_covers_the_traced_peak(
         charge_cases.OPERATOR_CHECKS[name], charge_cases.BLOCK_SIZES
+    )
+
+
+@pytest.mark.parametrize("name", sorted(charge_cases.WHOLE_TABLES))
+def test_whole_table_charge_covers_the_traced_peak(name):
+    """A whole-table function's charge counts its table, its n-point
+    arrays and numpy's buffers beside them."""
+    _assert_charge_covers_the_traced_peak(
+        charge_cases.WHOLE_TABLES[name], charge_cases.TABLE_SIZES
     )
 
 

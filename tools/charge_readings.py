@@ -6,7 +6,8 @@ Usage, from the root of a checkout::
 
 The cases and the way they are read are those of ``tests/charge_cases.py``:
 the Gaussian ladders and probes at its ``POINT_SIZES``, the modulation
-ladders and the operator checks at its ``BLOCK_SIZES``.  For each case and
+ladders and the operator checks at its ``BLOCK_SIZES``, and the
+whole-table library functions at its ``TABLE_SIZES``.  For each case and
 size the report gives the charge (the bytes the routine hands its refusal
 call), the traced peak and the reading, charge over peak, which the tests
 hold within [1, 1.5]; then, for each case, the per-point term and intercept
@@ -36,6 +37,7 @@ def main() -> None:
         (charge_cases.POINT_CHARGED_PROBES, charge_cases.POINT_SIZES),
         (charge_cases.MODULATION_LADDERS, charge_cases.BLOCK_SIZES),
         (charge_cases.OPERATOR_CHECKS, charge_cases.BLOCK_SIZES),
+        (charge_cases.WHOLE_TABLES, charge_cases.TABLE_SIZES),
     ]
     print(f"{'case':28s} {'n':>6s} {'charge':>10s} {'peak':>10s} {'reading':>8s}")
     for cases, sizes in groups:
