@@ -163,27 +163,17 @@ def region_of(x, y, params: RegionParams) -> int:
 
 
 def region_codes(x: np.ndarray, y: np.ndarray, params: RegionParams) -> np.ndarray:
-    """Vectorized region ids on broadcastable 1-d coordinate arrays.
+    """Vectorized region ids (int8) on broadcastable 1-d coordinate arrays.
 
-    Must agree with :func:`region_of` clause for clause; the property tests
-    compare the two on random points.
+    The clauses of :func:`region_of` in order: the first that holds gives
+    the id, and 5 where none does; the property tests compare the two.
     """
     bx = np.sqrt(1.0 + x * x)
     by = np.sqrt(1.0 + y * y)
     bxy = np.sqrt(1.0 + (x - y) * (x - y))
     delta = float(params.delta)
-    radius = float(params.R)
-
-    out = np.full(np.broadcast(bx, by, bxy).shape, 5, dtype=np.int8)
-    c1 = by < delta * bx
-    c2 = ~c1 & (bxy < delta * bx)
-    c3 = ~c1 & ~c2 & (np.abs(x) <= radius)
-    c4 = ~c1 & ~c2 & ~c3 & (bxy <= by)
-    out[np.broadcast_to(c4, out.shape)] = 4
-    out[np.broadcast_to(c3, out.shape)] = 3
-    out[np.broadcast_to(c2, out.shape)] = 2
-    out[np.broadcast_to(c1, out.shape)] = 1
-    return out
+    conditions = [by < delta * bx, bxy < delta * bx, np.abs(x) <= float(params.R), bxy <= by]
+    return np.select(conditions, [1, 2, 3, 4], np.int8(5))
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +203,8 @@ def _tf_rows(f: SampledFunction, g: SampledFunction):
     imaginary parts: they are the real parts of the complex products, bit
     for bit (every imaginary factor is zero), and the complex row sum adds
     its real lane on its own, so the rows keep the complex path's bits.
-    The products are formed in the block itself when ``own`` (it is a copy
-    the caller may overwrite), else in the real lanes of the product array.
-    Both forms stay: forming every map's products in the real lanes slowed
-    the in-process operator group, medians 0.916 -> 0.999 s and 1.099 ->
-    1.284 s in two sets of 10 alternating rounds (shared 2-core x86-64 VM).
+    They are formed in the real lanes of the product array; the block of
+    kernel rows is only read, so every map of a point reads the same block.
     """
     if f.grid != g.grid:
         raise GridMismatchError("t_f: f and g on different grids")
@@ -232,22 +219,17 @@ def _tf_rows(f: SampledFunction, g: SampledFunction):
     buf[n : 2 * n] = (g.values.real if real else g.values)[::-1]
     windows = sliding_window_view(buf, n)
 
-    def rows_of(kblk: np.ndarray, rows: slice, product=None, own: bool = False) -> np.ndarray:
+    def rows_of(kblk: np.ndarray, rows: slice, product=None) -> np.ndarray:
         gblk = windows[n + half - 1 - rows.start : n + half - 1 - rows.stop : -1]
         if not real or np.iscomplexobj(kblk):
             product = np.multiply(kblk, fv[None, :], out=product)
             return np.multiply(product, gblk, out=product).sum(axis=1)
         if product is None:
             product = np.empty(kblk.shape, dtype=np.complex128)
-        if own:
-            np.multiply(kblk, fv, out=kblk)
-            np.multiply(kblk, gblk, out=kblk)
-            np.copyto(product, kblk)
-        else:
-            lanes = product.view(np.float64).reshape(*kblk.shape, 2)
-            np.multiply(kblk, fv, out=lanes[..., 0])
-            np.multiply(lanes[..., 0], gblk, out=lanes[..., 0])
-            lanes[..., 1] = 0.0
+        lanes = product.view(np.float64).reshape(*kblk.shape, 2)
+        np.multiply(kblk, fv, out=lanes[..., 0])
+        np.multiply(lanes[..., 0], gblk, out=lanes[..., 0])
+        lanes[..., 1] = 0.0
         return product.sum(axis=1)
 
     return rows_of
@@ -519,24 +501,28 @@ def verify_lemma_intestimates(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _GaussSum1d:
+class _GaussSum:
     """Sum of Gaussian bumps with exact dilation in the parameters."""
 
     terms: tuple[tuple[float, ...], ...]  # (amplitude, a, one center per axis)
 
-    def sample(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x, dtype=float)
-        for amp, a, c in self.terms:
-            out = out + amp * np.exp(-a * (x - c) ** 2)
-        return out
-
-    def dilated(self, lam: float) -> "_GaussSum1d":
+    def dilated(self, lam: float) -> "_GaussSum":
         return type(self)(
             tuple(
                 (amp, a * lam * lam, *(c / lam for c in centers))
                 for amp, a, *centers in self.terms
             )
         )
+
+
+class _GaussSum1d(_GaussSum):
+    """The sum in one variable: each term has one center."""
+
+    def sample(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(x, dtype=float)
+        for amp, a, c in self.terms:
+            out = out + amp * np.exp(-a * (x - c) ** 2)
+        return out
 
 
 # exp(-x) is below the smallest normal double, np.finfo(float).tiny = 2^-1022,
@@ -553,9 +539,8 @@ def _band(mask: np.ndarray) -> slice | None:
     return slice(idx[0], idx[-1] + 1)
 
 
-@dataclass(frozen=True)
-class _GaussSum2d(_GaussSum1d):
-    """The same sum in two variables: each term has centers (u, v)."""
+class _GaussSum2d(_GaussSum):
+    """The sum in two variables: each term has centers (u, v)."""
 
     def sampler(self, x: np.ndarray, y: np.ndarray):
         """The sum on the outer grid of the 1-d axes x and y, as a function
@@ -837,11 +822,11 @@ def verify_prop_tf_bounds(
                 kblk.fill(1.0)
             else:
                 sample(rows, kblk, product)
-            # The norm reads the block first, in the spent product array,
-            # and the last map may form its products in the block.
-            knorm.add(np.abs(kblk, out=_flat_rows(product.view(float), *kblk.shape)))
-            for i, (rows_of, out) in enumerate(zip(maps, images)):
-                out[rows] = rows_of(kblk, rows, product[: len(kblk)], own=i == len(maps) - 1)
+            for rows_of, out in zip(maps, images):
+                out[rows] = rows_of(kblk, rows, product[: len(kblk)])
+            # The maps only read the block, and the norm takes it last and
+            # consumes it: a sum of positive bumps (or 1.0) is its own magnitude.
+            knorm.add(kblk)
         knorm.skip(grid.n - live.stop)
         # The maps' padded inputs and the sampler's squared distances go
         # before each image is scaled and measured, so the point holds no

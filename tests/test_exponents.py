@@ -28,6 +28,8 @@ from youngbound.exponents import (
     h2,
     lemma_equivalence_holds,
     remark_bound,
+    _exponent_triple,
+    _weight_triple,
     young_functional,
 )
 from youngbound.scenario import parse_scenario_text, resolve_scenario
@@ -196,6 +198,24 @@ def test_param_tuple_rejects_bad_dimension():
         ParamTuple(d=0, p=(2, 2, 2), t=(0, 0, 0))
     with pytest.raises(ValueError):
         ParamTuple(d=-1, p=(2, 2, 2), t=(0, 0, 0))
+
+
+def test_exponent_refuses_a_value_that_is_not_rational():
+    with pytest.raises(ExponentError, match="not a rational exponent"):
+        Exponent(object())
+
+
+@pytest.mark.parametrize("entries", [(2, 2), (2, 2, 2, 2)])
+def test_triples_refuse_the_wrong_length(entries):
+    with pytest.raises(ValueError, match=f"expected an exponent triple, got {len(entries)} entries"):
+        _exponent_triple(entries)
+    with pytest.raises(ValueError, match=f"expected a weight triple, got {len(entries)} entries"):
+        _weight_triple(entries)
+
+
+def test_modulation_check_refuses_a_tuple_without_q_and_s():
+    with pytest.raises(ValueError, match="modulation check requires the q and s blocks"):
+        check_modulation(ParamTuple(d=1, p=(2, 2, 2), t=(0, 0, 0)), "convolution", "M")
 
 
 def test_param_tuple_allows_higher_dimensions():

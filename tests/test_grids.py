@@ -255,6 +255,28 @@ def test_edge_heavy_input_warns():
         convolve(f, f)
 
 
+def test_all_zero_factor_is_not_edge_heavy():
+    """A factor that is zero everywhere has no peak to compare its edge
+    with, so it never warns; the other factor still does."""
+    g = Grid(1, 4.0, 64)
+    zero = SampledFunction(g, np.zeros(g.n))
+    heavy = sample(g, gaussian(0.05))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert not np.any(convolve(zero, zero).values)
+        convolve(zero, heavy)
+    assert [str(w.message).split(" has ")[0] for w in caught] == ["convolve: second factor"]
+    assert all(w.category is ResolutionWarning for w in caught)
+
+
+def test_samples_of_the_wrong_shape_are_refused():
+    g = Grid(1, 4.0, 64)
+    with pytest.raises(ValueError, match=r"values shape \(63,\) does not match grid shape \(64,\)"):
+        SampledFunction(g, np.zeros(63))
+    with pytest.raises(ValueError, match=r"kernel shape \(64,\) does not match \(64, 64\)"):
+        SampledKernel2d(g, np.zeros(64))
+
+
 # ---------------------------------------------------------------------------
 # Weighted norms
 # ---------------------------------------------------------------------------

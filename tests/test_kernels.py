@@ -300,6 +300,17 @@ def test_prop_gauss_sum_sampling_bitwise_equals_naive(terms, log_n, extent, bloc
         assert np.array_equal(np.signbit(out[: rows.stop - start]), np.signbit(fast[rows]))
 
 
+def test_gauss_sums_share_only_terms_and_dilation():
+    """Only a 1-d sum has ``sample``; a 2-d one samples through its sampler.
+    Dilating either kind by lam multiplies each width by lam^2 and divides
+    each center by lam, and keeps the kind."""
+    one = _GaussSum1d(((1.5, 2.0, 0.5), (0.5, 1.0, -1.0)))
+    two = _GaussSum2d(((1.5, 2.0, 0.5, -0.25),))
+    assert hasattr(one, "sample") and not hasattr(two, "sample")
+    assert one.dilated(2.0) == _GaussSum1d(((1.5, 8.0, 0.25), (0.5, 4.0, -0.5)))
+    assert two.dilated(0.5) == _GaussSum2d(((1.5, 0.5, 1.0, -0.5),))
+
+
 @pytest.mark.parametrize("case", [1, 2, 3])
 def test_operator_check_has_the_bits_of_the_naive_sampler(case, monkeypatch):
     """The terms the kernel sampling skips move no ratio or slope of an
@@ -355,6 +366,29 @@ def test_tf_rejects_mismatched_inputs():
         t_f(table, f, other)
     with pytest.raises(ValueError):
         t_f(table, other, other)
+
+
+@pytest.mark.parametrize("complex_inputs", [False, True], ids=["real-f-g", "complex-f-g"])
+@pytest.mark.parametrize("complex_block", [False, True], ids=["real-block", "complex-block"])
+def test_tf_rows_only_read_the_kernel_block(complex_inputs, complex_block):
+    """A block of T_F rows leaves the kernel block's bytes as they were,
+    with or without a product array from the caller, and gives the bits of
+    the same rows of t_f."""
+    f, g = smooth_pair(GRID32, 3)
+    if complex_inputs:
+        g = SampledFunction(GRID32, g.values * (1.0 - 2.0j))
+    table = kernel_table(GRID32, KernelParams((0, F(1, 2), 1))).values
+    if complex_block:
+        table = table * (1.0 + 1.0j)
+    expected = t_f(SampledKernel2d(GRID32, table), f, g).values
+    rows_of = kernels._tf_rows(f, g)
+    rows = slice(5, 21)
+    kblk = table[rows].copy()
+    before = kblk.tobytes()
+    for product in (None, np.empty(kblk.shape, dtype=np.complex128)):
+        got = rows_of(kblk, rows, product)
+        assert kblk.tobytes() == before
+        assert np.array_equal(got * GRID32.h, expected[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +720,38 @@ def test_prop_streamed_operator_check_equals_whole_table_path():
 
     check()
     assert 512 in skipping
+
+
+@pytest.mark.parametrize("setting", _OPERATOR_SETTINGS)
+def test_operator_point_reads_its_kernel_block_in_place(setting, monkeypatch):
+    """Every map of an operator point leaves the kernel block's bytes as
+    they were, and the mixed norm then takes the block itself as its
+    magnitudes: no entry is negative or -0.  The settings cover cases 1-3,
+    R(p) = 0 in each mixed-norm order and the flat kernel."""
+    case, p, kernel = setting
+    tf_rows, add = kernels._tf_rows, grids._MixedNorm.add
+    maps, blocks = [], []
+
+    def watched_rows(f, g):
+        rows_of = tf_rows(f, g)
+
+        def watched(kblk, *args, **kwargs):
+            before = kblk.tobytes()
+            out = rows_of(kblk, *args, **kwargs)
+            maps.append(kblk.tobytes() == before)
+            return out
+
+        return watched
+
+    def watched_add(self, mag):
+        blocks.append(not np.any(np.signbit(mag)))
+        return add(self, mag)
+
+    monkeypatch.setattr(kernels, "_tf_rows", watched_rows)
+    monkeypatch.setattr(grids._MixedNorm, "add", watched_add)
+    verify_prop_tf_bounds(case, p, trials=1, grid=Grid(1, 16.0, 512), kernel=kernel)
+    assert maps and all(maps)
+    assert blocks and all(blocks)
 
 
 # float.hex of the lambda = 2 ratio of one-trial operator checks at seed 0

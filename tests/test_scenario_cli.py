@@ -80,6 +80,11 @@ def test_resolve_check_requires_flavor_and_p():
         resolve_scenario("check", {"flavor": "convolution"})
 
 
+def test_resolve_rejects_an_unknown_command():
+    with pytest.raises(ScenarioError, match="unknown command 'bogus'"):
+        resolve_scenario("bogus", {})
+
+
 def test_resolve_rejects_unknown_keys_and_names_the_accepted_ones():
     with pytest.raises(ScenarioError) as err:
         resolve_scenario(
@@ -654,6 +659,16 @@ def test_gaussian_probe_in_two_dimensions_is_malformed(tmp_path, capsys):
     pytest.param(
         "probe", "kind = translation\np = 2,2,2\npair = 0, 3\n",
         "pair must name two distinct slots, got (0, 3)", id="pair-out-of-range",
+    ),
+    pytest.param(
+        "probe", "kind = translation\np = 2,2,2\noffsets = 0, 2\n",
+        "offsets must be positive", id="offsets-not-positive",
+    ),
+    pytest.param(
+        "probe", "kind = gaussian\np = 2,2,2\nt = -1,-1,-1\n",
+        "precondition not met: all weights are negative; no slot permutation puts a "
+        "nonnegative weight in position 1, which the spreading lower bound requires",
+        id="gaussian-all-weights-negative",
     ),
     pytest.param(
         "probe", "kind = lower-bound\nt1 = 0\nt2 = 0\nalpha = 0\n",
