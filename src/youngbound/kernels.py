@@ -199,12 +199,12 @@ def _tf_rows(f: SampledFunction, g: SampledFunction):
     bits of the same rows of a larger block.
 
     When f and g are real and so is the block, the products F f g are
-    float64 and are widened into the complex product array with zero
-    imaginary parts: they are the real parts of the complex products, bit
-    for bit (every imaginary factor is zero), and the complex row sum adds
-    its real lane on its own, so the rows keep the complex path's bits.
-    They are formed in the real lanes of the product array; the block of
-    kernel rows is only read, so every map of a point reads the same block.
+    float64: F f is widened into the complex product array with zero
+    imaginary parts and its real lanes are multiplied by g.  They are the
+    real parts of the complex products, bit for bit (every imaginary factor
+    is zero), and the complex row sum adds its real lane on its own, so the
+    rows keep the complex path's bits.  The block of kernel rows is only
+    read, so every map of a point reads the same block.
     """
     if f.grid != g.grid:
         raise GridMismatchError("t_f: f and g on different grids")
@@ -221,15 +221,13 @@ def _tf_rows(f: SampledFunction, g: SampledFunction):
 
     def rows_of(kblk: np.ndarray, rows: slice, product=None) -> np.ndarray:
         gblk = windows[n + half - 1 - rows.start : n + half - 1 - rows.stop : -1]
-        if not real or np.iscomplexobj(kblk):
-            product = np.multiply(kblk, fv[None, :], out=product)
-            return np.multiply(product, gblk, out=product).sum(axis=1)
         if product is None:
             product = np.empty(kblk.shape, dtype=np.complex128)
-        lanes = product.view(np.float64).reshape(*kblk.shape, 2)
-        np.multiply(kblk, fv, out=lanes[..., 0])
-        np.multiply(lanes[..., 0], gblk, out=lanes[..., 0])
-        lanes[..., 1] = 0.0
+        np.multiply(kblk, fv, out=product)
+        if not real or np.iscomplexobj(kblk):
+            return np.multiply(product, gblk, out=product).sum(axis=1)
+        lanes = product.view(np.float64).reshape(*kblk.shape, 2)[..., 0]
+        np.multiply(lanes, gblk, out=lanes)
         return product.sum(axis=1)
 
     return rows_of
